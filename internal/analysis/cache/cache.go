@@ -22,7 +22,7 @@
 //     module-grained over the projection instead of per-SCC; because
 //     the projection excludes literal operands and non-pointer
 //     opcodes, any constant-only edit replays the cached narrowing
-//     verbatim, skipping even the liveness pre-pass.
+//     verbatim, skipping the solve.
 //
 // Every key is salted with a hash of the full tag table. Tag ids are
 // dense allocation-order indices, so an edit that adds or removes a
@@ -243,8 +243,8 @@ func FuncBodyHash(fn *ir.Func) Key {
 }
 
 // HashInstrStructural folds the subset of an instruction the points-to
-// solver and its liveness pre-pass read: opcode, registers, tags,
-// callee/argument linkage, and positions — everything in HashInstr
+// solver reads: opcode, registers, tags, callee/argument linkage, and
+// positions — everything in HashInstr
 // except the Imm/FImm literal operands, which no pointer transfer
 // function inspects (tag sets name symbols; offsets into an object
 // never leave it). Keying the projection on this hash is what lets a
@@ -268,12 +268,12 @@ func HashInstrStructural(h *Hasher, in *ir.Instr) {
 	}
 }
 
-// SolverOp reports whether the points-to transfer functions (and the
-// liveness pre-pass) understand the opcode. Instructions outside this
-// set contribute nothing to any pointer fact, so the projection hash
-// skips them — but their positions still shift the (block, index)
-// coordinates of later relevant instructions, which the per-instruction
-// position words in the projection capture.
+// SolverOp reports whether the points-to transfer functions
+// understand the opcode. Instructions outside this set contribute
+// nothing to any pointer fact, so the projection hash skips them — but
+// their positions still shift the (block, index) coordinates of later
+// relevant instructions, which the per-instruction position words in
+// the projection capture.
 func SolverOp(op ir.Op) bool {
 	switch op {
 	case ir.OpAddrOf, ir.OpCopy, ir.OpAdd, ir.OpSub, ir.OpSLoad, ir.OpCLoad,

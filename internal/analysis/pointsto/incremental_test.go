@@ -16,7 +16,7 @@ import (
 // buildAnalyzed compiles src through the front end and the MOD/REF
 // pre-passes, leaving the module in the state Solve sees in the real
 // pipeline.
-func buildAnalyzed(t *testing.T, src string) (*ir.Module, *callgraph.Graph) {
+func buildAnalyzed(t testing.TB, src string) (*ir.Module, *callgraph.Graph) {
 	t.Helper()
 	f, err := parser.Parse("t.c", src)
 	if err != nil {
@@ -48,13 +48,13 @@ func TestConstantEditReplaysCachedNarrowing(t *testing.T) {
 
 		store := cache.NewStore()
 		m0, cg0 := buildAnalyzed(t, base)
-		cold := Solve(m0, cg0, store, Options{})
+		cold := Solve(m0, cg0, store)
 		if cold.Cached {
 			t.Fatalf("seed %d: first solve cannot hit", seed)
 		}
 
 		mWarm, cgWarm := buildAnalyzed(t, edited)
-		warm := Solve(mWarm, cgWarm, store, Options{})
+		warm := Solve(mWarm, cgWarm, store)
 		if !warm.Cached {
 			t.Fatalf("seed %d: constant-only edit must replay the cached narrowing", seed)
 		}
@@ -63,7 +63,7 @@ func TestConstantEditReplaysCachedNarrowing(t *testing.T) {
 		}
 
 		mCold, cgCold := buildAnalyzed(t, edited)
-		Solve(mCold, cgCold, nil, Options{})
+		Solve(mCold, cgCold, nil)
 		if ir.FormatModule(mWarm) != ir.FormatModule(mCold) {
 			t.Fatalf("seed %d: replayed narrowing differs from scratch solve", seed)
 		}
@@ -86,34 +86,16 @@ int main(void) { int *p; p = &b; *p = 1; print_int(a + b); return 0; }
 `
 	store := cache.NewStore()
 	m0, cg0 := buildAnalyzed(t, baseSrc)
-	Solve(m0, cg0, store, Options{})
+	Solve(m0, cg0, store)
 
 	mWarm, cgWarm := buildAnalyzed(t, editedSrc)
-	warm := Solve(mWarm, cgWarm, store, Options{})
+	warm := Solve(mWarm, cgWarm, store)
 	if warm.Cached {
 		t.Fatal("a structural pointer edit must not replay the old narrowing")
 	}
 	mCold, cgCold := buildAnalyzed(t, editedSrc)
-	Solve(mCold, cgCold, nil, Options{})
+	Solve(mCold, cgCold, nil)
 	if ir.FormatModule(mWarm) != ir.FormatModule(mCold) {
 		t.Fatal("post-miss solve differs from scratch")
-	}
-}
-
-// TestFilteredMatchesUnfiltered: the liveness pre-filter is a pure
-// optimization — propagating tag sets only for pointers that can
-// still reach a dereference must leave every installed narrowing
-// (pointer-op tag sets, pinned call targets) exactly as the
-// unfiltered solve would.
-func TestFilteredMatchesUnfiltered(t *testing.T) {
-	for _, seed := range []int64{1, 2, 3} {
-		src := testgen.Scale(testgen.ScaleOptions{Seed: seed, Funcs: 25, Edit: -1})
-		mF, cgF := buildAnalyzed(t, src)
-		Solve(mF, cgF, nil, Options{})
-		mU, cgU := buildAnalyzed(t, src)
-		Solve(mU, cgU, nil, Options{NoFilter: true})
-		if ir.FormatModule(mF) != ir.FormatModule(mU) {
-			t.Fatalf("seed %d: filtered and unfiltered narrowings differ", seed)
-		}
 	}
 }

@@ -2,11 +2,11 @@
 // analysis (§4), in the style of Ruf's context-insensitive analysis
 // [18]: for every pointer-valued name the analysis computes the set of
 // tags it may point to, propagating values through assignments,
-// loads, stores, calls, and returns with a worklist until fixed point.
-// Non-local memory is modeled with explicit names (one node per tag),
-// the heap is split by allocation site, and function pointers are
-// tracked so indirect calls resolve to the functions a pointer can
-// actually carry.
+// loads, stores, calls, and returns until fixed point. Non-local
+// memory is modeled with explicit names (one node per tag), the heap
+// is split by allocation site, and function pointers are tracked so
+// indirect calls resolve to the functions a pointer can actually
+// carry.
 //
 // The implementation is flow-insensitive at the register level where
 // the paper's is SSA-based; the IL generator produces single-
@@ -15,57 +15,56 @@
 // reassigned between address-takings — a strictly conservative
 // approximation.
 //
-// Two layers make the analysis demand-driven and incremental. A
-// pointer-liveness pre-pass (liveness.go) restricts the fixpoint to
-// instructions whose facts can reach a consumer the narrowing reads,
-// so integer-only code costs nothing. Independently, Solve hashes the
-// module's pointer projection — every solver-understood instruction,
-// structurally (no literal operands, which no pointer transfer reads)
-// — walking the callgraph SCCs in reverse topological order and
-// chaining callee component keys; when an analysis cache holds the
-// projection's narrowing from an earlier compile, Solve replays it
-// without running the liveness pass or the fixpoint at all. Points-to
-// is not bottom-up compositional (argument facts flow callers→callees
-// and memory nodes are global), so the replay is all-or-nothing at
-// module grain; the projection's indifference to literal operands and
+// The solver is an inclusion-constraint graph with difference
+// propagation. Every register, every tag's contents, and every
+// function's return value is a node with a dense id, and a node's
+// value is two bitsets: the tags it may point to and the functions
+// (by callgraph.FuncID) it may carry. One pass over the module
+// extracts the constraints: base facts (address-of, malloc sites,
+// initializer relocations), copy edges (copies, pointer arithmetic,
+// scalar loads and stores, direct-call arguments and returns), and
+// complex constraints keyed by a pointer node (pointer loads and
+// stores, indirect calls). A node worklist then pushes only each
+// node's delta — the members it has not yet propagated — along its
+// edges, and every new target of a pointer node instantiates that
+// node's complex constraints exactly once.
+//
+// Solve also hashes the module's pointer projection — every
+// solver-understood instruction, structurally (no literal operands,
+// which no pointer transfer reads) — walking the callgraph SCCs in
+// reverse topological order and chaining callee component keys; when
+// an analysis cache holds the projection's narrowing from an earlier
+// compile, Solve replays it without solving at all. Points-to is not
+// bottom-up compositional (argument facts flow callers→callees and
+// memory nodes are global), so the replay is all-or-nothing at module
+// grain; the projection's indifference to literal operands and
 // non-pointer opcodes is what makes warm hits common — in particular,
 // every constant-only edit replays.
 package pointsto
 
 import (
+	"math/bits"
 	"sort"
 
 	"regpromo/internal/analysis/cache"
 	"regpromo/internal/callgraph"
-	"regpromo/internal/dataflow"
 	"regpromo/internal/ir"
 	"regpromo/internal/obs"
 	"regpromo/internal/par"
 )
 
-// Options tune a points-to run.
-type Options struct {
-	// NoFilter disables the pointer-liveness pre-filter, making the
-	// solver process every instruction its transfer functions
-	// understand (the pre-incremental behaviour). Filtered and
-	// unfiltered runs install byte-identical IL; the flag exists for
-	// that property test and for ablation measurements.
-	NoFilter bool
-}
+// Options is accepted for compatibility with callers written against
+// the earlier Solve signature. It has no fields and changes nothing.
+type Options struct{}
 
 // Result maps analysis facts back to the program.
 type Result struct {
-	cg *callgraph.Graph
-	// regs gives, per interned function id and register, the node
-	// holding what that register may point to.
-	regs [][]node
-	mod  *ir.Module
-	// mem gives the points-to set of the value stored in each tag.
-	mem []node
-	// Steps counts function re-analyses the sparse fixpoint performed —
-	// deterministic for a given module, so it is safe to compare across
-	// runs and report in telemetry. A cache replay reports the recorded
-	// count of the run it replays.
+	// s holds the solved sets; nil after a cache replay.
+	s *solver
+	// Steps counts the node visits of the solver's worklist —
+	// deterministic for a given module, so it is safe to compare
+	// across runs and report in telemetry. A cache replay reports the
+	// recorded count of the run it replays.
 	Steps int
 	// Cached reports that the narrowing was replayed from the analysis
 	// cache; per-register facts are unavailable on this path (only the
@@ -76,71 +75,27 @@ type Result struct {
 	SCCsSolved, SCCsCached int
 }
 
-// node is one points-to set: program tags plus possible function
-// targets (by interned id).
-type node struct {
-	tags  ir.TagSet
-	funcs map[callgraph.FuncID]bool
-}
-
-// unionTags grows the node's tag set in place (the node owns its
-// backing words; sets are never assigned across nodes).
-func (n *node) unionTags(t ir.TagSet) bool {
-	return t.UnionInto(&n.tags)
-}
-
-func (n *node) addTag(t ir.TagID) bool {
-	return n.tags.Add(t)
-}
-
-func (n *node) unionFuncs(fs map[callgraph.FuncID]bool) bool {
-	changed := false
-	for f := range fs {
-		if !n.funcs[f] {
-			if n.funcs == nil {
-				n.funcs = make(map[callgraph.FuncID]bool)
-			}
-			n.funcs[f] = true
-			changed = true
-		}
-	}
-	return changed
-}
-
-func (n *node) addFunc(f callgraph.FuncID) bool {
-	if n.funcs[f] {
-		return false
-	}
-	if n.funcs == nil {
-		n.funcs = make(map[callgraph.FuncID]bool)
-	}
-	n.funcs[f] = true
-	return true
-}
-
 // RegPointsTo returns the tag set register r of function fn may point
-// to. Dead pointers — registers the liveness pre-pass proves can
-// never reach a pointer consumer — report the empty set (their facts
-// collapse to ⊥). Unavailable after a cache replay.
+// to. Every register reports its full solved set, whether or not it
+// reaches a dereference. Unavailable after a cache replay.
 func (r *Result) RegPointsTo(fn string, reg ir.Reg) ir.TagSet {
-	id := r.cg.ID(fn)
-	if id == callgraph.FuncInvalid || r.regs == nil {
+	if r.s == nil {
 		return ir.TagSet{}
 	}
-	ns := r.regs[id]
-	if int(reg) >= len(ns) {
+	id := r.s.cg.ID(fn)
+	if id == callgraph.FuncInvalid || int(reg) >= r.s.funcs[id].NumRegs {
 		return ir.TagSet{}
 	}
-	return ns[reg].tags
+	return r.s.tagSet(r.s.reg(id, reg))
 }
 
 // MemPointsTo returns the tag set the value stored in tag may point
 // to. Unavailable after a cache replay.
 func (r *Result) MemPointsTo(tag ir.TagID) ir.TagSet {
-	if r.mem == nil {
+	if r.s == nil {
 		return ir.TagSet{}
 	}
-	return r.mem[tag].tags
+	return r.s.tagSet(r.s.tagBase + int32(tag))
 }
 
 // AddrTakenSet returns the set of tags whose address the program can
@@ -161,24 +116,23 @@ func AddrTakenSet(m *ir.Module) ir.TagSet {
 // Run analyzes the module, then narrows the tag sets of pointer-based
 // memory operations and the target sets of indirect calls in place.
 func Run(m *ir.Module, cg *callgraph.Graph) *Result {
-	return Solve(m, cg, nil, Options{})
+	return Solve(m, cg, nil)
 }
 
 // Solve is Run with the incremental machinery exposed: when store is
 // non-nil, the module's pointer projection is hashed (walking the
 // callgraph SCCs in reverse topological order and chaining callee
-// component keys) and a hit replays the cached narrowing verbatim —
-// skipping the liveness pre-pass and the fixpoint entirely; a miss
-// solves, then records the narrowing under the projection key.
-// Replayed IL is byte-identical to a from-scratch solve by
-// construction: the key covers every input the liveness pass, the
-// solver, and narrow() read.
-func Solve(m *ir.Module, cg *callgraph.Graph, store *cache.Store, opts Options) *Result {
+// component keys) and a hit replays the cached narrowing verbatim,
+// skipping the solve entirely; a miss solves, then records the
+// narrowing under the projection key. Replayed IL is byte-identical
+// to a from-scratch solve by construction: the key covers every input
+// the solver and narrow() read. Options, if given, are ignored.
+func Solve(m *ir.Module, cg *callgraph.Graph, store *cache.Store, _ ...Options) *Result {
 	var key cache.Key
 	if store != nil {
-		key = projectionKey(m, cg, opts.NoFilter)
+		key = projectionKey(m, cg)
 		if e, ok := store.PointsTo(key); ok {
-			res := &Result{cg: cg, mod: m, Steps: e.Steps, Cached: true, SCCsCached: len(cg.SCCs)}
+			res := &Result{Steps: e.Steps, Cached: true, SCCsCached: len(cg.SCCs)}
 			replay(m, e)
 			if r := obs.Metrics(); r != nil {
 				r.Counter("pointsto.cache.hit").Inc()
@@ -192,88 +146,29 @@ func Solve(m *ir.Module, cg *callgraph.Graph, store *cache.Store, opts Options) 
 		}
 	}
 
-	var li *liveness
-	if !opts.NoFilter {
-		li = computeLiveness(m, cg)
-	}
-
-	nf := cg.NumFuncs()
-	a := &analyzer{
-		mod: m,
-		cg:  cg,
-		li:  li,
-		res: &Result{
-			cg:   cg,
-			regs: make([][]node, nf),
-			mod:  m,
-			mem:  make([]node, m.Tags.Len()),
-		},
-		rets:       make([]node, nf),
-		memReaders: make([][]callgraph.FuncID, m.Tags.Len()),
-		memIsRdr:   make([][]bool, m.Tags.Len()),
-		retReaders: make([][]callgraph.FuncID, nf),
-		retIsRdr:   make([][]bool, nf),
-	}
-	a.res.SCCsSolved = len(cg.SCCs)
-	for _, fn := range m.FuncsInOrder() {
-		a.res.regs[cg.ID(fn.Name)] = make([]node, fn.NumRegs)
-	}
-
-	// Seed: static initializers with relocations store addresses.
-	for _, init := range m.Inits {
-		for _, rel := range init.Relocs {
-			a.res.mem[init.Tag].addTag(rel.Target)
-		}
-	}
-
-	// Sparse transfer iteration: one worklist entry per function,
-	// draining in module order. A function re-fires only when one of
-	// its inputs grew — its own register nodes, a memory node it
-	// reads (readers are registered dynamically as pointer targets
-	// are discovered), or the return node of a callee. The
-	// constraints are inclusion-monotone, so this reaches the same
-	// least fixpoint as the old sweep-everything rounds.
-	rank := make([]int, nf)
-	for i := range rank {
-		rank[i] = i
-	}
-	a.w = dataflow.NewWorklist(rank)
-	funcs := m.FuncsInOrder()
-	for i := range funcs {
-		a.w.Push(i)
-	}
-	for {
-		id, ok := a.w.Pop()
-		if !ok {
-			break
-		}
-		a.res.Steps++
-		a.function(callgraph.FuncID(id), funcs[id])
-	}
+	s := newSolver(m, cg)
+	s.solve()
+	res := &Result{s: s, Steps: s.steps, SCCsSolved: len(cg.SCCs)}
 	if r := obs.Metrics(); r != nil {
 		r.Counter("pointsto.runs").Inc()
-		r.Counter("pointsto.steps").Add(int64(a.res.Steps))
-		r.Counter("pointsto.pushes").Add(int64(a.w.Pushes()))
+		r.Counter("pointsto.steps").Add(int64(s.steps))
 	}
 
-	rec := a.narrow()
+	rec := s.narrow()
 	if store != nil {
-		store.PutPointsTo(key, &cache.PointsToEntry{Funcs: rec, Steps: a.res.Steps})
+		store.PutPointsTo(key, &cache.PointsToEntry{Funcs: rec, Steps: s.steps})
 	}
-	return a.res
+	return res
 }
 
-// projectionKey hashes everything a (possibly filtered) solve reads:
-// the module salt (tag table, initializers, addressed functions) and,
-// per callgraph SCC in reverse topological order, each member's
-// projection hash — its solver-understood instructions, structurally,
-// with positions — chained with the keys of every callee component.
-// The per-function hashes are independent, so they are computed in
-// parallel before the (cheap, ordered) condensation walk. The key
-// needs no liveness information: equal projections imply equal
-// liveness and hence an equal filtered solution, which is what lets a
-// hit skip the liveness pass too.
-func projectionKey(m *ir.Module, cg *callgraph.Graph, noFilter bool) cache.Key {
+// projectionKey hashes everything a solve reads: the module salt (tag
+// table, initializers, addressed functions) and, per callgraph SCC in
+// reverse topological order, each member's projection hash — its
+// solver-understood instructions, structurally, with positions —
+// chained with the keys of every callee component. The per-function
+// hashes are independent, so they are computed in parallel before the
+// (cheap, ordered) condensation walk.
+func projectionKey(m *ir.Module, cg *callgraph.Graph) cache.Key {
 	salt := cache.ModuleSalt(m)
 	funcs := m.FuncsInOrder()
 	fnKeys, _ := par.ParallelMap(len(funcs), 0, func(i int) (cache.Key, error) {
@@ -290,7 +185,7 @@ func projectionKey(m *ir.Module, cg *callgraph.Graph, noFilter bool) cache.Key {
 		}
 		sccKeys[i] = h.Sum()
 	}
-	top := cache.NewHasher().Key(salt).Bool(!noFilter)
+	top := cache.NewHasher().Key(salt)
 	top.Int(int64(len(sccKeys)))
 	for _, k := range sccKeys {
 		top.Key(k)
@@ -314,243 +209,427 @@ func replay(m *ir.Module, e *cache.PointsToEntry) {
 	}
 }
 
-type analyzer struct {
-	mod *ir.Module
-	cg  *callgraph.Graph
-	li  *liveness
-	res *Result
-	// rets holds one node per function for its returned value.
-	rets []node
-	w    *dataflow.Worklist
+// Complex-constraint kinds, stored in the low two bits of a cx entry.
+const (
+	cxLoad  = iota // other = destination register node of a pLoad
+	cxStore        // other = source register node of a pStore
+	cxCall         // other = index into solver.calls
+)
 
-	// memReaders / retReaders record which functions read each memory
-	// node / return node, so a write that grows a node re-queues
-	// exactly its readers.
-	memReaders [][]callgraph.FuncID
-	memIsRdr   [][]bool
-	retReaders [][]callgraph.FuncID
-	retIsRdr   [][]bool
+// solver is the constraint graph. Node ids share one dense space:
+// function f's registers occupy [regBase[f], regBase[f]+NumRegs),
+// then one node per tag (the tag's contents) from tagBase, then one
+// per function return value from retBase. Per-node state is kept in
+// parallel slices; the sets themselves live in slot-indexed tables so
+// that nodes that never hold a pointer cost only their slot word.
+type solver struct {
+	m       *ir.Module
+	cg      *callgraph.Graph
+	funcs   []*ir.Func
+	regBase []int32
+	tagBase int32
+	retBase int32
+
+	// slot[v] is 0 until node v first receives a member, then indexes
+	// the set tables (slot 0 stays empty). tags/fns are the node's
+	// value; dTags/dFns the members not yet pushed along its edges.
+	slot        []int32
+	tags, fns   [][]uint64
+	dTags, dFns [][]uint64
+
+	// Copy edges from extraction, in CSR form by source node.
+	edgeOff []int32
+	edges   []int32
+	// Copy edges instantiated from complex constraints, as per-source
+	// linked lists: dynHead[v]-1 indexes dynDst/dynNext, -1 ends.
+	dynHead []int32
+	dynDst  []int32
+	dynNext []int32
+
+	// Complex constraints in CSR form by pointer node; each entry is
+	// other<<2 | kind.
+	cxOff []int32
+	cx    []int32
+	calls []indirectCall
+
+	queued []bool
+	work   []int32
+	spare  []int32
+	steps  int
 }
 
-func (a *analyzer) readMem(t ir.TagID, fid callgraph.FuncID) *node {
-	isRdr := a.memIsRdr[t]
-	if isRdr == nil {
-		isRdr = make([]bool, a.cg.NumFuncs())
-		a.memIsRdr[t] = isRdr
-	}
-	if !isRdr[fid] {
-		isRdr[fid] = true
-		a.memReaders[t] = append(a.memReaders[t], fid)
-	}
-	return &a.res.mem[t]
+// indirectCall is one call through a function pointer.
+type indirectCall struct {
+	fid callgraph.FuncID
+	in  *ir.Instr
+	// fallback marks a call bound to every addressed function because
+	// its pointer set was empty at a fixpoint.
+	fallback bool
 }
 
-func (a *analyzer) readRet(callee, fid callgraph.FuncID) *node {
-	isRdr := a.retIsRdr[callee]
-	if isRdr == nil {
-		isRdr = make([]bool, a.cg.NumFuncs())
-		a.retIsRdr[callee] = isRdr
+// pair is one extracted constraint before CSR packing: a copy edge
+// src→dst, or a complex constraint keyed by src.
+type pair struct{ src, dst int32 }
+
+func newSolver(m *ir.Module, cg *callgraph.Graph) *solver {
+	s := &solver{m: m, cg: cg, funcs: m.FuncsInOrder()}
+	s.regBase = make([]int32, len(s.funcs))
+	n := int32(0)
+	for i, fn := range s.funcs {
+		s.regBase[i] = n
+		n += int32(fn.NumRegs)
 	}
-	if !isRdr[fid] {
-		isRdr[fid] = true
-		a.retReaders[callee] = append(a.retReaders[callee], fid)
-	}
-	return &a.rets[callee]
+	s.tagBase = n
+	s.retBase = n + int32(m.Tags.Len())
+	n = s.retBase + int32(len(s.funcs))
+	s.slot = make([]int32, n)
+	s.queued = make([]bool, n)
+	s.dynHead = make([]int32, n)
+	s.tags, s.fns = [][]uint64{nil}, [][]uint64{nil}
+	s.dTags, s.dFns = [][]uint64{nil}, [][]uint64{nil}
+	return s
 }
 
-// markSelf re-queues the function whose own register nodes grew.
-func (a *analyzer) markSelf(fid callgraph.FuncID, changed bool) {
-	if changed {
-		a.w.Push(int(fid))
-	}
-}
+func (s *solver) reg(f callgraph.FuncID, r ir.Reg) int32 { return s.regBase[f] + int32(r) }
 
-// markMem re-queues the registered readers of memory node t.
-func (a *analyzer) markMem(t ir.TagID, changed bool) {
-	if changed {
-		for _, r := range a.memReaders[t] {
-			a.w.Push(int(r))
-		}
-	}
-}
-
-// markRet re-queues the registered readers of fid's return node.
-func (a *analyzer) markRet(fid callgraph.FuncID, changed bool) {
-	if changed {
-		for _, r := range a.retReaders[fid] {
-			a.w.Push(int(r))
-		}
-	}
-}
-
-func (a *analyzer) function(fid callgraph.FuncID, fn *ir.Func) {
-	regs := a.res.regs[fid]
-	for _, b := range fn.Blocks {
-		for i := range b.Instrs {
-			in := &b.Instrs[i]
-			if !a.li.relevant(fid, in) {
-				// The liveness pre-filter proved no fact of this
-				// instruction can reach a consumer the narrowing
-				// reads; skipping it cannot change any observed set.
+// solve extracts the constraints and drains the worklist to a
+// fixpoint. An indirect call whose pointer set is still empty at the
+// fixpoint is then bound to every addressed function and the
+// worklist drained again; binding only adds flow, so a set that was
+// non-empty stays non-empty and the result does not depend on the
+// order in which calls were first visited.
+func (s *solver) solve() {
+	copies, complex := s.extract()
+	s.edgeOff, s.edges = csr(len(s.slot), copies)
+	s.cxOff, s.cx = csr(len(s.slot), complex)
+	for {
+		s.drain()
+		bound := false
+		for i := range s.calls {
+			c := &s.calls[i]
+			if c.fallback || len(s.fns[s.slot[s.reg(c.fid, c.in.A)]]) > 0 {
 				continue
 			}
-			switch in.Op {
-			case ir.OpAddrOf:
-				if in.Callee != "" {
-					a.markSelf(fid, regs[in.Dst].addFunc(a.cg.ID(in.Callee)))
+			c.fallback, bound = true, true
+			for _, name := range s.m.AddressedFuncs {
+				if f := s.cg.ID(name); f != callgraph.FuncInvalid {
+					s.bind(c.fid, c.in, f, s.addEdge)
 				} else {
-					a.markSelf(fid, regs[in.Dst].addTag(in.Tag))
-				}
-
-			case ir.OpCopy:
-				a.markSelf(fid, regs[in.Dst].unionTags(regs[in.A].tags))
-				a.markSelf(fid, regs[in.Dst].unionFuncs(regs[in.A].funcs))
-
-			case ir.OpAdd, ir.OpSub:
-				// Pointer arithmetic stays within the object; both
-				// operands may carry the pointer.
-				a.markSelf(fid, regs[in.Dst].unionTags(regs[in.A].tags))
-				a.markSelf(fid, regs[in.Dst].unionTags(regs[in.B].tags))
-				a.markSelf(fid, regs[in.Dst].unionFuncs(regs[in.A].funcs))
-				a.markSelf(fid, regs[in.Dst].unionFuncs(regs[in.B].funcs))
-
-			case ir.OpSLoad, ir.OpCLoad:
-				mn := a.readMem(in.Tag, fid)
-				a.markSelf(fid, regs[in.Dst].unionTags(mn.tags))
-				a.markSelf(fid, regs[in.Dst].unionFuncs(mn.funcs))
-
-			case ir.OpSStore:
-				a.markMem(in.Tag, a.res.mem[in.Tag].unionTags(regs[in.A].tags))
-				a.markMem(in.Tag, a.res.mem[in.Tag].unionFuncs(regs[in.A].funcs))
-
-			case ir.OpPLoad:
-				for _, t := range a.currentTargets(fn, in, regs) {
-					mn := a.readMem(t, fid)
-					a.markSelf(fid, regs[in.Dst].unionTags(mn.tags))
-					a.markSelf(fid, regs[in.Dst].unionFuncs(mn.funcs))
-				}
-
-			case ir.OpPStore:
-				for _, t := range a.currentTargets(fn, in, regs) {
-					a.markMem(t, a.res.mem[t].unionTags(regs[in.B].tags))
-					a.markMem(t, a.res.mem[t].unionFuncs(regs[in.B].funcs))
-				}
-
-			case ir.OpJsr:
-				a.call(fid, fn, in, regs)
-
-			case ir.OpRet:
-				if in.HasValue && in.A != ir.RegInvalid {
-					rn := &a.rets[fid]
-					a.markRet(fid, rn.unionTags(regs[in.A].tags))
-					a.markRet(fid, rn.unionFuncs(regs[in.A].funcs))
+					s.intrinsic(c.fid, name, c.in)
 				}
 			}
+		}
+		if !bound {
+			return
 		}
 	}
 }
 
-// currentTargets is the set of memory nodes a pointer op touches: the
-// points-to set of its address register. An empty set means the
-// address has not (yet) been reached by any modeled pointer value; in
-// the standard inclusion-based reading the operation contributes no
-// flow until the set grows, and the transfer re-fires when it does.
-// (Programs that manufacture pointers from arbitrary integers are
-// outside the modeled subset; their operations would be invisible
-// here, which is why narrow() never shrinks a tag set on the strength
-// of an empty result.)
-func (a *analyzer) currentTargets(fn *ir.Func, in *ir.Instr, regs []node) []ir.TagID {
-	pts := regs[in.A].tags
-	if pts.IsTop() {
-		var all []ir.TagID
-		for _, tag := range a.mod.Tags.All() {
-			if tag.AddrTaken {
-				all = append(all, tag.ID)
+// extract walks the module once: base facts go straight into the
+// sets (queueing their nodes), copy edges and complex constraints are
+// returned for packing.
+func (s *solver) extract() (copies, complex []pair) {
+	static := func(src, dst int32) { copies = append(copies, pair{src, dst}) }
+	for _, init := range s.m.Inits {
+		for _, rel := range init.Relocs {
+			s.addTag(s.tagBase+int32(init.Tag), rel.Target)
+		}
+	}
+	for i, fn := range s.funcs {
+		fid := callgraph.FuncID(i)
+		for _, b := range fn.Blocks {
+			for j := range b.Instrs {
+				in := &b.Instrs[j]
+				switch in.Op {
+				case ir.OpAddrOf:
+					if in.Callee != "" {
+						s.addFunc(s.reg(fid, in.Dst), s.cg.ID(in.Callee))
+					} else {
+						s.addTag(s.reg(fid, in.Dst), in.Tag)
+					}
+				case ir.OpCopy:
+					static(s.reg(fid, in.A), s.reg(fid, in.Dst))
+				case ir.OpAdd, ir.OpSub:
+					// Pointer arithmetic stays within the object; both
+					// operands may carry the pointer.
+					static(s.reg(fid, in.A), s.reg(fid, in.Dst))
+					static(s.reg(fid, in.B), s.reg(fid, in.Dst))
+				case ir.OpSLoad, ir.OpCLoad:
+					static(s.tagBase+int32(in.Tag), s.reg(fid, in.Dst))
+				case ir.OpSStore:
+					static(s.reg(fid, in.A), s.tagBase+int32(in.Tag))
+				case ir.OpPLoad:
+					complex = append(complex, pair{s.reg(fid, in.A), s.reg(fid, in.Dst)<<2 | cxLoad})
+				case ir.OpPStore:
+					complex = append(complex, pair{s.reg(fid, in.A), s.reg(fid, in.B)<<2 | cxStore})
+				case ir.OpJsr:
+					if in.Callee == "" {
+						complex = append(complex, pair{s.reg(fid, in.A), int32(len(s.calls))<<2 | cxCall})
+						s.calls = append(s.calls, indirectCall{fid: fid, in: in})
+					} else if cid := s.cg.ID(in.Callee); cid != callgraph.FuncInvalid {
+						s.bind(fid, in, cid, static)
+					} else {
+						s.intrinsic(fid, in.Callee, in)
+					}
+				case ir.OpRet:
+					if in.HasValue && in.A != ir.RegInvalid {
+						static(s.reg(fid, in.A), s.retBase+int32(fid))
+					}
+				}
 			}
 		}
-		return all
 	}
-	return pts.IDs()
+	return copies, complex
 }
 
-func (a *analyzer) call(fid callgraph.FuncID, fn *ir.Func, in *ir.Instr, regs []node) {
-	var callees []string
-	if in.Callee != "" {
-		callees = []string{in.Callee}
-	} else {
-		// Indirect: targets from the function-pointer set; until it
-		// is populated, every addressed function.
-		fp := regs[in.A].funcs
-		if len(fp) > 0 {
-			callees = a.sortedNames(fp)
-		} else {
-			callees = a.mod.AddressedFuncs
-		}
+// csr packs pairs into offsets by source node and their targets.
+func csr(n int, ps []pair) (off, to []int32) {
+	off = make([]int32, n+1)
+	for _, p := range ps {
+		off[p.src+1]++
 	}
-	for _, name := range callees {
-		callee, defined := a.mod.Funcs[name]
-		if !defined {
-			a.intrinsic(fid, name, in, regs)
+	for i := 1; i <= n; i++ {
+		off[i] += off[i-1]
+	}
+	to = make([]int32, len(ps))
+	next := append([]int32(nil), off[:n]...)
+	for _, p := range ps {
+		to[next[p.src]] = p.dst
+		next[p.src]++
+	}
+	return off, to
+}
+
+// bind links a call in caller to callee: arguments flow into
+// parameters and the callee's return value into the call's result.
+func (s *solver) bind(caller callgraph.FuncID, in *ir.Instr, callee callgraph.FuncID, edge func(src, dst int32)) {
+	params := s.funcs[callee].Params
+	for i, arg := range in.Args {
+		if i >= len(params) {
+			break
+		}
+		edge(s.reg(caller, arg), s.reg(callee, params[i]))
+	}
+	if in.HasValue && in.Dst != ir.RegInvalid {
+		edge(s.retBase+int32(callee), s.reg(caller, in.Dst))
+	}
+}
+
+// intrinsic models a call to an undefined function: malloc returns
+// its allocation site; nothing else carries pointers.
+func (s *solver) intrinsic(caller callgraph.FuncID, name string, in *ir.Instr) {
+	if name == "malloc" && in.Site != ir.TagInvalid && in.Dst != ir.RegInvalid {
+		s.addTag(s.reg(caller, in.Dst), in.Site)
+	}
+}
+
+// slotOf returns node v's set slot, allocating it on first use.
+func (s *solver) slotOf(v int32) int32 {
+	if s.slot[v] == 0 {
+		s.slot[v] = int32(len(s.tags))
+		s.tags = append(s.tags, nil)
+		s.fns = append(s.fns, nil)
+		s.dTags = append(s.dTags, nil)
+		s.dFns = append(s.dFns, nil)
+	}
+	return s.slot[v]
+}
+
+func (s *solver) push(v int32) {
+	if !s.queued[v] {
+		s.queued[v] = true
+		s.work = append(s.work, v)
+	}
+}
+
+func (s *solver) addTag(v int32, t ir.TagID) {
+	k := s.slotOf(v)
+	if orBit(&s.tags[k], &s.dTags[k], int(t)) {
+		s.push(v)
+	}
+}
+
+func (s *solver) addFunc(v int32, f callgraph.FuncID) {
+	if f == callgraph.FuncInvalid {
+		return
+	}
+	k := s.slotOf(v)
+	if orBit(&s.fns[k], &s.dFns[k], int(f)) {
+		s.push(v)
+	}
+}
+
+// flow adds the members of (t, f) that dst lacks to dst's value and
+// delta, queueing dst if it grew.
+func (s *solver) flow(dst int32, t, f []uint64) {
+	if len(t) == 0 && len(f) == 0 {
+		return
+	}
+	k := s.slotOf(dst)
+	grewT := orWords(&s.tags[k], &s.dTags[k], t)
+	grewF := orWords(&s.fns[k], &s.dFns[k], f)
+	if grewT || grewF {
+		s.push(dst)
+	}
+}
+
+// addEdge instantiates a copy edge src→dst and pushes src's whole
+// current value across it; later deltas follow via dynHead.
+func (s *solver) addEdge(src, dst int32) {
+	s.dynDst = append(s.dynDst, dst)
+	s.dynNext = append(s.dynNext, s.dynHead[src]-1)
+	s.dynHead[src] = int32(len(s.dynDst))
+	if k := s.slot[src]; k != 0 {
+		s.flow(dst, s.tags[k], s.fns[k])
+	}
+}
+
+// drain visits queued nodes in rounds until none is queued.
+func (s *solver) drain() {
+	for len(s.work) > 0 {
+		cur := s.work
+		s.work = s.spare[:0]
+		for _, v := range cur {
+			s.queued[v] = false
+			s.visit(v)
+		}
+		s.spare = cur
+	}
+}
+
+// visit propagates node v's delta: each new tag instantiates v's
+// pointer loads and stores, each new function its indirect calls,
+// and the whole delta flows along v's copy edges.
+func (s *solver) visit(v int32) {
+	s.steps++
+	k := s.slot[v]
+	dt, df := s.dTags[k], s.dFns[k]
+	s.dTags[k], s.dFns[k] = nil, nil
+	if cx := s.cx[s.cxOff[v]:s.cxOff[v+1]]; len(cx) > 0 {
+		forBits(dt, func(t int32) {
+			for _, c := range cx {
+				switch c & 3 {
+				case cxLoad:
+					s.addEdge(s.tagBase+t, c>>2)
+				case cxStore:
+					s.addEdge(c>>2, s.tagBase+t)
+				}
+			}
+		})
+		forBits(df, func(f int32) {
+			for _, c := range cx {
+				// A fallback call is already bound to every addressed
+				// function, which covers every function address-of
+				// can name.
+				if c&3 == cxCall && !s.calls[c>>2].fallback {
+					call := &s.calls[c>>2]
+					s.bind(call.fid, call.in, callgraph.FuncID(f), s.addEdge)
+				}
+			}
+		})
+	}
+	for _, w := range s.edges[s.edgeOff[v]:s.edgeOff[v+1]] {
+		s.flow(w, dt, df)
+	}
+	for e := s.dynHead[v] - 1; e >= 0; e = s.dynNext[e] {
+		s.flow(s.dynDst[e], dt, df)
+	}
+	// Recycle the delta buffers unless v grew again meanwhile.
+	if s.dTags[k] == nil {
+		s.dTags[k] = dt[:0]
+	}
+	if s.dFns[k] == nil {
+		s.dFns[k] = df[:0]
+	}
+}
+
+// orBit sets bit i in set, and in delta if it was new.
+func orBit(set, delta *[]uint64, i int) bool {
+	w, b := i/64, uint64(1)<<(uint(i)%64)
+	if w < len(*set) && (*set)[w]&b != 0 {
+		return false
+	}
+	*set = grow(*set, w+1)
+	(*set)[w] |= b
+	*delta = grow(*delta, w+1)
+	(*delta)[w] |= b
+	return true
+}
+
+// orWords adds src's members missing from set to set and delta. Words
+// are only appended when they gain a bit, so both stay trimmed.
+func orWords(set, delta *[]uint64, src []uint64) bool {
+	changed := false
+	for i, x := range src {
+		if i < len(*set) {
+			x &^= (*set)[i]
+		}
+		if x == 0 {
 			continue
 		}
-		cid := a.cg.ID(name)
-		calleeRegs := a.res.regs[cid]
-		for i, arg := range in.Args {
-			if i >= len(callee.Params) {
-				break
-			}
-			p := callee.Params[i]
-			changed := calleeRegs[p].unionTags(regs[arg].tags)
-			if calleeRegs[p].unionFuncs(regs[arg].funcs) {
-				changed = true
-			}
-			if changed {
-				a.w.Push(int(cid))
-			}
-		}
-		if in.HasValue && in.Dst != ir.RegInvalid {
-			rn := a.readRet(cid, fid)
-			a.markSelf(fid, regs[in.Dst].unionTags(rn.tags))
-			a.markSelf(fid, regs[in.Dst].unionFuncs(rn.funcs))
+		*set = grow(*set, i+1)
+		(*set)[i] |= x
+		*delta = grow(*delta, i+1)
+		(*delta)[i] |= x
+		changed = true
+	}
+	return changed
+}
+
+func grow(ws []uint64, n int) []uint64 {
+	for len(ws) < n {
+		ws = append(ws, 0)
+	}
+	return ws
+}
+
+func forBits(ws []uint64, f func(int32)) {
+	for i, w := range ws {
+		for w != 0 {
+			f(int32(i*64 + bits.TrailingZeros64(w)))
+			w &= w - 1
 		}
 	}
 }
 
-// sortedNames resolves a function-id set to sorted names. Ids intern
-// module function order, not lexicographic order, so the names are
-// sorted explicitly to keep every downstream iteration deterministic.
-func (a *analyzer) sortedNames(fp map[callgraph.FuncID]bool) []string {
-	names := make([]string, 0, len(fp))
-	for f := range fp {
-		names = append(names, a.cg.Name(f))
-	}
+// tagSet views node v's solved tags as a TagSet.
+func (s *solver) tagSet(v int32) ir.TagSet {
+	return ir.TagSetOfWords(s.tags[s.slot[v]])
+}
+
+// targetNames resolves node v's function set to sorted names (nil when
+// empty). Ids intern module function order, not lexicographic order,
+// so the names are sorted explicitly to keep every downstream
+// iteration deterministic.
+func (s *solver) targetNames(v int32) []string {
+	var names []string
+	forBits(s.fns[s.slot[v]], func(f int32) {
+		names = append(names, s.cg.Name(callgraph.FuncID(f)))
+	})
 	sort.Strings(names)
 	return names
-}
-
-func (a *analyzer) intrinsic(fid callgraph.FuncID, name string, in *ir.Instr, regs []node) {
-	if name == "malloc" && in.Site != ir.TagInvalid && in.Dst != ir.RegInvalid {
-		a.markSelf(fid, regs[in.Dst].addTag(in.Site))
-	}
 }
 
 // narrow installs the computed sets: pointer-op tag lists shrink to
 // the address's points-to set (intersected with the existing
 // visibility-limited set), and indirect calls learn their possible
-// targets. The rewrites are also recorded positionally so an
-// analysis cache can replay them on an unchanged projection.
-func (a *analyzer) narrow() []cache.FuncNarrowing {
+// targets. An empty points-to set leaves the op alone: programs that
+// manufacture pointers from arbitrary integers are outside the
+// modeled subset, so no set shrinks on the strength of an empty
+// result. The rewrites are also recorded positionally so an analysis
+// cache can replay them on an unchanged projection.
+func (s *solver) narrow() []cache.FuncNarrowing {
 	var rec []cache.FuncNarrowing
-	for _, fn := range a.mod.FuncsInOrder() {
+	for i, fn := range s.funcs {
+		fid := callgraph.FuncID(i)
 		fnRec := cache.FuncNarrowing{Name: fn.Name}
-		regs := a.res.regs[a.cg.ID(fn.Name)]
 		for bi, b := range fn.Blocks {
-			for i := range b.Instrs {
-				in := &b.Instrs[i]
+			for j := range b.Instrs {
+				in := &b.Instrs[j]
 				switch in.Op {
 				case ir.OpPLoad, ir.OpPStore:
-					pts := regs[in.A].tags
-					if pts.IsEmpty() || pts.IsTop() {
+					pts := s.tagSet(s.reg(fid, in.A))
+					if pts.IsEmpty() {
 						continue
 					}
 					if in.Tags.IsTop() {
@@ -558,12 +637,14 @@ func (a *analyzer) narrow() []cache.FuncNarrowing {
 					} else {
 						in.Tags = in.Tags.Intersect(pts)
 					}
-					fnRec.Ops = append(fnRec.Ops, cache.NarrowOp{Block: bi, Index: i, Tags: in.Tags.Clone()})
+					fnRec.Ops = append(fnRec.Ops, cache.NarrowOp{Block: bi, Index: j, Tags: in.Tags.Clone()})
 				case ir.OpJsr:
-					if in.Callee == "" && len(regs[in.A].funcs) > 0 {
-						ts := a.sortedNames(regs[in.A].funcs)
+					if in.Callee != "" {
+						continue
+					}
+					if ts := s.targetNames(s.reg(fid, in.A)); ts != nil {
 						in.Targets = ts
-						fnRec.Ops = append(fnRec.Ops, cache.NarrowOp{Block: bi, Index: i, Targets: append([]string(nil), ts...)})
+						fnRec.Ops = append(fnRec.Ops, cache.NarrowOp{Block: bi, Index: j, Targets: append([]string(nil), ts...)})
 					}
 				}
 			}

@@ -301,3 +301,44 @@ int main(void) {
 		}
 	}
 }
+
+// TestIndirectFallbackIsOrderIndependent: an indirect call binds every
+// addressed function only when its pointer set is still empty at the
+// fixpoint, never on the strength of an early visit. run's call
+// through f only ever reaches fa, so &gl must not leak into fb's
+// parameter, whichever of run and main is defined first.
+func TestIndirectFallbackIsOrderIndependent(t *testing.T) {
+	const decls = `
+int gl;
+int gb;
+int fa(int *p) { return *p; }
+int fb(int *p) { return *p; }
+`
+	const run = `
+int run(int (*f)(int *)) { return f(&gl); }
+`
+	const main = `
+int main(void) {
+	int (*h)(int *);
+	h = fb;
+	(void) h(&gb);
+	return run(fa);
+}
+`
+	for name, src := range map[string]string{
+		"run first":  decls + run + main,
+		"main first": decls + "int run(int (*f)(int *));\n" + main + run,
+	} {
+		m, _ := analyze(t, src)
+		gb := tagByName(t, m, "gb")
+		sets := opTags(m, "fb")
+		if len(sets) == 0 {
+			t.Fatalf("%s: fb has no dereference", name)
+		}
+		for _, ts := range sets {
+			if id, ok := ts.Singleton(); !ok || id != gb {
+				t.Errorf("%s: fb's *p = %s, want [gb]", name, ts.Format(&m.Tags))
+			}
+		}
+	}
+}

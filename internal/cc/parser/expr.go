@@ -128,7 +128,7 @@ func (p *Parser) parseUnaryExpr() (ast.Expr, error) {
 		p.next()
 		n := &ast.SizeofExpr{}
 		n.SetPos(pos)
-		if p.at(token.LParen) && p.typeStartsAt(p.pos+1) {
+		if p.at(token.LParen) && p.typeStartsAt(1) {
 			p.next() // (
 			t, err := p.parseTypeName()
 			if err != nil {
@@ -147,7 +147,7 @@ func (p *Parser) parseUnaryExpr() (ast.Expr, error) {
 		n.Arg = x
 		return n, nil
 	case token.LParen:
-		if p.typeStartsAt(p.pos + 1) {
+		if p.typeStartsAt(1) {
 			p.next() // (
 			t, err := p.parseTypeName()
 			if err != nil {
@@ -168,13 +168,10 @@ func (p *Parser) parseUnaryExpr() (ast.Expr, error) {
 	return p.parsePostfixExpr()
 }
 
-// typeStartsAt reports whether the token at index i begins a type
+// typeStartsAt reports whether the token k places ahead begins a type
 // name. With no typedefs, type keywords decide exactly.
-func (p *Parser) typeStartsAt(i int) bool {
-	if i >= len(p.toks) {
-		return false
-	}
-	switch p.toks[i].Kind {
+func (p *Parser) typeStartsAt(k int) bool {
+	switch p.tok(k).Kind {
 	case token.KwVoid, token.KwChar, token.KwInt, token.KwLong, token.KwDouble,
 		token.KwStruct, token.KwConst, token.KwUnsigned:
 		return true

@@ -21,10 +21,18 @@ type Error struct {
 
 func (e *Error) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
 
-// Parser holds parse state for one translation unit.
+// Parser holds parse state for one translation unit. Tokens stream
+// from the lexer: the grammar needs at most two tokens of lookahead,
+// so only the current token and those two are held, never the whole
+// file's token array.
 type Parser struct {
-	toks []token.Token
-	pos  int
+	lx *lexer.Lexer
+	// la[0] is the current token, la[1:n] the lookahead scanned so far.
+	la [3]token.Token
+	n  int
+	// lexErr is the lexer's first error; once set, the stream reads as
+	// EOF.
+	lexErr error
 
 	file    *ast.File
 	structs map[string]*types.Type
@@ -34,35 +42,56 @@ type Parser struct {
 	paramNames []string
 }
 
-// Parse parses one source file.
+// Parse parses one source file. A lexical error anywhere in the file
+// takes precedence over a syntax error, as if the file had been
+// tokenized in full before parsing.
 func Parse(filename, src string) (*ast.File, error) {
-	toks, err := lexer.Tokenize(filename, src)
-	if err != nil {
-		return nil, err
-	}
 	p := &Parser{
-		toks:    toks,
+		lx:      lexer.New(filename, src),
 		file:    &ast.File{Name: filename},
 		structs: make(map[string]*types.Type),
 	}
-	if err := p.parseFile(); err != nil {
+	err := p.parseFile()
+	if err != nil && p.lexErr == nil {
+		// Scan the rest of the file for a lexical error.
+		for p.next().Kind != token.EOF {
+		}
+	}
+	if p.lexErr != nil {
+		return nil, p.lexErr
+	}
+	if err != nil {
 		return nil, err
 	}
 	return p.file, nil
 }
 
-func (p *Parser) cur() token.Token { return p.toks[p.pos] }
-func (p *Parser) peek() token.Token {
-	if p.pos+1 < len(p.toks) {
-		return p.toks[p.pos+1]
+// tok returns the token k places ahead of the current one (k ≤ 2),
+// scanning it if needed. Past the end of input it is the EOF token.
+func (p *Parser) tok(k int) token.Token {
+	for p.n <= k {
+		if p.n > 0 && p.la[p.n-1].Kind == token.EOF {
+			p.la[p.n] = p.la[p.n-1]
+		} else if t, err := p.lx.Next(); err != nil {
+			p.lexErr = err
+			p.la[p.n] = token.Token{Kind: token.EOF}
+		} else {
+			p.la[p.n] = t
+		}
+		p.n++
 	}
-	return p.toks[len(p.toks)-1]
+	return p.la[k]
 }
 
+func (p *Parser) cur() token.Token  { return p.tok(0) }
+func (p *Parser) peek() token.Token { return p.tok(1) }
+
+// next consumes the current token; at EOF it stays put.
 func (p *Parser) next() token.Token {
-	t := p.toks[p.pos]
-	if p.pos < len(p.toks)-1 {
-		p.pos++
+	t := p.tok(0)
+	if t.Kind != token.EOF {
+		copy(p.la[:], p.la[1:p.n])
+		p.n--
 	}
 	return t
 }
@@ -130,7 +159,7 @@ func (p *Parser) parseTopDecl() error {
 		// Either a struct definition/declaration or a variable of
 		// struct type; look ahead past "struct Name".
 		if p.peek().Kind == token.Ident {
-			if p.toks[p.pos+2].Kind == token.LBrace || p.toks[p.pos+2].Kind == token.Semi {
+			if k := p.tok(2).Kind; k == token.LBrace || k == token.Semi {
 				return p.parseStructDecl()
 			}
 		} else if p.peek().Kind == token.LBrace {

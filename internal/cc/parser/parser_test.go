@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"regpromo/internal/cc/ast"
+	"regpromo/internal/cc/lexer"
 	"regpromo/internal/cc/types"
 )
 
@@ -266,5 +267,26 @@ const char *msg;
 	}
 	if byName["u"].Type.Kind != types.Int {
 		t.Fatal("unsigned maps to int in the subset")
+	}
+}
+
+// TestLexErrorTakesPrecedence: tokens stream from the lexer, but a
+// lexical error anywhere in the file is still the reported error, as
+// if the file had been tokenized before parsing — even when a syntax
+// error comes first, and when the lexical error cuts a declaration
+// short.
+func TestLexErrorTakesPrecedence(t *testing.T) {
+	for _, src := range []string{
+		"int f(void) { return 1 + ; }\nint x = 0x;\n",
+		"int x = 0x;\n",
+		"int x;\n#include <stdio.h>\n",
+	} {
+		err := parseErr(t, src)
+		if _, ok := err.(*lexer.Error); !ok {
+			t.Errorf("%q: got %T %v, want the lexical error", src, err, err)
+		}
+	}
+	if _, ok := parseErr(t, "int f(void) { return 1 + ; }\n").(*Error); !ok {
+		t.Error("a file without lexical errors must report the syntax error")
 	}
 }

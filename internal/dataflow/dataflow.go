@@ -96,11 +96,6 @@ func (w *Worklist) Push(id int) {
 	heap.Push(&w.heap, workItem{id: id, rank: w.rank[id]})
 }
 
-// Pushes returns how many enqueues landed on the worklist so far
-// (pushes deduplicated away are not counted) — a schedule-independent
-// measure of how much re-examination the fixpoint needed.
-func (w *Worklist) Pushes() int { return w.pushes }
-
 // Pop removes and returns the pending item with the lowest rank;
 // ok is false when the worklist is empty.
 func (w *Worklist) Pop() (id int, ok bool) {

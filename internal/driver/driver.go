@@ -349,7 +349,7 @@ func (cfg Config) passes() []pass {
 		ps = append(ps, pass{name: PassPointsTo, run: func(s *pipeState) (map[string]int64, error) {
 			m := s.c.Module
 			sp := s.pipe.StartSpan("pointsto.fixpoint", "analysis", 0)
-			res := pointsto.Solve(m, s.cg, cfg.AnalysisCache, pointsto.Options{})
+			res := pointsto.Solve(m, s.cg, cfg.AnalysisCache)
 			s.c.Analysis.SCCsSolved += res.SCCsSolved
 			s.c.Analysis.SCCsCached += res.SCCsCached
 			sp.Arg("steps", int64(res.Steps)).

@@ -338,6 +338,18 @@ func (s TagSet) IDs() []TagID {
 // IsTop.
 func (s TagSet) Words() []uint64 { return s.words }
 
+// TagSetOfWords is the inverse of Words: it views a bit vector as a
+// set, trimming trailing zero words. The set shares words, so the
+// caller must not mutate them afterwards.
+func TagSetOfWords(words []uint64) TagSet {
+	s := TagSet{words: words}
+	s.trim()
+	if len(s.words) == 0 {
+		s.words = nil
+	}
+	return s
+}
+
 // ForEach calls f for every member in ascending order, without
 // allocating. It does nothing for ⊤ (its membership is not
 // enumerable).

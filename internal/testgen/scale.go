@@ -4,8 +4,8 @@
 // scale — deep call chains through clustered helpers, shared globals,
 // pointer parameters threaded down the chains, address-taken locals,
 // bounded self-recursion, and heap sites — the structures whose
-// interprocedural analysis cost the summary cache and the liveness
-// filter attack. A single-function edit knob regenerates the same
+// interprocedural analysis cost the summary cache and the points-to
+// solver must absorb. A single-function edit knob regenerates the same
 // module with one arithmetic constant changed, leaving the tag table
 // and callgraph identical: exactly the kind of recompile the warm
 // path must turn into cache hits.
@@ -184,8 +184,7 @@ func (g *scaleGen) emitScaleFunc(i int) {
 	}
 
 	// Arithmetic filler over cluster and shared globals: bulk for the
-	// scalar passes, dead weight the pointer liveness filter proves
-	// irrelevant to points-to.
+	// scalar passes; points-to extracts no constraint from most of it.
 	nFill := 60 + g.pick(20)
 	for s := 0; s < nFill; s++ {
 		switch g.pick(7) {
