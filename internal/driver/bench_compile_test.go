@@ -3,8 +3,10 @@ package driver_test
 import (
 	"testing"
 
+	"regpromo/internal/analysis/cache"
 	"regpromo/internal/bench"
 	"regpromo/internal/driver"
+	"regpromo/internal/testgen"
 )
 
 // compileMatrix runs the paper's four measurement configurations over
@@ -44,4 +46,31 @@ func compileMatrix(b *testing.B, workers int) {
 func BenchmarkCompileMatrix(b *testing.B) {
 	b.Run("serial", func(b *testing.B) { compileMatrix(b, 1) })
 	b.Run("parallel", func(b *testing.B) { compileMatrix(b, 0) })
+}
+
+// compileScale times the cold compile of the 600-helper scale-profile
+// module (seed 1) under points-to with promotion, forked from a
+// pre-parsed front end and analyzed against a fresh cache store, so the
+// measurement covers analysis, the middle end and allocation.
+func compileScale(b *testing.B, workers int) {
+	b.Helper()
+	src := testgen.Scale(testgen.ScaleOptions{Seed: 1, Funcs: 600, Edit: -1})
+	fe, err := driver.ParseSource("scale.c", src)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cfg := driver.Config{Analysis: driver.PointsTo, Promote: true, Workers: workers, AnalysisCache: cache.NewStore()}
+		if _, err := fe.Compile(cfg, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCompileScale measures the scale tier's cold compile without
+// its front end.
+func BenchmarkCompileScale(b *testing.B) {
+	b.Run("serial", func(b *testing.B) { compileScale(b, 1) })
+	b.Run("parallel", func(b *testing.B) { compileScale(b, 0) })
 }

@@ -1,6 +1,9 @@
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // BlockID numbers a basic block within its function.
 type BlockID int32
@@ -111,10 +114,13 @@ func (f *Func) NewBlock(label string) *Block {
 // default labels of the form "B<n>".
 func (f *Func) Renumber() {
 	for i, b := range f.Blocks {
-		old := fmt.Sprintf("B%d", b.ID)
+		if b.ID == BlockID(i) {
+			continue
+		}
+		old := b.ID
 		b.ID = BlockID(i)
-		if b.Label == old {
-			b.Label = fmt.Sprintf("B%d", b.ID)
+		if b.Label == "B"+strconv.Itoa(int(old)) {
+			b.Label = "B" + strconv.Itoa(i)
 		}
 	}
 }

@@ -25,10 +25,15 @@ func Run(m *ir.Module) int {
 // Func propagates constants through one function.
 func Func(fn *ir.Func) int {
 	folded := 0
+	// Per-register tables, rebuilt every round: the definition count
+	// and, for a register whose (last) definition is a loadI, its
+	// constant.
+	defCount := make([]int32, fn.NumRegs)
+	constVal := make([]int64, fn.NumRegs)
+	isConst := make([]bool, fn.NumRegs)
 	for {
-		defCount := make(map[ir.Reg]int)
-		constVal := make(map[ir.Reg]int64)
-		isConst := make(map[ir.Reg]bool)
+		clear(defCount)
+		clear(isConst)
 		// Parameters are defined implicitly at entry by the calling
 		// convention; an in-body assignment is therefore a SECOND
 		// definition, never a unique one.

@@ -8,8 +8,10 @@
 // The single-definition requirements make the transformation sound in
 // the non-SSA IL: with one definition of y there is no program point
 // where x is live but y holds a different value, and the dominance
-// check below rules out paths that could read x before its
-// definition.
+// requirement — the copy must dominate every use of x — rules out
+// paths that could read x before its definition. The pass checks it
+// in one sweep over all uses, dropping each candidate copy that fails
+// to dominate a use, and keeps its per-register tables in slices.
 package copyprop
 
 import (
@@ -32,26 +34,30 @@ func Func(fn *ir.Func) int {
 	fn.RemoveUnreachable()
 	dom := cfg.Dominators(fn)
 
-	defCount := make(map[ir.Reg]int)
+	defCount := make([]int32, fn.NumRegs)
 	for _, p := range fn.Params {
 		defCount[p]++
 	}
-	type defSite struct {
-		b *ir.Block
-		i int
-	}
-	defs := make(map[ir.Reg]defSite)
 	for _, b := range fn.Blocks {
 		for i := range b.Instrs {
 			if d := b.Instrs[i].Def(); d != ir.RegInvalid {
 				defCount[d]++
-				defs[d] = defSite{b, i}
 			}
 		}
 	}
 
-	// forward maps x -> y for propagatable copies.
-	forward := make(map[ir.Reg]ir.Reg)
+	// Candidates: x ← cp y with x defined once and y at most once.
+	// site[x] is the copy's position (block, index); forward maps x to
+	// y while x is a candidate and is RegInvalid otherwise.
+	type defSite struct {
+		b *ir.Block
+		i int
+	}
+	forward := make([]ir.Reg, fn.NumRegs)
+	site := make([]defSite, fn.NumRegs)
+	for i := range forward {
+		forward[i] = ir.RegInvalid
+	}
 	for _, b := range fn.Blocks {
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
@@ -62,20 +68,40 @@ func Func(fn *ir.Func) int {
 			if defCount[x] != 1 || defCount[y] > 1 {
 				continue
 			}
-			if !dominatesAllUses(fn, dom, b, i, x) {
-				continue
-			}
 			forward[x] = y
+			site[x] = defSite{b, i}
 		}
 	}
-	if len(forward) == 0 {
+	// One sweep over every use drops the candidates whose copy does
+	// not dominate all of their uses.
+	var buf [8]ir.Reg
+	for _, b := range fn.Blocks {
+		for i := range b.Instrs {
+			for _, u := range b.Instrs[i].Uses(buf[:0]) {
+				if forward[u] == ir.RegInvalid {
+					continue
+				}
+				d := site[u]
+				if d.b == b && i <= d.i || d.b != b && !dom.Dominates(d.b, b) {
+					forward[u] = ir.RegInvalid
+				}
+			}
+		}
+	}
+	nf := 0
+	for _, y := range forward {
+		if y != ir.RegInvalid {
+			nf++
+		}
+	}
+	if nf == 0 {
 		return 0
 	}
 	// Resolve chains x -> y -> z.
 	resolve := func(r ir.Reg) ir.Reg {
-		for i := 0; i < len(forward); i++ {
-			y, ok := forward[r]
-			if !ok {
+		for i := 0; i < nf; i++ {
+			y := forward[r]
+			if y == ir.RegInvalid {
 				return r
 			}
 			r = y
@@ -96,29 +122,4 @@ func Func(fn *ir.Func) int {
 		}
 	}
 	return n
-}
-
-// dominatesAllUses reports whether the definition at (db, di)
-// dominates every use of r.
-func dominatesAllUses(fn *ir.Func, dom *cfg.DomTree, db *ir.Block, di int, r ir.Reg) bool {
-	var buf [8]ir.Reg
-	for _, b := range fn.Blocks {
-		for i := range b.Instrs {
-			for _, u := range b.Instrs[i].Uses(buf[:0]) {
-				if u != r {
-					continue
-				}
-				if b == db {
-					if i <= di {
-						return false
-					}
-					continue
-				}
-				if !dom.Dominates(db, b) {
-					return false
-				}
-			}
-		}
-	}
-	return true
 }

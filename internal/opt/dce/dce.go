@@ -5,7 +5,6 @@
 package dce
 
 import (
-	"regpromo/internal/dataflow"
 	"regpromo/internal/ir"
 )
 
@@ -23,24 +22,24 @@ func Run(m *ir.Module) int {
 func Func(fn *ir.Func) int {
 	removed := 0
 	var buf [8]ir.Reg
+	live := make([]bool, fn.NumRegs)
+	defs := make([][]*ir.Instr, fn.NumRegs)
+	var stack []ir.Reg
 	for {
 		// Sparse mark phase: seed liveness from the operands of
 		// side-effecting and control instructions, then drain a
-		// register worklist — a register going live revives the pure
+		// register stack — a register going live revives the pure
 		// instructions that define it, which keeps their own operands
-		// alive in turn. Same least fixpoint as the old whole-function
-		// sweep, without rescanning every instruction per iteration.
-		live := make([]bool, fn.NumRegs)
-		defs := make([][]*ir.Instr, fn.NumRegs)
-		rank := make([]int, fn.NumRegs)
-		for i := range rank {
-			rank[i] = i
+		// alive in turn. Marking is monotone, so the drain order does
+		// not matter: the result is the least fixpoint.
+		clear(live)
+		for i := range defs {
+			defs[i] = defs[i][:0]
 		}
-		w := dataflow.NewWorklist(rank)
 		mark := func(r ir.Reg) {
 			if !live[r] {
 				live[r] = true
-				w.Push(int(r))
+				stack = append(stack, r)
 			}
 		}
 		for _, b := range fn.Blocks {
@@ -57,12 +56,10 @@ func Func(fn *ir.Func) int {
 				}
 			}
 		}
-		for {
-			id, ok := w.Pop()
-			if !ok {
-				break
-			}
-			for _, in := range defs[id] {
+		for len(stack) > 0 {
+			r := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, in := range defs[r] {
 				for _, u := range in.Uses(buf[:0]) {
 					mark(u)
 				}

@@ -16,13 +16,19 @@
 // Gen and kill are independent of the incoming fact set, which makes
 // the transfer functions distributive and the fixed point exact.
 //
+// Every pair a function can generate is enumerated once, up front, so
+// the sets are dense bit vectors over that fact universe: the meet is
+// a word-wise AND, and each register and each tag carries the list or
+// mask of the facts a redefinition or a store of it kills.
+//
 // A later sLoad of a tag with an available pair is rewritten into a
 // copy from the holding register. This also achieves "most of the
 // effects of promotion in straight-line code" (§3.1).
 package pre
 
 import (
-	"sort"
+	"math/bits"
+	"slices"
 
 	"regpromo/internal/dataflow"
 	"regpromo/internal/ir"
@@ -38,53 +44,93 @@ func Run(m *ir.Module) int {
 	return n
 }
 
-// fact is one available pair: reg holds tag's current value, loaded
-// or stored with the given access width.
-type fact struct {
-	tag  ir.TagID
-	reg  ir.Reg
-	size int
+// universe enumerates a function's facts. A fact is one available
+// pair: reg holds tag's current value, loaded or stored with the given
+// access width. Fact sets are bit vectors of nw words indexed by fact
+// number.
+type universe struct {
+	nw int
+	// tag, reg and size describe each fact.
+	tag  []ir.TagID
+	reg  []ir.Reg
+	size []int
+	// regHead[r] is r's first fact and next[f] the next fact of the
+	// same register (-1 ends both chains).
+	regHead []int32
+	next    []int32
+	// tagIndex numbers the tags that have facts; tags and tagMask
+	// (nw words per tag) are indexed by that number.
+	tagIndex map[ir.TagID]int32
+	tags     []ir.TagID
+	tagMask  []uint64
 }
 
-// facts is an immutable-ish set of facts.
-type facts map[fact]bool
-
-func (f facts) clone() facts {
-	out := make(facts, len(f))
-	for k := range f {
-		out[k] = true
-	}
-	return out
-}
-
-func intersect(a, b facts) facts {
-	out := make(facts)
-	for k := range a {
-		if b[k] {
-			out[k] = true
+// lookup returns the fact (tag, r, size), or -1 when the function has
+// no such fact.
+func (u *universe) lookup(tag ir.TagID, r ir.Reg, size int) int32 {
+	for f := u.regHead[r]; f >= 0; f = u.next[f] {
+		if u.size[f] == size && u.tag[f] == tag {
+			return f
 		}
 	}
-	return out
+	return -1
 }
 
-func equal(a, b facts) bool {
-	if len(a) != len(b) {
-		return false
+// intern adds the fact (tag, r, size) if it is new.
+func (u *universe) intern(tag ir.TagID, r ir.Reg, size int) {
+	if u.lookup(tag, r, size) >= 0 {
+		return
 	}
-	for k := range a {
-		if !b[k] {
-			return false
+	if _, ok := u.tagIndex[tag]; !ok {
+		u.tagIndex[tag] = int32(len(u.tags))
+		u.tags = append(u.tags, tag)
+	}
+	f := int32(len(u.reg))
+	u.tag = append(u.tag, tag)
+	u.reg = append(u.reg, r)
+	u.size = append(u.size, size)
+	u.next = append(u.next, u.regHead[r])
+	u.regHead[r] = f
+}
+
+// newUniverse enumerates the facts fn's loads and stores of
+// single-definition registers can generate.
+func newUniverse(fn *ir.Func, defCount []int32) *universe {
+	u := &universe{regHead: make([]int32, fn.NumRegs), tagIndex: make(map[ir.TagID]int32)}
+	for i := range u.regHead {
+		u.regHead[i] = -1
+	}
+	for _, b := range fn.Blocks {
+		for i := range b.Instrs {
+			in := &b.Instrs[i]
+			switch in.Op {
+			case ir.OpSLoad, ir.OpCLoad:
+				if defCount[in.Dst] == 1 {
+					u.intern(in.Tag, in.Dst, in.Size)
+				}
+			case ir.OpSStore:
+				if defCount[in.A] == 1 {
+					u.intern(in.Tag, in.A, in.Size)
+				}
+			}
 		}
 	}
-	return true
+	u.nw = (len(u.reg) + 63) / 64
+	u.tagMask = make([]uint64, len(u.tags)*u.nw)
+	for f, tag := range u.tag {
+		u.tagMask[int(u.tagIndex[tag])*u.nw+f/64] |= 1 << (uint(f) % 64)
+	}
+	return u
 }
+
+func (u *universe) mask(t int32) []uint64 { return u.tagMask[int(t)*u.nw : int(t+1)*u.nw] }
 
 // Func eliminates redundant loads in one function.
 func Func(fn *ir.Func) int {
 	fn.RemoveUnreachable()
 	n := len(fn.Blocks)
 
-	defCount := make(map[ir.Reg]int)
+	defCount := make([]int32, fn.NumRegs)
 	// Parameters carry an implicit entry definition.
 	for _, p := range fn.Params {
 		defCount[p]++
@@ -96,140 +142,157 @@ func Func(fn *ir.Func) int {
 			}
 		}
 	}
+	u := newUniverse(fn, defCount)
+	nw := u.nw
 
 	// Solve forward over the worklist kernel (reverse-postorder
 	// visits, so every block except the entry sees a processed
-	// predecessor on the first pass). A nil OUT means ⊤ — "not yet
-	// computed" — and such predecessors are skipped in the meet; they
-	// must never be treated as ∅, or the descent from ⊤ would lose
-	// monotonicity and could cycle.
-	in := make([]facts, n)
-	out := make([]facts, n)
+	// predecessor on the first pass). An OUT not yet computed means ⊤,
+	// and such predecessors are skipped in the meet; they must never
+	// be treated as ∅, or the descent from ⊤ would lose monotonicity
+	// and could cycle. IN is recorded only for blocks the solve
+	// reached.
+	in := make([]uint64, n*nw)
+	out := make([]uint64, n*nw)
+	inSet := make([]bool, n)
+	outSet := make([]bool, n)
+	set := func(v []uint64, b ir.BlockID) []uint64 { return v[int(b)*nw : int(b+1)*nw] }
+	cur := make([]uint64, nw)
 	dataflow.SolveBlocks(fn, dataflow.Forward, func(b *ir.Block) bool {
-		var cur facts
 		if b == fn.Entry {
-			cur = make(facts) // nothing is available at entry
+			clear(cur) // nothing is available at entry
 		} else {
 			first := true
 			for _, p := range b.Preds {
-				po := out[p.ID]
-				if po == nil {
+				if !outSet[p.ID] {
 					continue // ⊤: contributes nothing to the meet
 				}
+				po := set(out, p.ID)
 				if first {
-					cur = po.clone()
+					copy(cur, po)
 					first = false
 				} else {
-					cur = intersect(cur, po)
+					for j := range cur {
+						cur[j] &= po[j]
+					}
 				}
 			}
-			if cur == nil {
+			if first {
 				// Every predecessor still ⊤: re-queued when one is.
 				return false
 			}
 		}
-		in[b.ID] = cur.clone()
-		transfer(b, cur, defCount, false)
-		if out[b.ID] == nil || !equal(out[b.ID], cur) {
-			out[b.ID] = cur
-			return true
+		copy(set(in, b.ID), cur)
+		inSet[b.ID] = true
+		u.transfer(b, cur, false)
+		bo := set(out, b.ID)
+		if outSet[b.ID] && slices.Equal(bo, cur) {
+			return false
 		}
-		return false
+		copy(bo, cur)
+		outSet[b.ID] = true
+		return true
 	})
 
 	removed := 0
 	for _, b := range fn.Blocks {
-		if in[b.ID] == nil {
+		if !inSet[b.ID] {
 			continue // unreachable in RPO (no processed predecessor)
 		}
-		removed += transfer(b, in[b.ID], defCount, true)
+		removed += u.transfer(b, set(in, b.ID), true)
 	}
 	return removed
 }
 
 // transfer applies b's instructions to cur; in rewrite mode redundant
-// loads become copies (the state transitions are identical either
-// way: a load's destination holds the tag's value whether the value
-// arrived from memory or from the copy source).
-func transfer(b *ir.Block, cur facts, defCount map[ir.Reg]int, rewrite bool) int {
+// loads become copies. A rewritten load records no fact: its
+// destination does hold the tag's value, but only the analysis pass
+// records that pair, and in rewrite mode later loads in the block
+// keep copying from the original holder.
+func (u *universe) transfer(b *ir.Block, cur []uint64, rewrite bool) int {
 	removed := 0
 	for i := range b.Instrs {
 		instr := &b.Instrs[i]
 		switch instr.Op {
 		case ir.OpSLoad, ir.OpCLoad:
 			if rewrite {
-				if r, ok := holder(cur, instr.Tag, instr.Size); ok && r != instr.Dst {
+				if r, ok := u.holder(cur, instr.Tag, instr.Size); ok && r != instr.Dst {
 					*instr = ir.Instr{Op: ir.OpCopy, Dst: instr.Dst, A: r}
+					u.killReg(cur, instr.Dst)
 					removed++
+					continue
 				}
 			}
-			killReg(cur, instr.Dst)
-			if defCount[instr.Dst] == 1 {
-				cur[fact{instr.Tag, instr.Dst, instr.Size}] = true
-			}
+			u.killReg(cur, instr.Dst)
+			u.gen(cur, instr.Tag, instr.Dst, instr.Size)
 		case ir.OpSStore:
-			killTag(cur, instr.Tag)
-			if defCount[instr.A] == 1 {
-				cur[fact{instr.Tag, instr.A, instr.Size}] = true
+			if t, ok := u.tagIndex[instr.Tag]; ok {
+				andNot(cur, u.mask(t))
 			}
+			u.gen(cur, instr.Tag, instr.A, instr.Size)
 		case ir.OpPStore:
-			killTags(cur, instr.Tags)
+			u.killTags(cur, instr.Tags)
 		case ir.OpJsr:
-			killTags(cur, instr.Mods)
+			u.killTags(cur, instr.Mods)
 			if d := instr.Def(); d != ir.RegInvalid {
-				killReg(cur, d)
+				u.killReg(cur, d)
 			}
 		default:
 			if d := instr.Def(); d != ir.RegInvalid {
-				killReg(cur, d)
+				u.killReg(cur, d)
 			}
 		}
 	}
 	return removed
 }
 
+// gen adds the fact (tag, r, size); only single-definition registers
+// have facts, so it does nothing for any other register.
+func (u *universe) gen(cur []uint64, tag ir.TagID, r ir.Reg, size int) {
+	if f := u.lookup(tag, r, size); f >= 0 {
+		cur[f/64] |= 1 << (uint(f) % 64)
+	}
+}
+
 // holder picks the available register for (tag, size),
 // deterministically (lowest register number).
-func holder(cur facts, tag ir.TagID, size int) (ir.Reg, bool) {
-	var regs []ir.Reg
-	for k := range cur {
-		if k.tag == tag && k.size == size {
-			regs = append(regs, k.reg)
-		}
-	}
-	if len(regs) == 0 {
+func (u *universe) holder(cur []uint64, tag ir.TagID, size int) (ir.Reg, bool) {
+	t, ok := u.tagIndex[tag]
+	if !ok {
 		return ir.RegInvalid, false
 	}
-	sort.Slice(regs, func(i, j int) bool { return regs[i] < regs[j] })
-	return regs[0], true
+	best := ir.RegInvalid
+	for j, m := range u.mask(t) {
+		for w := m & cur[j]; w != 0; w &= w - 1 {
+			f := j*64 + bits.TrailingZeros64(w)
+			if u.size[f] == size && (best == ir.RegInvalid || u.reg[f] < best) {
+				best = u.reg[f]
+			}
+		}
+	}
+	return best, best != ir.RegInvalid
 }
 
-func killReg(cur facts, r ir.Reg) {
-	for k := range cur {
-		if k.reg == r {
-			delete(cur, k)
-		}
+func (u *universe) killReg(cur []uint64, r ir.Reg) {
+	for f := u.regHead[r]; f >= 0; f = u.next[f] {
+		cur[f/64] &^= 1 << (uint(f) % 64)
 	}
 }
 
-func killTag(cur facts, t ir.TagID) {
-	for k := range cur {
-		if k.tag == t {
-			delete(cur, k)
-		}
-	}
-}
-
-func killTags(cur facts, tags ir.TagSet) {
+func (u *universe) killTags(cur []uint64, tags ir.TagSet) {
 	if tags.IsTop() {
-		for k := range cur {
-			delete(cur, k)
-		}
+		clear(cur)
 		return
 	}
-	for k := range cur {
-		if tags.Has(k.tag) {
-			delete(cur, k)
+	for t, id := range u.tags {
+		if tags.Has(id) {
+			andNot(cur, u.mask(int32(t)))
 		}
+	}
+}
+
+func andNot(cur, mask []uint64) {
+	for j := range cur {
+		cur[j] &^= mask[j]
 	}
 }

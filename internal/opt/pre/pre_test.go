@@ -176,3 +176,34 @@ int main(void) {
 	}
 	testutil.MustBehaveLike(t, m, want)
 }
+
+// TestRewrittenLoadRecordsNoFact pins that a load rewritten into a
+// copy makes its destination no holder for later loads in the block:
+// the third load copies from the first load's register, not from the
+// lower-numbered destination of the rewritten second load.
+func TestRewrittenLoadRecordsNoFact(t *testing.T) {
+	fn := &ir.Func{Name: "t", NumRegs: 10}
+	b := fn.NewBlock("")
+	fn.Entry = b
+	const tag ir.TagID = 3
+	b.Instrs = []ir.Instr{
+		{Op: ir.OpSLoad, Dst: 5, Tag: tag, Size: 8},
+		{Op: ir.OpSLoad, Dst: 2, Tag: tag, Size: 8},
+		{Op: ir.OpSLoad, Dst: 9, Tag: tag, Size: 8},
+		{Op: ir.OpRet, A: 9, HasValue: true},
+	}
+	if n := Func(fn); n != 2 {
+		t.Fatalf("removed %d loads, want 2", n)
+	}
+	want := []ir.Instr{
+		{Op: ir.OpSLoad, Dst: 5, Tag: tag, Size: 8},
+		{Op: ir.OpCopy, Dst: 2, A: 5},
+		{Op: ir.OpCopy, Dst: 9, A: 5},
+	}
+	for i, w := range want {
+		got := b.Instrs[i]
+		if got.Op != w.Op || got.Dst != w.Dst || got.A != w.A {
+			t.Errorf("instr %d = %v %v %v, want %v %v %v", i, got.Op, got.Dst, got.A, w.Op, w.Dst, w.A)
+		}
+	}
+}

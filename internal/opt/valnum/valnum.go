@@ -8,7 +8,6 @@
 package valnum
 
 import (
-	"fmt"
 	"math"
 
 	"regpromo/internal/ir"
@@ -26,40 +25,70 @@ func Run(m *ir.Module) int {
 
 // Func value-numbers one function.
 func Func(fn *ir.Func) int {
+	s := newState(fn.NumRegs)
 	n := 0
 	for _, b := range fn.Blocks {
-		n += block(fn, b)
+		n += s.block(b)
 	}
 	return n
 }
 
+// valnumState is one function's value-numbering tables, reused block
+// to block. Value numbers restart at 1 in every block: the maps are
+// cleared, and register numbers written in an earlier block carry an
+// older generation stamp and read as unknown.
 type valnumState struct {
-	// vn maps a register to its value number.
-	vn map[ir.Reg]int
-	// leader maps a value number to the first register that held it,
-	// for operand canonicalization: rewriting operands to the leader
-	// turns copy chains into direct uses, which both exposes more
-	// matches here and lets pointer-based promotion see one base
-	// register per address (§3.3).
-	leader map[int]exprVal
-	// expr maps an expression key to (value number, holding reg).
-	expr map[string]exprVal
-	// constOf maps a value number to a known integer constant.
-	constOf map[int]int64
-	isConst map[int]bool
+	// gen stamps the current block.
+	gen uint32
+	// vn[r] is register r's value number when vnGen[r] == gen.
+	vn    []int32
+	vnGen []uint32
+	// info is indexed by value number (entry 0 unused), so the
+	// current block's highest value number is len(info)-1.
+	info []vnInfo
+	// expr maps an expression key to (value number, holding reg), and
+	// addr does the same for address materializations.
+	expr map[exprKey]exprVal
+	addr map[addrKey]exprVal
 	// constVN gives every distinct constant one value number, so
 	// repeated loadI of the same literal share a class (and operand
 	// canonicalization then drops the duplicates).
-	constVN  map[int64]int
-	fconstVN map[uint64]int
+	constVN  map[int64]int32
+	fconstVN map[uint64]int32
 	// memVal maps a tag to the register holding its current value
 	// (established by a load or store in this block).
 	memVal map[ir.TagID]memFact
-	next   int
+}
+
+// vnInfo describes one value number.
+type vnInfo struct {
+	// leader is the first register that held the value (vn == 0 when
+	// the value number has none), for operand canonicalization:
+	// rewriting operands to the leader turns copy chains into direct
+	// uses, which both exposes more matches here and lets
+	// pointer-based promotion see one base register per address
+	// (§3.3).
+	leader exprVal
+	// isConst marks a known integer constant c.
+	isConst bool
+	c       int64
+}
+
+// exprKey identifies a pure computation by its operator and operand
+// value numbers (b is 0 for unary operators).
+type exprKey struct {
+	op   ir.Op
+	a, b int32
+}
+
+// addrKey identifies an address materialization.
+type addrKey struct {
+	tag    ir.TagID
+	callee string
 }
 
 type exprVal struct {
-	vn  int
+	vn  int32
 	reg ir.Reg
 }
 
@@ -70,79 +99,107 @@ type memFact struct {
 	size int
 }
 
+func newState(nregs int) *valnumState {
+	return &valnumState{
+		vn:       make([]int32, nregs),
+		vnGen:    make([]uint32, nregs),
+		expr:     make(map[exprKey]exprVal),
+		addr:     make(map[addrKey]exprVal),
+		constVN:  make(map[int64]int32),
+		fconstVN: make(map[uint64]int32),
+		memVal:   make(map[ir.TagID]memFact),
+	}
+}
+
+// known returns r's value number in the current block, or 0.
+func (s *valnumState) known(r ir.Reg) int32 {
+	if s.vnGen[r] != s.gen {
+		return 0
+	}
+	return s.vn[r]
+}
+
+func (s *valnumState) setVN(r ir.Reg, v int32) {
+	s.vn[r] = v
+	s.vnGen[r] = s.gen
+}
+
 // valid reports whether the recorded holding register still carries
 // the recorded value. Registers are not in SSA form, so a later
 // redefinition changes the register's value number and invalidates
 // the fact.
-func (s *valnumState) valid(e exprVal) bool { return s.vn[e.reg] == e.vn }
+func (s *valnumState) valid(e exprVal) bool { return s.known(e.reg) == e.vn }
 
-// lookup returns the live table entry for key, if any.
-func (s *valnumState) lookup(key string) (exprVal, bool) {
-	e, ok := s.expr[key]
-	if !ok || !s.valid(e) {
-		return exprVal{}, false
-	}
-	return e, true
+// liveLeader returns v's leader when it still holds v.
+func (s *valnumState) liveLeader(v int32) (exprVal, bool) {
+	l := s.info[v].leader
+	return l, l.vn != 0 && s.valid(l)
 }
 
-// record stores a table entry for key held in reg.
-func (s *valnumState) record(key string, reg ir.Reg, vn int) {
-	s.expr[key] = exprVal{vn: vn, reg: reg}
+// newVN allocates the next value number.
+func (s *valnumState) newVN() int32 {
+	s.info = append(s.info, vnInfo{})
+	return int32(len(s.info) - 1)
 }
 
-func (s *valnumState) valueOf(r ir.Reg) int {
-	if v, ok := s.vn[r]; ok {
+func (s *valnumState) valueOf(r ir.Reg) int32 {
+	if v := s.known(r); v != 0 {
 		return v
 	}
-	s.next++
-	s.vn[r] = s.next
-	return s.next
+	v := s.newVN()
+	s.setVN(r, v)
+	return v
 }
 
 // defConst records that r now holds the integer constant c, reusing
 // the constant's existing value class when a live leader holds it.
 func (s *valnumState) defConst(r ir.Reg, c int64) {
 	if v, ok := s.constVN[c]; ok {
-		if l, has := s.leader[v]; has && s.valid(l) {
-			s.vn[r] = v
+		if _, live := s.liveLeader(v); live {
+			s.setVN(r, v)
 			return
 		}
 	}
 	v := s.fresh(r)
-	s.constOf[v] = c
-	s.isConst[v] = true
+	s.info[v].isConst = true
+	s.info[v].c = c
 	s.constVN[c] = v
 }
 
-func (s *valnumState) fresh(r ir.Reg) int {
-	s.next++
-	s.vn[r] = s.next
-	s.leader[s.next] = exprVal{vn: s.next, reg: r}
-	return s.next
+func (s *valnumState) fresh(r ir.Reg) int32 {
+	v := s.newVN()
+	s.setVN(r, v)
+	s.info[v].leader = exprVal{vn: v, reg: r}
+	return v
 }
 
-func block(fn *ir.Func, b *ir.Block) int {
-	s := &valnumState{
-		vn:       make(map[ir.Reg]int),
-		leader:   make(map[int]exprVal),
-		expr:     make(map[string]exprVal),
-		constOf:  make(map[int]int64),
-		isConst:  make(map[int]bool),
-		constVN:  make(map[int64]int),
-		fconstVN: make(map[uint64]int),
-		memVal:   make(map[ir.TagID]memFact),
+// clearMap empties m unless it is already empty (clearing costs time
+// in the map's capacity, not its length).
+func clearMap[K comparable, V any](m map[K]V) {
+	if len(m) > 0 {
+		clear(m)
 	}
+}
+
+func (s *valnumState) block(b *ir.Block) int {
+	s.gen++
+	s.info = append(s.info[:0], vnInfo{})
+	clearMap(s.expr)
+	clearMap(s.addr)
+	clearMap(s.constVN)
+	clearMap(s.fconstVN)
+	clearMap(s.memVal)
 	changed := 0
 	for i := range b.Instrs {
 		in := &b.Instrs[i]
 		// Canonicalize operands to their value leaders first, so a
 		// register defined by a copy reads as the copied-from value.
 		in.MapUses(func(u ir.Reg) ir.Reg {
-			v, known := s.vn[u]
-			if !known {
+			v := s.known(u)
+			if v == 0 {
 				return u
 			}
-			if l, ok := s.leader[v]; ok && s.valid(l) && l.reg != u {
+			if l, ok := s.liveLeader(v); ok && l.reg != u {
 				changed++
 				return l.reg
 			}
@@ -155,26 +212,25 @@ func block(fn *ir.Func, b *ir.Block) int {
 		case ir.OpLoadF:
 			bits := math.Float64bits(in.FImm)
 			if v, ok := s.fconstVN[bits]; ok {
-				if l, has := s.leader[v]; has && s.valid(l) {
-					s.vn[in.Dst] = v
+				if _, live := s.liveLeader(v); live {
+					s.setVN(in.Dst, v)
 					continue
 				}
 			}
-			v := s.fresh(in.Dst)
-			s.fconstVN[bits] = v
+			s.fconstVN[bits] = s.fresh(in.Dst)
 
 		case ir.OpCopy:
 			// The destination takes the source's value number, so
 			// later expressions see through copies.
-			s.vn[in.Dst] = s.valueOf(in.A)
+			s.setVN(in.Dst, s.valueOf(in.A))
 
 		case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv, ir.OpRem,
 			ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpShl, ir.OpShr,
 			ir.OpCmpEQ, ir.OpCmpNE, ir.OpCmpLT, ir.OpCmpLE, ir.OpCmpGT, ir.OpCmpGE:
 			va, vb := s.valueOf(in.A), s.valueOf(in.B)
 			// Constant folding.
-			if s.isConst[va] && s.isConst[vb] {
-				if c, ok := foldInt(in.Op, s.constOf[va], s.constOf[vb]); ok {
+			if ca, cb := s.info[va], s.info[vb]; ca.isConst && cb.isConst {
+				if c, ok := foldInt(in.Op, ca.c, cb.c); ok {
 					*in = ir.Instr{Op: ir.OpLoadI, Dst: in.Dst, Imm: c}
 					s.defConst(in.Dst, c)
 					changed++
@@ -184,50 +240,26 @@ func block(fn *ir.Func, b *ir.Block) int {
 			if in.Op.IsCommutative() && vb < va {
 				va, vb = vb, va
 			}
-			key := fmt.Sprintf("%d:%d:%d", in.Op, va, vb)
-			if prev, ok := s.lookup(key); ok {
-				*in = ir.Instr{Op: ir.OpCopy, Dst: in.Dst, A: prev.reg}
-				s.vn[in.Dst] = prev.vn
-				changed++
-				continue
-			}
-			v := s.fresh(in.Dst)
-			s.record(key, in.Dst, v)
+			changed += number(s, s.expr, in, exprKey{op: in.Op, a: va, b: vb})
 
 		case ir.OpNeg, ir.OpNot, ir.OpI2F, ir.OpF2I, ir.OpFNeg:
 			va := s.valueOf(in.A)
-			if in.Op == ir.OpNeg && s.isConst[va] {
-				c := -s.constOf[va]
+			if ca := s.info[va]; in.Op == ir.OpNeg && ca.isConst {
+				c := -ca.c
 				*in = ir.Instr{Op: ir.OpLoadI, Dst: in.Dst, Imm: c}
 				s.defConst(in.Dst, c)
 				changed++
 				continue
 			}
-			key := fmt.Sprintf("%d:%d", in.Op, va)
-			if prev, ok := s.lookup(key); ok {
-				*in = ir.Instr{Op: ir.OpCopy, Dst: in.Dst, A: prev.reg}
-				s.vn[in.Dst] = prev.vn
-				changed++
-				continue
-			}
-			v := s.fresh(in.Dst)
-			s.record(key, in.Dst, v)
+			changed += number(s, s.expr, in, exprKey{op: in.Op, a: va})
 
 		case ir.OpAddrOf:
-			key := "addr:" + in.Callee + fmt.Sprintf(":%d", in.Tag)
-			if prev, ok := s.lookup(key); ok {
-				*in = ir.Instr{Op: ir.OpCopy, Dst: in.Dst, A: prev.reg}
-				s.vn[in.Dst] = prev.vn
-				changed++
-				continue
-			}
-			v := s.fresh(in.Dst)
-			s.record(key, in.Dst, v)
+			changed += number(s, s.addr, in, addrKey{tag: in.Tag, callee: in.Callee})
 
 		case ir.OpSLoad, ir.OpCLoad:
 			if prev, ok := s.memVal[in.Tag]; ok && prev.size == in.Size && s.valid(prev.exprVal) {
 				*in = ir.Instr{Op: ir.OpCopy, Dst: in.Dst, A: prev.reg}
-				s.vn[in.Dst] = prev.vn
+				s.setVN(in.Dst, prev.vn)
 				changed++
 				continue
 			}
@@ -262,9 +294,23 @@ func block(fn *ir.Func, b *ir.Block) int {
 	return changed
 }
 
+// number rewrites the pure computation in into a copy when table
+// holds a register that still carries key's value, and otherwise gives
+// its destination a fresh value number held under key. It returns 1
+// when it rewrote in.
+func number[K comparable](s *valnumState, table map[K]exprVal, in *ir.Instr, key K) int {
+	if prev, ok := table[key]; ok && s.valid(prev) {
+		*in = ir.Instr{Op: ir.OpCopy, Dst: in.Dst, A: prev.reg}
+		s.setVN(in.Dst, prev.vn)
+		return 1
+	}
+	table[key] = exprVal{vn: s.fresh(in.Dst), reg: in.Dst}
+	return 0
+}
+
 func (s *valnumState) killTags(tags ir.TagSet) {
 	if tags.IsTop() {
-		s.memVal = make(map[ir.TagID]memFact)
+		clear(s.memVal)
 		return
 	}
 	tags.ForEach(func(t ir.TagID) {

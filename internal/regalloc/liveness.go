@@ -46,6 +46,16 @@ func (s bitset) orInto(o bitset) bool {
 	return changed
 }
 
+// first returns the lowest member, or RegInvalid when s is empty.
+func (s bitset) first() ir.Reg {
+	for i, w := range s {
+		if w != 0 {
+			return ir.Reg(i*64 + bits.TrailingZeros64(w))
+		}
+	}
+	return ir.RegInvalid
+}
+
 func (s bitset) clone() bitset {
 	out := make(bitset, len(s))
 	copy(out, s)

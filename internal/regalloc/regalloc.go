@@ -13,15 +13,6 @@ import (
 // matching a generous RISC integer file.
 const DefaultK = 32
 
-// debugRounds enables per-round spill tracing (tests only).
-var debugRounds = false
-
-// maxLiveSeen tracks the largest live set observed while tracing.
-var maxLiveSeen = 0
-
-// DebugRounds toggles per-round spill tracing.
-func DebugRounds(v bool) { debugRounds = v }
-
 // Options configure allocation.
 type Options struct {
 	// K is the number of physical registers (DefaultK when 0).
@@ -82,12 +73,12 @@ func Run(m *ir.Module, opts Options) (Stats, error) {
 // Adjacency is a dense bit matrix: row r holds one bit per interfering
 // register. The rows are kept clean — they only ever contain current
 // union-find representatives, because every merge eagerly rewrites the
-// rows that mention the dying node — so a node's degree is just the
-// popcount of its row, instead of the find-resolve-and-dedup walk the
-// old map representation needed (formerly ~85% of compile time).
+// rows that mention the dying node — and deg[r] is maintained beside
+// them as row r's popcount, so a node's degree is one array read.
 type graph struct {
 	n     int
 	adj   []bitset // lazily allocated rows, each n bits
+	deg   []int32  // deg[r] = number of bits set in adj[r]
 	alias []ir.Reg // union-find parent (self when representative)
 	moves [][2]ir.Reg
 	cost  []float64
@@ -96,12 +87,14 @@ type graph struct {
 	// maxLive is the largest live set seen at a block boundary during
 	// construction (register pressure).
 	maxLive int
-	// remat maps a single-definition register whose value can be
-	// recomputed anywhere (constants and address materializations)
-	// to its defining instruction. Spilling such a register re-issues
-	// the definition at each use instead of going through memory
-	// (Briggs-style rematerialization).
-	remat map[ir.Reg]ir.Instr
+	// remat[r], when non-nil, is r's last definition that can be
+	// recomputed anywhere (constants and address materializations),
+	// in place in the function body; it stays valid until the body is
+	// rewritten, and insertSpills copies what it needs first. Spilling
+	// a single-definition register with such a definition re-issues it
+	// at each use instead of going through memory (Briggs-style
+	// rematerialization).
+	remat []*ir.Instr
 	// defs counts definitions per register.
 	defs []int
 }
@@ -134,8 +127,40 @@ func (g *graph) addEdge(a, b ir.Reg) {
 	if a == b {
 		return
 	}
-	g.row(a).add(b)
+	ra := g.row(a)
+	if ra.has(b) {
+		return
+	}
+	ra.add(b)
 	g.row(b).add(a)
+	g.deg[a]++
+	g.deg[b]++
+}
+
+// addEdges makes d interfere with every member of live but itself,
+// a word at a time. It runs before any coalescing, while every
+// register is its own representative.
+func (g *graph) addEdges(d ir.Reg, live bitset) {
+	dw, dbit := int(d)/64, uint64(1)<<(uint(d)%64)
+	for i, w := range live {
+		if i == dw {
+			w &^= dbit
+		}
+		if w == 0 {
+			continue
+		}
+		row := g.row(d)
+		if w &^= row[i]; w == 0 {
+			continue
+		}
+		row[i] |= w
+		g.deg[d] += int32(bits.OnesCount64(w))
+		for ; w != 0; w &= w - 1 {
+			r := ir.Reg(i*64 + bits.TrailingZeros64(w))
+			g.row(r)[dw] |= dbit
+			g.deg[r]++
+		}
+	}
 }
 
 // Func allocates registers for one function. Spill slots are created
@@ -151,7 +176,9 @@ func Func(fn *ir.Func, opts Options, tags ir.TagAlloc) (Stats, error) {
 	// re-spilling a reload temporary shuffles the value through yet
 	// another slot without reducing pressure, and the allocator would
 	// never converge. Spilling is reserved for original live ranges.
-	noSpill := make(map[ir.Reg]bool)
+	// Spill rounds only ever append registers, so the temporaries are
+	// exactly those numbered from the function's entry count up.
+	firstTemp := ir.Reg(fn.NumRegs)
 	for round := 0; ; round++ {
 		if round > 100 {
 			return stats, fmt.Errorf("regalloc: %s did not converge after %d rounds (K=%d)", fn.Name, round, k)
@@ -162,10 +189,7 @@ func Func(fn *ir.Func, opts Options, tags ir.TagAlloc) (Stats, error) {
 			stats.MaxLive = g.maxLive
 		}
 		stats.Coalesced += coalesce(g, k)
-		colors, spills := color(g, fn, k, noSpill)
-		if debugRounds {
-			fmt.Printf("round %d: regs=%d spills=%d %v\n", round, fn.NumRegs, len(spills), spills)
-		}
+		colors, spills := color(g, fn, k, firstTemp)
 		if len(spills) == 0 {
 			stats.Coalesced += rewrite(fn, g, colors)
 			fn.Allocated = true
@@ -178,11 +202,7 @@ func Func(fn *ir.Func, opts Options, tags ir.TagAlloc) (Stats, error) {
 			}
 			return stats, nil
 		}
-		before := fn.NumRegs
 		st := insertSpills(fn, spills, g, tags)
-		for r := before; r < fn.NumRegs; r++ {
-			noSpill[ir.Reg(r)] = true
-		}
 		stats.Spilled += len(spills)
 		stats.SpillLoads += st.SpillLoads
 		stats.SpillStores += st.SpillStores
@@ -201,6 +221,7 @@ func build(fn *ir.Func) *graph {
 	g := &graph{
 		n:       fn.NumRegs,
 		adj:     make([]bitset, fn.NumRegs),
+		deg:     make([]int32, fn.NumRegs),
 		alias:   make([]ir.Reg, fn.NumRegs),
 		cost:    make([]float64, fn.NumRegs),
 		isParam: make([]bool, fn.NumRegs),
@@ -211,7 +232,7 @@ func build(fn *ir.Func) *graph {
 	for _, p := range fn.Params {
 		g.isParam[p] = true
 	}
-	g.remat = make(map[ir.Reg]ir.Instr)
+	g.remat = make([]*ir.Instr, fn.NumRegs)
 	g.defs = make([]int, fn.NumRegs)
 	// Parameters carry an implicit entry definition, so an in-body
 	// constant assignment to one is never rematerializable.
@@ -228,7 +249,7 @@ func build(fn *ir.Func) *graph {
 			g.defs[d]++
 			switch in.Op {
 			case ir.OpLoadI, ir.OpLoadF, ir.OpAddrOf:
-				g.remat[d] = in.Clone()
+				g.remat[d] = in
 			}
 		}
 	}
@@ -251,11 +272,7 @@ func build(fn *ir.Func) *graph {
 			}
 			if d != ir.RegInvalid {
 				g.cost[d] += weight
-				live.forEach(func(r ir.Reg) {
-					if r != d {
-						g.addEdge(d, r)
-					}
-				})
+				g.addEdges(d, live)
 				live.del(d)
 			}
 			for _, u := range in.Uses(buf[:0]) {
@@ -265,10 +282,6 @@ func build(fn *ir.Func) *graph {
 		}
 		if n := live.count(); n > g.maxLive {
 			g.maxLive = n
-			if debugRounds && n > maxLiveSeen {
-				maxLiveSeen = n
-				fmt.Printf("  maxlive %d at top of %s\n", n, b.Label)
-			}
 		}
 		if b == fn.Entry {
 			// Everything live into the entry is defined "at once" by
@@ -292,10 +305,8 @@ func build(fn *ir.Func) *graph {
 	// Rematerializable values are nearly free to "spill": bias the
 	// allocator toward choosing them under pressure.
 	for r, n := range g.defs {
-		if n == 1 {
-			if _, ok := g.remat[ir.Reg(r)]; ok {
-				g.cost[r] *= 0.01
-			}
+		if n == 1 && g.remat[r] != nil {
+			g.cost[r] *= 0.01
 		}
 	}
 	return g
@@ -303,13 +314,9 @@ func build(fn *ir.Func) *graph {
 
 // degreeOf counts r's distinct live neighbors. Rows hold only current
 // representatives (merges rewrite them eagerly), so the degree is the
-// row's popcount.
+// row's popcount, which deg keeps up to date.
 func (g *graph) degreeOf(r ir.Reg) int {
-	r = g.find(r)
-	if g.adj[r] == nil {
-		return 0
-	}
-	return g.adj[r].count()
+	return int(g.deg[g.find(r)])
 }
 
 // canCoalesce applies the Briggs test (combined node has fewer than K
@@ -395,21 +402,25 @@ func coalesce(g *graph, k int) int {
 			}
 			// Merge b into a, eagerly rewriting every row that
 			// mentions b so rows keep holding representatives only.
+			// a and b do not interfere, so neither row holds the
+			// other: each neighbor r of b either gains a in b's
+			// place or, already adjacent to a, loses one neighbor.
 			g.alias[b] = a
 			arow := g.row(a)
 			if g.adj[b] != nil {
 				g.adj[b].forEach(func(r ir.Reg) {
-					if r == a {
-						return
+					if arow.has(r) {
+						g.deg[r]--
+					} else {
+						arow.add(r)
+						g.deg[a]++
+						g.adj[r].add(a)
 					}
-					arow.add(r)
 					g.adj[r].del(b)
-					g.adj[r].add(a)
 				})
 				g.adj[b] = nil
+				g.deg[b] = 0
 			}
-			arow.del(a)
-			arow.del(b)
 			g.isParam[a] = g.isParam[a] || g.isParam[b]
 			g.cost[a] += g.cost[b]
 			merged++
@@ -421,15 +432,13 @@ func coalesce(g *graph, k int) int {
 
 // color runs simplify/select with optimistic spilling; it returns the
 // color assignment (indexed by representative, -1 = spilled/absent)
-// and the registers that must spill. Classes containing a register
-// from noSpill are chosen as spill candidates only when nothing else
-// is available.
-func color(g *graph, fn *ir.Func, k int, noSpill map[ir.Reg]bool) ([]int, []ir.Reg) {
+// and the registers that must spill. Classes containing a spill
+// temporary (a register numbered firstTemp or above) are chosen as
+// spill candidates only when nothing else is available.
+func color(g *graph, fn *ir.Func, k int, firstTemp ir.Reg) ([]int, []ir.Reg) {
 	noSpillRep := newBitset(g.n)
-	for r := range noSpill {
-		if int(r) < g.n {
-			noSpillRep.add(g.find(r))
-		}
+	for r := firstTemp; int(r) < g.n; r++ {
+		noSpillRep.add(g.find(r))
 	}
 	// Collect representative nodes actually used.
 	reps := newBitset(g.n)
@@ -452,9 +461,11 @@ func color(g *graph, fn *ir.Func, k int, noSpill map[ir.Reg]bool) ([]int, []ir.R
 	reps.forEach(func(r ir.Reg) { repList = append(repList, r) })
 
 	// Working adjacency restricted to used representatives, with an
-	// incrementally maintained degree array.
+	// incrementally maintained degree array and the set of remaining
+	// nodes whose degree is below k.
 	adj := make([]bitset, g.n)
 	deg := make([]int, g.n)
+	low := newBitset(g.n)
 	for _, r := range repList {
 		row := newBitset(g.n)
 		if g.adj[r] != nil {
@@ -466,55 +477,32 @@ func color(g *graph, fn *ir.Func, k int, noSpill map[ir.Reg]bool) ([]int, []ir.R
 		}
 		adj[r] = row
 		deg[r] = row.count()
+		if deg[r] < k {
+			low.add(r)
+		}
 	}
 
 	removed := newBitset(g.n)
 	var stack []ir.Reg
-	remaining := len(repList)
-	for remaining > 0 {
+	for remaining := len(repList); remaining > 0; remaining-- {
 		// Pick a trivially colorable node (lowest-numbered first);
 		// otherwise the cheapest spill candidate (optimistically
 		// pushed).
-		var pick ir.Reg = ir.RegInvalid
-		var pickSpill ir.Reg = ir.RegInvalid
-		var pickLast ir.Reg = ir.RegInvalid
-		bestCost := 0.0
-		lastCost := 0.0
-		for _, r := range repList {
-			if removed.has(r) {
-				continue
-			}
-			if deg[r] < k {
-				pick = r
-				break
-			}
-			c := g.cost[r] / float64(deg[r]+1)
-			if noSpillRep.has(r) {
-				if pickLast == ir.RegInvalid || c < lastCost {
-					pickLast = r
-					lastCost = c
-				}
-				continue
-			}
-			if pickSpill == ir.RegInvalid || c < bestCost {
-				pickSpill = r
-				bestCost = c
-			}
-		}
+		pick := low.first()
 		if pick == ir.RegInvalid {
-			pick = pickSpill
+			pick = spillCandidate(g, repList, removed, noSpillRep, deg)
 		}
-		if pick == ir.RegInvalid {
-			pick = pickLast
-		}
+		low.del(pick)
 		removed.add(pick)
 		stack = append(stack, pick)
-		adj[pick].forEach(func(n ir.Reg) {
-			if !removed.has(n) {
-				deg[n]--
+		for i, w := range adj[pick] {
+			for w &^= removed[i]; w != 0; w &= w - 1 {
+				n := i*64 + bits.TrailingZeros64(w)
+				if deg[n]--; deg[n] == k-1 {
+					low.add(ir.Reg(n))
+				}
 			}
-		})
-		remaining--
+		}
 	}
 
 	colors := make([]int, g.n)
@@ -547,6 +535,34 @@ func color(g *graph, fn *ir.Func, k int, noSpill map[ir.Reg]bool) ([]int, []ir.R
 		colors[r] = c
 	}
 	return colors, spills
+}
+
+// spillCandidate picks the remaining node with the lowest spill cost
+// per degree, ties going to the lowest-numbered one, preferring nodes
+// outside noSpillRep. It runs only when every remaining node has
+// degree k or more.
+func spillCandidate(g *graph, repList []ir.Reg, removed, noSpillRep bitset, deg []int) ir.Reg {
+	pickSpill, pickLast := ir.RegInvalid, ir.RegInvalid
+	bestCost, lastCost := 0.0, 0.0
+	for _, r := range repList {
+		if removed.has(r) {
+			continue
+		}
+		c := g.cost[r] / float64(deg[r]+1)
+		if noSpillRep.has(r) {
+			if pickLast == ir.RegInvalid || c < lastCost {
+				pickLast, lastCost = r, c
+			}
+			continue
+		}
+		if pickSpill == ir.RegInvalid || c < bestCost {
+			pickSpill, bestCost = r, c
+		}
+	}
+	if pickSpill != ir.RegInvalid {
+		return pickSpill
+	}
+	return pickLast
 }
 
 // rewrite renames every register to its color and drops copies whose

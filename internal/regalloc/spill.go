@@ -17,37 +17,33 @@ func insertSpills(fn *ir.Func, spills []ir.Reg, g *graph, tags ir.TagAlloc) Stat
 	find := g.find
 
 	// Spilled representatives, as a set.
-	spillSet := make(map[ir.Reg]bool, len(spills))
+	spillSet := newBitset(g.n)
 	for _, r := range spills {
-		spillSet[r] = true
+		spillSet.add(r)
 	}
+	spilled := func(r ir.Reg) bool { return spillSet.has(find(r)) }
 
 	// A spilled class whose only definition is a rematerializable
-	// instruction gets no slot: each use re-issues the definition.
-	remat := make(map[ir.Reg]ir.Instr, len(spills))
-	for _, rep := range spills {
-		var def ir.Instr
-		nDefs := 0
-		ok := false
-		for r := ir.Reg(0); int(r) < g.n; r++ {
-			if g.find(r) != rep {
-				continue
-			}
-			nDefs += g.defs[r]
-			if d, has := g.remat[r]; has {
-				def = d
-				ok = true
-			}
+	// instruction gets no slot: each use re-issues the definition,
+	// copied out here before the body is rewritten.
+	nDefs := make([]int, g.n)
+	for r := ir.Reg(0); int(r) < g.n; r++ {
+		if rep := find(r); spillSet.has(rep) {
+			nDefs[rep] += g.defs[r]
 		}
-		if ok && nDefs == 1 {
-			remat[rep] = def
+	}
+	remat := make([]*ir.Instr, g.n)
+	for r := ir.Reg(0); int(r) < g.n; r++ {
+		if rep := find(r); spillSet.has(rep) && nDefs[rep] == 1 && g.remat[r] != nil {
+			def := g.remat[r].Clone()
+			remat[rep] = &def
 		}
 	}
 
 	// Per spilled (non-remat) class, a frame slot.
-	slot := make(map[ir.Reg]ir.TagID, len(spills))
+	slot := make([]ir.TagID, g.n)
 	for _, r := range spills {
-		if _, isRemat := remat[r]; isRemat {
+		if remat[r] != nil {
 			continue
 		}
 		tag := tags.NewTag(
@@ -62,30 +58,36 @@ func insertSpills(fn *ir.Func, spills []ir.Reg, g *graph, tags ir.TagAlloc) Stat
 	// The caller passes the representative registers of a coalesced
 	// graph together with its find function, so member registers of
 	// a spilled class resolve to the class slot.
+	type reload struct{ rep, t ir.Reg }
+	var loaded []reload
 	for _, b := range fn.Blocks {
 		var out []ir.Instr
 		for i := range b.Instrs {
 			in := b.Instrs[i]
 
-			// Loads (or rematerializations) for spilled uses.
-			loaded := make(map[ir.Reg]ir.Reg)
+			// Loads (or rematerializations) for spilled uses, one per
+			// class per instruction.
+			loaded = loaded[:0]
 			in.MapUses(func(u ir.Reg) ir.Reg {
-				rep := find(u)
-				if !spillSet[rep] {
+				if !spilled(u) {
 					return u
 				}
-				if t, ok := loaded[rep]; ok {
-					return t
+				rep := find(u)
+				for _, l := range loaded {
+					if l.rep == rep {
+						return l.t
+					}
 				}
 				t := fn.NewReg()
-				if def, isRemat := remat[rep]; isRemat {
+				if remat[rep] != nil {
+					def := *remat[rep]
 					def.Dst = t
 					out = append(out, def)
 				} else {
 					out = append(out, ir.Instr{Op: ir.OpSLoad, Dst: t, Tag: slot[rep], Size: 8})
 					stats.SpillLoads++
 				}
-				loaded[rep] = t
+				loaded = append(loaded, reload{rep, t})
 				return t
 			})
 
@@ -96,9 +98,9 @@ func insertSpills(fn *ir.Func, spills []ir.Reg, g *graph, tags ir.TagAlloc) Stat
 			// would preserve the very live range that failed to
 			// color, and the allocator would pick it again forever.
 			d := in.Def()
-			if d != ir.RegInvalid && spillSet[find(d)] {
+			if d != ir.RegInvalid && spilled(d) {
 				rep := find(d)
-				if _, isRemat := remat[rep]; isRemat {
+				if remat[rep] != nil {
 					continue
 				}
 				t := fn.NewReg()
@@ -119,8 +121,8 @@ func insertSpills(fn *ir.Func, spills []ir.Reg, g *graph, tags ir.TagAlloc) Stat
 	var entryStores []ir.Instr
 	for _, p := range fn.Params {
 		rep := find(p)
-		if spillSet[rep] {
-			if _, isRemat := remat[rep]; isRemat {
+		if spillSet.has(rep) {
+			if remat[rep] != nil {
 				continue
 			}
 			entryStores = append(entryStores, ir.Instr{Op: ir.OpSStore, A: p, Tag: slot[rep], Size: 8})
