@@ -72,7 +72,7 @@ func main() {
 				in := &b.Instrs[i]
 				if in.Op == ir.OpPStore {
 					fmt.Printf("  store through x2 may modify: %s\n",
-						in.Tags.Format(&c.Module.Tags))
+						in.Tags().Format(&c.Module.Tags))
 				}
 			}
 		}

@@ -34,7 +34,6 @@ package cache
 
 import (
 	"encoding/binary"
-	"math"
 	"sync"
 
 	"regpromo/internal/ir"
@@ -202,17 +201,17 @@ func ModuleSalt(m *ir.Module) Key {
 func HashInstr(h *Hasher, in *ir.Instr) {
 	h.Int(int64(in.Op)).Int(int64(in.Dst)).Int(int64(in.A)).Int(int64(in.B))
 	h.Int(in.Imm)
-	h.Int(int64(math.Float64bits(in.FImm)))
-	h.Int(int64(in.Tag)).TagSet(in.Tags).Int(int64(in.Size))
-	h.Str(in.Callee)
-	h.Int(int64(len(in.Args)))
-	for _, a := range in.Args {
+	h.Int(int64(in.Tag)).TagSet(in.Tags()).Int(int64(in.Size))
+	h.Str(in.Callee())
+	args := in.Args()
+	h.Int(int64(len(args)))
+	for _, a := range args {
 		h.Int(int64(a))
 	}
-	h.Int(int64(in.Site)).Bool(in.HasValue).Bool(in.Synth)
-	if in.Targets != nil {
-		h.Int(int64(len(in.Targets)))
-		for _, t := range in.Targets {
+	h.Int(int64(in.Site())).Bool(in.HasValue).Bool(in.Synth)
+	if targets := in.Targets(); targets != nil {
+		h.Int(int64(len(targets)))
+		for _, t := range targets {
 			h.Str(t)
 		}
 	} else {
@@ -244,23 +243,24 @@ func FuncBodyHash(fn *ir.Func) Key {
 
 // HashInstrStructural folds the subset of an instruction the points-to
 // solver reads: opcode, registers, tags, callee/argument linkage, and
-// positions — everything in HashInstr
-// except the Imm/FImm literal operands, which no pointer transfer
-// function inspects (tag sets name symbols; offsets into an object
-// never leave it). Keying the projection on this hash is what lets a
+// positions — everything in HashInstr except the Imm literal operand
+// (LoadI's and LoadF's constant), which no pointer transfer function
+// inspects (tag sets name symbols; offsets into an object never leave
+// it). Keying the projection on this hash is what lets a
 // constant-only edit replay the cached narrowing.
 func HashInstrStructural(h *Hasher, in *ir.Instr) {
 	h.Int(int64(in.Op)).Int(int64(in.Dst)).Int(int64(in.A)).Int(int64(in.B))
-	h.Int(int64(in.Tag)).TagSet(in.Tags).Int(int64(in.Size))
-	h.Str(in.Callee)
-	h.Int(int64(len(in.Args)))
-	for _, a := range in.Args {
+	h.Int(int64(in.Tag)).TagSet(in.Tags()).Int(int64(in.Size))
+	h.Str(in.Callee())
+	args := in.Args()
+	h.Int(int64(len(args)))
+	for _, a := range args {
 		h.Int(int64(a))
 	}
-	h.Int(int64(in.Site)).Bool(in.HasValue)
-	if in.Targets != nil {
-		h.Int(int64(len(in.Targets)))
-		for _, t := range in.Targets {
+	h.Int(int64(in.Site())).Bool(in.HasValue)
+	if targets := in.Targets(); targets != nil {
+		h.Int(int64(len(targets)))
+		for _, t := range targets {
 			h.Str(t)
 		}
 	} else {

@@ -118,7 +118,7 @@ func TestStoreNilSafe(t *testing.T) {
 }
 
 // TestStructuralHashIgnoresLiterals: the points-to projection must be
-// blind to Imm/FImm (no pointer transfer reads them) but sensitive to
+// blind to Imm (no pointer transfer reads it) but sensitive to
 // every structural field the solver does read.
 func TestStructuralHashIgnoresLiterals(t *testing.T) {
 	base := ir.Instr{Op: ir.OpAdd, Dst: 1, A: 2, Imm: 10}
@@ -129,7 +129,6 @@ func TestStructuralHashIgnoresLiterals(t *testing.T) {
 	}
 	edited := base
 	edited.Imm = 999
-	edited.FImm = 3.5
 	if hash(base) != hash(edited) {
 		t.Fatal("structural hash must ignore literal operands")
 	}

@@ -77,7 +77,7 @@ func NewOracle(m *ir.Module) *Oracle {
 					set, definite, known := tr.trace(in.A, 0)
 					o.fold(&fx.lowerMod, &fx.upperMod, set, definite, known)
 				case ir.OpJsr:
-					edges = append(edges, edge{fn.Name, in.Callee})
+					edges = append(edges, edge{fn.Name, in.Callee()})
 				}
 			}
 		}
@@ -192,15 +192,15 @@ func (o *Oracle) instrEffects(tr *tracer, in *ir.Instr) instrFX {
 		o.fold(&fx.lowerMod, &fx.upperMod, set, definite, known)
 	case ir.OpJsr:
 		switch {
-		case in.Callee == "":
+		case in.Callee() == "":
 			fx.upperMod = o.indirectMod
 			fx.upperRef = o.indirectRef
 		default:
-			if g := o.fx[in.Callee]; g != nil {
+			if g := o.fx[in.Callee()]; g != nil {
 				fx.lowerMod, fx.lowerRef = g.lowerMod, g.lowerRef
 				fx.upperMod, fx.upperRef = g.upperMod, g.upperRef
 			} else {
-				fx.upperMod, fx.upperRef = o.intrinsicUpper(in.Callee)
+				fx.upperMod, fx.upperRef = o.intrinsicUpper(in.Callee())
 			}
 		}
 	}
@@ -253,7 +253,7 @@ func (t *tracer) trace(r ir.Reg, depth int) (set ir.TagSet, definite, known bool
 		case ir.OpCopy:
 			return t.trace(in.A, depth+1)
 		case ir.OpAddrOf:
-			if in.Callee != "" || in.Tag == ir.TagInvalid {
+			if in.Callee() != "" || in.Tag == ir.TagInvalid {
 				return ir.TagSet{}, false, false
 			}
 			return ir.NewTagSet(in.Tag), true, true
@@ -279,7 +279,7 @@ func (t *tracer) trace(r ir.Reg, depth int) (set ir.TagSet, definite, known bool
 		// bound, but no single tag is provable.
 		var u ir.TagSet
 		for _, in := range ds {
-			if in.Op != ir.OpAddrOf || in.Callee != "" || in.Tag == ir.TagInvalid {
+			if in.Op != ir.OpAddrOf || in.Callee() != "" || in.Tag == ir.TagInvalid {
 				return ir.TagSet{}, false, false
 			}
 			u.Add(in.Tag)

@@ -131,9 +131,8 @@ func TestSeededForgedCallSummary(t *testing.T) {
 	for _, b := range main.Blocks {
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
-			if in.Op == ir.OpJsr && in.Callee == "bump" {
-				in.Mods = ir.TagSet{}
-				in.Refs = ir.TagSet{}
+			if in.Op == ir.OpJsr && in.Callee() == "bump" {
+				in.SetEffects(ir.TagSet{}, ir.TagSet{})
 				callBlock, callIndex = b.Label, i
 			}
 		}
@@ -175,7 +174,7 @@ func TestSeededInterferingStore(t *testing.T) {
 	r := regionFor(t, regions, "main", total)
 
 	b := r.Body[0]
-	store := ir.Instr{Op: ir.OpSStore, Tag: r.Tag, A: r.PromotedReg, Size: r.Size}
+	store := ir.Instr{Op: ir.OpSStore, Tag: r.Tag, A: r.PromotedReg, Size: int32(r.Size)}
 	b.Instrs = append([]ir.Instr{store}, b.Instrs...)
 
 	sum := certify.Verify(m, regions)

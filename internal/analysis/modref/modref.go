@@ -116,11 +116,11 @@ func Analyze(m *ir.Module, cg *callgraph.Graph, store *cache.Store) *Result {
 				case ir.OpSStore:
 					dm.Add(in.Tag)
 				case ir.OpPStore:
-					in.Tags.UnionInto(dm)
+					in.Tags().UnionInto(dm)
 				case ir.OpSLoad, ir.OpCLoad:
 					dr.Add(in.Tag)
 				case ir.OpPLoad:
-					in.Tags.UnionInto(dr)
+					in.Tags().UnionInto(dr)
 				}
 			}
 		}
@@ -197,8 +197,7 @@ func Analyze(m *ir.Module, cg *callgraph.Graph, store *cache.Store) *Result {
 					continue
 				}
 				mods, refs := r.callSiteEffects(m, cg, fn.Name, in)
-				in.Mods = mods
-				in.Refs = refs
+				in.SetEffects(mods, refs)
 			}
 		}
 	}
@@ -262,10 +261,10 @@ func limitPointerOps(m *ir.Module, r *Result) {
 				if in.Op != ir.OpPLoad && in.Op != ir.OpPStore {
 					continue
 				}
-				if in.Tags.IsTop() {
-					in.Tags = vis
+				if in.Tags().IsTop() {
+					in.SetTags(vis)
 				} else {
-					in.Tags = in.Tags.Intersect(vis)
+					in.SetTags(in.Tags().Intersect(vis))
 				}
 			}
 		}
@@ -300,8 +299,8 @@ func (r *Result) addCalleeEffects(m *ir.Module, cg *callgraph.Graph, caller stri
 			ir.TopSet().UnionInto(cr)
 		}
 	}
-	if in.Callee != "" {
-		add(in.Callee)
+	if in.Callee() != "" {
+		add(in.Callee())
 		return
 	}
 	for _, t := range indirectTargets(m, in) {
@@ -313,8 +312,8 @@ func (r *Result) addCalleeEffects(m *ir.Module, cg *callgraph.Graph, caller stri
 // the points-to-refined set when available, else every addressed
 // function.
 func indirectTargets(m *ir.Module, in *ir.Instr) []string {
-	if in.Targets != nil {
-		return in.Targets
+	if in.Targets() != nil {
+		return in.Targets()
 	}
 	return m.AddressedFuncs
 }
@@ -322,8 +321,8 @@ func indirectTargets(m *ir.Module, in *ir.Instr) []string {
 // callSiteEffects computes the final Mods/Refs for a call site once
 // all summaries exist.
 func (r *Result) callSiteEffects(m *ir.Module, cg *callgraph.Graph, caller string, in *ir.Instr) (ir.TagSet, ir.TagSet) {
-	if in.Callee != "" {
-		mods, refs, ok := r.resolved(m, cg, caller, in.Callee)
+	if in.Callee() != "" {
+		mods, refs, ok := r.resolved(m, cg, caller, in.Callee())
 		if !ok {
 			return ir.TopSet(), ir.TopSet()
 		}

@@ -73,10 +73,10 @@ void caller(void) { writer(); }
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
 			if in.Op == ir.OpJsr {
-				if !in.Mods.Has(gTag) {
+				if !in.Mods().Has(gTag) {
 					t.Fatal("jsr must carry mod g")
 				}
-				if in.Mods.Has(hTag) {
+				if in.Mods().Has(hTag) {
 					t.Fatal("jsr must not carry mod h")
 				}
 			}
@@ -98,13 +98,13 @@ int main(void) { return probe(&exposed) + hidden; }
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
 			if in.Op == ir.OpPLoad {
-				if in.Tags.IsTop() {
+				if in.Tags().IsTop() {
 					t.Fatal("tag set should have been limited")
 				}
-				if !in.Tags.Has(exposedTag) {
+				if !in.Tags().Has(exposedTag) {
 					t.Fatal("must include the addressed global")
 				}
-				if in.Tags.Has(hiddenTag) {
+				if in.Tags().Has(hiddenTag) {
 					t.Fatal("must exclude the unaddressed global")
 				}
 			}
@@ -138,7 +138,7 @@ int main(void) { int y; y = 1; return owner() + unrelated(&y); }
 		for i := range b.Instrs {
 			if b.Instrs[i].Op == ir.OpPLoad {
 				seen = true
-				if !b.Instrs[i].Tags.Has(xTag) {
+				if !b.Instrs[i].Tags().Has(xTag) {
 					t.Fatal("x must be visible in sink")
 				}
 			}
@@ -150,7 +150,7 @@ int main(void) { int y; y = 1; return owner() + unrelated(&y); }
 	// unrelated is not called from owner: x invisible there.
 	for _, b := range m.Funcs["unrelated"].Blocks {
 		for i := range b.Instrs {
-			if b.Instrs[i].Op == ir.OpPLoad && b.Instrs[i].Tags.Has(xTag) {
+			if b.Instrs[i].Op == ir.OpPLoad && b.Instrs[i].Tags().Has(xTag) {
 				t.Fatal("x must not be visible in unrelated")
 			}
 		}
@@ -209,11 +209,11 @@ void f(void) {
 	for _, b := range m.Funcs["f"].Blocks {
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
-			if in.Op == ir.OpJsr && in.Callee == "print_int" {
-				if in.Mods.Has(gTag) || in.Refs.Has(gTag) {
+			if in.Op == ir.OpJsr && in.Callee() == "print_int" {
+				if in.Mods().Has(gTag) || in.Refs().Has(gTag) {
 					t.Fatal("print_int must not touch g")
 				}
-				if in.Mods.IsTop() || in.Refs.IsTop() {
+				if in.Mods().IsTop() || in.Refs().IsTop() {
 					t.Fatal("print_int must have precise effects")
 				}
 			}

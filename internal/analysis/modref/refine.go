@@ -39,12 +39,12 @@ func RefineMemOps(m *ir.Module) int {
 }
 
 func refinable(m *ir.Module, fn *ir.Func, in *ir.Instr) (ir.TagID, bool) {
-	tag, ok := in.Tags.Singleton()
+	tag, ok := in.Tags().Singleton()
 	if !ok {
 		return ir.TagInvalid, false
 	}
 	t := m.Tags.Get(tag)
-	if !t.Strong || t.Elem != in.Size || t.Size != in.Size {
+	if !t.Strong || t.Elem != int(in.Size) || t.Size != int(in.Size) {
 		return ir.TagInvalid, false
 	}
 	// Scalar operations resolve locals in the executing function's

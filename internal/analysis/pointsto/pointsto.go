@@ -201,9 +201,9 @@ func replay(m *ir.Module, e *cache.PointsToEntry) {
 		for _, op := range fe.Ops {
 			in := &fn.Blocks[op.Block].Instrs[op.Index]
 			if op.Targets != nil {
-				in.Targets = append([]string(nil), op.Targets...)
+				in.SetTargets(append([]string(nil), op.Targets...))
 			} else {
-				in.Tags = op.Tags.Clone()
+				in.SetTags(op.Tags.Clone())
 			}
 		}
 	}
@@ -342,8 +342,8 @@ func (s *solver) extract() (copies, complex []pair) {
 				in := &b.Instrs[j]
 				switch in.Op {
 				case ir.OpAddrOf:
-					if in.Callee != "" {
-						s.addFunc(s.reg(fid, in.Dst), s.cg.ID(in.Callee))
+					if in.Callee() != "" {
+						s.addFunc(s.reg(fid, in.Dst), s.cg.ID(in.Callee()))
 					} else {
 						s.addTag(s.reg(fid, in.Dst), in.Tag)
 					}
@@ -363,13 +363,13 @@ func (s *solver) extract() (copies, complex []pair) {
 				case ir.OpPStore:
 					complex = append(complex, pair{s.reg(fid, in.A), s.reg(fid, in.B)<<2 | cxStore})
 				case ir.OpJsr:
-					if in.Callee == "" {
+					if in.Callee() == "" {
 						complex = append(complex, pair{s.reg(fid, in.A), int32(len(s.calls))<<2 | cxCall})
 						s.calls = append(s.calls, indirectCall{fid: fid, in: in})
-					} else if cid := s.cg.ID(in.Callee); cid != callgraph.FuncInvalid {
+					} else if cid := s.cg.ID(in.Callee()); cid != callgraph.FuncInvalid {
 						s.bind(fid, in, cid, static)
 					} else {
-						s.intrinsic(fid, in.Callee, in)
+						s.intrinsic(fid, in.Callee(), in)
 					}
 				case ir.OpRet:
 					if in.HasValue && in.A != ir.RegInvalid {
@@ -404,7 +404,7 @@ func csr(n int, ps []pair) (off, to []int32) {
 // parameters and the callee's return value into the call's result.
 func (s *solver) bind(caller callgraph.FuncID, in *ir.Instr, callee callgraph.FuncID, edge func(src, dst int32)) {
 	params := s.funcs[callee].Params
-	for i, arg := range in.Args {
+	for i, arg := range in.Args() {
 		if i >= len(params) {
 			break
 		}
@@ -418,8 +418,8 @@ func (s *solver) bind(caller callgraph.FuncID, in *ir.Instr, callee callgraph.Fu
 // intrinsic models a call to an undefined function: malloc returns
 // its allocation site; nothing else carries pointers.
 func (s *solver) intrinsic(caller callgraph.FuncID, name string, in *ir.Instr) {
-	if name == "malloc" && in.Site != ir.TagInvalid && in.Dst != ir.RegInvalid {
-		s.addTag(s.reg(caller, in.Dst), in.Site)
+	if name == "malloc" && in.Site() != ir.TagInvalid && in.Dst != ir.RegInvalid {
+		s.addTag(s.reg(caller, in.Dst), in.Site())
 	}
 }
 
@@ -632,18 +632,18 @@ func (s *solver) narrow() []cache.FuncNarrowing {
 					if pts.IsEmpty() {
 						continue
 					}
-					if in.Tags.IsTop() {
-						in.Tags = pts
+					if in.Tags().IsTop() {
+						in.SetTags(pts)
 					} else {
-						in.Tags = in.Tags.Intersect(pts)
+						in.SetTags(in.Tags().Intersect(pts))
 					}
-					fnRec.Ops = append(fnRec.Ops, cache.NarrowOp{Block: bi, Index: j, Tags: in.Tags.Clone()})
+					fnRec.Ops = append(fnRec.Ops, cache.NarrowOp{Block: bi, Index: j, Tags: in.Tags().Clone()})
 				case ir.OpJsr:
-					if in.Callee != "" {
+					if in.Callee() != "" {
 						continue
 					}
 					if ts := s.targetNames(s.reg(fid, in.A)); ts != nil {
-						in.Targets = ts
+						in.SetTargets(ts)
 						fnRec.Ops = append(fnRec.Ops, cache.NarrowOp{Block: bi, Index: j, Targets: append([]string(nil), ts...)})
 					}
 				}

@@ -49,7 +49,7 @@ func opTags(m *ir.Module, fn string) []ir.TagSet {
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
 			if in.Op == ir.OpPLoad || in.Op == ir.OpPStore {
-				out = append(out, in.Tags)
+				out = append(out, in.Tags())
 			}
 		}
 	}
@@ -158,16 +158,16 @@ int main(void) { return run(fa) + run(fb) + fc(); }
 	for _, b := range m.Funcs["run"].Blocks {
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
-			if in.Op == ir.OpJsr && in.Callee == "" {
-				if in.Targets == nil {
+			if in.Op == ir.OpJsr && in.Callee() == "" {
+				if in.Targets() == nil {
 					t.Fatal("indirect call should have pinned targets")
 				}
 				got := map[string]bool{}
-				for _, x := range in.Targets {
+				for _, x := range in.Targets() {
 					got[x] = true
 				}
 				if !got["fa"] || !got["fb"] || got["fc"] {
-					t.Fatalf("targets = %v", in.Targets)
+					t.Fatalf("targets = %v", in.Targets())
 				}
 			}
 		}
@@ -246,10 +246,10 @@ int main(void) {
 				if owner == ir.TagInvalid {
 					return // stack scratch outside any tag
 				}
-				if !in.Tags.Has(owner) {
+				if !in.Tags().Has(owner) {
 					violations++
 					t.Errorf("%s: %s touched tag %s outside its set %s",
-						fn, in.Op, m.Tags.Get(owner).Name, in.Tags.Format(&m.Tags))
+						fn, in.Op, m.Tags.Get(owner).Name, in.Tags().Format(&m.Tags))
 				}
 			},
 		})
@@ -287,7 +287,7 @@ int main(void) {
 			for i := range b.Instrs {
 				in := &b.Instrs[i]
 				if in.Op == ir.OpPLoad || in.Op == ir.OpPStore {
-					before[in] = in.Tags
+					before[in] = in.Tags()
 					order = append(order, in)
 				}
 			}
@@ -295,9 +295,9 @@ int main(void) {
 	}
 	Run(m1, cg1)
 	for _, in := range order {
-		if !in.Tags.SubsetOf(before[in]) {
+		if !in.Tags().SubsetOf(before[in]) {
 			t.Fatalf("points-to grew a tag set: %s -> %s",
-				before[in].Format(&m1.Tags), in.Tags.Format(&m1.Tags))
+				before[in].Format(&m1.Tags), in.Tags().Format(&m1.Tags))
 		}
 	}
 }

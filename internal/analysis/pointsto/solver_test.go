@@ -91,9 +91,9 @@ func openConstraints(m *ir.Module, s *solver) int {
 				in := &b.Instrs[j]
 				switch in.Op {
 				case ir.OpAddrOf:
-					if in.Callee == "" {
+					if in.Callee() == "" {
 						hasTag(reg(in.Dst), in.Tag)
-					} else if !slices.Contains(s.targetNames(reg(in.Dst)), in.Callee) {
+					} else if !slices.Contains(s.targetNames(reg(in.Dst)), in.Callee()) {
 						open++
 					}
 				case ir.OpCopy:
@@ -110,8 +110,8 @@ func openConstraints(m *ir.Module, s *solver) int {
 				case ir.OpPStore:
 					s.tagSet(reg(in.A)).ForEach(func(t ir.TagID) { flows(reg(in.B), s.tagBase+int32(t)) })
 				case ir.OpJsr:
-					callees := []string{in.Callee}
-					if in.Callee == "" {
+					callees := []string{in.Callee()}
+					if in.Callee() == "" {
 						if callees = s.targetNames(reg(in.A)); callees == nil {
 							callees = m.AddressedFuncs
 						}
@@ -119,13 +119,13 @@ func openConstraints(m *ir.Module, s *solver) int {
 					for _, name := range callees {
 						cid := s.cg.ID(name)
 						if cid == callgraph.FuncInvalid {
-							if name == "malloc" && in.Site != ir.TagInvalid && in.Dst != ir.RegInvalid {
-								hasTag(reg(in.Dst), in.Site)
+							if name == "malloc" && in.Site() != ir.TagInvalid && in.Dst != ir.RegInvalid {
+								hasTag(reg(in.Dst), in.Site())
 							}
 							continue
 						}
 						params := s.funcs[cid].Params
-						for k, arg := range in.Args {
+						for k, arg := range in.Args() {
 							if k < len(params) {
 								flows(reg(arg), s.reg(cid, params[k]))
 							}

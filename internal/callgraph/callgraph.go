@@ -111,14 +111,14 @@ func Build(mod *ir.Module) *Graph {
 				if in.Op != ir.OpJsr {
 					continue
 				}
-				if in.Callee != "" {
-					addCallee(in.Callee)
+				if in.Callee() != "" {
+					addCallee(in.Callee())
 					continue
 				}
 				g.HasIndirect[fn.Name] = true
 				// Points-to analysis may have pinned the possible
 				// targets; otherwise any addressed function.
-				targets := in.Targets
+				targets := in.Targets()
 				if targets == nil {
 					targets = mod.AddressedFuncs
 				}

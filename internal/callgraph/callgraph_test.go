@@ -120,8 +120,8 @@ int main(void) { run(fa); run(fb); return 0; }
 	// Simulate points-to pinning the indirect call to fa only.
 	for _, b := range m.Funcs["run"].Blocks {
 		for i := range b.Instrs {
-			if b.Instrs[i].Op == ir.OpJsr && b.Instrs[i].Callee == "" {
-				b.Instrs[i].Targets = []string{"fa"}
+			if b.Instrs[i].Op == ir.OpJsr && b.Instrs[i].Callee() == "" {
+				b.Instrs[i].SetTargets([]string{"fa"})
 			}
 		}
 	}

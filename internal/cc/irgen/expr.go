@@ -51,9 +51,9 @@ func (g *generator) load(lv lvalue) ir.Reg {
 	case lvReg:
 		return lv.reg
 	case lvTag:
-		return g.emitTo(ir.Instr{Op: ir.OpSLoad, Tag: lv.tag, Size: lv.typ.Size()})
+		return g.emitTo(ir.Instr{Op: ir.OpSLoad, Tag: lv.tag, Size: int32(lv.typ.Size())})
 	default:
-		return g.emitTo(ir.Instr{Op: ir.OpPLoad, A: lv.reg, Tags: lv.tags, Size: lv.typ.Size()})
+		return g.emitTo(ir.Instr{Op: ir.OpPLoad, A: lv.reg, Size: int32(lv.typ.Size())}.WithAux(ir.Aux{Tags: lv.tags}))
 	}
 }
 
@@ -63,9 +63,9 @@ func (g *generator) store(lv lvalue, v ir.Reg) {
 	case lvReg:
 		g.emit(ir.Instr{Op: ir.OpCopy, Dst: lv.reg, A: v})
 	case lvTag:
-		g.emit(ir.Instr{Op: ir.OpSStore, Tag: lv.tag, A: v, Size: lv.typ.Size()})
+		g.emit(ir.Instr{Op: ir.OpSStore, Tag: lv.tag, A: v, Size: int32(lv.typ.Size())})
 	default:
-		g.emit(ir.Instr{Op: ir.OpPStore, A: lv.reg, B: v, Tags: lv.tags, Size: lv.typ.Size()})
+		g.emit(ir.Instr{Op: ir.OpPStore, A: lv.reg, B: v, Size: int32(lv.typ.Size())}.WithAux(ir.Aux{Tags: lv.tags}))
 	}
 }
 
@@ -217,7 +217,7 @@ func (g *generator) genExpr(e ast.Expr) (ir.Reg, error) {
 		return g.loadImm(n.Value), nil
 
 	case *ast.FloatLit:
-		return g.emitTo(ir.Instr{Op: ir.OpLoadF, FImm: n.Value}), nil
+		return g.emitTo(ir.Instr{Op: ir.OpLoadF, Imm: ir.FloatImm(n.Value)}), nil
 
 	case *ast.StringLit:
 		return g.emitTo(ir.Instr{Op: ir.OpAddrOf, Tag: g.strTags[n.Index]}), nil
@@ -227,7 +227,7 @@ func (g *generator) genExpr(e ast.Expr) (ir.Reg, error) {
 		case ast.SymEnumConst:
 			return g.loadImm(n.Sym.EnumValue), nil
 		case ast.SymFunc:
-			return g.emitTo(ir.Instr{Op: ir.OpAddrOf, Callee: n.Sym.Name}), nil
+			return g.emitTo(ir.Instr{Op: ir.OpAddrOf}.WithAux(ir.Aux{Callee: n.Sym.Name})), nil
 		}
 		if n.Type().Kind == types.Array || n.Type().Kind == types.Struct {
 			lv := g.varLValue(n.Sym)
@@ -312,7 +312,7 @@ func (g *generator) genExpr(e ast.Expr) (ir.Reg, error) {
 // the type is floating.
 func (g *generator) stepFor(t *types.Type) (ir.Reg, bool) {
 	if t.Kind == types.Double {
-		return g.emitTo(ir.Instr{Op: ir.OpLoadF, FImm: 1}), true
+		return g.emitTo(ir.Instr{Op: ir.OpLoadF, Imm: ir.FloatImm(1)}), true
 	}
 	if t.Kind == types.Pointer {
 		return g.loadImm(int64(t.Elem.Size())), false
@@ -351,7 +351,7 @@ func (g *generator) genUnary(n *ast.Unary) (ir.Reg, error) {
 			if err != nil {
 				return ir.RegInvalid, err
 			}
-			z := g.emitTo(ir.Instr{Op: ir.OpLoadF, FImm: 0})
+			z := g.emitTo(ir.Instr{Op: ir.OpLoadF, Imm: ir.FloatImm(0)})
 			return g.emitTo(ir.Instr{Op: ir.OpFCmpEQ, A: v, B: z}), nil
 		}
 		v, err := g.genExpr(n.X)
@@ -377,7 +377,7 @@ func (g *generator) genUnary(n *ast.Unary) (ir.Reg, error) {
 
 	case token.And:
 		if id, ok := n.X.(*ast.Ident); ok && id.Sym.Kind == ast.SymFunc {
-			return g.emitTo(ir.Instr{Op: ir.OpAddrOf, Callee: id.Sym.Name}), nil
+			return g.emitTo(ir.Instr{Op: ir.OpAddrOf}.WithAux(ir.Aux{Callee: id.Sym.Name})), nil
 		}
 		lv, err := g.genLValue(n.X)
 		if err != nil {
@@ -579,7 +579,7 @@ func (g *generator) genTruth(e ast.Expr) (ir.Reg, error) {
 		return ir.RegInvalid, err
 	}
 	if t.Kind == types.Double {
-		z := g.emitTo(ir.Instr{Op: ir.OpLoadF, FImm: 0})
+		z := g.emitTo(ir.Instr{Op: ir.OpLoadF, Imm: ir.FloatImm(0)})
 		return g.emitTo(ir.Instr{Op: ir.OpFCmpNE, A: v, B: z}), nil
 	}
 	z := g.loadImm(0)
@@ -722,23 +722,22 @@ func (g *generator) genCall(n *ast.Call) (ir.Reg, error) {
 		args[i] = v
 	}
 
-	in := ir.Instr{
-		Op:     ir.OpJsr,
-		Callee: callee,
-		A:      fnReg,
-		Args:   args,
-		Mods:   ir.TopSet(),
-		Refs:   ir.TopSet(),
-		Site:   ir.TagInvalid,
-	}
+	site := ir.TagInvalid
 	if callee == "malloc" {
 		// Each allocation call site names its storage (§4).
 		tag := g.mod.Tags.NewTag(
 			g.fd.Name+".heap#"+itoa(g.heapN), ir.TagHeap, g.fd.Name, 0, 0)
 		tag.AddrTaken = true
 		g.heapN++
-		in.Site = tag.ID
+		site = tag.ID
 	}
+	in := ir.Instr{Op: ir.OpJsr, A: fnReg}.WithAux(ir.Aux{
+		Callee: callee,
+		Args:   args,
+		Mods:   ir.TopSet(),
+		Refs:   ir.TopSet(),
+		Site:   site,
+	})
 	if sig.Elem.Kind != types.Void {
 		in.HasValue = true
 		in.Dst = g.fn.NewReg()

@@ -26,7 +26,7 @@ func (g *generator) genFunc(fd *ast.FuncDecl) error {
 		fn.Params = append(fn.Params, r)
 		if p.Sym.AddrTaken {
 			tag := g.newLocalTag(p.Sym)
-			g.emit(ir.Instr{Op: ir.OpSStore, Tag: tag, A: r, Size: p.Type.Size()})
+			g.emit(ir.Instr{Op: ir.OpSStore, Tag: tag, A: r, Size: int32(p.Type.Size())})
 		} else {
 			g.symRegs[p.Sym] = r
 		}
@@ -242,7 +242,7 @@ func (g *generator) genInitElem(base ir.Reg, tags ir.TagSet, t *types.Type, e as
 	var v ir.Reg
 	if e == nil {
 		if t.Kind == types.Double {
-			v = g.emitTo(ir.Instr{Op: ir.OpLoadF, FImm: 0})
+			v = g.emitTo(ir.Instr{Op: ir.OpLoadF, Imm: ir.FloatImm(0)})
 		} else {
 			v = g.loadImm(0)
 		}
@@ -258,7 +258,7 @@ func (g *generator) genInitElem(base ir.Reg, tags ir.TagSet, t *types.Type, e as
 		o := g.loadImm(off)
 		addr = g.emitTo(ir.Instr{Op: ir.OpAdd, A: base, B: o})
 	}
-	g.emit(ir.Instr{Op: ir.OpPStore, A: addr, B: v, Tags: tags, Size: t.Size()})
+	g.emit(ir.Instr{Op: ir.OpPStore, A: addr, B: v, Size: int32(t.Size())}.WithAux(ir.Aux{Tags: tags}))
 	return nil
 }
 

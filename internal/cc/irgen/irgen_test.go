@@ -137,8 +137,8 @@ int f(int *p) { return *p; }
 		for i := range b.Instrs {
 			if b.Instrs[i].Op == ir.OpPLoad {
 				sawPLoad = true
-				if !b.Instrs[i].Tags.IsTop() {
-					t.Fatalf("pointer deref should start with top tag set, got %s", b.Instrs[i].Tags)
+				if !b.Instrs[i].Tags().IsTop() {
+					t.Fatalf("pointer deref should start with top tag set, got %s", b.Instrs[i].Tags())
 				}
 			}
 		}
@@ -157,9 +157,9 @@ int f(int i) { return a[i]; }
 	for _, b := range f.Blocks {
 		for i := range b.Instrs {
 			if b.Instrs[i].Op == ir.OpPLoad {
-				tag, ok := b.Instrs[i].Tags.Singleton()
+				tag, ok := b.Instrs[i].Tags().Singleton()
 				if !ok {
-					t.Fatalf("array load should have singleton tag set, got %s", b.Instrs[i].Tags)
+					t.Fatalf("array load should have singleton tag set, got %s", b.Instrs[i].Tags())
 				}
 				if mod.Tags.Get(tag).Name != "a" {
 					t.Fatalf("wrong tag %s", mod.Tags.Get(tag).Name)
@@ -264,7 +264,7 @@ int main(void) { return apply(inc, 1) + apply(dbl, 2); }
 	found := false
 	for _, b := range apply.Blocks {
 		for i := range b.Instrs {
-			if b.Instrs[i].Op == ir.OpJsr && b.Instrs[i].Callee == "" {
+			if b.Instrs[i].Op == ir.OpJsr && b.Instrs[i].Callee() == "" {
 				found = true
 			}
 		}

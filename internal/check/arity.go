@@ -35,10 +35,10 @@ func runArity(c *Context) []Diag {
 				}
 				switch in.Op {
 				case ir.OpJsr:
-					if in.Callee != "" {
-						checkCallee(m, in, in.Callee, false, diag)
+					if in.Callee() != "" {
+						checkCallee(m, in, in.Callee(), false, diag)
 					} else {
-						for _, t := range in.Targets {
+						for _, t := range in.Targets() {
 							if !addressed[t] {
 								diag("indirect call target %q is never address-taken", t)
 							}
@@ -46,13 +46,14 @@ func runArity(c *Context) []Diag {
 						}
 					}
 				case ir.OpAddrOf:
-					if in.Callee == "" {
+					callee := in.Callee()
+					if callee == "" {
 						break
 					}
-					if _, ok := m.Funcs[in.Callee]; !ok {
-						diag("address of undefined function %q", in.Callee)
-					} else if !addressed[in.Callee] {
-						diag("%q has its address taken but is missing from AddressedFuncs", in.Callee)
+					if _, ok := m.Funcs[callee]; !ok {
+						diag("address of undefined function %q", callee)
+					} else if !addressed[callee] {
+						diag("%q has its address taken but is missing from AddressedFuncs", callee)
 					}
 				}
 			}
@@ -68,9 +69,10 @@ func checkCallee(m *ir.Module, in *ir.Instr, name string, indirect bool, diag fu
 	if indirect {
 		kind = "indirect call target"
 	}
+	nargs := len(in.Args())
 	if callee, ok := m.Funcs[name]; ok {
-		if len(in.Args) != len(callee.Params) {
-			diag("%s %q with %d args, want %d", kind, name, len(in.Args), len(callee.Params))
+		if nargs != len(callee.Params) {
+			diag("%s %q with %d args, want %d", kind, name, nargs, len(callee.Params))
 		}
 		if in.HasValue && !callee.HasVarRet {
 			diag("%s %q uses a result, but the function returns none", kind, name)
@@ -78,8 +80,8 @@ func checkCallee(m *ir.Module, in *ir.Instr, name string, indirect bool, diag fu
 		return
 	}
 	if arity, returns, ok := modref.IntrinsicSignature(name); ok {
-		if len(in.Args) != arity {
-			diag("%s intrinsic %q with %d args, want %d", kind, name, len(in.Args), arity)
+		if nargs != arity {
+			diag("%s intrinsic %q with %d args, want %d", kind, name, nargs, arity)
 		}
 		if in.HasValue && !returns {
 			diag("%s intrinsic %q uses a result, but it returns none", kind, name)

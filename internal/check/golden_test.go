@@ -140,7 +140,7 @@ func TestBadCallArity(t *testing.T) {
 		m.AddFunc(f)
 		// Call f() with no arguments; f wants one.
 		entry.Instrs = append(entry.Instrs,
-			ir.Instr{Op: ir.OpJsr, Callee: "f", Dst: ir.RegInvalid})
+			ir.Instr{Op: ir.OpJsr, Dst: ir.RegInvalid}.WithAux(ir.Aux{Callee: "f"}))
 	})
 	ds := runPass(t, "arity", &check.Context{Module: m})
 	wantDiag(t, ds, "arity", "with 0 args, want 1")
@@ -152,7 +152,7 @@ func TestBadIntrinsicArity(t *testing.T) {
 		entry.Instrs = append(entry.Instrs,
 			ir.Instr{Op: ir.OpLoadI, Dst: a, Imm: 1},
 			ir.Instr{Op: ir.OpLoadI, Dst: b, Imm: 2},
-			ir.Instr{Op: ir.OpJsr, Callee: "print_int", Args: []ir.Reg{a, b}, Dst: ir.RegInvalid})
+			ir.Instr{Op: ir.OpJsr, Dst: ir.RegInvalid}.WithAux(ir.Aux{Callee: "print_int", Args: []ir.Reg{a, b}}))
 	})
 	ds := runPass(t, "arity", &check.Context{Module: m})
 	wantDiag(t, ds, "arity", "with 2 args, want 1")
@@ -168,6 +168,44 @@ func TestInvalidTagRange(t *testing.T) {
 	})
 	ds := check.Module(&check.Context{Module: m})
 	wantDiag(t, ds, "verify", "tag")
+}
+
+// wantSideRecordDiag asserts that the only report on m is the
+// verifier's side-record diagnostic, anchored to main's entry block
+// at instruction index 1 with opcode op.
+func wantSideRecordDiag(t *testing.T, m *ir.Module, op ir.Op, msgPart string) {
+	t.Helper()
+	ds := check.Module(&check.Context{Module: m})
+	wantDiag(t, ds, "verify", msgPart)
+	d := ds[0]
+	if d.Block != m.Funcs["main"].Entry.Label || d.Index != 1 || d.Op != op {
+		t.Errorf("provenance = block %q index %d op %s, want %q/1/%s",
+			d.Block, d.Index, d.Op, m.Funcs["main"].Entry.Label, op)
+	}
+}
+
+func TestPointerLoadWithoutSideRecord(t *testing.T) {
+	// A pLoad's tag set lives in its side record; one without the
+	// record has lost its may-reference set.
+	m := mkMain(func(_ *ir.Module, fn *ir.Func, entry *ir.Block) {
+		a, r := fn.NewReg(), fn.NewReg()
+		entry.Instrs = append(entry.Instrs,
+			ir.Instr{Op: ir.OpLoadI, Dst: a, Imm: 0},
+			ir.Instr{Op: ir.OpPLoad, Dst: r, A: a, Size: 8})
+	})
+	wantSideRecordDiag(t, m, ir.OpPLoad, "missing side record")
+}
+
+func TestArithmeticWithSideRecord(t *testing.T) {
+	// Only calls, pointer memory ops and function addresses carry a
+	// side record; an add with one is malformed.
+	m := mkMain(func(_ *ir.Module, fn *ir.Func, entry *ir.Block) {
+		a, r := fn.NewReg(), fn.NewReg()
+		entry.Instrs = append(entry.Instrs,
+			ir.Instr{Op: ir.OpLoadI, Dst: a, Imm: 1},
+			ir.Instr{Op: ir.OpAdd, Dst: r, A: a, B: a}.WithAux(ir.Aux{Tags: ir.TopSet()}))
+	})
+	wantSideRecordDiag(t, m, ir.OpAdd, "unexpected side record")
 }
 
 func TestScalarAccessToHeapTag(t *testing.T) {
@@ -186,7 +224,7 @@ func TestTopSetSurvivesAnalysis(t *testing.T) {
 		a, r := fn.NewReg(), fn.NewReg()
 		entry.Instrs = append(entry.Instrs,
 			ir.Instr{Op: ir.OpLoadI, Dst: a, Imm: 0},
-			ir.Instr{Op: ir.OpPLoad, Dst: r, A: a, Size: 8, Tags: ir.TopSet()})
+			ir.Instr{Op: ir.OpPLoad, Dst: r, A: a, Size: 8}.WithAux(ir.Aux{Tags: ir.TopSet()}))
 	})
 	// Before analysis ⊤ is the legal conservative answer…
 	if ds := runPass(t, "tags", &check.Context{Module: m}); len(ds) != 0 {
@@ -237,7 +275,7 @@ func TestCallTouchingPromotedTag(t *testing.T) {
 		fb.Instrs = []ir.Instr{{Op: ir.OpRet, A: ir.RegInvalid}}
 		m.AddFunc(f)
 		entry.Instrs = append(entry.Instrs,
-			ir.Instr{Op: ir.OpJsr, Callee: "f", Dst: ir.RegInvalid, Mods: ir.NewTagSet(g.ID)})
+			ir.Instr{Op: ir.OpJsr, Dst: ir.RegInvalid}.WithAux(ir.Aux{Callee: "f", Mods: ir.NewTagSet(g.ID)}))
 		region = promote.Region{Func: "main", Tag: g.ID, Body: []*ir.Block{entry}}
 	})
 	ds := runPass(t, "promoted", &check.Context{Module: m, Regions: []promote.Region{region}})

@@ -62,9 +62,9 @@ func runPromoted(c *Context) []Diag {
 					case ir.OpSLoad, ir.OpCLoad, ir.OpSStore:
 						touches = rset.Has(in.Tag)
 					case ir.OpPLoad, ir.OpPStore:
-						touches = in.Tags.Intersects(rset)
+						touches = in.Tags().Intersects(rset)
 					case ir.OpJsr:
-						touches = in.Mods.Intersects(rset) || in.Refs.Intersects(rset)
+						touches = in.Mods().Intersects(rset) || in.Refs().Intersects(rset)
 					}
 					if !touches {
 						continue

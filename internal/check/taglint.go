@@ -59,7 +59,7 @@ func runTags(c *Context) []Diag {
 						diag("access to %s tag %q owned by %q", tag.Kind, tag.Name, tag.Func)
 					}
 				case ir.OpAddrOf:
-					if in.Callee != "" || !valid(in.Tag) {
+					if in.Callee() != "" || !valid(in.Tag) {
 						break
 					}
 					tag := tt.Get(in.Tag)
@@ -74,24 +74,24 @@ func runTags(c *Context) []Diag {
 					}
 				case ir.OpPLoad, ir.OpPStore:
 					if c.AnalysisDone {
-						if in.Tags.IsTop() {
+						if in.Tags().IsTop() {
 							diag("⊤ tag set survives interprocedural analysis")
-						} else if !in.Tags.SubsetOf(addrTaken) {
-							extra := in.Tags.Minus(addrTaken)
+						} else if !in.Tags().SubsetOf(addrTaken) {
+							extra := in.Tags().Minus(addrTaken)
 							diag("tag set includes storage whose address is never taken: %s", setNames(tt, extra))
 						}
 					}
-					checkSet("pointer tag set", in.Tags)
+					checkSet("pointer tag set", in.Tags())
 				case ir.OpJsr:
-					if in.Site != ir.TagInvalid {
-						if !valid(in.Site) {
-							diag("allocation site tag %d outside the TagTable", in.Site)
-						} else if k := tt.Get(in.Site).Kind; k != ir.TagHeap {
-							diag("allocation site carries %s tag %q, want heap", k, tt.Get(in.Site).Name)
+					if in.Site() != ir.TagInvalid {
+						if !valid(in.Site()) {
+							diag("allocation site tag %d outside the TagTable", in.Site())
+						} else if k := tt.Get(in.Site()).Kind; k != ir.TagHeap {
+							diag("allocation site carries %s tag %q, want heap", k, tt.Get(in.Site()).Name)
 						}
 					}
-					checkSet("MOD summary", in.Mods)
-					checkSet("REF summary", in.Refs)
+					checkSet("MOD summary", in.Mods())
+					checkSet("REF summary", in.Refs())
 				}
 			}
 		}

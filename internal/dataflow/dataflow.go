@@ -66,28 +66,29 @@ const (
 	Backward
 )
 
-// Worklist is a deduplicating priority worklist over dense item ids.
-// Items drain in ascending rank; pushing an item already queued is a
-// no-op, so each pending item is processed once per generation.
-type Worklist struct {
+// worklist is SolveBlocks' deduplicating priority worklist over dense
+// item ids. Items drain in ascending rank; pushing an item already
+// queued is a no-op, so each pending item is processed once per
+// generation.
+type worklist struct {
 	rank   []int // rank[id] = drain priority of item id
 	queued []bool
 	heap   workHeap
 	pushes int // enqueues that actually landed (dedup hits excluded)
 }
 
-// NewWorklist builds a worklist for items 0..len(rank)-1 where rank[i]
+// newWorklist builds a worklist for items 0..len(rank)-1 where rank[i]
 // gives item i's drain priority (lower drains first).
-func NewWorklist(rank []int) *Worklist {
-	return &Worklist{
+func newWorklist(rank []int) *worklist {
+	return &worklist{
 		rank:   rank,
 		queued: make([]bool, len(rank)),
 		heap:   make(workHeap, 0, len(rank)),
 	}
 }
 
-// Push queues id unless it is already pending.
-func (w *Worklist) Push(id int) {
+// push queues id unless it is already pending.
+func (w *worklist) push(id int) {
 	if w.queued[id] {
 		return
 	}
@@ -96,9 +97,9 @@ func (w *Worklist) Push(id int) {
 	heap.Push(&w.heap, workItem{id: id, rank: w.rank[id]})
 }
 
-// Pop removes and returns the pending item with the lowest rank;
+// pop removes and returns the pending item with the lowest rank;
 // ok is false when the worklist is empty.
-func (w *Worklist) Pop() (id int, ok bool) {
+func (w *worklist) pop() (id int, ok bool) {
 	if len(w.heap) == 0 {
 		return 0, false
 	}
@@ -106,9 +107,6 @@ func (w *Worklist) Pop() (id int, ok bool) {
 	w.queued[it.id] = false
 	return it.id, true
 }
-
-// Empty reports whether nothing is pending.
-func (w *Worklist) Empty() bool { return len(w.heap) == 0 }
 
 type workItem struct{ id, rank int }
 
@@ -145,9 +143,9 @@ func SolveBlocks(fn *ir.Func, dir Direction, transfer func(b *ir.Block) bool) in
 	for i, b := range order {
 		rank[b.ID] = i
 	}
-	w := NewWorklist(rank)
+	w := newWorklist(rank)
 	for _, b := range order {
-		w.Push(int(b.ID))
+		w.push(int(b.ID))
 	}
 	byID := make([]*ir.Block, len(fn.Blocks))
 	for _, b := range fn.Blocks {
@@ -155,7 +153,7 @@ func SolveBlocks(fn *ir.Func, dir Direction, transfer func(b *ir.Block) bool) in
 	}
 	steps := 0
 	for {
-		id, ok := w.Pop()
+		id, ok := w.pop()
 		if !ok {
 			if r := obs.Metrics(); r != nil {
 				r.Counter("dataflow.solves").Inc()
@@ -172,11 +170,11 @@ func SolveBlocks(fn *ir.Func, dir Direction, transfer func(b *ir.Block) bool) in
 		}
 		if dir == Forward {
 			for _, s := range b.Succs {
-				w.Push(int(s.ID))
+				w.push(int(s.ID))
 			}
 		} else {
 			for _, p := range b.Preds {
-				w.Push(int(p.ID))
+				w.push(int(p.ID))
 			}
 		}
 	}

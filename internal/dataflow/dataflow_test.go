@@ -77,13 +77,13 @@ func TestReversePostorderDiamondAndLoop(t *testing.T) {
 }
 
 func TestWorklistDedupAndRankOrder(t *testing.T) {
-	w := NewWorklist([]int{3, 0, 2, 1})
+	w := newWorklist([]int{3, 0, 2, 1})
 	for _, id := range []int{0, 2, 1, 2, 0, 3} { // duplicates on purpose
-		w.Push(id)
+		w.push(id)
 	}
 	var got []int
 	for {
-		id, ok := w.Pop()
+		id, ok := w.pop()
 		if !ok {
 			break
 		}
@@ -98,8 +98,10 @@ func TestWorklistDedupAndRankOrder(t *testing.T) {
 			t.Fatalf("popped %v, want %v", got, want)
 		}
 	}
-	if !w.Empty() {
-		t.Fatal("worklist must be empty after draining")
+	for id, q := range w.queued {
+		if q {
+			t.Fatalf("item %d still marked queued after draining", id)
+		}
 	}
 }
 

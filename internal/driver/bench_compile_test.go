@@ -74,3 +74,17 @@ func BenchmarkCompileScale(b *testing.B) {
 	b.Run("serial", func(b *testing.B) { compileScale(b, 1) })
 	b.Run("parallel", func(b *testing.B) { compileScale(b, 0) })
 }
+
+// BenchmarkParseScale measures the scale tier's front end alone —
+// lexing, parsing, semantic analysis and IL generation of the
+// 600-helper module (seed 1) — so -benchmem shows what irgen
+// allocates.
+func BenchmarkParseScale(b *testing.B) {
+	src := testgen.Scale(testgen.ScaleOptions{Seed: 1, Funcs: 600, Edit: -1})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := driver.ParseSource("scale.c", src); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -73,10 +73,8 @@ func (m *machine) execBlock(f *frame, b *ir.Block) (next *ir.Block, ret int64, d
 		case ir.OpNop:
 			// no effect
 
-		case ir.OpLoadI:
+		case ir.OpLoadI, ir.OpLoadF:
 			regs[in.Dst] = in.Imm
-		case ir.OpLoadF:
-			regs[in.Dst] = int64(math.Float64bits(in.FImm))
 		case ir.OpCopy:
 			m.counts.Copies++
 			regs[in.Dst] = regs[in.A]
@@ -166,7 +164,7 @@ func (m *machine) execBlock(f *frame, b *ir.Block) (next *ir.Block, ret int64, d
 			if err != nil {
 				return nil, 0, false, err
 			}
-			v, err := m.loadMem(f, addr, in.Size)
+			v, err := m.loadMem(f, addr, int(in.Size))
 			if err != nil {
 				return nil, 0, false, err
 			}
@@ -183,7 +181,7 @@ func (m *machine) execBlock(f *frame, b *ir.Block) (next *ir.Block, ret int64, d
 			if err != nil {
 				return nil, 0, false, err
 			}
-			if err := m.storeMem(f, addr, in.Size, regs[in.A]); err != nil {
+			if err := m.storeMem(f, addr, int(in.Size), regs[in.A]); err != nil {
 				return nil, 0, false, err
 			}
 		case ir.OpPLoad:
@@ -198,7 +196,7 @@ func (m *machine) execBlock(f *frame, b *ir.Block) (next *ir.Block, ret int64, d
 			if m.san != nil {
 				m.san.ptrAccess(f.fn.Name, in, m.ownerOf(addr), false)
 			}
-			v, err := m.loadMem(f, addr, in.Size)
+			v, err := m.loadMem(f, addr, int(in.Size))
 			if err != nil {
 				return nil, 0, false, err
 			}
@@ -215,15 +213,15 @@ func (m *machine) execBlock(f *frame, b *ir.Block) (next *ir.Block, ret int64, d
 			if m.san != nil {
 				m.san.ptrAccess(f.fn.Name, in, m.ownerOf(addr), true)
 			}
-			if err := m.storeMem(f, addr, in.Size, regs[in.B]); err != nil {
+			if err := m.storeMem(f, addr, int(in.Size), regs[in.B]); err != nil {
 				return nil, 0, false, err
 			}
 
 		case ir.OpAddrOf:
-			if in.Callee != "" {
-				idx := m.funcIndex(in.Callee)
+			if in.Callee() != "" {
+				idx := m.funcIndex(in.Callee())
 				if idx < 0 {
-					return nil, 0, false, &Error{Func: f.fn.Name, Msg: "address of undefined function " + in.Callee}
+					return nil, 0, false, &Error{Func: f.fn.Name, Msg: "address of undefined function " + in.Callee()}
 				}
 				regs[in.Dst] = funcBase + int64(idx)
 				break
@@ -274,7 +272,7 @@ func (m *machine) funcIndex(name string) int {
 }
 
 func (m *machine) execCall(f *frame, in *ir.Instr) (int64, error) {
-	name := in.Callee
+	name := in.Callee()
 	if name == "" {
 		addr := f.regs[in.A]
 		idx := addr - funcBase
@@ -283,8 +281,8 @@ func (m *machine) execCall(f *frame, in *ir.Instr) (int64, error) {
 		}
 		name = m.mod.FuncOrder[idx]
 	}
-	args := make([]int64, len(in.Args))
-	for i, a := range in.Args {
+	args := make([]int64, len(in.Args()))
+	for i, a := range in.Args() {
 		args[i] = f.regs[a]
 	}
 	if callee, ok := m.mod.Funcs[name]; ok {
@@ -348,8 +346,8 @@ func (m *machine) intrinsic(f *frame, name string, in *ir.Instr, args []int64) (
 			m.heap = append(m.heap, make([]byte, max(int(need)-len(m.heap), 4096))...)
 		}
 		m.heapTop = addr + n
-		if in.Site != ir.TagInvalid {
-			m.heapOwner = append(m.heapOwner, ownerRange{addr, addr + n, in.Site})
+		if in.Site() != ir.TagInvalid {
+			m.heapOwner = append(m.heapOwner, ownerRange{addr, addr + n, in.Site()})
 		}
 		return addr, nil
 	case "free":

@@ -604,11 +604,11 @@ func (m *machine) runFlat(p *Program, fi int, regs []int64) (ret int64, err erro
 				// Intrinsics never touch the step counters, so no
 				// settle/reload is needed around them.
 				args := m.argScratch[:0]
-				for _, a := range src.Args {
+				for _, a := range src.Args() {
 					args = append(args, regs[a])
 				}
 				m.argScratch = args[:0]
-				v, ierr := m.intrinsic(f, src.Callee, src, args)
+				v, ierr := m.intrinsic(f, src.Callee(), src, args)
 				if ierr != nil {
 					return 0, ierr
 				}
@@ -619,9 +619,10 @@ func (m *machine) runFlat(p *Program, fi int, regs []int64) (ret int64, err erro
 			}
 			callee := &p.funcs[target]
 			cregs := m.allocRegs(callee.numRegs)
+			args := src.Args()
 			for i, pr := range callee.src.Params {
-				if i < len(src.Args) {
-					cregs[pr] = regs[src.Args[i]]
+				if i < len(args) {
+					cregs[pr] = regs[args[i]]
 				}
 			}
 			// Settle the local counter so the callee budgets against

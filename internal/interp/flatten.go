@@ -2,7 +2,6 @@ package interp
 
 import (
 	"fmt"
-	"math"
 
 	"regpromo/internal/ir"
 )
@@ -312,10 +311,8 @@ func (p *Program) flattenFunc(fn *ir.Func, layout *frameLayout, gaddrs map[ir.Ta
 			case ir.OpNop:
 				fi.op = fNop
 
-			case ir.OpLoadI:
+			case ir.OpLoadI, ir.OpLoadF:
 				fi.op, fi.imm = fLoadI, in.Imm
-			case ir.OpLoadF:
-				fi.op, fi.imm = fLoadI, int64(math.Float64bits(in.FImm))
 
 			case ir.OpCLoad, ir.OpSLoad:
 				op, imm, ok := emitAddr(in, fLoadG, fLoadL)
@@ -354,10 +351,10 @@ func (p *Program) flattenFunc(fn *ir.Func, layout *frameLayout, gaddrs map[ir.Ta
 				fi.op, fi.sz = fPStore, uint8(in.Size)
 
 			case ir.OpAddrOf:
-				if in.Callee != "" {
-					idx, ok := fidx[in.Callee]
+				if in.Callee() != "" {
+					idx, ok := fidx[in.Callee()]
 					if !ok {
-						p.emitErr(in, "address of undefined function "+in.Callee)
+						p.emitErr(in, "address of undefined function "+in.Callee())
 						continue
 					}
 					fi.op, fi.imm = fLoadI, funcBase+int64(idx)
@@ -404,10 +401,10 @@ func (p *Program) flattenFunc(fn *ir.Func, layout *frameLayout, gaddrs map[ir.Ta
 					fi.dst = -1
 				}
 				switch {
-				case in.Callee == "":
+				case in.Callee() == "":
 					fi.imm = callIndirect
 				default:
-					if idx, ok := fidx[in.Callee]; ok {
+					if idx, ok := fidx[in.Callee()]; ok {
 						fi.imm = int64(idx)
 					} else {
 						fi.imm = callIntrinsic

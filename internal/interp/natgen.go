@@ -701,7 +701,7 @@ func (g *natgen) genFunc(fi int) {
 			if in.imm == callIndirect {
 				reg(in.a)
 			}
-			for _, a := range in.src.Args {
+			for _, a := range in.src.Args() {
 				reg(int32(a))
 			}
 		case fJEQ, fJNE, fJLT, fJLE, fJGT, fJGE,
@@ -1391,8 +1391,8 @@ func (g *natgen) genCall(in *flatInstr, fi int, s string) {
 	src := in.src
 
 	argReg := func(i int) string {
-		if i < len(src.Args) && src.Args[i] >= 0 {
-			return fmt.Sprintf("r%d", int32(src.Args[i]))
+		if args := src.Args(); i < len(args) && args[i] >= 0 {
+			return fmt.Sprintf("r%d", int32(args[i]))
 		}
 		return "0"
 	}
@@ -1408,7 +1408,7 @@ func (g *natgen) genCall(in *flatInstr, fi int, s string) {
 		if in.dst >= 0 {
 			zero = fmt.Sprintf("; r%d = 0", in.dst)
 		}
-		switch src.Callee {
+		switch src.Callee() {
 		case "print_int":
 			g.w("\t{ %s%sm.printInt(%s)%s }", s, g.count("calls"), argReg(0), zero)
 		case "print_char":
@@ -1426,14 +1426,14 @@ func (g *natgen) genCall(in *flatInstr, fi int, s string) {
 			}
 		default:
 			g.w("\t{ %s%spanic(rtErr{fname, %s}) }",
-				s, g.count("calls"), strconv.Quote("call to undefined function "+src.Callee))
+				s, g.count("calls"), strconv.Quote("call to undefined function "+src.Callee()))
 		}
 
 	case callIndirect:
 		args := "nil"
-		if len(src.Args) > 0 {
-			elems := make([]string, len(src.Args))
-			for i := range src.Args {
+		if len(src.Args()) > 0 {
+			elems := make([]string, len(src.Args()))
+			for i := range src.Args() {
 				elems[i] = argReg(i)
 			}
 			args = "[]int64{" + strings.Join(elems, ", ") + "}"

@@ -99,12 +99,12 @@ func (s *sanitizer) ptrAccess(fn string, src *ir.Instr, owner ir.TagID, store bo
 	if src.Synth || owner == ir.TagInvalid || s.skipTag(owner) {
 		return
 	}
-	if !src.Tags.IsTop() && !src.Tags.Has(owner) {
+	if !src.Tags().IsTop() && !src.Tags().Has(owner) {
 		k := sanKey{in: src, kind: 'p', tag: owner}
 		if !s.seen[k] {
 			s.seen[k] = true
 			s.report(src, fmt.Sprintf("access to %q outside the static points-to set %s",
-				s.mod.Tags.Get(owner).Name, src.Tags.Format(&s.mod.Tags)), "sanitize.ptr", fn)
+				s.mod.Tags.Get(owner).Name, src.Tags().Format(&s.mod.Tags)), "sanitize.ptr", fn)
 		}
 	}
 	if len(s.stack) == 0 {
@@ -132,8 +132,8 @@ func (s *sanitizer) popCall() {
 	n := len(s.stack) - 1
 	rec := s.stack[n]
 	s.stack = s.stack[:n]
-	s.diffSet(rec, rec.obsMod, rec.site.Mods, 'm', "modified", "MOD")
-	s.diffSet(rec, rec.obsRef, rec.site.Refs, 'r', "referenced", "REF")
+	s.diffSet(rec, rec.obsMod, rec.site.Mods(), 'm', "modified", "MOD")
+	s.diffSet(rec, rec.obsRef, rec.site.Refs(), 'r', "referenced", "REF")
 	if n > 0 {
 		parent := &s.stack[n-1]
 		rec.obsMod.UnionInto(&parent.obsMod)
@@ -149,7 +149,7 @@ func (s *sanitizer) diffSet(rec sanRecord, obs, static ir.TagSet, kind uint8, ve
 	if kind == 'r' {
 		check = "sanitize.ref"
 	}
-	callee := rec.site.Callee
+	callee := rec.site.Callee()
 	if callee == "" {
 		callee = "<indirect>"
 	}

@@ -33,7 +33,7 @@ func findCall(t *testing.T, m *ir.Module, callee string) (in *ir.Instr, block st
 	t.Helper()
 	for _, b := range m.Funcs["main"].Blocks {
 		for i := range b.Instrs {
-			if b.Instrs[i].Op == ir.OpJsr && b.Instrs[i].Callee == callee {
+			if b.Instrs[i].Op == ir.OpJsr && b.Instrs[i].Callee() == callee {
 				return &b.Instrs[i], b.Label, i
 			}
 		}
@@ -58,12 +58,12 @@ int main(void) { f(); return g; }
 	}
 	gid := findTag(t, c.Module, "g")
 	call, block, index := findCall(t, c.Module, "f")
-	if !call.Mods.Has(gid) {
-		t.Fatalf("MOD/REF analysis lost g at the call site; mods = %v", call.Mods)
+	if !call.Mods().Has(gid) {
+		t.Fatalf("MOD/REF analysis lost g at the call site; mods = %v", call.Mods())
 	}
 	// The seeded defect: an unsound analysis that "proved" f does not
 	// modify g.
-	call.Mods = call.Mods.Minus(ir.NewTagSet(gid))
+	call.SetEffects(call.Mods().Minus(ir.NewTagSet(gid)), call.Refs())
 
 	for _, engine := range engines() {
 		res, err := c.Execute(interp.Options{MaxSteps: 1 << 20, Engine: engine, Sanitize: true})
@@ -102,7 +102,7 @@ int main(void) { return f(); }
 	}
 	gid := findTag(t, c.Module, "g")
 	call, _, _ := findCall(t, c.Module, "f")
-	call.Refs = call.Refs.Minus(ir.NewTagSet(gid))
+	call.SetEffects(call.Mods(), call.Refs().Minus(ir.NewTagSet(gid)))
 
 	for _, engine := range engines() {
 		res, err := c.Execute(interp.Options{MaxSteps: 1 << 20, Engine: engine, Sanitize: true})
@@ -140,8 +140,8 @@ int main(void) {
 	for _, bb := range c.Module.Funcs["main"].Blocks {
 		for i := range bb.Instrs {
 			in := &bb.Instrs[i]
-			if in.Op == ir.OpPStore && in.Tags.Has(aid) {
-				in.Tags = ir.NewTagSet(bid)
+			if in.Op == ir.OpPStore && in.Tags().Has(aid) {
+				in.SetTags(ir.NewTagSet(bid))
 				pruned = true
 			}
 		}

@@ -3,7 +3,8 @@ package ir
 import "testing"
 
 // buildCloneFixture makes a two-function module with a loop edge,
-// a global initializer with a relocation, and a call.
+// a global initializer with a relocation, a direct and an indirect
+// call, a function address, and pointer memory ops.
 func buildCloneFixture() *Module {
 	m := NewModule()
 	g := m.Tags.NewTag("g", TagGlobal, "", 8, 8)
@@ -19,7 +20,7 @@ func buildCloneFixture() *Module {
 	callee.Entry = cb
 	m.AddFunc(callee)
 
-	fn := &Func{Name: "main", NumRegs: 3, HasVarRet: true}
+	fn := &Func{Name: "main", NumRegs: 5, HasVarRet: true}
 	local := m.Tags.NewTag("x", TagLocal, "main", 8, 8)
 	fn.Locals = append(fn.Locals, local.ID)
 	head := fn.NewBlock("")
@@ -30,8 +31,13 @@ func buildCloneFixture() *Module {
 		Instr{Op: OpCBr, A: 0},
 	)
 	body.Instrs = append(body.Instrs,
-		Instr{Op: OpJsr, Dst: 1, Callee: "callee", Args: []Reg{0}, HasValue: true},
+		Instr{Op: OpJsr, Dst: 1, HasValue: true}.WithAux(Aux{Callee: "callee", Args: []Reg{0}}),
 		Instr{Op: OpSStore, A: 1, Tag: local.ID, Size: 8},
+		Instr{Op: OpAddrOf, Dst: 2}.WithAux(Aux{Callee: "callee"}),
+		Instr{Op: OpJsr, A: 2, Dst: RegInvalid}.WithAux(Aux{Args: []Reg{1}, Targets: []string{"callee"}}),
+		Instr{Op: OpAddrOf, Dst: 3, Tag: local.ID},
+		Instr{Op: OpPStore, A: 3, B: 0, Size: 8}.WithAux(Aux{Tags: NewTagSet(local.ID)}),
+		Instr{Op: OpPLoad, Dst: 4, A: 3, Size: 8}.WithAux(Aux{Tags: NewTagSet(local.ID)}),
 		Instr{Op: OpBr},
 	)
 	exit.Instrs = append(exit.Instrs, Instr{Op: OpRet, A: 1, HasValue: true})
@@ -78,8 +84,8 @@ func TestModuleCloneIsDeepAndEqual(t *testing.T) {
 	if clone.Tags.Len() != orig.Tags.Len()+1 {
 		t.Fatalf("tag table shared: clone=%d orig=%d", clone.Tags.Len(), orig.Tags.Len())
 	}
-	cm.Blocks[1].Instrs[0].Args[0] = 99
-	if om.Blocks[1].Instrs[0].Args[0] == 99 {
+	cm.Blocks[1].Instrs[0].Args()[0] = 99
+	if om.Blocks[1].Instrs[0].Args()[0] == 99 {
 		t.Fatal("call Args shared between clone and original")
 	}
 	clone.Inits[0].Data[0] = 0xFF

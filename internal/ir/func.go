@@ -3,6 +3,7 @@ package ir
 import (
 	"fmt"
 	"strconv"
+	"sync/atomic"
 )
 
 // BlockID numbers a basic block within its function.
@@ -18,6 +19,10 @@ type Block struct {
 
 	// Label is a human-readable name for dumps ("B3", "B3.pad", …).
 	Label string
+
+	// mark is the reachability walk's visit stamp: the block was
+	// reached by the walk that drew that epoch.
+	mark uint64
 }
 
 // Terminator returns the block's final instruction, or nil for an
@@ -131,48 +136,79 @@ func AddEdge(p, s *Block) {
 	s.Preds = append(s.Preds, p)
 }
 
+// reachEpoch hands out the stamps reachability walks mark blocks with.
+// It is global, so a stamp never repeats, whatever function a block
+// was last walked in.
+var reachEpoch atomic.Uint64
+
 // ReachableBlocks returns the blocks reachable from the entry in
-// depth-first preorder.
+// depth-first preorder. It stamps the blocks it visits, so like a
+// mutation it must not run concurrently with other uses of f.
 func (f *Func) ReachableBlocks() []*Block {
-	seen := make(map[*Block]bool, len(f.Blocks))
-	var order []*Block
-	var walk func(b *Block)
-	walk = func(b *Block) {
-		if b == nil || seen[b] {
-			return
-		}
-		seen[b] = true
-		order = append(order, b)
-		for _, s := range b.Succs {
-			walk(s)
-		}
+	return f.markReachable(reachEpoch.Add(1))
+}
+
+// markReachable stamps every block reachable from the entry with epoch
+// and returns them in depth-first preorder, successors in edge order.
+func (f *Func) markReachable(epoch uint64) []*Block {
+	if f.Entry == nil {
+		return nil
 	}
-	walk(f.Entry)
+	type frame struct {
+		b    *Block
+		next int
+	}
+	order := make([]*Block, 1, len(f.Blocks))
+	order[0] = f.Entry
+	f.Entry.mark = epoch
+	stack := []frame{{b: f.Entry}}
+	for len(stack) > 0 {
+		top := &stack[len(stack)-1]
+		if top.next == len(top.b.Succs) {
+			stack = stack[:len(stack)-1]
+			continue
+		}
+		s := top.b.Succs[top.next]
+		top.next++
+		if s == nil || s.mark == epoch {
+			continue
+		}
+		s.mark = epoch
+		order = append(order, s)
+		stack = append(stack, frame{b: s})
+	}
 	return order
 }
 
 // RemoveUnreachable drops blocks not reachable from the entry and
 // fixes predecessor lists.
 func (f *Func) RemoveUnreachable() {
-	reach := make(map[*Block]bool, len(f.Blocks))
-	for _, b := range f.ReachableBlocks() {
-		reach[b] = true
-	}
-	var kept []*Block
+	epoch := reachEpoch.Add(1)
+	f.markReachable(epoch)
+	f.Blocks = keepMarked(f.Blocks, epoch)
 	for _, b := range f.Blocks {
-		if reach[b] {
-			kept = append(kept, b)
-			var preds []*Block
-			for _, p := range b.Preds {
-				if reach[p] {
-					preds = append(preds, p)
-				}
-			}
-			b.Preds = preds
-		}
+		b.Preds = keepMarked(b.Preds, epoch)
 	}
-	f.Blocks = kept
 	f.Renumber()
+}
+
+// keepMarked returns bs without the blocks not stamped with epoch. It
+// returns bs itself when nothing is dropped, so only lists that lose a
+// block are rebuilt.
+func keepMarked(bs []*Block, epoch uint64) []*Block {
+	for i, b := range bs {
+		if b.mark == epoch {
+			continue
+		}
+		kept := append([]*Block(nil), bs[:i]...)
+		for _, c := range bs[i+1:] {
+			if c.mark == epoch {
+				kept = append(kept, c)
+			}
+		}
+		return kept
+	}
+	return bs
 }
 
 // Reloc records that the 8 bytes at Offset within an initialized

@@ -2,6 +2,7 @@ package ir
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -23,8 +24,8 @@ func TestUsesAndDefPerOpcode(t *testing.T) {
 		{Instr{Op: OpCBr, A: 6}, []Reg{6}, RegInvalid},
 		{Instr{Op: OpRet, A: 7, HasValue: true}, []Reg{7}, RegInvalid},
 		{Instr{Op: OpRet, A: RegInvalid}, nil, RegInvalid},
-		{Instr{Op: OpJsr, Callee: "f", Args: []Reg{1, 2}, Dst: 3, HasValue: true}, []Reg{1, 2}, 3},
-		{Instr{Op: OpJsr, Callee: "", A: 9, Args: []Reg{1}, Dst: RegInvalid}, []Reg{9, 1}, RegInvalid},
+		{Instr{Op: OpJsr, Dst: 3, HasValue: true}.WithAux(Aux{Callee: "f", Args: []Reg{1, 2}}), []Reg{1, 2}, 3},
+		{Instr{Op: OpJsr, A: 9, Dst: RegInvalid}.WithAux(Aux{Callee: "", Args: []Reg{1}}), []Reg{9, 1}, RegInvalid},
 		{Instr{Op: OpAddrOf, Dst: 8, Tag: 0}, nil, 8},
 	}
 	for _, c := range cases {
@@ -44,7 +45,7 @@ func TestUsesAndDefPerOpcode(t *testing.T) {
 }
 
 func TestJsrWithoutValueHasNoDef(t *testing.T) {
-	in := Instr{Op: OpJsr, Callee: "f", Dst: 3, HasValue: false}
+	in := Instr{Op: OpJsr, Dst: 3, HasValue: false}.WithAux(Aux{Callee: "f"})
 	if in.Def() != RegInvalid {
 		t.Fatal("value-less call must not define a register")
 	}
@@ -69,18 +70,18 @@ func TestMapUsesHandlesOverlappingRenames(t *testing.T) {
 }
 
 func TestReplaceUses(t *testing.T) {
-	in := Instr{Op: OpJsr, Callee: "f", Args: []Reg{1, 2, 1}}
+	in := Instr{Op: OpJsr}.WithAux(Aux{Callee: "f", Args: []Reg{1, 2, 1}})
 	in.ReplaceUses(1, 9)
-	if in.Args[0] != 9 || in.Args[1] != 2 || in.Args[2] != 9 {
-		t.Fatalf("args = %v", in.Args)
+	if in.Args()[0] != 9 || in.Args()[1] != 2 || in.Args()[2] != 9 {
+		t.Fatalf("args = %v", in.Args())
 	}
 }
 
 func TestCloneIsDeep(t *testing.T) {
-	in := Instr{Op: OpJsr, Callee: "f", Args: []Reg{1, 2}}
+	in := Instr{Op: OpJsr}.WithAux(Aux{Callee: "f", Args: []Reg{1, 2}})
 	cp := in.Clone()
-	cp.Args[0] = 99
-	if in.Args[0] == 99 {
+	cp.Args()[0] = 99
+	if in.Args()[0] == 99 {
 		t.Fatal("clone shares Args with original")
 	}
 }
@@ -90,11 +91,11 @@ func TestMayReadWriteMem(t *testing.T) {
 	if !load.MayReadMem().Has(3) || !load.MayWriteMem().IsEmpty() {
 		t.Fatal("sLoad effects wrong")
 	}
-	store := Instr{Op: OpPStore, Tags: NewTagSet(1, 2)}
+	store := Instr{Op: OpPStore}.WithAux(Aux{Tags: NewTagSet(1, 2)})
 	if !store.MayWriteMem().Equal(NewTagSet(1, 2)) || !store.MayReadMem().IsEmpty() {
 		t.Fatal("pStore effects wrong")
 	}
-	call := Instr{Op: OpJsr, Mods: NewTagSet(1), Refs: NewTagSet(2)}
+	call := Instr{Op: OpJsr}.WithAux(Aux{Mods: NewTagSet(1), Refs: NewTagSet(2)})
 	if !call.MayWriteMem().Has(1) || !call.MayReadMem().Has(2) {
 		t.Fatal("call effects wrong")
 	}
@@ -168,7 +169,7 @@ func TestFormatInstr(t *testing.T) {
 	if got := FormatInstr(&in, &tt, nil); !strings.Contains(got, "[g]") {
 		t.Fatalf("format = %q", got)
 	}
-	call := Instr{Op: OpJsr, Callee: "f", Args: []Reg{1}, Mods: NewTagSet(g.ID), Refs: TagSet{}}
+	call := Instr{Op: OpJsr}.WithAux(Aux{Callee: "f", Args: []Reg{1}, Mods: NewTagSet(g.ID), Refs: TagSet{}})
 	if got := FormatInstr(&call, &tt, nil); !strings.Contains(got, "@f(r1)") || !strings.Contains(got, "mod [g]") {
 		t.Fatalf("call format = %q", got)
 	}
@@ -192,6 +193,74 @@ func TestRemoveUnreachable(t *testing.T) {
 	for _, p := range bb.Preds {
 		if p == dead {
 			t.Fatal("dead predecessor not pruned")
+		}
+	}
+}
+
+func TestReachableBlocksPreorder(t *testing.T) {
+	// entry → {left, right}, left → join, right → {join, left},
+	// join → entry: recursive preorder visits successors in edge
+	// order, so right's edge to the already-seen left is skipped.
+	fn := &Func{Name: "t"}
+	entry, left, right, join, dead := fn.NewBlock(""), fn.NewBlock(""), fn.NewBlock(""), fn.NewBlock(""), fn.NewBlock("")
+	fn.Entry = entry
+	AddEdge(entry, left)
+	AddEdge(entry, right)
+	AddEdge(left, join)
+	AddEdge(right, join)
+	AddEdge(right, left)
+	AddEdge(join, entry)
+	AddEdge(dead, join)
+	var got []string
+	for _, b := range fn.ReachableBlocks() {
+		got = append(got, b.Label)
+	}
+	if want := "B0 B1 B3 B2"; strings.Join(got, " ") != want {
+		t.Fatalf("preorder = %v, want %s", got, want)
+	}
+
+	// Only join lost a predecessor; every other list is left as is.
+	leftPreds := left.Preds
+	fn.RemoveUnreachable()
+	if len(fn.Blocks) != 4 || len(join.Preds) != 2 {
+		t.Fatalf("blocks = %d, join preds = %d; want 4 and 2", len(fn.Blocks), len(join.Preds))
+	}
+	if &left.Preds[0] != &leftPreds[0] {
+		t.Fatal("a predecessor list that lost nothing was rebuilt")
+	}
+}
+
+// TestRemoveUnreachableConcurrentFuncs: the parallel middle end prunes
+// different functions at once; their walks draw distinct epochs and
+// stamp only their own blocks.
+func TestRemoveUnreachableConcurrentFuncs(t *testing.T) {
+	const n = 8
+	fns := make([]*Func, n)
+	for i := range fns {
+		fn := &Func{Name: "t"}
+		a, live, dead := fn.NewBlock(""), fn.NewBlock(""), fn.NewBlock("")
+		fn.Entry = a
+		a.Instrs = []Instr{{Op: OpBr}}
+		AddEdge(a, live)
+		live.Instrs = []Instr{{Op: OpRet, A: RegInvalid}}
+		dead.Instrs = []Instr{{Op: OpBr}}
+		AddEdge(dead, live)
+		fns[i] = fn
+	}
+	var wg sync.WaitGroup
+	for _, fn := range fns {
+		wg.Add(1)
+		go func(fn *Func) {
+			defer wg.Done()
+			for k := 0; k < 100; k++ {
+				fn.RemoveUnreachable()
+			}
+		}(fn)
+	}
+	wg.Wait()
+	for _, fn := range fns {
+		if len(fn.Blocks) != 2 || len(fn.Blocks[1].Preds) != 1 {
+			t.Fatalf("blocks = %d, preds = %d; want 2 and 1", len(fn.Blocks), len(fn.Blocks[1].Preds))
 		}
 	}
 }

@@ -32,7 +32,7 @@ func FormatInstr(in *Instr, tt *TagTable, b *Block) string {
 	case OpLoadI:
 		return fmt.Sprintf("loadI %d -> r%d", in.Imm, in.Dst)
 	case OpLoadF:
-		return fmt.Sprintf("loadF %g -> r%d", in.FImm, in.Dst)
+		return fmt.Sprintf("loadF %g -> r%d", in.Float(), in.Dst)
 	case OpCopy:
 		return fmt.Sprintf("cp r%d -> r%d", in.A, in.Dst)
 	case OpNeg, OpNot, OpFNeg, OpI2F, OpF2I:
@@ -44,12 +44,12 @@ func FormatInstr(in *Instr, tt *TagTable, b *Block) string {
 	case OpSStore:
 		return fmt.Sprintf("sStore %s r%d", tagName(in.Tag), in.A)
 	case OpPLoad:
-		return fmt.Sprintf("pLoad %s (r%d) -> r%d", tagsName(in.Tags), in.A, in.Dst)
+		return fmt.Sprintf("pLoad %s (r%d) -> r%d", tagsName(in.Tags()), in.A, in.Dst)
 	case OpPStore:
-		return fmt.Sprintf("pStore %s (r%d) r%d", tagsName(in.Tags), in.A, in.B)
+		return fmt.Sprintf("pStore %s (r%d) r%d", tagsName(in.Tags()), in.A, in.B)
 	case OpAddrOf:
-		if in.Callee != "" {
-			return fmt.Sprintf("addrOf @%s -> r%d", in.Callee, in.Dst)
+		if in.Callee() != "" {
+			return fmt.Sprintf("addrOf @%s -> r%d", in.Callee(), in.Dst)
 		}
 		return fmt.Sprintf("addrOf %s -> r%d", tagName(in.Tag), in.Dst)
 	case OpBr:
@@ -62,19 +62,19 @@ func FormatInstr(in *Instr, tt *TagTable, b *Block) string {
 		}
 		return "ret"
 	case OpJsr:
-		args := make([]string, len(in.Args))
-		for i, a := range in.Args {
+		args := make([]string, len(in.Args()))
+		for i, a := range in.Args() {
 			args[i] = fmt.Sprintf("r%d", a)
 		}
-		target := "@" + in.Callee
-		if in.Callee == "" {
+		target := "@" + in.Callee()
+		if in.Callee() == "" {
 			target = fmt.Sprintf("(r%d)", in.A)
 		}
 		s := fmt.Sprintf("jsr %s(%s)", target, strings.Join(args, ","))
 		if in.HasValue {
 			s += fmt.Sprintf(" -> r%d", in.Dst)
 		}
-		s += fmt.Sprintf(" mod %s ref %s", tagsName(in.Mods), tagsName(in.Refs))
+		s += fmt.Sprintf(" mod %s ref %s", tagsName(in.Mods()), tagsName(in.Refs()))
 		return s
 	default:
 		return fmt.Sprintf("%s r%d r%d -> r%d", in.Op, in.A, in.B, in.Dst)

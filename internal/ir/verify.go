@@ -5,9 +5,10 @@ import "fmt"
 // VerifyFuncAll checks structural well-formedness of a function —
 // every block ends in exactly one terminator, successor counts match
 // the terminator, edges are symmetric, register numbers are in range,
-// and memory operations carry sensible sizes and tags — and returns
-// every violation found, each anchored to its function, block, and
-// instruction. Deeper semantic invariants (reachability, use-before-
+// memory operations carry sensible sizes and tags, and the side record
+// (Aux) is present exactly on Jsr, PLoad, PStore and function AddrOf —
+// and returns every violation found, each anchored to its function,
+// block, and instruction. Deeper semantic invariants (reachability, use-before-
 // def, tag discipline, promotion regions) live in internal/check.
 func VerifyFuncAll(f *Func, tt *TagTable) []Diag {
 	var ds []Diag
@@ -119,8 +120,22 @@ func verifyInstr(ds []Diag, f *Func, b *Block, idx int, in *Instr, tt *TagTable)
 			ctx("bad size %d", in.Size)
 		}
 	case OpAddrOf:
-		if in.Callee == "" && tt != nil && (in.Tag < 0 || int(in.Tag) >= tt.Len()) {
+		if in.Callee() == "" && tt != nil && (in.Tag < 0 || int(in.Tag) >= tt.Len()) {
 			ctx("bad tag %d", in.Tag)
+		}
+	}
+	switch in.Op {
+	case OpJsr, OpPLoad, OpPStore:
+		if in.aux == nil {
+			ctx("missing side record")
+		}
+	case OpAddrOf:
+		if in.aux != nil && in.aux.Callee == "" {
+			ctx("side record on a non-function addrOf")
+		}
+	default:
+		if in.aux != nil {
+			ctx("unexpected side record")
 		}
 	}
 	return ds

@@ -22,12 +22,12 @@ func testModule() *ir.Module {
 	fn.Entry = b
 	b.Instrs = []ir.Instr{
 		{Op: ir.OpLoadI, Dst: 0, Imm: 1},
-		{Op: ir.OpLoadF, Dst: 1, FImm: 2.5},
+		ir.Instr{Op: ir.OpLoadF, Dst: 1, Imm: ir.FloatImm(2.5)},
 		{Op: ir.OpSLoad, Dst: 2, Tag: g.ID, Size: 8},
 		{Op: ir.OpSStore, A: 2, Tag: g.ID, Size: 8},
 		{Op: ir.OpCLoad, Dst: 3, Tag: g.ID, Size: 8},
-		{Op: ir.OpPLoad, Dst: 2, A: 0, Size: 8, Tags: ir.NewTagSet(g.ID)},
-		{Op: ir.OpPStore, A: 0, B: 2, Size: 8, Tags: ir.NewTagSet(g.ID)},
+		ir.Instr{Op: ir.OpPLoad, Dst: 2, A: 0, Size: 8}.WithAux(ir.Aux{Tags: ir.NewTagSet(g.ID)}),
+		ir.Instr{Op: ir.OpPStore, A: 0, B: 2, Size: 8}.WithAux(ir.Aux{Tags: ir.NewTagSet(g.ID)}),
 		{Op: ir.OpRet},
 	}
 	m.AddFunc(fn)

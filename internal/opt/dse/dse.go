@@ -56,13 +56,13 @@ func Func(m *ir.Module, fn *ir.Func) int {
 			case ir.OpSLoad, ir.OpCLoad:
 				dead.Remove(in.Tag)
 			case ir.OpPLoad:
-				in.Tags.SubtractInto(&dead)
+				in.Tags().SubtractInto(&dead)
 			case ir.OpPStore:
 				// A pointer store may only PARTIALLY overwrite a
 				// tag (an array element); it never makes a tag
 				// dead, and it reads nothing.
 			case ir.OpJsr:
-				in.Refs.SubtractInto(&dead)
+				in.Refs().SubtractInto(&dead)
 				// The callee may also store-then-read internally;
 				// only its REF set matters for deadness here, but
 				// tags it may write are not "overwritten later"

@@ -70,7 +70,7 @@ int main(void) {
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
 			if in.Op == ir.OpPStore {
-				if tag, ok := in.Tags.Singleton(); ok && m.Tags.Get(tag).Name == "B" {
+				if tag, ok := in.Tags().Singleton(); ok && m.Tags.Get(tag).Name == "B" {
 					addr = in.A
 				}
 			}

@@ -53,7 +53,7 @@ type universe struct {
 	// tag, reg and size describe each fact.
 	tag  []ir.TagID
 	reg  []ir.Reg
-	size []int
+	size []int32
 	// regHead[r] is r's first fact and next[f] the next fact of the
 	// same register (-1 ends both chains).
 	regHead []int32
@@ -67,7 +67,7 @@ type universe struct {
 
 // lookup returns the fact (tag, r, size), or -1 when the function has
 // no such fact.
-func (u *universe) lookup(tag ir.TagID, r ir.Reg, size int) int32 {
+func (u *universe) lookup(tag ir.TagID, r ir.Reg, size int32) int32 {
 	for f := u.regHead[r]; f >= 0; f = u.next[f] {
 		if u.size[f] == size && u.tag[f] == tag {
 			return f
@@ -77,7 +77,7 @@ func (u *universe) lookup(tag ir.TagID, r ir.Reg, size int) int32 {
 }
 
 // intern adds the fact (tag, r, size) if it is new.
-func (u *universe) intern(tag ir.TagID, r ir.Reg, size int) {
+func (u *universe) intern(tag ir.TagID, r ir.Reg, size int32) {
 	if u.lookup(tag, r, size) >= 0 {
 		return
 	}
@@ -231,9 +231,9 @@ func (u *universe) transfer(b *ir.Block, cur []uint64, rewrite bool) int {
 			}
 			u.gen(cur, instr.Tag, instr.A, instr.Size)
 		case ir.OpPStore:
-			u.killTags(cur, instr.Tags)
+			u.killTags(cur, instr.Tags())
 		case ir.OpJsr:
-			u.killTags(cur, instr.Mods)
+			u.killTags(cur, instr.Mods())
 			if d := instr.Def(); d != ir.RegInvalid {
 				u.killReg(cur, d)
 			}
@@ -248,7 +248,7 @@ func (u *universe) transfer(b *ir.Block, cur []uint64, rewrite bool) int {
 
 // gen adds the fact (tag, r, size); only single-definition registers
 // have facts, so it does nothing for any other register.
-func (u *universe) gen(cur []uint64, tag ir.TagID, r ir.Reg, size int) {
+func (u *universe) gen(cur []uint64, tag ir.TagID, r ir.Reg, size int32) {
 	if f := u.lookup(tag, r, size); f >= 0 {
 		cur[f/64] |= 1 << (uint(f) % 64)
 	}
@@ -256,7 +256,7 @@ func (u *universe) gen(cur []uint64, tag ir.TagID, r ir.Reg, size int) {
 
 // holder picks the available register for (tag, size),
 // deterministically (lowest register number).
-func (u *universe) holder(cur []uint64, tag ir.TagID, size int) (ir.Reg, bool) {
+func (u *universe) holder(cur []uint64, tag ir.TagID, size int32) (ir.Reg, bool) {
 	t, ok := u.tagIndex[tag]
 	if !ok {
 		return ir.RegInvalid, false

@@ -55,8 +55,7 @@ func buildFigure2(t *testing.T) (*ir.Module, *ir.Func, map[string]ir.TagID) {
 	setSuccs(0, 1)
 	blocks[1].Instrs = []ir.Instr{
 		{Op: ir.OpSStore, Tag: c.ID, A: r0, Size: 8},
-		{Op: ir.OpJsr, Callee: "ext", Dst: ir.RegInvalid,
-			Mods: ir.NewTagSet(a.ID), Refs: ir.NewTagSet(a.ID)},
+		ir.Instr{Op: ir.OpJsr, Dst: ir.RegInvalid}.WithAux(ir.Aux{Callee: "ext", Mods: ir.NewTagSet(a.ID), Refs: ir.NewTagSet(a.ID)}),
 		br,
 	}
 	setSuccs(1, 2)
@@ -68,8 +67,7 @@ func buildFigure2(t *testing.T) (*ir.Module, *ir.Func, map[string]ir.TagID) {
 	}
 	setSuccs(3, 4)
 	blocks[4].Instrs = []ir.Instr{
-		{Op: ir.OpJsr, Callee: "ext2", Dst: ir.RegInvalid,
-			Mods: ir.TagSet{}, Refs: ir.NewTagSet(b.ID)},
+		ir.Instr{Op: ir.OpJsr, Dst: ir.RegInvalid}.WithAux(ir.Aux{Callee: "ext2", Mods: ir.TagSet{}, Refs: ir.NewTagSet(b.ID)}),
 		br,
 	}
 	setSuccs(4, 5)

@@ -31,7 +31,7 @@ func promotePointer(m *ir.Module, fn *ir.Func, forest *cfg.LoopForest, opts Opti
 // the same base register and access width.
 type group struct {
 	base   ir.Reg
-	size   int
+	size   int32
 	tags   ir.TagSet
 	ops    []*ir.Instr
 	stored bool
@@ -76,7 +76,7 @@ func promotePointerInLoop(fn *ir.Func, l *cfg.Loop, opts Options) Stats {
 				g.bad = true
 				continue
 			}
-			g.tags = g.tags.Union(in.Tags)
+			g.tags = g.tags.Union(in.Tags())
 			g.ops = append(g.ops, in)
 			if in.Op == ir.OpPStore {
 				g.stored = true
@@ -99,12 +99,12 @@ func promotePointerInLoop(fn *ir.Func, l *cfg.Loop, opts Options) Stats {
 			case ir.OpSLoad, ir.OpCLoad, ir.OpSStore:
 				touches = ir.NewTagSet(in.Tag)
 			case ir.OpPLoad, ir.OpPStore:
-				touches = in.Tags
+				touches = in.Tags()
 				if !defined[in.A] {
 					owner = groups[in.A]
 				}
 			case ir.OpJsr:
-				touches = in.Mods.Union(in.Refs)
+				touches = in.Mods().Union(in.Refs())
 			default:
 				continue
 			}
@@ -148,12 +148,12 @@ func promotePointerInLoop(fn *ir.Func, l *cfg.Loop, opts Options) Stats {
 		// the first iteration would.
 		v := fn.NewReg()
 		calls := collectCallFacts(l)
-		insertBeforeTerminator(l.Pad, ir.Instr{Op: ir.OpPLoad, Dst: v, A: base, Tags: g.tags, Size: g.size, Synth: true})
+		insertBeforeTerminator(l.Pad, ir.Instr{Op: ir.OpPLoad, Dst: v, A: base, Size: g.size, Synth: true}.WithAux(ir.Aux{Tags: g.tags}))
 		stats.LoadsInserted++
 		demoted := !opts.SkipUnwrittenStores || g.stored
 		if demoted {
 			for _, x := range l.Exits {
-				insertAtHead(x, ir.Instr{Op: ir.OpPStore, A: base, B: v, Tags: g.tags, Size: g.size, Synth: true})
+				insertAtHead(x, ir.Instr{Op: ir.OpPStore, A: base, B: v, Size: g.size, Synth: true}.WithAux(ir.Aux{Tags: g.tags}))
 				stats.StoresInserted++
 			}
 		}
@@ -165,7 +165,7 @@ func promotePointerInLoop(fn *ir.Func, l *cfg.Loop, opts Options) Stats {
 			Body:        body,
 			Pad:         l.Pad,
 			Exits:       append([]*ir.Block(nil), l.Exits...),
-			Size:        g.size,
+			Size:        int(g.size),
 			Stored:      g.stored,
 			Demoted:     demoted,
 			PromotedReg: v,

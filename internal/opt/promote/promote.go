@@ -218,7 +218,7 @@ func AnalyzeFunc(m *ir.Module, fn *ir.Func, forest *cfg.LoopForest) *FuncInfo {
 	bExplicit := make([]ir.TagSet, nBlocks)
 	bAmbiguous := make([]ir.TagSet, nBlocks)
 	bStored := make([]ir.TagSet, nBlocks)
-	sizeOf := make(map[ir.TagID]int)
+	sizeOf := make(map[ir.TagID]int32)
 	for _, b := range fn.Blocks {
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
@@ -233,14 +233,14 @@ func AnalyzeFunc(m *ir.Module, fn *ir.Func, forest *cfg.LoopForest) *FuncInfo {
 				} else {
 					sizeOf[in.Tag] = in.Size
 				}
-				if m.Tags.Get(in.Tag).Elem != in.Size {
+				if m.Tags.Get(in.Tag).Elem != int(in.Size) {
 					info.Disqualified.Add(in.Tag)
 				}
 			case ir.OpPLoad, ir.OpPStore:
-				in.Tags.UnionInto(&bAmbiguous[b.ID])
+				in.Tags().UnionInto(&bAmbiguous[b.ID])
 			case ir.OpJsr:
-				in.Mods.UnionInto(&bAmbiguous[b.ID])
-				in.Refs.UnionInto(&bAmbiguous[b.ID])
+				in.Mods().UnionInto(&bAmbiguous[b.ID])
+				in.Refs().UnionInto(&bAmbiguous[b.ID])
 			}
 		}
 	}
@@ -308,7 +308,7 @@ func rewriteScalar(fn *ir.Func, forest *cfg.LoopForest, info *FuncInfo, opts Opt
 				Body:        l.BlocksInOrder(),
 				Pad:         l.Pad,
 				Exits:       append([]*ir.Block(nil), l.Exits...),
-				Size:        size,
+				Size:        int(size),
 				Stored:      ls.Stored.Has(tag),
 				Demoted:     demoted,
 				PromotedReg: v,
@@ -349,9 +349,9 @@ func collectCallFacts(l *cfg.Loop) []CallFact {
 			facts = append(facts, CallFact{
 				Block:  b.Label,
 				Index:  i,
-				Callee: in.Callee,
-				Mods:   in.Mods,
-				Refs:   in.Refs,
+				Callee: in.Callee(),
+				Mods:   in.Mods(),
+				Refs:   in.Refs(),
 			})
 		}
 	}
@@ -359,7 +359,7 @@ func collectCallFacts(l *cfg.Loop) []CallFact {
 }
 
 // refSize finds the access width used for tag inside l.
-func refSize(fn *ir.Func, l *cfg.Loop, tag ir.TagID) int {
+func refSize(fn *ir.Func, l *cfg.Loop, tag ir.TagID) int32 {
 	for b := range l.Blocks {
 		for i := range b.Instrs {
 			in := &b.Instrs[i]

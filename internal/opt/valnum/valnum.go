@@ -7,11 +7,7 @@
 // make that query exact.
 package valnum
 
-import (
-	"math"
-
-	"regpromo/internal/ir"
-)
+import "regpromo/internal/ir"
 
 // Run value-numbers every block of every function; it returns the
 // number of instructions simplified.
@@ -96,7 +92,7 @@ type exprVal struct {
 // access width that established it.
 type memFact struct {
 	exprVal
-	size int
+	size int32
 }
 
 func newState(nregs int) *valnumState {
@@ -210,7 +206,7 @@ func (s *valnumState) block(b *ir.Block) int {
 			s.defConst(in.Dst, in.Imm)
 
 		case ir.OpLoadF:
-			bits := math.Float64bits(in.FImm)
+			bits := uint64(in.Imm)
 			if v, ok := s.fconstVN[bits]; ok {
 				if _, live := s.liveLeader(v); live {
 					s.setVN(in.Dst, v)
@@ -254,7 +250,7 @@ func (s *valnumState) block(b *ir.Block) int {
 			changed += number(s, s.expr, in, exprKey{op: in.Op, a: va})
 
 		case ir.OpAddrOf:
-			changed += number(s, s.addr, in, addrKey{tag: in.Tag, callee: in.Callee})
+			changed += number(s, s.addr, in, addrKey{tag: in.Tag, callee: in.Callee()})
 
 		case ir.OpSLoad, ir.OpCLoad:
 			if prev, ok := s.memVal[in.Tag]; ok && prev.size == in.Size && s.valid(prev.exprVal) {
@@ -277,13 +273,13 @@ func (s *valnumState) block(b *ir.Block) int {
 
 		case ir.OpPStore:
 			// Kill facts for every tag the store may touch.
-			s.killTags(in.Tags)
+			s.killTags(in.Tags())
 
 		case ir.OpJsr:
 			if in.Def() != ir.RegInvalid {
 				s.fresh(in.Dst)
 			}
-			s.killTags(in.Mods)
+			s.killTags(in.Mods())
 
 		default:
 			if d := in.Def(); d != ir.RegInvalid {
