@@ -13,12 +13,19 @@
 //	-k N                       physical register count (default 32)
 //	-dump                      print the final IL
 //	-stats                     print only the statistics footer, no IL
-//	-trace                     print the per-pass trace table (wall time
-//	                           and static IR deltas per pass)
+//	-trace                     print the per-pass trace table: each
+//	                           pass's time (a per-function pass's time
+//	                           is summed over functions and workers)
+//	                           and static IR deltas, then the
+//	                           compile's wall time as the total
 //	-dump-ir pass|all          print the IL after the named pass (or
-//	                           after every pass)
+//	                           after every pass); a name the
+//	                           configuration does not run is rejected
+//	                           before compiling. Runs each
+//	                           per-function pass over all functions
+//	                           before the next, as -check pass does
 //	-json                      emit the whole compilation record — pass
-//	                           events, promotion and allocation
+//	                           records, promotion and allocation
 //	                           statistics — as one JSON object
 //	-trace-out FILE            write the compile's hierarchical span
 //	                           tree (compile → passes → per-function
@@ -50,6 +57,7 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"time"
 
 	"regpromo/internal/driver"
 	"regpromo/internal/ir"
@@ -117,15 +125,13 @@ func main() {
 	cfg.CheckPasses = checkPasses
 	cfg.Certify = *certifyFlag
 
-	// Observe the pipeline whenever any telemetry output was asked for.
-	var pipe *obs.Pipeline
+	// Trace the compile whenever any telemetry output was asked for.
+	var tr *obs.Tracer
 	if *trace || *dumpIR != "" || *jsonOut || *traceOut != "" {
-		pipe = &obs.Pipeline{DumpPass: *dumpIR}
+		tr = obs.NewTracer()
+		tr.DumpPass = *dumpIR
 	}
-	if *traceOut != "" {
-		pipe.Tracer = obs.NewTracer()
-	}
-	c, err := driver.Compile(path, string(src), cfg, pipe)
+	c, err := driver.Compile(path, string(src), cfg, tr)
 	if err != nil {
 		var ce *driver.CheckError
 		if errors.As(err, &ce) {
@@ -140,13 +146,13 @@ func main() {
 	}
 
 	if *traceOut != "" {
-		if err := writeTrace(*traceOut, pipe.Tracer); err != nil {
+		if err := writeTrace(*traceOut, tr); err != nil {
 			fmt.Fprintln(os.Stderr, "rpcc:", err)
 			os.Exit(1)
 		}
 	}
 	if *jsonOut {
-		if err := writeJSON(path, cfg, c, pipe); err != nil {
+		if err := writeJSON(path, cfg, c); err != nil {
 			fmt.Fprintln(os.Stderr, "rpcc:", err)
 			os.Exit(1)
 		}
@@ -162,21 +168,11 @@ func main() {
 		return
 	}
 	if *trace {
-		fmt.Print(pipe.FormatTable())
+		fmt.Print(obs.FormatTable(c.Passes, compileWall(tr)))
 	}
-	if *dumpIR != "" {
-		dumped := 0
-		for _, e := range pipe.Events {
-			if e.IRDump == "" {
-				continue
-			}
+	for _, e := range c.Passes {
+		if e.IRDump != "" {
 			fmt.Printf(";; IL after pass %d (%s)\n%s\n", e.Index, e.Name, e.IRDump)
-			dumped++
-		}
-		if dumped == 0 {
-			fmt.Fprintf(os.Stderr, "rpcc: -dump-ir: no pass named %q ran (passes: %s)\n",
-				*dumpIR, strings.Join(pipe.PassNames(), " "))
-			os.Exit(2)
 		}
 	}
 	if *dump || (!*stats && !*trace && *dumpIR == "") {
@@ -208,6 +204,16 @@ type record struct {
 	} `json:"stats"`
 }
 
+// compileWall returns the wall time of the compile's root span.
+func compileWall(tr *obs.Tracer) time.Duration {
+	for _, sp := range tr.Spans() {
+		if sp.Name == "compile" && sp.Cat == "compile" {
+			return time.Duration(sp.DurNS)
+		}
+	}
+	return 0
+}
+
 // writeTrace writes the collected span tree as Chrome trace_event
 // JSON to path.
 func writeTrace(path string, tr *obs.Tracer) error {
@@ -222,12 +228,12 @@ func writeTrace(path string, tr *obs.Tracer) error {
 	return f.Close()
 }
 
-func writeJSON(path string, cfg driver.Config, c *driver.Compilation, pipe *obs.Pipeline) error {
+func writeJSON(path string, cfg driver.Config, c *driver.Compilation) error {
 	rec := record{
 		File:     path,
 		Analysis: cfg.Analysis.String(),
 		Promote:  cfg.Promote,
-		Passes:   pipe.Events,
+		Passes:   c.Passes,
 	}
 	rec.Stats.Promote = c.Promote
 	rec.Stats.Alloc = c.Alloc

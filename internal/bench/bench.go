@@ -89,9 +89,9 @@ type Measurement struct {
 	// one entry (aliased by Exec).
 	Execs []obs.ExecEvent
 
-	// Passes is the per-pass telemetry (wall time, IR deltas, pass
-	// stats) recorded when the measurement was observed; nil for
-	// plain Measure calls.
+	// Passes is the per-pass telemetry (span time, IR deltas, pass
+	// stats) recorded when the measurement was traced; nil for plain
+	// Measure calls.
 	Passes []*obs.PassEvent
 }
 
@@ -103,24 +103,24 @@ func Measure(p Program, cfg driver.Config) (*Measurement, error) {
 	return measureWith(p, cfg, nil)
 }
 
-// MeasureObserved is Measure with pass-manager telemetry: the
-// returned measurement carries the full per-pass event stream.
+// MeasureObserved is Measure under a tracer: the returned measurement
+// carries the full per-pass record list.
 func MeasureObserved(p Program, cfg driver.Config) (*Measurement, error) {
-	return measureWith(p, cfg, &obs.Pipeline{})
+	return measureWith(p, cfg, obs.NewTracer())
 }
 
-func measureWith(p Program, cfg driver.Config, pipe *obs.Pipeline) (*Measurement, error) {
-	c, err := driver.Compile(p.Name+".c", Source(p), cfg, pipe)
+func measureWith(p Program, cfg driver.Config, tr *obs.Tracer) (*Measurement, error) {
+	c, err := driver.Compile(p.Name+".c", Source(p), cfg, tr)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", p.Name, err)
 	}
-	return execute(p, c, []interp.Engine{interp.EngineFlat}, false, pipe)
+	return execute(p, c, []interp.Engine{interp.EngineFlat}, false, tr)
 }
 
 // measureShared forks cfg's pipeline from the program's parsed
-// artifact and executes the result under engine. pipe may be nil.
-func measureShared(p Program, fe *driver.Frontend, cfg driver.Config, engine interp.Engine, pipe *obs.Pipeline) (*Measurement, error) {
-	return measureSharedEngines(p, fe, cfg, []interp.Engine{engine}, pipe)
+// artifact and executes the result under engine, untraced.
+func measureShared(p Program, fe *driver.Frontend, cfg driver.Config, engine interp.Engine) (*Measurement, error) {
+	return measureSharedEngines(p, fe, cfg, []interp.Engine{engine}, nil)
 }
 
 // measureSharedEngines is measureShared over an engine list: one
@@ -128,12 +128,12 @@ func measureShared(p Program, fe *driver.Frontend, cfg driver.Config, engine int
 // identical counts, output, and exit status (a disagreement fails the
 // measurement — it would mean the parity contract the differential
 // tests enforce has been broken on a real workload).
-func measureSharedEngines(p Program, fe *driver.Frontend, cfg driver.Config, engines []interp.Engine, pipe *obs.Pipeline) (*Measurement, error) {
-	c, err := fe.Compile(cfg, pipe)
+func measureSharedEngines(p Program, fe *driver.Frontend, cfg driver.Config, engines []interp.Engine, tr *obs.Tracer) (*Measurement, error) {
+	c, err := fe.Compile(cfg, tr)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", p.Name, err)
 	}
-	return execute(p, c, engines, true, pipe)
+	return execute(p, c, engines, true, tr)
 }
 
 // frontend parses a suite member once for compile-once sharing.
@@ -151,11 +151,12 @@ func frontend(p Program) (*driver.Frontend, error) {
 // so the per-engine wall times compare pure execution. The first
 // engine's counts and output define the measurement; every further
 // engine must reproduce them exactly.
-func execute(p Program, c *driver.Compilation, engines []interp.Engine, reused bool, pipe *obs.Pipeline) (*Measurement, error) {
+func execute(p Program, c *driver.Compilation, engines []interp.Engine, reused bool, tr *obs.Tracer) (*Measurement, error) {
 	m := &Measurement{
 		Promote:  c.Promote.ScalarPromotions + c.Promote.PointerPromotions,
 		Spilled:  c.Alloc.Spilled,
 		Pressure: c.Pressure(),
+		Passes:   c.Passes,
 	}
 	for i, engine := range engines {
 		opts := interp.Options{MaxSteps: 1 << 33, Engine: engine}
@@ -169,7 +170,7 @@ func execute(p Program, c *driver.Compilation, engines []interp.Engine, reused b
 		if _, err := c.Execute(opts); err != nil {
 			return nil, fmt.Errorf("%s: %w", p.Name, err)
 		}
-		sp := pipe.StartSpan("execute", "interp", 0).
+		sp := tr.Start("execute", "interp", 0).
 			Label("program", p.Name).Label("engine", engine.String())
 		start := time.Now()
 		res, err := c.Execute(opts)
@@ -195,9 +196,6 @@ func execute(p Program, c *driver.Compilation, engines []interp.Engine, reused b
 		})
 	}
 	m.Exec = m.Execs[0]
-	if pipe != nil {
-		m.Passes = pipe.Events
-	}
 	return m, nil
 }
 
@@ -375,11 +373,11 @@ func measureProgram(p Program, opts Options) (*programFigures, error) {
 		with.Promote = true
 		with.PointerPromote = opts.PointerPromotion
 
-		m0, err := measureShared(p, fe, base, opts.engineList()[0], nil)
+		m0, err := measureShared(p, fe, base, opts.engineList()[0])
 		if err != nil {
 			return nil, err
 		}
-		m1, err := measureShared(p, fe, with, opts.engineList()[0], nil)
+		m1, err := measureShared(p, fe, with, opts.engineList()[0])
 		if err != nil {
 			return nil, err
 		}

@@ -73,10 +73,11 @@ type ConfigReport struct {
 	// Promotions and Spilled are the compile-side diagnostics.
 	Promotions int `json:"promotions"`
 	Spilled    int `json:"spilled"`
-	// CompileNS is total pipeline wall time; StageNS breaks it down
-	// by coarse compile stage (driver.PassStage: "frontend",
-	// "analysis", "passes"); Passes itemizes it with per-pass IR
-	// deltas and statistics.
+	// CompileNS is the pass records' times summed (a per-function
+	// pass's time is itself summed over functions, so this is worker
+	// time, not wall time); StageNS breaks it down by coarse compile
+	// stage (driver.PassStage: "frontend", "analysis", "passes");
+	// Passes itemizes it with per-pass IR deltas and statistics.
 	CompileNS int64            `json:"compile_ns"`
 	StageNS   map[string]int64 `json:"stage_ns,omitempty"`
 	Passes    []*obs.PassEvent `json:"passes"`
@@ -143,8 +144,8 @@ func CollectReport(opts Options) (*Report, error) {
 // collectProgram measures one suite member under all four paper
 // configurations with telemetry attached. The front end runs once per
 // program; each configuration's pipeline is forked from the shared
-// artifact and its observer records the "frontend.reuse" stage in
-// place of a repeated parse.
+// artifact and its trace records the "frontend.reuse" stage in place
+// of a repeated parse.
 func collectProgram(p Program, opts Options) (ProgramReport, error) {
 	pr := ProgramReport{Name: p.Name, Lines: Lines(p)}
 	fe, err := frontend(p)
@@ -158,7 +159,7 @@ func collectProgram(p Program, opts Options) (ProgramReport, error) {
 			if promote {
 				cfg.PointerPromote = opts.PointerPromotion
 			}
-			m, err := measureSharedEngines(p, fe, cfg, opts.engineList(), &obs.Pipeline{})
+			m, err := measureSharedEngines(p, fe, cfg, opts.engineList(), obs.NewTracer())
 			if err != nil {
 				return pr, err
 			}

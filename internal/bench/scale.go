@@ -40,9 +40,10 @@ type ScaleOptions struct {
 
 // ScalePhase is one compile's analysis cost.
 type ScalePhase struct {
-	// AnalysisNS is wall time summed over the interprocedural analysis
-	// passes (driver.PassStage "analysis"); CompileNS is the whole
-	// pipeline including the front end. Wall-clock, so informational.
+	// AnalysisNS is span time summed over the interprocedural analysis
+	// passes (driver.PassStage "analysis"); CompileNS sums every pass
+	// record including the front end (per-function passes count summed
+	// worker time). Clock-based, so informational.
 	AnalysisNS int64 `json:"analysis_ns"`
 	CompileNS  int64 `json:"compile_ns"`
 	// SCCsSolved and SCCsCached count component fixpoints computed
@@ -130,18 +131,17 @@ func RunScale(o ScaleOptions) (*ScaleReport, error) {
 	return r, nil
 }
 
-// compileScale compiles one source under an observer and folds the
-// pass events into a ScalePhase. sccs is the component count the
+// compileScale compiles one source under a tracer and folds the pass
+// records into a ScalePhase. sccs is the component count the
 // pipeline's first MOD/REF pass reported.
 func compileScale(name, src string, cfg driver.Config) (*driver.Compilation, ScalePhase, int, error) {
-	pipe := &obs.Pipeline{}
-	c, err := driver.Compile(name, src, cfg, pipe)
+	c, err := driver.Compile(name, src, cfg, obs.NewTracer())
 	if err != nil {
 		return nil, ScalePhase{}, 0, err
 	}
 	ph := ScalePhase{SCCsSolved: c.Analysis.SCCsSolved, SCCsCached: c.Analysis.SCCsCached}
 	sccs := 0
-	for _, e := range pipe.Events {
+	for _, e := range c.Passes {
 		ph.CompileNS += e.DurationNS
 		if driver.PassStage(e.Name) == "analysis" {
 			ph.AnalysisNS += e.DurationNS

@@ -454,15 +454,12 @@ func WriteArtifacts(dir string, r *Result, reduced string) (string, error) {
 	return sub, nil
 }
 
-// finalIL compiles src under one configuration with the observability
-// pipeline capturing the IL after the final verification pass.
+// finalIL compiles src under one configuration and formats the
+// optimized IL.
 func finalIL(filename, src string, nc driver.NamedConfig) (string, error) {
-	pipe := &obs.Pipeline{DumpPass: driver.PassVerify}
-	if _, err := driver.Compile(filename, src, nc.Config, pipe); err != nil {
+	c, err := driver.CompileSource(filename, src, nc.Config)
+	if err != nil {
 		return "", err
 	}
-	if ev := pipe.Event(driver.PassVerify); ev != nil && ev.IRDump != "" {
-		return ev.IRDump, nil
-	}
-	return "", fmt.Errorf("no IL captured")
+	return ir.FormatModule(c.Module), nil
 }

@@ -8,16 +8,18 @@
 // {MOD/REF, points-to} × {promotion off, promotion on}.
 //
 // The pipeline is an explicit pass manager: each configuration expands
-// to a named pass list (see Config.Passes), and an optional
-// obs.Pipeline observer records per-pass wall time, static IR deltas,
-// and pass statistics for every stage it runs.
+// to a named pass list (see Config.Passes). The interprocedural passes
+// are whole-module barriers; every run of consecutive per-function
+// passes between them is a group that the worker pool walks function
+// by function. A compile under an obs.Tracer records spans and fills
+// Compilation.Passes with one record per pass: its span time, static IR
+// deltas, and pass statistics.
 package driver
 
 import (
 	"fmt"
 	"strings"
 	"sync"
-	"time"
 
 	"regpromo/internal/analysis/cache"
 	"regpromo/internal/analysis/certify"
@@ -73,8 +75,8 @@ const (
 	CheckModule
 	// CheckEveryPass runs the registry after the front end and again
 	// after every pass, pinpointing the first pass that breaks an
-	// invariant. Forces the serial pass walk: the pipelined middle
-	// end never materializes whole-module pass boundaries.
+	// invariant. Each per-function pass then runs as its own one-pass
+	// group, so the whole module sits at every pass boundary.
 	CheckEveryPass
 )
 
@@ -190,9 +192,10 @@ type Config struct {
 	K int
 
 	// Workers bounds how many functions the per-function middle-end
-	// passes process concurrently: 0 picks one worker per CPU, 1
-	// compiles serially, larger values set the pool size directly.
-	// The produced IL is identical at any setting.
+	// passes process concurrently: 0 picks one worker per CPU, larger
+	// values set the pool size directly (1 is a one-worker pool, which
+	// walks the functions in order on the calling goroutine). The
+	// produced IL is identical at any setting.
 	Workers int
 
 	// Check selects how much of the internal/check lint registry to
@@ -238,6 +241,10 @@ type Compilation struct {
 	Alloc    regalloc.Stats
 	Analysis AnalysisStats
 
+	// Passes holds one record per pass, front end first, when the
+	// compile ran under a tracer; nil for an untraced compile.
+	Passes []*obs.PassEvent
+
 	// progs caches the module's flat-code lowering ([0] without
 	// profiling markers, [1] with) so repeated executions of one
 	// compilation — a benchmark matrix, a fuzz seed under several
@@ -275,18 +282,15 @@ func (c *Compilation) Pressure() []certify.Pressure {
 	return out
 }
 
-// pass is one named stage of the pipeline. run is the whole-module
-// form, used for interprocedural barriers and for serial execution;
-// it returns the pass's extra statistics for the observer (may be
-// nil). fn, when non-nil, is the per-function form of the same
-// transformation: a maximal run of consecutive fn-capable passes
-// forms a group that the parallel middle end executes function by
-// function (each function walks the whole group before the next
-// barrier). tags is the function's spill-slot allocator — the shared
-// TagTable when running serially, a private ir.StagedTags when
-// running concurrently. finish, when non-nil, rebuilds the pass's
-// observer statistics from pipeState after a parallel group (used
-// where the serial extras are not a plain per-function sum).
+// pass is one named stage of the pipeline, with exactly one body. run
+// is a whole-module barrier (the interprocedural analyses, certify,
+// verify). fn is a per-function pass: a maximal run of consecutive fn
+// passes forms a group that runGroup executes function by function
+// (each function walks the whole group before the next barrier); tags
+// is the function's private spill-slot allocator. Both return the
+// pass's extra statistics for its record (may be nil). finish, when
+// non-nil, rebuilds a per-function pass's statistics from pipeState
+// after its group, where they are not a plain per-function sum.
 type pass struct {
 	name   string
 	run    func(s *pipeState) (map[string]int64, error)
@@ -298,11 +302,11 @@ type pass struct {
 // mutex guards the Stats fields of c during parallel groups; both
 // folds are commutative, so the accumulation order cannot show.
 type pipeState struct {
-	cfg  Config
-	c    *Compilation
-	cg   *callgraph.Graph
-	pipe *obs.Pipeline // observer, for nested analysis spans; may be nil
-	mu   sync.Mutex
+	cfg Config
+	c   *Compilation
+	cg  *callgraph.Graph
+	tr  *obs.Tracer // nil for an untraced compile
+	mu  sync.Mutex
 }
 
 // Canonical pass names, in the order the full pipeline runs them.
@@ -331,7 +335,7 @@ func (cfg Config) passes() []pass {
 	var ps []pass
 	ps = append(ps, pass{name: PassModRef, run: func(s *pipeState) (map[string]int64, error) {
 		s.cg = callgraph.Build(s.c.Module)
-		sp := s.pipe.StartSpan("modref.fixpoint", "analysis", 0)
+		sp := s.tr.Start("modref.fixpoint", "analysis", 0)
 		res := modref.Analyze(s.c.Module, s.cg, cfg.AnalysisCache)
 		s.c.Analysis.SCCsSolved += res.SCCsSolved
 		s.c.Analysis.SCCsCached += res.SCCsCached
@@ -348,7 +352,7 @@ func (cfg Config) passes() []pass {
 	if cfg.Analysis == PointsTo {
 		ps = append(ps, pass{name: PassPointsTo, run: func(s *pipeState) (map[string]int64, error) {
 			m := s.c.Module
-			sp := s.pipe.StartSpan("pointsto.fixpoint", "analysis", 0)
+			sp := s.tr.Start("pointsto.fixpoint", "analysis", 0)
 			res := pointsto.Solve(m, s.cg, cfg.AnalysisCache)
 			s.c.Analysis.SCCsSolved += res.SCCsSolved
 			s.c.Analysis.SCCsCached += res.SCCsCached
@@ -372,7 +376,7 @@ func (cfg Config) passes() []pass {
 			return map[string]int64{"changed": int64(changed)}, nil
 		}})
 		ps = append(ps, pass{name: PassModRef, run: func(s *pipeState) (map[string]int64, error) {
-			sp := s.pipe.StartSpan("modref.fixpoint", "analysis", 0)
+			sp := s.tr.Start("modref.fixpoint", "analysis", 0)
 			res := modref.Analyze(s.c.Module, s.cg, cfg.AnalysisCache)
 			s.c.Analysis.SCCsSolved += res.SCCsSolved
 			s.c.Analysis.SCCsCached += res.SCCsCached
@@ -388,25 +392,17 @@ func (cfg Config) passes() []pass {
 		}})
 	}
 	// The classical passes report how many rewrites they performed;
-	// surface that as the pass's "changed" statistic. Each carries
-	// both forms: the module loop for serial runs and the
-	// per-function body the parallel middle end distributes.
-	simple := func(name string, run func(*ir.Module) int, fn func(*ir.Func) int) pass {
-		return pass{
-			name: name,
-			run: func(s *pipeState) (map[string]int64, error) {
-				return map[string]int64{"changed": int64(run(s.c.Module))}, nil
-			},
-			fn: func(_ *pipeState, f *ir.Func, _ ir.TagAlloc) (map[string]int64, error) {
-				return map[string]int64{"changed": int64(fn(f))}, nil
-			},
-		}
+	// surface that as the pass's "changed" statistic.
+	simple := func(name string, fn func(*ir.Func) int) pass {
+		return pass{name: name, fn: func(_ *pipeState, f *ir.Func, _ ir.TagAlloc) (map[string]int64, error) {
+			return map[string]int64{"changed": int64(fn(f))}, nil
+		}}
 	}
 	if !cfg.DisableOpt {
 		ps = append(ps,
-			simple(PassConstProp, constprop.Run, constprop.Func),
-			simple(PassValnum, valnum.Run, valnum.Func),
-			simple(PassLICM, licm.Run, licm.Func),
+			simple(PassConstProp, constprop.Func),
+			simple(PassValnum, valnum.Func),
+			simple(PassLICM, licm.Func),
 		)
 	}
 	promoteExtras := func(st promote.Stats) map[string]int64 {
@@ -443,14 +439,6 @@ func (cfg Config) passes() []pass {
 		}
 		ps = append(ps, pass{
 			name: PassPromote,
-			run: func(s *pipeState) (map[string]int64, error) {
-				st := promote.Run(s.c.Module, promoteOpts)
-				s.c.Promote = st
-				for _, f := range s.c.Module.FuncsInOrder() {
-					recordPressure(s, f, st.Regions)
-				}
-				return promoteExtras(st), nil
-			},
 			fn: func(s *pipeState, f *ir.Func, _ ir.TagAlloc) (map[string]int64, error) {
 				st := promote.Func(s.c.Module, f, promoteOpts)
 				s.mu.Lock()
@@ -462,11 +450,11 @@ func (cfg Config) passes() []pass {
 			finish: func(s *pipeState) map[string]int64 { return promoteExtras(s.c.Promote) },
 		})
 		if cfg.Certify {
-			// A run-only barrier: the verifier needs every function's
+			// A barrier: the verifier needs every function's
 			// certificates and the whole module's call structure, so
-			// the parallel middle end parks here between its groups.
+			// the middle end parks here between its groups.
 			ps = append(ps, pass{name: PassCertify, run: func(s *pipeState) (map[string]int64, error) {
-				sp := s.pipe.StartSpan("certify.verify", "analysis", 0)
+				sp := s.tr.Start("certify.verify", "analysis", 0)
 				sum := certify.Verify(s.c.Module, s.c.Promote.Regions)
 				sp.Arg("regions", int64(sum.Regions)).
 					Arg("violations", int64(sum.Violations)).End()
@@ -486,9 +474,6 @@ func (cfg Config) passes() []pass {
 	if cfg.DSE {
 		ps = append(ps, pass{
 			name: PassDSE,
-			run: func(s *pipeState) (map[string]int64, error) {
-				return map[string]int64{"changed": int64(dse.Run(s.c.Module))}, nil
-			},
 			fn: func(s *pipeState, f *ir.Func, _ ir.TagAlloc) (map[string]int64, error) {
 				return map[string]int64{"changed": int64(dse.Func(s.c.Module, f))}, nil
 			},
@@ -496,11 +481,11 @@ func (cfg Config) passes() []pass {
 	}
 	if !cfg.DisableOpt {
 		ps = append(ps,
-			simple(PassPRE, pre.Run, pre.Func),
-			simple(PassValnumLate, valnum.Run, valnum.Func),
-			simple(PassCopyProp, copyprop.Run, copyprop.Func),
-			simple(PassDCE, dce.Run, dce.Func),
-			simple(PassClean, clean.Run, clean.Func),
+			simple(PassPRE, pre.Func),
+			simple(PassValnumLate, valnum.Func),
+			simple(PassCopyProp, copyprop.Func),
+			simple(PassDCE, dce.Func),
+			simple(PassClean, clean.Func),
 		)
 	}
 	allocExtras := func(st regalloc.Stats) map[string]int64 {
@@ -516,14 +501,6 @@ func (cfg Config) passes() []pass {
 	if !cfg.NoAlloc {
 		ps = append(ps, pass{
 			name: PassRegalloc,
-			run: func(s *pipeState) (map[string]int64, error) {
-				st, err := regalloc.Run(s.c.Module, regalloc.Options{K: s.cfg.K})
-				if err != nil {
-					return nil, err
-				}
-				s.c.Alloc = st
-				return allocExtras(st), nil
-			},
 			fn: func(s *pipeState, f *ir.Func, tags ir.TagAlloc) (map[string]int64, error) {
 				st, err := regalloc.Func(f, regalloc.Options{K: s.cfg.K}, tags)
 				if err != nil {
@@ -547,8 +524,8 @@ func (cfg Config) passes() []pass {
 }
 
 // Passes returns the configuration's pass names in execution order
-// (the front end, which runs before the module exists, is reported by
-// the observer as "frontend" ahead of these).
+// (the front end, which runs before the module exists, is recorded as
+// "frontend" or "frontend.reuse" ahead of these).
 func (cfg Config) Passes() []string {
 	ps := cfg.passes()
 	names := make([]string, len(ps))
@@ -558,7 +535,7 @@ func (cfg Config) Passes() []string {
 	return names
 }
 
-// PassFrontend is the observer's name for the parse+sema+irgen stage.
+// PassFrontend is the record name of the parse+sema+irgen stage.
 const PassFrontend = "frontend"
 
 // PassStage classifies a pass name into one of the three coarse
@@ -583,48 +560,64 @@ func CompileSource(filename, src string, cfg Config) (*Compilation, error) {
 	return Compile(filename, src, cfg, nil)
 }
 
-// Compile runs the full pipeline under an observer. pipe may be nil,
-// in which case no telemetry is recorded (identical to CompileSource).
-// Every pass — including the front end, reported as "frontend" — is
-// timed and bracketed with static IR snapshots on the observer.
+// Compile runs the full pipeline under a tracer. tr may be nil, in
+// which case nothing is recorded (identical to CompileSource).
+// Otherwise every pass — including the front end, recorded as
+// "frontend" — gets a span and a record in Compilation.Passes.
 //
 // To compile one source under several configurations, run the front
 // end once with ParseSource and fork each pipeline with
 // Frontend.Compile instead.
-func Compile(filename, src string, cfg Config, pipe *obs.Pipeline) (*Compilation, error) {
-	sp := pipe.StartSpan("compile", "compile", 0)
-	defer sp.End()
-	fe, err := ParseSourceObserved(filename, src, pipe)
+func Compile(filename, src string, cfg Config, tr *obs.Tracer) (*Compilation, error) {
+	if err := checkDump(tr, PassFrontend, cfg); err != nil {
+		return nil, err
+	}
+	defer tr.Start("compile", "compile", 0).End()
+	sp := tr.Start(PassFrontend, "pass", 0)
+	m, err := frontEnd(filename, src)
+	dur := sp.End()
 	if err != nil {
 		return nil, err
 	}
 	// Single-use compile: the pipeline owns the module outright, so no
 	// clone is forked.
-	c := &Compilation{Module: fe.module}
-	return compilePasses(c, cfg, pipe)
+	s := &pipeState{cfg: cfg, c: &Compilation{Module: m}, tr: tr}
+	s.recordModule(PassFrontend, dur, nil)
+	return compilePasses(s)
 }
 
-// compilePasses runs cfg's pass list over c.Module under the observer.
+// checkDump rejects an IL-dump request naming a stage the compile
+// will not run, before any work is done. first is the compile's
+// front-end stage.
+func checkDump(tr *obs.Tracer, first string, cfg Config) error {
+	if tr == nil || tr.DumpPass == "" || tr.DumpPass == obs.DumpAll {
+		return nil
+	}
+	stages := append([]string{first}, cfg.Passes()...)
+	for _, name := range stages {
+		if name == tr.DumpPass {
+			return nil
+		}
+	}
+	return fmt.Errorf("cannot dump IL after %q: no such pass (passes: %s)", tr.DumpPass, strings.Join(stages, " "))
+}
+
+// compilePasses runs the configuration's pass list over s.c.Module.
 //
-// Passes with a per-function form are batched into maximal groups and
-// distributed across functions by the parallel middle end; the
-// interprocedural analyses and the verifier stay whole-module
-// barriers between groups. Two situations force the classic serial
-// pass-by-pass walk instead: Workers == 1 (the caller asked for it),
-// and an observer that wants IL dumps — a per-pass module dump needs
-// the whole module parked at that pass boundary, a state pipelined
-// execution never materializes.
-func compilePasses(c *Compilation, cfg Config, pipe *obs.Pipeline) (*Compilation, error) {
-	s := &pipeState{cfg: cfg, c: c, pipe: pipe}
+// Barrier passes run whole-module; every maximal run of per-function
+// passes between them runs as one group on the worker pool (see
+// runGroup). A per-pass check or an IL dump needs the whole module at
+// every pass boundary, so either splits the per-function passes into
+// one-pass groups: the module then advances pass by pass, as a
+// pass-major walk.
+func compilePasses(s *pipeState) (*Compilation, error) {
+	cfg := s.cfg
 	if r := obs.Metrics(); r != nil {
 		r.Counter("compile.compiles").Inc()
 	}
-	if pipe != nil {
-		pipe.Tracer.NameThread(0, "main")
-	}
+	s.tr.NameThread(0, "main")
 	ps := cfg.passes()
-	serial := cfg.Workers == 1 || cfg.Check == CheckEveryPass ||
-		(pipe != nil && pipe.DumpPass != "")
+	split := cfg.Check == CheckEveryPass || (s.tr != nil && s.tr.DumpPass != "")
 	analysisDone := false
 	if cfg.Check == CheckEveryPass {
 		// Lint the front end's output before any pass touches it.
@@ -633,21 +626,17 @@ func compilePasses(c *Compilation, cfg Config, pipe *obs.Pipeline) (*Compilation
 		}
 	}
 	for i := 0; i < len(ps); {
-		if !serial && ps[i].fn != nil {
-			j := i
-			for j < len(ps) && ps[j].fn != nil {
+		j := i + 1
+		var err error
+		if ps[i].fn != nil {
+			for !split && j < len(ps) && ps[j].fn != nil {
 				j++
 			}
-			if err := runGroup(s, ps[i:j], pipe); err != nil {
-				return nil, err
-			}
-			i = j
-			continue
+			err = runGroup(s, ps[i:j])
+		} else {
+			err = s.runBarrier(ps[i])
 		}
-		run := ps[i].run
-		if err := pipe.Observe(ps[i].name, c.Module, func() (map[string]int64, error) {
-			return run(s)
-		}); err != nil {
+		if err != nil {
 			return nil, err
 		}
 		if ps[i].name == PassModRef {
@@ -658,14 +647,53 @@ func compilePasses(c *Compilation, cfg Config, pipe *obs.Pipeline) (*Compilation
 				return nil, err
 			}
 		}
-		i++
+		i = j
 	}
 	if cfg.Check == CheckModule {
 		if err := s.runChecks("module", true); err != nil {
 			return nil, err
 		}
 	}
-	return c, nil
+	return s.c, nil
+}
+
+// runBarrier runs one whole-module pass under its span.
+func (s *pipeState) runBarrier(p pass) error {
+	sp := s.tr.Start(p.name, "pass", 0)
+	extra, err := p.run(s)
+	dur := sp.AddArgs(extra).End()
+	if err != nil {
+		return err
+	}
+	s.recordModule(p.name, dur, extra)
+	return nil
+}
+
+// recordModule records a whole-module stage of a traced compile,
+// measuring the module once; untraced it does nothing.
+func (s *pipeState) recordModule(name string, durNS int64, extra map[string]int64) {
+	if s.tr != nil {
+		s.record(name, durNS, extra, obs.Measure(s.c.Module))
+	}
+}
+
+// record appends one pass record to a traced compile. durNS is the
+// pass's span time and after its census, taken once the pass finished;
+// the record's Before is the previous record's After.
+func (s *pipeState) record(name string, durNS int64, extra map[string]int64, after obs.Snapshot) {
+	c := s.c
+	ev := &obs.PassEvent{Index: len(c.Passes), Name: name, DurationNS: durNS, After: after, Extra: extra}
+	if n := len(c.Passes); n > 0 {
+		ev.Before = c.Passes[n-1].After
+	}
+	if d := s.tr.DumpPass; d == obs.DumpAll || d == name {
+		ev.IRDump = ir.FormatModule(c.Module)
+	}
+	c.Passes = append(c.Passes, ev)
+	if r := obs.Metrics(); r != nil {
+		r.Counter("compile.passes").Inc()
+		r.Histogram("compile.pass_ns", obs.DurationBucketsNS).Observe(durNS)
+	}
 }
 
 // runChecks runs the internal/check lint registry over the module's
@@ -690,40 +718,42 @@ func (s *pipeState) runChecks(stage string, analysisDone bool) error {
 	return nil
 }
 
-// funcStage is one (function, pass) telemetry record from a parallel
-// group.
+// funcStage is one (function, pass) record from a traced group.
 type funcStage struct {
-	before, after obs.Snapshot
-	durNS         int64
-	extra         map[string]int64
+	after obs.Snapshot
+	durNS int64
+	extra map[string]int64
 }
 
 // runGroup executes a maximal run of per-function passes across the
 // module's functions on the worker pool. Each function walks the
 // whole group — function A can be in regalloc while function B is
 // still in constprop — so the group's wall time is bounded by the
-// slowest function, not by the slowest pass.
+// slowest function, not by the slowest pass. A one-worker pool walks
+// the functions in order on the calling goroutine.
 //
 // Determinism: the passes in a group only read shared state (the tag
 // table, call-graph summaries baked into instructions) and mutate
-// their own function, so the produced IL is bit-identical to a serial
-// run. The two exceptions are handled explicitly. Spill-slot tags
+// their own function, so the produced IL does not depend on the worker
+// count. The two exceptions are handled explicitly. Spill-slot tags
 // would be allocated from the shared table in racy order; instead
 // each function stages its tags privately (ir.StagedTags) and the
-// stagings are committed in function order afterwards, reproducing
-// the serial numbering. Observer events would interleave; instead
-// each worker measures its own function around every stage and the
-// per-function records are merged in function order — Measure
-// decomposes over functions, so the merged Before/After equal the
-// whole-module snapshots a serial run would have taken.
-func runGroup(s *pipeState, group []pass, pipe *obs.Pipeline) error {
+// stagings are committed in function order afterwards, so the
+// numbering is that of a pass-major walk. Pass records would
+// interleave; instead, under a tracer, each worker times every stage
+// of its function with a span and measures the function after it, and
+// the per-function records are merged in function order — Measure
+// decomposes over functions, so the merged census equals the
+// whole-module snapshot. Untraced, no clock is read and nothing is
+// measured or kept per function.
+func runGroup(s *pipeState, group []pass) error {
 	m := s.c.Module
 	fns := m.FuncsInOrder()
-	recs := make([][]funcStage, len(fns))
 	staged := make([]*ir.StagedTags, len(fns))
-	var tr *obs.Tracer
-	if pipe != nil {
-		tr = pipe.Tracer
+	tr := s.tr
+	var recs [][]funcStage
+	if tr != nil {
+		recs = make([][]funcStage, len(fns))
 	}
 	if r := obs.Metrics(); r != nil {
 		r.Counter("compile.functions").Add(int64(len(fns)))
@@ -732,27 +762,24 @@ func runGroup(s *pipeState, group []pass, pipe *obs.Pipeline) error {
 		fn := fns[i]
 		st := &ir.StagedTags{}
 		staged[i] = st
-		rs := make([]funcStage, len(group))
-		// Middle-end work items are attributed to logical thread
-		// worker+1 (tid 0 is the coordinating goroutine).
-		tid := worker + 1
-		if tr != nil {
-			tr.NameThread(tid, fmt.Sprintf("worker %d", worker))
-		}
-		fsp := tr.Start(fn.Name, "middleend", tid).Arg("worker", int64(worker))
-		for j := range group {
-			if pipe == nil {
+		if tr == nil {
+			for j := range group {
 				if _, err := group[j].fn(s, fn, st); err != nil {
 					return struct{}{}, err
 				}
-				continue
 			}
+			return struct{}{}, nil
+		}
+		// Middle-end work items are attributed to logical thread
+		// worker+1 (tid 0 is the coordinating goroutine).
+		tid := worker + 1
+		tr.NameThread(tid, fmt.Sprintf("worker %d", worker))
+		fsp := tr.Start(fn.Name, "middleend", tid).Arg("worker", int64(worker))
+		rs := make([]funcStage, len(group))
+		for j := range group {
 			psp := tr.Start(group[j].name, "pass", tid).Label("func", fn.Name)
-			rs[j].before = obs.MeasureFunc(fn)
-			start := time.Now()
 			extra, err := group[j].fn(s, fn, st)
-			rs[j].durNS = time.Since(start).Nanoseconds()
-			psp.AddArgs(extra).End()
+			rs[j].durNS = psp.AddArgs(extra).End()
 			if err != nil {
 				return struct{}{}, err
 			}
@@ -767,7 +794,7 @@ func runGroup(s *pipeState, group []pass, pipe *obs.Pipeline) error {
 	}
 
 	// Commit staged spill tags in function order: the replay hands out
-	// exactly the ids a serial compile would have, then the function's
+	// exactly the ids a pass-major walk would have, then the function's
 	// provisional references are rewritten to them.
 	for i, fn := range fns {
 		if staged[i].Empty() {
@@ -776,28 +803,28 @@ func runGroup(s *pipeState, group []pass, pipe *obs.Pipeline) error {
 		commitStagedTags(fn, staged[i], &m.Tags)
 	}
 
-	if pipe != nil {
-		for j := range group {
-			ev := &obs.PassEvent{Name: group[j].name}
-			var extra map[string]int64
-			for i := range fns {
-				r := &recs[i][j]
-				ev.Before = ev.Before.Add(r.before)
-				ev.After = ev.After.Add(r.after)
-				ev.DurationNS += r.durNS
-				for k, v := range r.extra {
-					if extra == nil {
-						extra = make(map[string]int64)
-					}
-					extra[k] += v
+	if tr == nil {
+		return nil
+	}
+	for j := range group {
+		var after obs.Snapshot
+		var durNS int64
+		var extra map[string]int64
+		for i := range fns {
+			r := &recs[i][j]
+			after = after.Add(r.after)
+			durNS += r.durNS
+			for k, v := range r.extra {
+				if extra == nil {
+					extra = make(map[string]int64)
 				}
+				extra[k] += v
 			}
-			if group[j].finish != nil {
-				extra = group[j].finish(s)
-			}
-			ev.Extra = extra
-			pipe.Append(ev)
 		}
+		if group[j].finish != nil {
+			extra = group[j].finish(s)
+		}
+		s.record(group[j].name, durNS, extra, after)
 	}
 	return nil
 }

@@ -21,14 +21,14 @@ func TestTracedParallelCompile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipe := &obs.Pipeline{Tracer: obs.NewTracer()}
+	tr := obs.NewTracer()
 	cfg := driver.Config{Analysis: driver.PointsTo, Promote: true, Workers: 4}
-	if _, err := fe.Compile(cfg, pipe); err != nil {
+	if _, err := fe.Compile(cfg, tr); err != nil {
 		t.Fatal(err)
 	}
 
 	var buf bytes.Buffer
-	if err := pipe.Tracer.WriteChromeTrace(&buf); err != nil {
+	if err := tr.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var trace struct {
@@ -93,7 +93,7 @@ func TestTracedParallelCompile(t *testing.T) {
 	// The span stream must include the analysis fixpoints the driver
 	// wraps.
 	var sawFixpoint bool
-	for _, sp := range pipe.Tracer.Spans() {
+	for _, sp := range tr.Spans() {
 		if sp.Cat == "analysis" {
 			sawFixpoint = true
 		}
@@ -106,9 +106,9 @@ func TestTracedParallelCompile(t *testing.T) {
 // benchCompileExecute is one compile+execute of the first suite
 // program, the unit BenchmarkObsOverhead compares with observability
 // off and on.
-func benchCompileExecute(b *testing.B, fe *driver.Frontend, pipe *obs.Pipeline) {
+func benchCompileExecute(b *testing.B, fe *driver.Frontend, tr *obs.Tracer) {
 	cfg := driver.Config{Analysis: driver.ModRef, Promote: true}
-	c, err := fe.Compile(cfg, pipe)
+	c, err := fe.Compile(cfg, tr)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func benchCompileExecute(b *testing.B, fe *driver.Frontend, pipe *obs.Pipeline) 
 }
 
 // BenchmarkObsOverhead quantifies the observability tax. The "off"
-// variant is the default state — no pipeline, tracer, or metrics; the
+// variant is the default state — no tracer or metrics; the
 // acceptance bar is that it stays within noise (≤1%) of what the
 // compiler did before the span/metrics layer existed, which this
 // benchmark makes checkable against the committed BenchmarkCompileMatrix
@@ -139,7 +139,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 		obs.EnableMetrics()
 		defer obs.DisableMetrics()
 		for i := 0; i < b.N; i++ {
-			benchCompileExecute(b, fe, &obs.Pipeline{Tracer: obs.NewTracer()})
+			benchCompileExecute(b, fe, obs.NewTracer())
 		}
 	})
 }

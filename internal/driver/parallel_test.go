@@ -1,7 +1,7 @@
 package driver_test
 
 import (
-	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -11,12 +11,14 @@ import (
 	"regpromo/internal/obs"
 )
 
-// TestParallelMatchesSerial checks the parallel middle end's core
-// contract: for every suite program under every differential
-// configuration, the IL produced with Workers=0 (one worker per CPU)
-// is byte-identical to the IL produced with Workers=1 (the classic
-// serial pass-by-pass walk), and the merged observer telemetry agrees
-// with the serial observer on everything except wall time.
+// TestParallelMatchesSerial checks the worker pool's core contract:
+// for every suite program under every differential configuration, a
+// reference compile that runs pass-major on one worker — every
+// function through one pass before the next pass starts, because an
+// all-pass IL dump runs each per-function pass as its own one-pass
+// group — and a function-major compile on four workers produce
+// byte-identical IL and pass records that agree on every field except
+// duration_ns.
 func TestParallelMatchesSerial(t *testing.T) {
 	for _, p := range bench.Suite() {
 		fe, err := driver.ParseSource(p.Name+".c", bench.Source(p))
@@ -25,67 +27,61 @@ func TestParallelMatchesSerial(t *testing.T) {
 		}
 		for _, nc := range driver.DifferentialConfigurations(false) {
 			t.Run(p.Name+"/"+nc.Name, func(t *testing.T) {
-				serialCfg, parallelCfg := nc.Config, nc.Config
-				serialCfg.Workers = 1
+				refCfg, parallelCfg := nc.Config, nc.Config
+				refCfg.Workers = 1
 				// An explicit worker count forces the multi-worker
 				// pool even on single-CPU hosts, where the default
-				// (0, one worker per CPU) would degenerate to the
-				// serial loop and test nothing.
+				// (0, one worker per CPU) would degenerate to one
+				// worker and test nothing.
 				parallelCfg.Workers = 4
 
-				// Both observers carry live tracers: span collection
-				// must never perturb the compile (in particular it
-				// must not force the parallel middle end onto its
-				// serial fallback).
-				serialPipe := obs.Pipeline{Tracer: obs.NewTracer()}
-				parallelPipe := obs.Pipeline{Tracer: obs.NewTracer()}
-				sc, err := fe.Compile(serialCfg, &serialPipe)
+				refTr, parallelTr := obs.NewTracer(), obs.NewTracer()
+				refTr.DumpPass = obs.DumpAll
+				rc, err := fe.Compile(refCfg, refTr)
 				if err != nil {
-					t.Fatalf("serial compile: %v", err)
+					t.Fatalf("reference compile: %v", err)
 				}
-				pc, err := fe.Compile(parallelCfg, &parallelPipe)
+				pc, err := fe.Compile(parallelCfg, parallelTr)
 				if err != nil {
 					t.Fatalf("parallel compile: %v", err)
 				}
 
-				sIL, pIL := ir.FormatModule(sc.Module), ir.FormatModule(pc.Module)
-				if sIL != pIL {
-					t.Fatalf("IL differs between serial and parallel compiles:\n--- serial ---\n%s\n--- parallel ---\n%s", sIL, pIL)
+				rIL, pIL := ir.FormatModule(rc.Module), ir.FormatModule(pc.Module)
+				if rIL != pIL {
+					t.Fatalf("IL differs between reference and parallel compiles:\n--- reference ---\n%s\n--- parallel ---\n%s", rIL, pIL)
 				}
-				if sc.Promote.Counters() != pc.Promote.Counters() {
-					t.Errorf("promote stats differ: serial %+v, parallel %+v", sc.Promote, pc.Promote)
+				if rc.Promote.Counters() != pc.Promote.Counters() {
+					t.Errorf("promote stats differ: reference %+v, parallel %+v", rc.Promote, pc.Promote)
 				}
-				if sc.Alloc != pc.Alloc {
-					t.Errorf("alloc stats differ: serial %+v, parallel %+v", sc.Alloc, pc.Alloc)
+				if rc.Alloc != pc.Alloc {
+					t.Errorf("alloc stats differ: reference %+v, parallel %+v", rc.Alloc, pc.Alloc)
 				}
 
-				if len(serialPipe.Events) != len(parallelPipe.Events) {
-					t.Fatalf("event counts differ: serial %v, parallel %v",
-						serialPipe.PassNames(), parallelPipe.PassNames())
+				if len(rc.Passes) != len(pc.Passes) {
+					t.Fatalf("record counts differ: reference %d, parallel %d", len(rc.Passes), len(pc.Passes))
 				}
-				for i, se := range serialPipe.Events {
-					pe := parallelPipe.Events[i]
-					if se.Name != pe.Name || se.Index != pe.Index {
-						t.Errorf("event %d: serial %s/%d, parallel %s/%d", i, se.Name, se.Index, pe.Name, pe.Index)
+				for i, re := range rc.Passes {
+					pe := pc.Passes[i]
+					if re.IRDump == "" || pe.IRDump != "" {
+						t.Errorf("%s: IL dumps on the wrong side: reference %d bytes, parallel %d bytes", re.Name, len(re.IRDump), len(pe.IRDump))
 					}
-					if se.Before != pe.Before {
-						t.Errorf("%s: before snapshots differ: serial %+v, parallel %+v", se.Name, se.Before, pe.Before)
-					}
-					if se.After != pe.After {
-						t.Errorf("%s: after snapshots differ: serial %+v, parallel %+v", se.Name, se.After, pe.After)
-					}
-					// The front-end events count cumulative clone
+					r, q := *re, *pe
+					r.DurationNS, q.DurationNS = 0, 0
+					r.IRDump = ""
+					// The front-end records count cumulative clone
 					// reuse on the shared Frontend, which moves
-					// between the two compiles by construction;
-					// only the middle-end extras must agree.
-					if strings.HasPrefix(se.Name, driver.PassFrontend) {
-						continue
+					// between the two compiles by construction.
+					if strings.HasPrefix(r.Name, driver.PassFrontend) {
+						r.Extra, q.Extra = nil, nil
 					}
-					if fmt.Sprint(se.Extra) != fmt.Sprint(pe.Extra) {
-						t.Errorf("%s: extras differ: serial %v, parallel %v", se.Name, se.Extra, pe.Extra)
+					if !reflect.DeepEqual(r, q) {
+						t.Errorf("record %d differs:\nreference %+v\nparallel  %+v", i, r, q)
 					}
 				}
-				if len(serialPipe.Tracer.Spans()) == 0 || len(parallelPipe.Tracer.Spans()) == 0 {
+				if last := rc.Passes[len(rc.Passes)-1]; last.IRDump != pIL {
+					t.Errorf("reference dump after %s differs from the final IL", last.Name)
+				}
+				if len(refTr.Spans()) == 0 || len(parallelTr.Spans()) == 0 {
 					t.Error("a tracer recorded no spans")
 				}
 			})
@@ -93,27 +89,56 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestDumpPassFallsBackToSerial checks that an observer requesting IL
-// dumps still gets one dump per pass with the parallel middle end
-// enabled (the driver falls back to the serial walk, which is the
-// only execution that materializes the module at each pass boundary).
-func TestDumpPassFallsBackToSerial(t *testing.T) {
+// TestDumpPassRunsPassMajor checks that an IL-dump request on a
+// multi-worker compile gets one dump per pass, taken with the whole
+// module at that pass's boundary: every per-function pass runs as its
+// own one-pass group, so all of one pass's per-function spans end
+// before any span of the next per-function pass starts.
+func TestDumpPassRunsPassMajor(t *testing.T) {
 	p := bench.Suite()[0]
 	fe, err := driver.ParseSource(p.Name+".c", bench.Source(p))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipe := obs.Pipeline{DumpPass: obs.DumpAll}
-	cfg := driver.Config{Analysis: driver.PointsTo, Promote: true, Workers: 0}
-	if _, err := fe.Compile(cfg, &pipe); err != nil {
+	tr := obs.NewTracer()
+	tr.DumpPass = obs.DumpAll
+	cfg := driver.Config{Analysis: driver.PointsTo, Promote: true, Workers: 4}
+	c, err := fe.Compile(cfg, tr)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pipe.Events) == 0 {
-		t.Fatal("no events recorded")
+	if len(c.Passes) == 0 {
+		t.Fatal("no records")
 	}
-	for _, ev := range pipe.Events {
+	for _, ev := range c.Passes {
 		if ev.IRDump == "" {
 			t.Errorf("pass %s: missing IL dump", ev.Name)
+		}
+	}
+
+	type window struct{ start, end int64 }
+	windows := map[string]*window{}
+	var order []string
+	for _, sp := range tr.Spans() {
+		if sp.Cat != "pass" || sp.Labels["func"] == "" {
+			continue
+		}
+		w := windows[sp.Name]
+		if w == nil {
+			w = &window{start: sp.StartNS, end: sp.StartNS + sp.DurNS}
+			windows[sp.Name] = w
+			order = append(order, sp.Name)
+		}
+		w.start = min(w.start, sp.StartNS)
+		w.end = max(w.end, sp.StartNS+sp.DurNS)
+	}
+	if len(order) < 2 {
+		t.Fatalf("per-function passes traced: %v", order)
+	}
+	for i := 1; i < len(order); i++ {
+		prev, next := windows[order[i-1]], windows[order[i]]
+		if prev.end > next.start {
+			t.Errorf("pass %s started before pass %s finished on every function", order[i], order[i-1])
 		}
 	}
 }

@@ -7,18 +7,21 @@ import (
 	"time"
 )
 
-// FormatTable renders the event stream as the per-pass trace table
-// rpcc -trace prints: one row per pass with wall time, the
+// FormatTable renders a traced compile's pass records as the per-pass
+// trace table rpcc -trace prints: one row per pass with its time, the
 // instruction-count delta, and the static memory-operation deltas by
 // Table-1 class (negative numbers mean the pass removed operations).
-func (p *Pipeline) FormatTable() string {
-	if p == nil || len(p.Events) == 0 {
+// A per-function pass's time is summed over functions, so with several
+// workers it is worker time; the closing total line prints wall, the
+// whole compile's wall time, instead of a sum of the rows.
+func FormatTable(events []*PassEvent, wall time.Duration) string {
+	if len(events) == 0 {
 		return ""
 	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-3s %-11s %10s %8s %8s %8s %8s %8s %9s %9s\n",
-		"#", "pass", "time", "Δinstr", "ΔsLoad", "ΔsStore", "ΔpLoad", "ΔpStore", "ΔsLd@loop", "ΔsSt@loop")
-	for _, e := range p.Events {
+		"#", "pass", "Σworker", "Δinstr", "ΔsLoad", "ΔsStore", "ΔpLoad", "ΔpStore", "ΔsLd@loop", "ΔsSt@loop")
+	for _, e := range events {
 		d := e.Delta()
 		fmt.Fprintf(&sb, "%-3d %-11s %10s %8d %8d %8d %8d %8d %9d %9d\n",
 			e.Index, e.Name, fmtDuration(e.Duration()),
@@ -28,9 +31,9 @@ func (p *Pipeline) FormatTable() string {
 			fmt.Fprintf(&sb, "    %s\n", FormatExtra(e.Extra))
 		}
 	}
-	last := p.Events[len(p.Events)-1].After
-	fmt.Fprintf(&sb, "total %s  final: funcs=%d blocks=%d instrs=%d sLoad=%d sStore=%d pLoad=%d pStore=%d in-loop: loads=%d stores=%d\n",
-		fmtDuration(p.Total()), last.Funcs, last.Blocks, last.Instrs,
+	last := events[len(events)-1].After
+	fmt.Fprintf(&sb, "total %s wall  final: funcs=%d blocks=%d instrs=%d sLoad=%d sStore=%d pLoad=%d pStore=%d in-loop: loads=%d stores=%d\n",
+		fmtDuration(wall), last.Funcs, last.Blocks, last.Instrs,
 		last.Mem.ScalarLoads, last.Mem.ScalarStores, last.Mem.PtrLoads, last.Mem.PtrStores,
 		last.Loop.Loads(), last.Loop.Stores())
 	return sb.String()

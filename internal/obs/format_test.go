@@ -3,19 +3,18 @@ package obs
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
-// TestFormatTableEmpty checks the degenerate observers: a nil
-// pipeline and a pipeline that observed nothing both render as the
-// empty string (rpcc -trace prints nothing rather than a bare
-// header).
+// TestFormatTableEmpty checks the degenerate inputs: no records (an
+// untraced compile) and an empty record list both render as the empty
+// string (rpcc -trace prints nothing rather than a bare header).
 func TestFormatTableEmpty(t *testing.T) {
-	var nilPipe *Pipeline
-	if got := nilPipe.FormatTable(); got != "" {
-		t.Errorf("nil pipeline renders %q", got)
+	if got := FormatTable(nil, time.Second); got != "" {
+		t.Errorf("nil records render %q", got)
 	}
-	if got := (&Pipeline{}).FormatTable(); got != "" {
-		t.Errorf("empty pipeline renders %q", got)
+	if got := FormatTable([]*PassEvent{}, time.Second); got != "" {
+		t.Errorf("empty records render %q", got)
 	}
 }
 
@@ -23,10 +22,8 @@ func TestFormatTableEmpty(t *testing.T) {
 // merged parallel middle end can record 0ns for a pass that did no
 // work) render with an explicit 0µs, not garbage.
 func TestFormatTableZeroDuration(t *testing.T) {
-	p := &Pipeline{}
 	snap := Snapshot{Funcs: 1, Blocks: 1, Instrs: 3}
-	p.Append(&PassEvent{Name: "noop", DurationNS: 0, Before: snap, After: snap})
-	out := p.FormatTable()
+	out := FormatTable([]*PassEvent{{Name: "noop", DurationNS: 0, Before: snap, After: snap}}, 0)
 	if !strings.Contains(out, "0µs") {
 		t.Errorf("zero-duration pass missing 0µs:\n%s", out)
 	}
@@ -35,11 +32,31 @@ func TestFormatTableZeroDuration(t *testing.T) {
 	}
 }
 
-// TestFormatTableMergedSnapshots drives FormatTable with an event
+// TestFormatTableTotalIsWall checks the total line prints the compile's
+// wall time, not the sum of the rows: a per-function pass's row is
+// summed over functions and workers, so on a parallel compile the rows
+// add up to more than the wall clock saw.
+func TestFormatTableTotalIsWall(t *testing.T) {
+	snap := Snapshot{Funcs: 2, Blocks: 2, Instrs: 6}
+	out := FormatTable([]*PassEvent{
+		{Index: 0, Name: "modref", DurationNS: int64(760 * time.Millisecond), Before: snap, After: snap},
+		{Index: 1, Name: "regalloc", DurationNS: int64(time.Second), Before: snap, After: snap},
+	}, 1610*time.Millisecond)
+	if !strings.Contains(out, "total 1.61s wall") {
+		t.Errorf("total line is not the wall time:\n%s", out)
+	}
+	if strings.Contains(out, "1.76s") {
+		t.Errorf("total line sums the rows:\n%s", out)
+	}
+	if header, _, _ := strings.Cut(out, "\n"); !strings.Contains(header, "Σworker") {
+		t.Errorf("time column not labelled as summed worker time: %q", header)
+	}
+}
+
+// TestFormatTableMergedSnapshots drives FormatTable with a record
 // assembled the way the parallel middle end does it: per-function
-// snapshots folded together with Add, appended rather than observed.
-// The table's delta and final-state lines must reflect the merged
-// sums.
+// snapshots folded together with Add. The table's delta and
+// final-state lines must reflect the merged sums.
 func TestFormatTableMergedSnapshots(t *testing.T) {
 	fnA := Snapshot{Funcs: 1, Blocks: 2, Instrs: 10, Mem: MemOps{ScalarLoads: 4, ScalarStores: 2}}
 	fnB := Snapshot{Funcs: 1, Blocks: 3, Instrs: 20, Mem: MemOps{ScalarLoads: 6, PtrStores: 1}}
@@ -50,15 +67,13 @@ func TestFormatTableMergedSnapshots(t *testing.T) {
 	afterA.Instrs -= 3
 	afterB.Mem.ScalarLoads -= 4
 	afterB.Instrs -= 4
-	p := &Pipeline{}
-	p.Append(&PassEvent{
+	out := FormatTable([]*PassEvent{{
 		Name:       "promote",
 		DurationNS: 1500,
 		Before:     before,
 		After:      afterA.Add(afterB),
 		Extra:      map[string]int64{"promotions": 2},
-	})
-	out := p.FormatTable()
+	}}, 1500)
 	// Δinstr −7, ΔsLoad −7 from the merged snapshots.
 	if !strings.Contains(out, "-7") {
 		t.Errorf("merged delta missing:\n%s", out)

@@ -1,11 +1,17 @@
-// Package obs is the compiler's observability layer. A Pipeline
-// observes the pass manager (internal/driver): for every pass it
-// records wall-clock duration, static IR snapshots taken before and
-// after (function/block/instruction counts plus the Table-1 memory-op
-// census: immediate and constant loads, scalar ("tagged") loads and
-// stores, and general pointer-based loads and stores), pass-specific
-// statistics folded into a flat key/value map, and — on request — a
-// full IL dump. The event stream serializes to JSON so benchmark
+// Package obs is the compiler's observability layer. It has two
+// pieces. A Tracer (span.go) collects hierarchical wall-clock spans —
+// compile → passes → per-function middle-end work items → analysis
+// fixpoints — and exports them as JSON or Chrome trace_event files; the
+// metrics registry (metrics.go) keeps process-wide counters, gauges and
+// histograms.
+//
+// Pass records are not a third channel but a per-compile result: when
+// the driver (internal/driver) compiles under a tracer it fills one
+// PassEvent per pass, whose duration is the pass's own span and whose
+// static IR census (function/block/instruction counts plus the Table-1
+// memory-op census: immediate and constant loads, scalar ("tagged")
+// loads and stores, general pointer-based loads and stores) is
+// measured after the pass. The records serialize to JSON, so benchmark
 // trajectories (BENCH_*.json) and CLI traces share one schema.
 //
 // The paper's evaluation (§5) is measurement end to end; this package
@@ -13,8 +19,6 @@
 package obs
 
 import (
-	"encoding/json"
-	"io"
 	"time"
 
 	"regpromo/internal/ir"
@@ -247,16 +251,18 @@ type ExecEvent struct {
 	DurationNS int64 `json:"duration_ns,omitempty"`
 }
 
-// PassEvent is one pass's record in the event stream.
+// PassEvent is one pass's record in a traced compile.
 type PassEvent struct {
 	// Index is the pass's position in the pipeline, from 0.
 	Index int `json:"index"`
 	// Name identifies the pass ("promote", "regalloc", …).
 	Name string `json:"name"`
-	// DurationNS is the pass's wall-clock time in nanoseconds.
+	// DurationNS is the time of the pass's span in nanoseconds. A
+	// per-function pass's time is its per-function spans summed, so it
+	// is worker time, not wall time, when functions ran concurrently.
 	DurationNS int64 `json:"duration_ns"`
 	// Before and After are the static IR snapshots bracketing the
-	// pass.
+	// pass (Before is the previous pass's After).
 	Before Snapshot `json:"before"`
 	After  Snapshot `json:"after"`
 	// Extra carries pass-specific statistics (promotion and
@@ -269,133 +275,8 @@ type PassEvent struct {
 // Delta returns After - Before.
 func (e *PassEvent) Delta() Snapshot { return e.After.Sub(e.Before) }
 
-// Duration returns the recorded wall-clock time.
+// Duration returns the recorded pass time.
 func (e *PassEvent) Duration() time.Duration { return time.Duration(e.DurationNS) }
 
-// DumpAll requests an IR dump after every pass.
+// DumpAll, as Tracer.DumpPass, requests an IR dump after every pass.
 const DumpAll = "all"
-
-// Pipeline collects pass events for one compilation. A nil *Pipeline
-// is a valid no-op observer, so unobserved compiles pay nothing.
-type Pipeline struct {
-	// DumpPass names the pass whose output IL should be captured
-	// into its event ("all" captures every pass).
-	DumpPass string
-
-	// Tracer, when non-nil, receives a hierarchical span for each
-	// observed pass (and whatever the driver nests inside them);
-	// nil keeps the pipeline span-free at zero cost.
-	Tracer *Tracer
-
-	// Events accumulate in pipeline order.
-	Events []*PassEvent
-}
-
-// StartSpan opens a span on the pipeline's tracer; with a nil
-// pipeline or nil tracer it returns a no-op zero Span.
-func (p *Pipeline) StartSpan(name, cat string, tid int) Span {
-	if p == nil {
-		return Span{}
-	}
-	return p.Tracer.Start(name, cat, tid)
-}
-
-// Observe runs one pass under observation: it snapshots m, times run,
-// snapshots again, and appends the event. run returns the pass's
-// extra statistics (may be nil). A nil receiver just runs the pass.
-func (p *Pipeline) Observe(name string, m *ir.Module, run func() (map[string]int64, error)) error {
-	if p == nil {
-		_, err := run()
-		return err
-	}
-	ev := &PassEvent{
-		Index:  len(p.Events),
-		Name:   name,
-		Before: Measure(m),
-	}
-	sp := p.Tracer.Start(name, "pass", 0)
-	start := time.Now()
-	extra, err := run()
-	ev.DurationNS = time.Since(start).Nanoseconds()
-	sp.AddArgs(extra).End()
-	if err != nil {
-		return err
-	}
-	ev.After = Measure(m)
-	ev.Extra = extra
-	recordPassMetrics(ev.DurationNS)
-	if m != nil && (p.DumpPass == DumpAll || p.DumpPass == name) {
-		ev.IRDump = ir.FormatModule(m)
-	}
-	p.Events = append(p.Events, ev)
-	return nil
-}
-
-// recordPassMetrics reports one pass completion to the process-wide
-// registry (no-op while metrics are disabled).
-func recordPassMetrics(durNS int64) {
-	r := Metrics()
-	if r == nil {
-		return
-	}
-	r.Counter("compile.passes").Inc()
-	r.Histogram("compile.pass_ns", DurationBucketsNS).Observe(durNS)
-}
-
-// Append adds a pre-assembled event to the stream, assigning its
-// Index. The driver's parallel middle end builds events by merging
-// per-function measurements in function order and emits them here,
-// through the same stream Observe feeds. A nil receiver discards the
-// event.
-func (p *Pipeline) Append(ev *PassEvent) {
-	if p == nil || ev == nil {
-		return
-	}
-	ev.Index = len(p.Events)
-	p.Events = append(p.Events, ev)
-	recordPassMetrics(ev.DurationNS)
-}
-
-// Event returns the first event with the given pass name, or nil.
-func (p *Pipeline) Event(name string) *PassEvent {
-	if p == nil {
-		return nil
-	}
-	for _, e := range p.Events {
-		if e.Name == name {
-			return e
-		}
-	}
-	return nil
-}
-
-// PassNames lists the recorded passes in order.
-func (p *Pipeline) PassNames() []string {
-	if p == nil {
-		return nil
-	}
-	names := make([]string, len(p.Events))
-	for i, e := range p.Events {
-		names[i] = e.Name
-	}
-	return names
-}
-
-// Total sums the recorded pass durations.
-func (p *Pipeline) Total() time.Duration {
-	if p == nil {
-		return 0
-	}
-	var ns int64
-	for _, e := range p.Events {
-		ns += e.DurationNS
-	}
-	return time.Duration(ns)
-}
-
-// WriteJSON emits the event stream as indented JSON.
-func (p *Pipeline) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(p.Events)
-}

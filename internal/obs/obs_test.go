@@ -1,12 +1,11 @@
 package obs
 
 import (
-	"bytes"
 	"encoding/json"
-	"errors"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"regpromo/internal/ir"
 )
@@ -97,107 +96,38 @@ func TestLoopCensus(t *testing.T) {
 	}
 }
 
-func TestObserveRecordsDeltaAndExtra(t *testing.T) {
+func TestEventJSONRoundTrip(t *testing.T) {
 	m := testModule()
-	p := &Pipeline{}
-	err := p.Observe("strip-stores", m, func() (map[string]int64, error) {
-		// Delete the scalar store, as promotion would.
-		b := m.Funcs["main"].Entry
-		var kept []ir.Instr
-		for _, in := range b.Instrs {
-			if in.Op != ir.OpSStore {
-				kept = append(kept, in)
-			}
-		}
-		b.Instrs = kept
-		return map[string]int64{"removed": 1}, nil
-	})
+	snap := Measure(m)
+	events := []*PassEvent{
+		{Index: 0, Name: "constprop", DurationNS: 10, Before: snap, After: snap},
+		{Index: 1, Name: "promote", DurationNS: 20, Before: snap, After: snap,
+			Extra: map[string]int64{"scalar_promotions": 2}, IRDump: ir.FormatModule(m)},
+	}
+	data, err := json.Marshal(events)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Events) != 1 {
-		t.Fatalf("got %d events, want 1", len(p.Events))
-	}
-	e := p.Events[0]
-	d := e.Delta()
-	if d.Instrs != -1 || d.Mem.ScalarStores != -1 {
-		t.Fatalf("delta = %+v, want Δinstrs=-1 ΔsStore=-1", d)
-	}
-	if d.Mem.ScalarLoads != 0 || d.Mem.PtrStores != 0 {
-		t.Fatalf("unrelated classes moved: %+v", d)
-	}
-	if e.Extra["removed"] != 1 {
-		t.Fatalf("extra = %v", e.Extra)
-	}
-	if e.DurationNS < 0 {
-		t.Fatalf("negative duration %d", e.DurationNS)
-	}
-	if p.Event("strip-stores") != e || p.Event("nope") != nil {
-		t.Fatal("Event lookup broken")
-	}
-}
-
-func TestObserveNilPipelineAndErrors(t *testing.T) {
-	var p *Pipeline
-	ran := false
-	if err := p.Observe("x", nil, func() (map[string]int64, error) { ran = true; return nil, nil }); err != nil {
-		t.Fatal(err)
-	}
-	if !ran {
-		t.Fatal("nil pipeline must still run the pass")
-	}
-	if p.FormatTable() != "" || p.Total() != 0 || p.PassNames() != nil || p.Event("x") != nil {
-		t.Fatal("nil pipeline accessors must be no-ops")
-	}
-
-	q := &Pipeline{}
-	wantErr := errors.New("pass failed")
-	if err := q.Observe("bad", testModule(), func() (map[string]int64, error) { return nil, wantErr }); !errors.Is(err, wantErr) {
-		t.Fatalf("err = %v, want %v", err, wantErr)
-	}
-	if len(q.Events) != 0 {
-		t.Fatal("failed pass must not record an event")
-	}
-}
-
-func TestEventJSONRoundTrip(t *testing.T) {
-	m := testModule()
-	p := &Pipeline{DumpPass: DumpAll}
-	for _, name := range []string{"constprop", "promote"} {
-		if err := p.Observe(name, m, func() (map[string]int64, error) {
-			return map[string]int64{"scalar_promotions": 2}, nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var buf bytes.Buffer
-	if err := p.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
 	var back []*PassEvent
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
+	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(back, p.Events) {
-		t.Fatalf("round trip mismatch:\n%+v\nvs\n%+v", back[0], p.Events[0])
+	if !reflect.DeepEqual(back, events) {
+		t.Fatalf("round trip mismatch:\n%+v\nvs\n%+v", back[0], events[0])
 	}
 	if back[1].IRDump == "" || !strings.Contains(back[1].IRDump, "func main") {
 		t.Fatal("IR dump lost in round trip")
 	}
-	if got := p.PassNames(); !reflect.DeepEqual(got, []string{"constprop", "promote"}) {
-		t.Fatalf("PassNames = %v", got)
-	}
 }
 
 func TestFormatTable(t *testing.T) {
-	m := testModule()
-	p := &Pipeline{}
-	if err := p.Observe("promote", m, func() (map[string]int64, error) {
-		return map[string]int64{"scalar_promotions": 1}, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	table := p.FormatTable()
+	after := Measure(testModule())
+	before := after
+	before.Mem.ScalarStores++
+	table := FormatTable([]*PassEvent{{
+		Name: "promote", Before: before, After: after,
+		Extra: map[string]int64{"scalar_promotions": 1},
+	}}, time.Millisecond)
 	for _, want := range []string{"pass", "promote", "ΔsStore", "scalar_promotions=1", "total"} {
 		if !strings.Contains(table, want) {
 			t.Fatalf("table missing %q:\n%s", want, table)

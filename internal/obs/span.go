@@ -49,6 +49,10 @@ type SpanEvent struct {
 // is not usable; construct with NewTracer. A nil *Tracer is a valid
 // no-op tracer.
 type Tracer struct {
+	// DumpPass names the pass whose output IL a traced compile
+	// captures into its pass record (DumpAll captures every pass).
+	DumpPass string
+
 	mu      sync.Mutex
 	epoch   time.Time
 	now     func() time.Time // test hook; time.Now outside tests
@@ -132,16 +136,18 @@ func (s Span) Label(k, v string) Span {
 	return s
 }
 
-// End completes the span and records it on the tracer. Safe from any
-// goroutine; a zero Span does nothing.
-func (s Span) End() {
+// End completes the span, records it on the tracer, and returns its
+// duration in nanoseconds. Safe from any goroutine; a zero Span does
+// nothing and returns 0.
+func (s Span) End() int64 {
 	if s.t == nil {
-		return
+		return 0
 	}
 	s.ev.DurNS = s.t.now().Sub(s.start).Nanoseconds()
 	s.t.mu.Lock()
 	s.t.spans = append(s.t.spans, *s.ev)
 	s.t.mu.Unlock()
+	return s.ev.DurNS
 }
 
 // NameThread assigns a display name to a logical thread id, emitted

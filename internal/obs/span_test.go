@@ -30,8 +30,13 @@ func TestChromeTraceGolden(t *testing.T) {
 	tr.NameThread(1, "worker 0")
 	outer := tr.Start("compile", "compile", 0)                                      // start 2µs → ts 1
 	inner := tr.Start("promote", "pass", 1).Arg("promotions", 3).Label("f", "main") // start 3µs → ts 2
-	inner.End()                                                                     // end 4µs → dur 1
-	outer.End()                                                                     // end 5µs → dur 3
+	// inner ends at 4µs → dur 1, then outer at 5µs → dur 3.
+	if d := inner.End(); d != 1000 {
+		t.Errorf("inner End() = %dns, want 1000", d)
+	}
+	if d := outer.End(); d != 3000 {
+		t.Errorf("outer End() = %dns, want 3000", d)
+	}
 
 	var buf bytes.Buffer
 	if err := tr.WriteChromeTrace(&buf); err != nil {
@@ -117,7 +122,9 @@ func TestNilTracerNoOps(t *testing.T) {
 	var tr *Tracer
 	sp := tr.Start("compile", "compile", 0)
 	sp = sp.Arg("n", 1).AddArgs(map[string]int64{"m": 2}).Label("k", "v")
-	sp.End()
+	if d := sp.End(); d != 0 {
+		t.Errorf("inert span End() = %d, want 0", d)
+	}
 	tr.NameThread(0, "main")
 	if got := tr.Spans(); got != nil {
 		t.Errorf("nil tracer recorded spans: %v", got)
