@@ -323,7 +323,9 @@ func (d *EnumDecl) Pos() token.Pos { return d.P }
 
 // File is one translation unit.
 type File struct {
-	Name    string
+	Name string
+	// Source is the line table every node's Pos resolves against.
+	Source  *token.File
 	Globals []*VarDecl
 	Funcs   []*FuncDecl
 	Structs []*StructDecl

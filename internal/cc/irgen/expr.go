@@ -88,7 +88,7 @@ func (g *generator) genLValue(e ast.Expr) (lvalue, error) {
 
 	case *ast.Unary: // *p
 		if n.Op != token.Star {
-			return lvalue{}, errorf(n.Pos(), "not an lvalue: unary %s", n.Op)
+			return lvalue{}, g.errorf(n.Pos(), "not an lvalue: unary %s", n.Op)
 		}
 		addr, err := g.genExpr(n.X)
 		if err != nil {
@@ -102,7 +102,7 @@ func (g *generator) genLValue(e ast.Expr) (lvalue, error) {
 	case *ast.Member:
 		return g.genMemberLValue(n)
 	}
-	return lvalue{}, errorf(e.Pos(), "not an lvalue: %T", e)
+	return lvalue{}, g.errorf(e.Pos(), "not an lvalue: %T", e)
 }
 
 // genIndexLValue lowers x[i]. When x is (derived from) a named array
@@ -304,7 +304,7 @@ func (g *generator) genExpr(e ast.Expr) (ir.Reg, error) {
 		}
 		return g.genExprAs(n.X, n.To)
 	}
-	return ir.RegInvalid, errorf(e.Pos(), "unhandled expression %T", e)
+	return ir.RegInvalid, g.errorf(e.Pos(), "unhandled expression %T", e)
 }
 
 // stepFor returns the register holding the increment step for ++/--
@@ -409,7 +409,7 @@ func (g *generator) genUnary(n *ast.Unary) (ir.Reg, error) {
 		g.store(lv, next)
 		return next, nil
 	}
-	return ir.RegInvalid, errorf(n.Pos(), "unhandled unary %s", n.Op)
+	return ir.RegInvalid, g.errorf(n.Pos(), "unhandled unary %s", n.Op)
 }
 
 var intBinOps = map[token.Kind]ir.Op{
@@ -498,13 +498,13 @@ func (g *generator) genBinary(n *ast.Binary) (ir.Reg, error) {
 	if common.Kind == types.Double {
 		op, ok := floatBinOps[n.Op]
 		if !ok {
-			return ir.RegInvalid, errorf(n.Pos(), "invalid float op %s", n.Op)
+			return ir.RegInvalid, g.errorf(n.Pos(), "invalid float op %s", n.Op)
 		}
 		return g.emitTo(ir.Instr{Op: op, A: x, B: y}), nil
 	}
 	op, ok := intBinOps[n.Op]
 	if !ok {
-		return ir.RegInvalid, errorf(n.Pos(), "invalid op %s", n.Op)
+		return ir.RegInvalid, g.errorf(n.Pos(), "invalid op %s", n.Op)
 	}
 	return g.emitTo(ir.Instr{Op: op, A: x, B: y}), nil
 }
@@ -549,7 +549,7 @@ func (g *generator) genShortCircuit(n *ast.Binary) (ir.Reg, error) {
 	}
 
 	// Short-circuit arm: result is 0 for &&, 1 for ||.
-	g.cur = short
+	g.enter(short)
 	sv := int64(0)
 	if n.Op == token.OrOr {
 		sv = 1
@@ -559,7 +559,7 @@ func (g *generator) genShortCircuit(n *ast.Binary) (ir.Reg, error) {
 	g.branchTo(join)
 
 	// Full-evaluation arm: result is !!y.
-	g.cur = evalY
+	g.enter(evalY)
 	y, err := g.genTruth(n.Y)
 	if err != nil {
 		return ir.RegInvalid, err
@@ -567,7 +567,7 @@ func (g *generator) genShortCircuit(n *ast.Binary) (ir.Reg, error) {
 	g.emit(ir.Instr{Op: ir.OpCopy, Dst: result, A: y})
 	g.branchTo(join)
 
-	g.cur = join
+	g.enter(join)
 	return result, nil
 }
 
@@ -637,7 +637,7 @@ func (g *generator) genAssign(n *ast.Assign) (ir.Reg, error) {
 	if common.Kind == types.Double {
 		op, ok := floatBinOps[binTok]
 		if !ok {
-			return ir.RegInvalid, errorf(n.Pos(), "invalid float compound op")
+			return ir.RegInvalid, g.errorf(n.Pos(), "invalid float compound op")
 		}
 		res = g.emitTo(ir.Instr{Op: op, A: x, B: y})
 	} else {
@@ -669,21 +669,21 @@ func (g *generator) genCondExpr(n *ast.Cond) (ir.Reg, error) {
 	if err := g.genCond(n.C, thenB, elseB); err != nil {
 		return ir.RegInvalid, err
 	}
-	g.cur = thenB
+	g.enter(thenB)
 	x, err := g.genExprAs(n.X, n.Type())
 	if err != nil {
 		return ir.RegInvalid, err
 	}
 	g.emit(ir.Instr{Op: ir.OpCopy, Dst: result, A: x})
 	g.branchTo(join)
-	g.cur = elseB
+	g.enter(elseB)
 	y, err := g.genExprAs(n.Y, n.Type())
 	if err != nil {
 		return ir.RegInvalid, err
 	}
 	g.emit(ir.Instr{Op: ir.OpCopy, Dst: result, A: y})
 	g.branchTo(join)
-	g.cur = join
+	g.enter(join)
 	return result, nil
 }
 
@@ -773,14 +773,14 @@ func (g *generator) genCond(e ast.Expr, t, f *ir.Block) error {
 			if err := g.genCond(n.X, mid, f); err != nil {
 				return err
 			}
-			g.cur = mid
+			g.enter(mid)
 			return g.genCond(n.Y, t, f)
 		case token.OrOr:
 			mid := g.fn.NewBlock("")
 			if err := g.genCond(n.X, t, mid); err != nil {
 				return err
 			}
-			g.cur = mid
+			g.enter(mid)
 			return g.genCond(n.Y, t, f)
 		case token.Eq, token.NotEq, token.Lt, token.Le, token.Gt, token.Ge:
 			v, err := g.genBinary(n)
@@ -790,7 +790,7 @@ func (g *generator) genCond(e ast.Expr, t, f *ir.Block) error {
 			g.emit(ir.Instr{Op: ir.OpCBr, A: v})
 			ir.AddEdge(g.cur, t)
 			ir.AddEdge(g.cur, f)
-			g.cur = nil
+			g.enter(nil)
 			return nil
 		}
 	case *ast.Unary:
@@ -805,7 +805,7 @@ func (g *generator) genCond(e ast.Expr, t, f *ir.Block) error {
 	g.emit(ir.Instr{Op: ir.OpCBr, A: v})
 	ir.AddEdge(g.cur, t)
 	ir.AddEdge(g.cur, f)
-	g.cur = nil
+	g.enter(nil)
 	return nil
 }
 

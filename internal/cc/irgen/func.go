@@ -2,6 +2,7 @@ package irgen
 
 import (
 	"fmt"
+	"slices"
 
 	"regpromo/internal/cc/ast"
 	"regpromo/internal/cc/types"
@@ -18,7 +19,7 @@ func (g *generator) genFunc(fd *ast.FuncDecl) error {
 
 	entry := fn.NewBlock("")
 	fn.Entry = entry
-	g.cur = entry
+	g.enter(entry)
 
 	// Decide residence for parameters and create their homes.
 	for _, p := range fd.Params {
@@ -56,6 +57,7 @@ func (g *generator) genFunc(fd *ast.FuncDecl) error {
 			g.emit(ir.Instr{Op: ir.OpRet, A: ir.RegInvalid})
 		}
 	}
+	g.enter(nil)
 	fn.RemoveUnreachable()
 	g.mod.AddFunc(fn)
 	return nil
@@ -78,15 +80,36 @@ func (g *generator) newLocalTag(sym *ast.Symbol) ir.TagID {
 // emit appends an instruction to the current block and returns its
 // destination register.
 func (g *generator) emit(in ir.Instr) ir.Reg {
-	g.cur.Instrs = append(g.cur.Instrs, in)
+	g.code = append(g.code, in)
 	return in.Dst
 }
 
 // emitTo allocates a destination register, emits, and returns it.
 func (g *generator) emitTo(in ir.Instr) ir.Reg {
 	in.Dst = g.fn.NewReg()
-	g.cur.Instrs = append(g.cur.Instrs, in)
+	g.code = append(g.code, in)
 	return in.Dst
+}
+
+// enter makes b (nil for none) the current block. The instructions of
+// the block it leaves move from g.code into one allocation of their
+// final length; growing each block's own slice from empty would
+// reallocate it at every doubling.
+func (g *generator) enter(b *ir.Block) {
+	if g.cur != nil && len(g.code) > 0 {
+		g.cur.Instrs = slices.Clone(g.code)
+	}
+	g.code = g.code[:0]
+	if b != nil {
+		g.code = append(g.code, b.Instrs...)
+	}
+	g.cur = b
+}
+
+// open reports whether there is a current block and it does not end
+// in a terminator yet.
+func (g *generator) open() bool {
+	return g.cur != nil && (len(g.code) == 0 || !g.code[len(g.code)-1].Op.IsTerminator())
 }
 
 func (g *generator) loadImm(v int64) ir.Reg {
@@ -96,21 +119,21 @@ func (g *generator) loadImm(v int64) ir.Reg {
 // setCur seals the current block with a branch to next (if still
 // open) and makes next current.
 func (g *generator) setCur(next *ir.Block) {
-	if g.cur != nil && g.cur.Terminator() == nil {
+	if g.open() {
 		g.emit(ir.Instr{Op: ir.OpBr})
 		ir.AddEdge(g.cur, next)
 	}
-	g.cur = next
+	g.enter(next)
 }
 
 // branchTo seals the current block with an unconditional branch to
 // target (if open).
 func (g *generator) branchTo(target *ir.Block) {
-	if g.cur != nil && g.cur.Terminator() == nil {
+	if g.open() {
 		g.emit(ir.Instr{Op: ir.OpBr})
 		ir.AddEdge(g.cur, target)
 	}
-	g.cur = nil
+	g.enter(nil)
 }
 
 func (g *generator) genBlock(b *ast.Block) error {
@@ -161,7 +184,7 @@ func (g *generator) genStmt(s ast.Stmt) error {
 		} else {
 			g.emit(ir.Instr{Op: ir.OpRet, A: ir.RegInvalid})
 		}
-		g.cur = nil
+		g.enter(nil)
 		return nil
 	case *ast.Break:
 		g.branchTo(g.brk[len(g.brk)-1])
@@ -170,7 +193,7 @@ func (g *generator) genStmt(s ast.Stmt) error {
 		g.branchTo(g.cont[len(g.cont)-1])
 		return nil
 	}
-	return errorf(s.Pos(), "unhandled statement %T", s)
+	return g.errorf(s.Pos(), "unhandled statement %T", s)
 }
 
 func (g *generator) genLocalInit(d *ast.VarDecl) error {
@@ -235,7 +258,7 @@ func (g *generator) genInitElem(base ir.Reg, tags ir.TagSet, t *types.Type, e as
 		// Aggregate element with a non-list (or absent) initializer:
 		// zero-fill recursively.
 		if e != nil {
-			return errorf(e.Pos(), "aggregate element needs a brace initializer")
+			return g.errorf(e.Pos(), "aggregate element needs a brace initializer")
 		}
 		return g.genListInit(base, tags, t, nil, off)
 	}
@@ -274,19 +297,19 @@ func (g *generator) genIf(n *ast.If) error {
 	if err := g.genCond(n.Cond, thenB, elseB); err != nil {
 		return err
 	}
-	g.cur = thenB
+	g.enter(thenB)
 	if err := g.genStmt(n.Then); err != nil {
 		return err
 	}
 	g.branchTo(joinB)
 	if n.Else != nil {
-		g.cur = elseB
+		g.enter(elseB)
 		if err := g.genStmt(n.Else); err != nil {
 			return err
 		}
 		g.branchTo(joinB)
 	}
-	g.cur = joinB
+	g.enter(joinB)
 	return nil
 }
 
@@ -295,13 +318,13 @@ func (g *generator) genWhile(n *ast.While) error {
 	bodyB := g.fn.NewBlock("")
 	exitB := g.fn.NewBlock("")
 	g.branchTo(condB)
-	g.cur = condB
+	g.enter(condB)
 	if err := g.genCond(n.Cond, bodyB, exitB); err != nil {
 		return err
 	}
 	g.brk = append(g.brk, exitB)
 	g.cont = append(g.cont, condB)
-	g.cur = bodyB
+	g.enter(bodyB)
 	err := g.genStmt(n.Body)
 	g.brk = g.brk[:len(g.brk)-1]
 	g.cont = g.cont[:len(g.cont)-1]
@@ -309,7 +332,7 @@ func (g *generator) genWhile(n *ast.While) error {
 		return err
 	}
 	g.branchTo(condB)
-	g.cur = exitB
+	g.enter(exitB)
 	return nil
 }
 
@@ -320,7 +343,7 @@ func (g *generator) genDoWhile(n *ast.DoWhile) error {
 	g.branchTo(bodyB)
 	g.brk = append(g.brk, exitB)
 	g.cont = append(g.cont, condB)
-	g.cur = bodyB
+	g.enter(bodyB)
 	err := g.genStmt(n.Body)
 	g.brk = g.brk[:len(g.brk)-1]
 	g.cont = g.cont[:len(g.cont)-1]
@@ -328,11 +351,11 @@ func (g *generator) genDoWhile(n *ast.DoWhile) error {
 		return err
 	}
 	g.branchTo(condB)
-	g.cur = condB
+	g.enter(condB)
 	if err := g.genCond(n.Cond, bodyB, exitB); err != nil {
 		return err
 	}
-	g.cur = exitB
+	g.enter(exitB)
 	return nil
 }
 
@@ -347,7 +370,7 @@ func (g *generator) genFor(n *ast.For) error {
 	postB := g.fn.NewBlock("")
 	exitB := g.fn.NewBlock("")
 	g.branchTo(condB)
-	g.cur = condB
+	g.enter(condB)
 	if n.Cond != nil {
 		if err := g.genCond(n.Cond, bodyB, exitB); err != nil {
 			return err
@@ -357,7 +380,7 @@ func (g *generator) genFor(n *ast.For) error {
 	}
 	g.brk = append(g.brk, exitB)
 	g.cont = append(g.cont, postB)
-	g.cur = bodyB
+	g.enter(bodyB)
 	err := g.genStmt(n.Body)
 	g.brk = g.brk[:len(g.brk)-1]
 	g.cont = g.cont[:len(g.cont)-1]
@@ -365,14 +388,14 @@ func (g *generator) genFor(n *ast.For) error {
 		return err
 	}
 	g.branchTo(postB)
-	g.cur = postB
+	g.enter(postB)
 	if n.Post != nil {
 		if _, err := g.genExpr(n.Post); err != nil {
 			return err
 		}
 	}
 	g.branchTo(condB)
-	g.cur = exitB
+	g.enter(exitB)
 	return nil
 }
 

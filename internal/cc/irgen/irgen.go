@@ -98,14 +98,15 @@ type generator struct {
 	fn    *ir.Func
 	fd    *ast.FuncDecl
 	cur   *ir.Block
+	code  []ir.Instr  // the current block's instructions (see enter)
 	brk   []*ir.Block // break targets, innermost last
 	cont  []*ir.Block // continue targets
 	heapN int         // malloc site counter within the function
 }
 
 // errorf reports a lowering error (rare: sema rejects most problems).
-func errorf(pos token.Pos, format string, args ...any) error {
-	return fmt.Errorf("%s: %s", pos, fmt.Sprintf(format, args...))
+func (g *generator) errorf(pos token.Pos, format string, args ...any) error {
+	return fmt.Errorf("%s: %s", g.prog.File.Source.Position(pos), fmt.Sprintf(format, args...))
 }
 
 // ---------- global initializers ----------
@@ -142,7 +143,7 @@ func (g *generator) encodeList(init *ir.GlobalInit, off int, t *types.Type, elem
 	case types.Array:
 		es := t.Elem.Size()
 		if len(elems) > t.ArrayLen {
-			return errorf(pos, "too many initializers for %s", t)
+			return g.errorf(pos, "too many initializers for %s", t)
 		}
 		for i, e := range elems {
 			if list, ok := e.(*ast.ListExpr); ok {
@@ -158,7 +159,7 @@ func (g *generator) encodeList(init *ir.GlobalInit, off int, t *types.Type, elem
 		return nil
 	case types.Struct:
 		if len(elems) > len(t.Fields) {
-			return errorf(pos, "too many initializers for %s", t)
+			return g.errorf(pos, "too many initializers for %s", t)
 		}
 		for i, e := range elems {
 			f := t.Fields[i]
@@ -175,7 +176,7 @@ func (g *generator) encodeList(init *ir.GlobalInit, off int, t *types.Type, elem
 		return nil
 	default:
 		if len(elems) != 1 {
-			return errorf(pos, "scalar initializer needs exactly one element")
+			return g.errorf(pos, "scalar initializer needs exactly one element")
 		}
 		return g.encodeConst(init, off, t, elems[0])
 	}
@@ -187,7 +188,7 @@ func (g *generator) encodeConst(init *ir.GlobalInit, off int, t *types.Type, e a
 	if s, ok := e.(*ast.StringLit); ok && t.Kind == types.Array && t.Elem.Kind == types.Char {
 		n := len(s.Value)
 		if n > t.ArrayLen {
-			return errorf(e.Pos(), "string too long for %s", t)
+			return g.errorf(e.Pos(), "string too long for %s", t)
 		}
 		copy(init.Data[off:], s.Value)
 		return nil
@@ -198,7 +199,7 @@ func (g *generator) encodeConst(init *ir.GlobalInit, off int, t *types.Type, e a
 	}
 	if cv.tag != ir.TagInvalid {
 		if t.Kind != types.Pointer {
-			return errorf(e.Pos(), "address constant initializing non-pointer %s", t)
+			return g.errorf(e.Pos(), "address constant initializing non-pointer %s", t)
 		}
 		init.Relocs = append(init.Relocs, ir.Reloc{Offset: off, Target: cv.tag, Addend: cv.addend})
 		return nil
@@ -217,7 +218,7 @@ func (g *generator) encodeConst(init *ir.GlobalInit, off int, t *types.Type, e a
 	case types.Long, types.Pointer:
 		binary.LittleEndian.PutUint64(init.Data[off:], uint64(cv.i))
 	default:
-		return errorf(e.Pos(), "cannot statically initialize %s", t)
+		return g.errorf(e.Pos(), "cannot statically initialize %s", t)
 	}
 	return nil
 }
@@ -241,7 +242,7 @@ func (g *generator) constEval(e ast.Expr) (constValue, error) {
 		if n.Sym.Kind == ast.SymGlobal && n.Sym.Type.Kind == types.Array {
 			return constValue{tag: g.symTags[n.Sym]}, nil
 		}
-		return constValue{}, errorf(n.Pos(), "non-constant identifier %s in initializer", n.Name)
+		return constValue{}, g.errorf(n.Pos(), "non-constant identifier %s in initializer", n.Name)
 	case *ast.Unary:
 		if n.Op == token.And {
 			if id, ok := n.X.(*ast.Ident); ok && id.Sym.Kind == ast.SymGlobal {
@@ -257,14 +258,14 @@ func (g *generator) constEval(e ast.Expr) (constValue, error) {
 					}, nil
 				}
 			}
-			return constValue{}, errorf(n.Pos(), "unsupported address constant")
+			return constValue{}, g.errorf(n.Pos(), "unsupported address constant")
 		}
 		cv, err := g.constEval(n.X)
 		if err != nil {
 			return constValue{}, err
 		}
 		if cv.tag != ir.TagInvalid {
-			return constValue{}, errorf(n.Pos(), "arithmetic on address constant")
+			return constValue{}, g.errorf(n.Pos(), "arithmetic on address constant")
 		}
 		switch n.Op {
 		case token.Minus:
@@ -282,7 +283,7 @@ func (g *generator) constEval(e ast.Expr) (constValue, error) {
 				cv.i = 0
 			}
 		default:
-			return constValue{}, errorf(n.Pos(), "unsupported constant unary %s", n.Op)
+			return constValue{}, g.errorf(n.Pos(), "unsupported constant unary %s", n.Op)
 		}
 		return cv, nil
 	case *ast.Binary:
@@ -295,7 +296,7 @@ func (g *generator) constEval(e ast.Expr) (constValue, error) {
 			return constValue{}, err
 		}
 		if x.tag != ir.TagInvalid || y.tag != ir.TagInvalid {
-			return constValue{}, errorf(n.Pos(), "arithmetic on address constant")
+			return constValue{}, g.errorf(n.Pos(), "arithmetic on address constant")
 		}
 		if x.isFloat || y.isFloat {
 			xf, yf := x.f, y.f
@@ -316,7 +317,7 @@ func (g *generator) constEval(e ast.Expr) (constValue, error) {
 			case token.Slash:
 				r = xf / yf
 			default:
-				return constValue{}, errorf(n.Pos(), "unsupported constant float op %s", n.Op)
+				return constValue{}, g.errorf(n.Pos(), "unsupported constant float op %s", n.Op)
 			}
 			return constValue{isFloat: true, f: r, tag: ir.TagInvalid}, nil
 		}
@@ -330,12 +331,12 @@ func (g *generator) constEval(e ast.Expr) (constValue, error) {
 			r = x.i * y.i
 		case token.Slash:
 			if y.i == 0 {
-				return constValue{}, errorf(n.Pos(), "division by zero in constant")
+				return constValue{}, g.errorf(n.Pos(), "division by zero in constant")
 			}
 			r = x.i / y.i
 		case token.Percent:
 			if y.i == 0 {
-				return constValue{}, errorf(n.Pos(), "division by zero in constant")
+				return constValue{}, g.errorf(n.Pos(), "division by zero in constant")
 			}
 			r = x.i % y.i
 		case token.Shl:
@@ -349,7 +350,7 @@ func (g *generator) constEval(e ast.Expr) (constValue, error) {
 		case token.Xor:
 			r = x.i ^ y.i
 		default:
-			return constValue{}, errorf(n.Pos(), "unsupported constant op %s", n.Op)
+			return constValue{}, g.errorf(n.Pos(), "unsupported constant op %s", n.Op)
 		}
 		return constValue{i: r, tag: ir.TagInvalid}, nil
 	case *ast.Cast:
@@ -365,5 +366,5 @@ func (g *generator) constEval(e ast.Expr) (constValue, error) {
 		}
 		return cv, nil
 	}
-	return constValue{}, errorf(e.Pos(), "unsupported constant expression %T", e)
+	return constValue{}, g.errorf(e.Pos(), "unsupported constant expression %T", e)
 }

@@ -3,12 +3,13 @@
 // lexical grammar — identifiers and keywords, integer, floating,
 // character, and string literals (with the usual escape sequences),
 // every multi-character operator, and both comment forms — and
-// reports each token with its line and column so front-end errors
-// point at source positions.
+// reports each token with its byte offset, recording line starts in a
+// token.File so front-end errors point at file:line:col.
 package lexer
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -17,49 +18,50 @@ import (
 
 // Error is a lexical error with a source position.
 type Error struct {
-	Pos token.Pos
+	Pos token.Position
 	Msg string
 }
 
 func (e *Error) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
 
-// Lexer scans one source file.
+// Lexer scans one source file. It tracks only its byte offset; the
+// line table in its token.File grows by one entry per newline.
 type Lexer struct {
 	src  string
-	file string
+	file *token.File
 	off  int
-	line int
-	col  int
 }
 
 // New returns a lexer over src; file names positions in diagnostics.
 func New(file, src string) *Lexer {
-	return &Lexer{src: src, file: file, line: 1, col: 1}
+	return &Lexer{src: src, file: token.NewFile(file)}
 }
 
+// File is the line table positions of this lexer's tokens resolve
+// against. It covers the source scanned so far.
+func (l *Lexer) File() *token.File { return l.file }
+
 // Tokenize scans the entire input, returning the token stream ending
-// in an EOF token.
-func Tokenize(file, src string) ([]token.Token, error) {
+// in an EOF token and the file its positions resolve against.
+func Tokenize(file, src string) ([]token.Token, *token.File, error) {
 	lx := New(file, src)
 	var toks []token.Token
 	for {
 		t, err := lx.Next()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		toks = append(toks, t)
 		if t.Kind == token.EOF {
-			return toks, nil
+			return toks, lx.file, nil
 		}
 	}
 }
 
-func (l *Lexer) pos() token.Pos {
-	return token.Pos{File: l.file, Line: l.line, Col: l.col}
-}
+func (l *Lexer) pos() token.Pos { return token.Pos(l.off) }
 
 func (l *Lexer) errorf(pos token.Pos, format string, args ...any) error {
-	return &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)}
+	return &Error{Pos: l.file.Position(pos), Msg: fmt.Sprintf(format, args...)}
 }
 
 func (l *Lexer) peek() byte {
@@ -76,44 +78,40 @@ func (l *Lexer) peek2() byte {
 	return l.src[l.off+1]
 }
 
+// advance consumes one byte, recording a line start after a newline.
+// The identifier, number and whitespace loops step l.off themselves.
 func (l *Lexer) advance() byte {
 	c := l.src[l.off]
 	l.off++
 	if c == '\n' {
-		l.line++
-		l.col = 1
-	} else {
-		l.col++
+		l.file.AddLine(l.off)
 	}
 	return c
 }
 
 func (l *Lexer) skipSpaceAndComments() error {
 	for l.off < len(l.src) {
-		c := l.peek()
-		switch {
-		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
-			l.advance()
+		switch c := l.src[l.off]; {
+		case c == ' ' || c == '\t' || c == '\r':
+			l.off++
+		case c == '\n':
+			l.off++
+			l.file.AddLine(l.off)
 		case c == '/' && l.peek2() == '/':
-			for l.off < len(l.src) && l.peek() != '\n' {
-				l.advance()
+			if i := strings.IndexByte(l.src[l.off:], '\n'); i >= 0 {
+				l.off += i
+			} else {
+				l.off = len(l.src)
 			}
 		case c == '/' && l.peek2() == '*':
 			start := l.pos()
-			l.advance()
-			l.advance()
-			closed := false
-			for l.off < len(l.src) {
-				if l.peek() == '*' && l.peek2() == '/' {
-					l.advance()
-					l.advance()
-					closed = true
-					break
-				}
-				l.advance()
-			}
-			if !closed {
+			end := strings.Index(l.src[l.off+2:], "*/")
+			if end < 0 {
 				return l.errorf(start, "unterminated block comment")
+			}
+			end += l.off + 4
+			for l.off < end {
+				l.advance()
 			}
 		case c == '#':
 			// Preprocessor lines (e.g. #define used as commentary
@@ -141,16 +139,20 @@ func (l *Lexer) Next() (token.Token, error) {
 	if err := l.skipSpaceAndComments(); err != nil {
 		return token.Token{}, err
 	}
+	if len(l.src) > token.MaxSize {
+		return token.Token{}, l.errorf(0, "source file larger than %d bytes", token.MaxSize)
+	}
 	pos := l.pos()
 	if l.off >= len(l.src) {
 		return token.Token{Kind: token.EOF, Pos: pos}, nil
 	}
-	c := l.peek()
+	c := l.src[l.off]
 	switch {
 	case isIdentStart(c):
 		start := l.off
-		for l.off < len(l.src) && isIdent(l.peek()) {
-			l.advance()
+		l.off++
+		for l.off < len(l.src) && isIdent(l.src[l.off]) {
+			l.off++
 		}
 		text := l.src[start:l.off]
 		if kw, ok := token.Keywords[text]; ok {
@@ -171,10 +173,10 @@ func (l *Lexer) number(pos token.Pos) (token.Token, error) {
 	start := l.off
 	isFloat := false
 	if l.peek() == '0' && (l.peek2() == 'x' || l.peek2() == 'X') {
-		l.advance()
-		l.advance()
+		l.off++
+		l.off++
 		for l.off < len(l.src) && isHex(l.peek()) {
-			l.advance()
+			l.off++
 		}
 		v, err := strconv.ParseUint(l.src[start+2:l.off], 16, 64)
 		if err != nil {
@@ -184,24 +186,24 @@ func (l *Lexer) number(pos token.Pos) (token.Token, error) {
 		return token.Token{Kind: token.IntLit, Pos: pos, Int: int64(v), Text: l.src[start:l.off]}, nil
 	}
 	for l.off < len(l.src) && isDigit(l.peek()) {
-		l.advance()
+		l.off++
 	}
 	if l.peek() == '.' {
 		isFloat = true
-		l.advance()
+		l.off++
 		for l.off < len(l.src) && isDigit(l.peek()) {
-			l.advance()
+			l.off++
 		}
 	}
 	if l.peek() == 'e' || l.peek() == 'E' {
 		if n := l.peek2(); isDigit(n) || ((n == '+' || n == '-') && l.off+2 < len(l.src) && isDigit(l.src[l.off+2])) {
 			isFloat = true
-			l.advance()
+			l.off++
 			if l.peek() == '+' || l.peek() == '-' {
-				l.advance()
+				l.off++
 			}
 			for l.off < len(l.src) && isDigit(l.peek()) {
-				l.advance()
+				l.off++
 			}
 		}
 	}
@@ -211,7 +213,7 @@ func (l *Lexer) number(pos token.Pos) (token.Token, error) {
 		if err != nil {
 			return token.Token{}, l.errorf(pos, "bad float literal %q", text)
 		}
-		return token.Token{Kind: token.FloatLit, Pos: pos, Float: v, Text: text}, nil
+		return token.Token{Kind: token.FloatLit, Pos: pos, Text: text, Int: int64(math.Float64bits(v))}, nil
 	}
 	v, err := strconv.ParseUint(text, 10, 64)
 	if err != nil {
@@ -227,7 +229,7 @@ func (l *Lexer) skipIntSuffix() {
 	for l.off < len(l.src) {
 		switch l.peek() {
 		case 'u', 'U', 'l', 'L':
-			l.advance()
+			l.off++
 		default:
 			return
 		}
@@ -321,14 +323,12 @@ func (l *Lexer) stringLit(pos token.Pos) (token.Token, error) {
 			break
 		}
 	}
-	return token.Token{Kind: token.StringLit, Pos: pos, Str: sb.String()}, nil
+	return token.Token{Kind: token.StringLit, Pos: pos, Text: sb.String()}, nil
 }
 
 func (l *Lexer) operator(pos token.Pos) (token.Token, error) {
 	mk := func(k token.Kind, n int) (token.Token, error) {
-		for i := 0; i < n; i++ {
-			l.advance()
-		}
+		l.off += n
 		return token.Token{Kind: k, Pos: pos}, nil
 	}
 	c, c2 := l.peek(), l.peek2()

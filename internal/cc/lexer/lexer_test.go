@@ -8,7 +8,7 @@ import (
 
 func kinds(t *testing.T, src string) []token.Kind {
 	t.Helper()
-	toks, err := Tokenize("t.c", src)
+	toks, _, err := Tokenize("t.c", src)
 	if err != nil {
 		t.Fatalf("tokenize %q: %v", src, err)
 	}
@@ -51,7 +51,7 @@ func TestOperators(t *testing.T) {
 }
 
 func TestIntegerLiterals(t *testing.T) {
-	toks, err := Tokenize("t.c", "0 42 0x2A 0xff 100u 200L 300UL")
+	toks, _, err := Tokenize("t.c", "0 42 0x2A 0xff 100u 200L 300UL")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,13 +64,13 @@ func TestIntegerLiterals(t *testing.T) {
 }
 
 func TestFloatLiterals(t *testing.T) {
-	toks, err := Tokenize("t.c", "1.5 0.25 2e3 1.5e-2 7.")
+	toks, _, err := Tokenize("t.c", "1.5 0.25 2e3 1.5e-2 7.")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []float64{1.5, 0.25, 2000, 0.015, 7}
 	for i, w := range want {
-		if toks[i].Kind != token.FloatLit || toks[i].Float != w {
+		if toks[i].Kind != token.FloatLit || toks[i].Float() != w {
 			t.Fatalf("token %d = %+v, want float %g", i, toks[i], w)
 		}
 	}
@@ -78,14 +78,14 @@ func TestFloatLiterals(t *testing.T) {
 
 func TestDotVersusFloat(t *testing.T) {
 	expectKinds(t, "a.b", token.Ident, token.Dot, token.Ident)
-	toks, _ := Tokenize("t.c", ".5")
-	if toks[0].Kind != token.FloatLit || toks[0].Float != 0.5 {
+	toks, _, _ := Tokenize("t.c", ".5")
+	if toks[0].Kind != token.FloatLit || toks[0].Float() != 0.5 {
 		t.Fatalf("got %+v", toks[0])
 	}
 }
 
 func TestCharLiterals(t *testing.T) {
-	toks, err := Tokenize("t.c", `'a' '\n' '\0' '\\' '\''`)
+	toks, _, err := Tokenize("t.c", `'a' '\n' '\0' '\\' '\''`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,25 +98,25 @@ func TestCharLiterals(t *testing.T) {
 }
 
 func TestStringLiterals(t *testing.T) {
-	toks, err := Tokenize("t.c", `"hello", "a\tb"`)
+	toks, _, err := Tokenize("t.c", `"hello", "a\tb"`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if toks[0].Str != "hello" {
-		t.Fatalf("got %q", toks[0].Str)
+	if toks[0].Text != "hello" {
+		t.Fatalf("got %q", toks[0].Text)
 	}
-	if toks[2].Str != "a\tb" {
-		t.Fatalf("got %q", toks[2].Str)
+	if toks[2].Text != "a\tb" {
+		t.Fatalf("got %q", toks[2].Text)
 	}
 }
 
 func TestAdjacentStringsConcatenate(t *testing.T) {
-	toks, err := Tokenize("t.c", `"x" "y"  "z"`)
+	toks, _, err := Tokenize("t.c", `"x" "y"  "z"`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if toks[0].Str != "xyz" {
-		t.Fatalf("concatenation got %q", toks[0].Str)
+	if toks[0].Text != "xyz" {
+		t.Fatalf("concatenation got %q", toks[0].Text)
 	}
 	if toks[1].Kind != token.EOF {
 		t.Fatalf("expected single token, next = %v", toks[1])
@@ -129,15 +129,14 @@ func TestComments(t *testing.T) {
 }
 
 func TestPositions(t *testing.T) {
-	toks, err := Tokenize("t.c", "a\n  b")
+	toks, f, err := Tokenize("t.c", "a\n  b /* c\n\n */\td\n")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if toks[0].Pos.Line != 1 || toks[0].Pos.Col != 1 {
-		t.Fatalf("a at %v", toks[0].Pos)
-	}
-	if toks[1].Pos.Line != 2 || toks[1].Pos.Col != 3 {
-		t.Fatalf("b at %v", toks[1].Pos)
+	for i, want := range []string{"t.c:1:1", "t.c:2:3", "t.c:4:5", "t.c:5:1"} {
+		if got := f.Position(toks[i].Pos).String(); got != want {
+			t.Errorf("token %d (%v) at %s, want %s", i, toks[i], got, want)
+		}
 	}
 }
 
@@ -150,7 +149,7 @@ func TestLexErrors(t *testing.T) {
 		"@",
 		`'\q'`,
 	} {
-		if _, err := Tokenize("t.c", src); err == nil {
+		if _, _, err := Tokenize("t.c", src); err == nil {
 			t.Errorf("%q: expected error", src)
 		}
 	}

@@ -6,9 +6,10 @@ import (
 	"regpromo/internal/cc/types"
 )
 
-// Binary operator precedence, highest binds tightest. Assignment and
-// ?: are handled separately (right-associative).
-var binPrec = map[token.Kind]int{
+// Binary operator precedence by token kind, highest binds tightest; 0
+// marks a kind that is not a binary operator. Assignment and ?: are
+// handled separately (right-associative).
+var binPrec = [token.NumKinds]int8{
 	token.OrOr:    1,
 	token.AndAnd:  2,
 	token.Or:      3,
@@ -53,13 +54,14 @@ func (p *Parser) parseAssignExpr() (ast.Expr, error) {
 	if !isAssignOp(p.cur().Kind) {
 		return lhs, nil
 	}
-	op := p.next()
+	op, pos := p.cur().Kind, p.cur().Pos
+	p.next()
 	rhs, err := p.parseAssignExpr()
 	if err != nil {
 		return nil, err
 	}
-	n := &ast.Assign{Op: op.Kind, X: lhs, Y: rhs}
-	n.SetPos(op.Pos)
+	n := &ast.Assign{Op: op, X: lhs, Y: rhs}
+	n.SetPos(pos)
 	return n, nil
 }
 
@@ -71,12 +73,13 @@ func (p *Parser) parseCondExpr() (ast.Expr, error) {
 	if !p.at(token.Question) {
 		return c, nil
 	}
-	q := p.next()
+	pos := p.cur().Pos
+	p.next()
 	x, err := p.parseAssignExpr()
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(token.Colon); err != nil {
+	if err := p.expect(token.Colon); err != nil {
 		return nil, err
 	}
 	y, err := p.parseCondExpr()
@@ -84,7 +87,7 @@ func (p *Parser) parseCondExpr() (ast.Expr, error) {
 		return nil, err
 	}
 	n := &ast.Cond{C: c, X: x, Y: y}
-	n.SetPos(q.Pos)
+	n.SetPos(pos)
 	return n, nil
 }
 
@@ -94,17 +97,19 @@ func (p *Parser) parseBinaryExpr(minPrec int) (ast.Expr, error) {
 		return nil, err
 	}
 	for {
-		prec, ok := binPrec[p.cur().Kind]
-		if !ok || prec < minPrec {
+		t := p.cur()
+		prec := binPrec[t.Kind]
+		if prec == 0 || int(prec) < minPrec {
 			return lhs, nil
 		}
-		op := p.next()
-		rhs, err := p.parseBinaryExpr(prec + 1)
+		op, pos := t.Kind, t.Pos
+		p.next()
+		rhs, err := p.parseBinaryExpr(int(prec) + 1)
 		if err != nil {
 			return nil, err
 		}
-		n := &ast.Binary{Op: op.Kind, X: lhs, Y: rhs}
-		n.SetPos(op.Pos)
+		n := &ast.Binary{Op: op, X: lhs, Y: rhs}
+		n.SetPos(pos)
 		lhs = n
 	}
 }
@@ -116,12 +121,13 @@ func (p *Parser) parseUnaryExpr() (ast.Expr, error) {
 		p.next()
 		return p.parseUnaryExpr()
 	case token.Minus, token.Not, token.Tilde, token.Star, token.And, token.Inc, token.Dec:
-		op := p.next()
+		op := p.cur().Kind
+		p.next()
 		x, err := p.parseUnaryExpr()
 		if err != nil {
 			return nil, err
 		}
-		n := &ast.Unary{Op: op.Kind, X: x}
+		n := &ast.Unary{Op: op, X: x}
 		n.SetPos(pos)
 		return n, nil
 	case token.KwSizeof:
@@ -134,7 +140,7 @@ func (p *Parser) parseUnaryExpr() (ast.Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			if _, err := p.expect(token.RParen); err != nil {
+			if err := p.expect(token.RParen); err != nil {
 				return nil, err
 			}
 			n.OfType = t
@@ -153,7 +159,7 @@ func (p *Parser) parseUnaryExpr() (ast.Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			if _, err := p.expect(token.RParen); err != nil {
+			if err := p.expect(token.RParen); err != nil {
 				return nil, err
 			}
 			x, err := p.parseUnaryExpr()
@@ -197,10 +203,10 @@ func (p *Parser) parseTypeName() (*types.Type, error) {
 		p.next() // *
 		for p.accept(token.Star) {
 		}
-		if _, err := p.expect(token.RParen); err != nil {
+		if err := p.expect(token.RParen); err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(token.LParen); err != nil {
+		if err := p.expect(token.LParen); err != nil {
 			return nil, err
 		}
 		params, _, variadic, err := p.parseParams()
@@ -219,7 +225,7 @@ func (p *Parser) parseTypeName() (*types.Type, error) {
 			}
 			n = int(v)
 		}
-		if _, err := p.expect(token.RBracket); err != nil {
+		if err := p.expect(token.RBracket); err != nil {
 			return nil, err
 		}
 		base = types.ArrayOf(base, n)
@@ -241,7 +247,7 @@ func (p *Parser) parsePostfixExpr() (ast.Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			if _, err := p.expect(token.RBracket); err != nil {
+			if err := p.expect(token.RBracket); err != nil {
 				return nil, err
 			}
 			n := &ast.Index{X: x, I: idx}
@@ -261,22 +267,23 @@ func (p *Parser) parsePostfixExpr() (ast.Expr, error) {
 					break
 				}
 			}
-			if _, err := p.expect(token.RParen); err != nil {
+			if err := p.expect(token.RParen); err != nil {
 				return nil, err
 			}
 			x = call
 		case token.Dot, token.Arrow:
-			arrow := p.next().Kind == token.Arrow
-			nameTok, err := p.expect(token.Ident)
+			arrow := p.cur().Kind == token.Arrow
+			p.next()
+			name, err := p.ident()
 			if err != nil {
 				return nil, err
 			}
-			n := &ast.Member{X: x, Name: nameTok.Text, Arrow: arrow}
+			n := &ast.Member{X: x, Name: name, Arrow: arrow}
 			n.SetPos(pos)
 			x = n
 		case token.Inc, token.Dec:
-			op := p.next()
-			n := &ast.Postfix{Op: op.Kind, X: x}
+			n := &ast.Postfix{Op: p.cur().Kind, X: x}
+			p.next()
 			n.SetPos(pos)
 			x = n
 		default:
@@ -286,32 +293,27 @@ func (p *Parser) parsePostfixExpr() (ast.Expr, error) {
 }
 
 func (p *Parser) parsePrimaryExpr() (ast.Expr, error) {
-	pos := p.cur().Pos
-	switch p.cur().Kind {
-	case token.IntLit:
-		t := p.next()
+	t := p.cur()
+	switch t.Kind {
+	case token.IntLit, token.CharLit:
 		n := &ast.IntLit{Value: t.Int}
-		n.SetPos(pos)
-		return n, nil
-	case token.CharLit:
-		t := p.next()
-		n := &ast.IntLit{Value: t.Int}
-		n.SetPos(pos)
+		n.SetPos(t.Pos)
+		p.next()
 		return n, nil
 	case token.FloatLit:
-		t := p.next()
-		n := &ast.FloatLit{Value: t.Float}
-		n.SetPos(pos)
+		n := &ast.FloatLit{Value: t.Float()}
+		n.SetPos(t.Pos)
+		p.next()
 		return n, nil
 	case token.StringLit:
-		t := p.next()
-		n := &ast.StringLit{Value: t.Str}
-		n.SetPos(pos)
+		n := &ast.StringLit{Value: t.Text}
+		n.SetPos(t.Pos)
+		p.next()
 		return n, nil
 	case token.Ident:
-		t := p.next()
 		n := &ast.Ident{Name: t.Text}
-		n.SetPos(pos)
+		n.SetPos(t.Pos)
+		p.next()
 		return n, nil
 	case token.LParen:
 		p.next()
@@ -319,7 +321,7 @@ func (p *Parser) parsePrimaryExpr() (ast.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(token.RParen); err != nil {
+		if err := p.expect(token.RParen); err != nil {
 			return nil, err
 		}
 		return x, nil

@@ -15,7 +15,7 @@ import (
 
 // Error is a syntax error with position.
 type Error struct {
-	Pos token.Pos
+	Pos token.Position
 	Msg string
 }
 
@@ -23,13 +23,15 @@ func (e *Error) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
 
 // Parser holds parse state for one translation unit. Tokens stream
 // from the lexer: the grammar needs at most two tokens of lookahead,
-// so only the current token and those two are held, never the whole
-// file's token array.
+// so only the current token and those two are held, in a ring the
+// parser reads by pointer, never the whole file's token array.
 type Parser struct {
 	lx *lexer.Lexer
-	// la[0] is the current token, la[1:n] the lookahead scanned so far.
-	la [3]token.Token
-	n  int
+	// la is the lookahead ring: la[head&laMask] is the current token
+	// and the n tokens from there on have been scanned.
+	la   [laMask + 1]token.Token
+	head int
+	n    int
 	// lexErr is the lexer's first error; once set, the stream reads as
 	// EOF.
 	lexErr error
@@ -42,19 +44,25 @@ type Parser struct {
 	paramNames []string
 }
 
+// laMask sizes the lookahead ring: a power of two above the two
+// tokens of lookahead plus the current one.
+const laMask = 3
+
 // Parse parses one source file. A lexical error anywhere in the file
 // takes precedence over a syntax error, as if the file had been
 // tokenized in full before parsing.
 func Parse(filename, src string) (*ast.File, error) {
+	lx := lexer.New(filename, src)
 	p := &Parser{
-		lx:      lexer.New(filename, src),
-		file:    &ast.File{Name: filename},
+		lx:      lx,
+		file:    &ast.File{Name: filename, Source: lx.File()},
 		structs: make(map[string]*types.Type),
 	}
 	err := p.parseFile()
 	if err != nil && p.lexErr == nil {
 		// Scan the rest of the file for a lexical error.
-		for p.next().Kind != token.EOF {
+		for !p.at(token.EOF) {
+			p.next()
 		}
 	}
 	if p.lexErr != nil {
@@ -68,32 +76,39 @@ func Parse(filename, src string) (*ast.File, error) {
 
 // tok returns the token k places ahead of the current one (k ≤ 2),
 // scanning it if needed. Past the end of input it is the EOF token.
-func (p *Parser) tok(k int) token.Token {
-	for p.n <= k {
-		if p.n > 0 && p.la[p.n-1].Kind == token.EOF {
-			p.la[p.n] = p.la[p.n-1]
-		} else if t, err := p.lx.Next(); err != nil {
-			p.lexErr = err
-			p.la[p.n] = token.Token{Kind: token.EOF}
-		} else {
-			p.la[p.n] = t
-		}
-		p.n++
+// The pointer is valid until the parser next advances.
+func (p *Parser) tok(k int) *token.Token {
+	if k >= p.n {
+		p.scan(k)
 	}
-	return p.la[k]
+	return &p.la[(p.head+k)&laMask]
 }
 
-func (p *Parser) cur() token.Token  { return p.tok(0) }
-func (p *Parser) peek() token.Token { return p.tok(1) }
+// scan fills the ring up to k tokens ahead of the current one.
+func (p *Parser) scan(k int) {
+	for ; p.n <= k; p.n++ {
+		t := &p.la[(p.head+p.n)&laMask]
+		if p.lexErr != nil {
+			*t = token.Token{Kind: token.EOF}
+			continue
+		}
+		var err error
+		if *t, err = p.lx.Next(); err != nil {
+			p.lexErr = err
+			*t = token.Token{Kind: token.EOF}
+		}
+	}
+}
+
+func (p *Parser) cur() *token.Token  { return p.tok(0) }
+func (p *Parser) peek() *token.Token { return p.tok(1) }
 
 // next consumes the current token; at EOF it stays put.
-func (p *Parser) next() token.Token {
-	t := p.tok(0)
-	if t.Kind != token.EOF {
-		copy(p.la[:], p.la[1:p.n])
+func (p *Parser) next() {
+	if p.cur().Kind != token.EOF {
+		p.head++
 		p.n--
 	}
-	return t
 }
 
 func (p *Parser) at(k token.Kind) bool { return p.cur().Kind == k }
@@ -106,15 +121,30 @@ func (p *Parser) accept(k token.Kind) bool {
 	return false
 }
 
-func (p *Parser) expect(k token.Kind) (token.Token, error) {
+func (p *Parser) expect(k token.Kind) error {
 	if !p.at(k) {
-		return token.Token{}, p.errorf("expected %s, found %s", k, p.cur())
+		return p.errorf("expected %s, found %s", k, p.cur())
 	}
-	return p.next(), nil
+	p.next()
+	return nil
+}
+
+// ident consumes an identifier and returns its name.
+func (p *Parser) ident() (string, error) {
+	if !p.at(token.Ident) {
+		return "", p.errorf("expected %s, found %s", token.Ident, p.cur())
+	}
+	name := p.cur().Text
+	p.next()
+	return name, nil
 }
 
 func (p *Parser) errorf(format string, args ...any) error {
-	return &Error{Pos: p.cur().Pos, Msg: fmt.Sprintf(format, args...)}
+	return p.errorAt(p.cur().Pos, format, args...)
+}
+
+func (p *Parser) errorAt(pos token.Pos, format string, args ...any) error {
+	return &Error{Pos: p.file.Source.Position(pos), Msg: fmt.Sprintf(format, args...)}
 }
 
 // isTypeStart reports whether the current token can begin a type.
@@ -207,18 +237,17 @@ func (p *Parser) parseTopDecl() error {
 			return err
 		}
 	}
-	_, err = p.expect(token.Semi)
+	err = p.expect(token.Semi)
 	return err
 }
 
 func (p *Parser) parseStructDecl() error {
 	pos := p.cur().Pos
 	p.next() // struct
-	nameTok, err := p.expect(token.Ident)
+	name, err := p.ident()
 	if err != nil {
 		return err
 	}
-	name := nameTok.Text
 	st, exists := p.structs[name]
 	if !exists {
 		st = &types.Type{Kind: types.Struct, StructName: name}
@@ -228,11 +257,11 @@ func (p *Parser) parseStructDecl() error {
 		// Forward declaration.
 		return nil
 	}
-	if _, err := p.expect(token.LBrace); err != nil {
+	if err := p.expect(token.LBrace); err != nil {
 		return err
 	}
 	if len(st.Fields) > 0 {
-		return &Error{Pos: pos, Msg: fmt.Sprintf("struct %s redefined", name)}
+		return p.errorAt(pos, "struct %s redefined", name)
 	}
 	for !p.at(token.RBrace) {
 		base, err := p.parseTypeSpec()
@@ -245,19 +274,28 @@ func (p *Parser) parseStructDecl() error {
 				return err
 			}
 			if ftype.Kind == types.Func {
-				return &Error{Pos: fpos, Msg: "function fields are not supported"}
+				return p.errorAt(fpos, "function fields are not supported")
+			}
+			// A by-value field needs its struct complete before this
+			// one is laid out; that also rules out st itself.
+			elem := ftype
+			for elem.Kind == types.Array {
+				elem = elem.Elem
+			}
+			if elem.Kind == types.Struct && (elem == st || len(elem.Fields) == 0) {
+				return p.errorAt(fpos, "field %s has incomplete struct type %s", fname, elem)
 			}
 			st.Fields = append(st.Fields, types.Field{Name: fname, Type: ftype})
 			if !p.accept(token.Comma) {
 				break
 			}
 		}
-		if _, err := p.expect(token.Semi); err != nil {
+		if err := p.expect(token.Semi); err != nil {
 			return err
 		}
 	}
 	p.next() // }
-	if _, err := p.expect(token.Semi); err != nil {
+	if err := p.expect(token.Semi); err != nil {
 		return err
 	}
 	st.LayOut()
@@ -273,13 +311,13 @@ func (p *Parser) parseEnumDecl() error {
 	if p.at(token.Ident) {
 		p.next() // tag name, ignored
 	}
-	if _, err := p.expect(token.LBrace); err != nil {
+	if err := p.expect(token.LBrace); err != nil {
 		return err
 	}
 	ed := &ast.EnumDecl{P: pos}
 	var val int64
 	for !p.at(token.RBrace) {
-		nameTok, err := p.expect(token.Ident)
+		name, err := p.ident()
 		if err != nil {
 			return err
 		}
@@ -290,17 +328,17 @@ func (p *Parser) parseEnumDecl() error {
 			}
 			val = v
 		}
-		ed.Names = append(ed.Names, nameTok.Text)
+		ed.Names = append(ed.Names, name)
 		ed.Vals = append(ed.Vals, val)
 		val++
 		if !p.accept(token.Comma) {
 			break
 		}
 	}
-	if _, err := p.expect(token.RBrace); err != nil {
+	if err := p.expect(token.RBrace); err != nil {
 		return err
 	}
-	if _, err := p.expect(token.Semi); err != nil {
+	if err := p.expect(token.Semi); err != nil {
 		return err
 	}
 	p.file.Enums = append(p.file.Enums, ed)
@@ -312,14 +350,14 @@ func (p *Parser) parseEnumDecl() error {
 // far as enum initializers need (literals, optionally negated).
 func (p *Parser) parseConstIntExpr() (int64, error) {
 	neg := p.accept(token.Minus)
-	t, err := p.expect(token.IntLit)
-	if err != nil {
+	v := p.cur().Int
+	if err := p.expect(token.IntLit); err != nil {
 		return 0, err
 	}
 	if neg {
-		return -t.Int, nil
+		return -v, nil
 	}
-	return t.Int, nil
+	return v, nil
 }
 
 func (p *Parser) parseFuncRest(name string, sig *types.Type, pos token.Pos) error {
@@ -377,14 +415,14 @@ func (p *Parser) parseTypeSpec() (*types.Type, error) {
 		return types.DoubleType, nil
 	case token.KwStruct:
 		p.next()
-		nameTok, err := p.expect(token.Ident)
+		name, err := p.ident()
 		if err != nil {
 			return nil, err
 		}
-		st, ok := p.structs[nameTok.Text]
+		st, ok := p.structs[name]
 		if !ok {
-			st = &types.Type{Kind: types.Struct, StructName: nameTok.Text}
-			p.structs[nameTok.Text] = st
+			st = &types.Type{Kind: types.Struct, StructName: name}
+			p.structs[name] = st
 		}
 		return st, nil
 	case token.KwEnum:
@@ -439,7 +477,7 @@ func (p *Parser) directDeclarator(base *types.Type) (string, *types.Type, error)
 		if err != nil {
 			return "", nil, err
 		}
-		if _, err := p.expect(token.RParen); err != nil {
+		if err := p.expect(token.RParen); err != nil {
 			return "", nil, err
 		}
 		full, err := p.declaratorSuffixes(base)
@@ -448,7 +486,7 @@ func (p *Parser) directDeclarator(base *types.Type) (string, *types.Type, error)
 		}
 		return name, substitute(inner, placeholder, full), nil
 	}
-	nameTok, err := p.expect(token.Ident)
+	name, err := p.ident()
 	if err != nil {
 		return "", nil, err
 	}
@@ -456,7 +494,7 @@ func (p *Parser) directDeclarator(base *types.Type) (string, *types.Type, error)
 	if err != nil {
 		return "", nil, err
 	}
-	return nameTok.Text, typ, nil
+	return name, typ, nil
 }
 
 // substitute replaces the placeholder leaf in t with repl, returning
@@ -488,7 +526,7 @@ func (p *Parser) declaratorSuffixes(base *types.Type) (*types.Type, error) {
 			}
 			n = int(v)
 		}
-		if _, err := p.expect(token.RBracket); err != nil {
+		if err := p.expect(token.RBracket); err != nil {
 			return nil, err
 		}
 		elem, err := p.declaratorSuffixes(base)
@@ -573,7 +611,7 @@ func (p *Parser) parseParams() ([]*types.Type, []string, bool, error) {
 			break
 		}
 	}
-	if _, err := p.expect(token.RParen); err != nil {
+	if err := p.expect(token.RParen); err != nil {
 		return nil, nil, false, err
 	}
 	return params, names, variadic, nil

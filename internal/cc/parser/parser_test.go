@@ -290,3 +290,34 @@ func TestLexErrorTakesPrecedence(t *testing.T) {
 		t.Error("a file without lexical errors must report the syntax error")
 	}
 }
+
+// structFieldErr parses src and requires exactly the diagnostic want.
+func structFieldErr(t *testing.T, src, want string) {
+	t.Helper()
+	if got := parseErr(t, src).Error(); got != want {
+		t.Fatalf("error %q, want %q", got, want)
+	}
+}
+
+// A struct that holds itself by value has no finite layout; laying it
+// out once recursed without bound.
+func TestSelfContainingStructRejected(t *testing.T) {
+	structFieldErr(t, "struct cell { int v; struct cell t; };\nint main() { return 0; }\n",
+		"t.c:1:34: field t has incomplete struct type struct cell")
+}
+
+// Two structs that hold each other by value: the first is laid out
+// while the second is still incomplete.
+func TestMutuallyContainingStructsRejected(t *testing.T) {
+	structFieldErr(t, "struct a { struct b x; };\nstruct b { struct a y; };\n",
+		"t.c:1:21: field x has incomplete struct type struct b")
+}
+
+// A field of a struct defined only later was laid out at size 0, so
+// the next field overlapped it and the interpreter faulted at run time.
+func TestFieldOfLaterStructRejected(t *testing.T) {
+	structFieldErr(t, "struct a { struct b x; int after; };\nstruct b { int y; int z; };\n",
+		"t.c:1:21: field x has incomplete struct type struct b")
+	structFieldErr(t, "struct b;\nstruct a { int n; struct b xs[4]; };\n",
+		"t.c:2:28: field xs has incomplete struct type struct b")
+}

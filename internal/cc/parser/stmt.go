@@ -7,12 +7,11 @@ import (
 )
 
 func (p *Parser) parseBlock() (*ast.Block, error) {
-	lb, err := p.expect(token.LBrace)
-	if err != nil {
+	b := &ast.Block{}
+	b.SetPos(p.cur().Pos)
+	if err := p.expect(token.LBrace); err != nil {
 		return nil, err
 	}
-	b := &ast.Block{}
-	b.SetPos(lb.Pos)
 	for !p.at(token.RBrace) {
 		if p.at(token.EOF) {
 			return nil, p.errorf("unexpected EOF in block")
@@ -121,15 +120,15 @@ func (p *Parser) parseStmt() (ast.Stmt, error) {
 			}
 			r.Value = v
 		}
-		_, err := p.expect(token.Semi)
+		err := p.expect(token.Semi)
 		return r, err
 	case token.KwBreak:
 		p.next()
-		_, err := p.expect(token.Semi)
+		err := p.expect(token.Semi)
 		return newBreak(pos), err
 	case token.KwContinue:
 		p.next()
-		_, err := p.expect(token.Semi)
+		err := p.expect(token.Semi)
 		return newContinue(pos), err
 	}
 	if p.isDeclStart() {
@@ -143,7 +142,7 @@ func (p *Parser) parseStmt() (ast.Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(token.Semi); err != nil {
+	if err := p.expect(token.Semi); err != nil {
 		return nil, err
 	}
 	es := newExprStmt(pos)
@@ -186,7 +185,7 @@ func (p *Parser) parseLocalDecl() (*ast.DeclStmt, error) {
 			break
 		}
 	}
-	if _, err := p.expect(token.Semi); err != nil {
+	if err := p.expect(token.Semi); err != nil {
 		return nil, err
 	}
 	return ds, nil
@@ -207,7 +206,7 @@ func (p *Parser) parseInitializer() (ast.Expr, error) {
 				break
 			}
 		}
-		if _, err := p.expect(token.RBrace); err != nil {
+		if err := p.expect(token.RBrace); err != nil {
 			return nil, err
 		}
 		return list, nil
@@ -218,14 +217,14 @@ func (p *Parser) parseInitializer() (ast.Expr, error) {
 func (p *Parser) parseIf() (ast.Stmt, error) {
 	pos := p.cur().Pos
 	p.next() // if
-	if _, err := p.expect(token.LParen); err != nil {
+	if err := p.expect(token.LParen); err != nil {
 		return nil, err
 	}
 	cond, err := p.parseExpr()
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(token.RParen); err != nil {
+	if err := p.expect(token.RParen); err != nil {
 		return nil, err
 	}
 	then, err := p.parseStmt()
@@ -247,14 +246,14 @@ func (p *Parser) parseIf() (ast.Stmt, error) {
 func (p *Parser) parseWhile() (ast.Stmt, error) {
 	pos := p.cur().Pos
 	p.next() // while
-	if _, err := p.expect(token.LParen); err != nil {
+	if err := p.expect(token.LParen); err != nil {
 		return nil, err
 	}
 	cond, err := p.parseExpr()
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(token.RParen); err != nil {
+	if err := p.expect(token.RParen); err != nil {
 		return nil, err
 	}
 	body, err := p.parseStmt()
@@ -273,20 +272,20 @@ func (p *Parser) parseDoWhile() (ast.Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(token.KwWhile); err != nil {
+	if err := p.expect(token.KwWhile); err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(token.LParen); err != nil {
+	if err := p.expect(token.LParen); err != nil {
 		return nil, err
 	}
 	cond, err := p.parseExpr()
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(token.RParen); err != nil {
+	if err := p.expect(token.RParen); err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(token.Semi); err != nil {
+	if err := p.expect(token.Semi); err != nil {
 		return nil, err
 	}
 	node := newDoWhile(pos)
@@ -297,7 +296,7 @@ func (p *Parser) parseDoWhile() (ast.Stmt, error) {
 func (p *Parser) parseFor() (ast.Stmt, error) {
 	pos := p.cur().Pos
 	p.next() // for
-	if _, err := p.expect(token.LParen); err != nil {
+	if err := p.expect(token.LParen); err != nil {
 		return nil, err
 	}
 	node := newFor(pos)
@@ -316,7 +315,7 @@ func (p *Parser) parseFor() (ast.Stmt, error) {
 			es := newExprStmt(pos)
 			es.X = x
 			node.Init = es
-			if _, err := p.expect(token.Semi); err != nil {
+			if err := p.expect(token.Semi); err != nil {
 				return nil, err
 			}
 		}
@@ -330,7 +329,7 @@ func (p *Parser) parseFor() (ast.Stmt, error) {
 		}
 		node.Cond = c
 	}
-	if _, err := p.expect(token.Semi); err != nil {
+	if err := p.expect(token.Semi); err != nil {
 		return nil, err
 	}
 	if !p.at(token.RParen) {
@@ -340,7 +339,7 @@ func (p *Parser) parseFor() (ast.Stmt, error) {
 		}
 		node.Post = post
 	}
-	if _, err := p.expect(token.RParen); err != nil {
+	if err := p.expect(token.RParen); err != nil {
 		return nil, err
 	}
 	body, err := p.parseStmt()

@@ -129,7 +129,7 @@ func (c *checker) checkExpr(e ast.Expr) error {
 			// is being used as a value (direct calls resolve their
 			// callee in checkCall without coming through here), so
 			// its address escapes.
-			c.markFuncAddressed(sym.Name)
+			c.markFuncAddressed(sym.Name, n.Pos())
 		}
 		return nil
 
@@ -308,7 +308,7 @@ func (c *checker) checkUnary(n *ast.Unary) error {
 		ast.SetType(n, pt.Elem)
 	case token.And:
 		if id, ok := n.X.(*ast.Ident); ok && id.Sym != nil && id.Sym.Kind == ast.SymFunc {
-			c.markFuncAddressed(id.Sym.Name)
+			c.markFuncAddressed(id.Sym.Name, n.Pos())
 			ast.SetType(n, types.PointerTo(id.Sym.Type))
 			return nil
 		}
@@ -328,13 +328,14 @@ func (c *checker) checkUnary(n *ast.Unary) error {
 	return nil
 }
 
-func (c *checker) markFuncAddressed(name string) {
+func (c *checker) markFuncAddressed(name string, pos token.Pos) {
 	for _, n := range c.prog.AddressedFuncs {
 		if n == name {
 			return
 		}
 	}
 	c.prog.AddressedFuncs = append(c.prog.AddressedFuncs, name)
+	c.addressedAt = append(c.addressedAt, pos)
 }
 
 func (c *checker) checkBinary(n *ast.Binary) error {

@@ -15,7 +15,7 @@ import (
 
 // Error is a semantic error with a source position.
 type Error struct {
-	Pos token.Pos
+	Pos token.Position
 	Msg string
 }
 
@@ -56,6 +56,8 @@ var Builtins = map[string]*types.Type{
 
 type checker struct {
 	prog *Program
+	// src resolves node positions for diagnostics.
+	src *token.File
 
 	scopes []map[string]*ast.Symbol
 	fn     *ast.FuncDecl
@@ -68,6 +70,9 @@ type checker struct {
 	// called records call sites of named functions, for the
 	// whole-program completeness check.
 	called map[string]token.Pos
+	// addressedAt is where each of prog.AddressedFuncs first had its
+	// address taken, for the same check.
+	addressedAt []token.Pos
 }
 
 // Check type-checks the file and returns the annotated program.
@@ -77,6 +82,7 @@ func Check(file *ast.File) (*Program, error) {
 			File:     file,
 			FuncSyms: make(map[string]*ast.Symbol),
 		},
+		src:      file.Source,
 		strIndex: make(map[string]int),
 		called:   make(map[string]token.Pos),
 	}
@@ -90,8 +96,9 @@ func Check(file *ast.File) (*Program, error) {
 		c.scopes[0][name] = sym
 	}
 
-	// Declaration pass in source order: enums, struct layout checks,
-	// globals, function signatures. Bodies are checked afterwards so
+	// Declaration pass in source order: enums, globals, function
+	// signatures (the parser already rejected by-value fields of
+	// incomplete struct type). Bodies are checked afterwards so
 	// forward calls resolve.
 	for _, d := range file.Decls {
 		switch n := d.(type) {
@@ -100,14 +107,6 @@ func Check(file *ast.File) (*Program, error) {
 				sym := &ast.Symbol{Kind: ast.SymEnumConst, Name: name, Type: types.IntType, EnumValue: n.Vals[i]}
 				if err := c.declare(n.Pos(), name, sym); err != nil {
 					return nil, err
-				}
-			}
-		case *ast.StructDecl:
-			// Struct field types referencing undefined structs are
-			// caught lazily at use; verify no zero-size fields here.
-			for _, f := range n.Type.Fields {
-				if f.Type.Kind == types.Struct && len(f.Type.Fields) == 0 {
-					return nil, &Error{Pos: n.Pos(), Msg: fmt.Sprintf("field %s has incomplete struct type %s", f.Name, f.Type)}
 				}
 			}
 		case *ast.VarDecl:
@@ -147,13 +146,13 @@ func Check(file *ast.File) (*Program, error) {
 		if _, builtin := Builtins[name]; builtin || defined[name] {
 			continue
 		}
-		return nil, &Error{Pos: pos, Msg: fmt.Sprintf("call to undefined function %s (whole-program compilation requires a definition)", name)}
+		return nil, c.errorf(pos, "call to undefined function %s (whole-program compilation requires a definition)", name)
 	}
-	for _, name := range c.prog.AddressedFuncs {
+	for i, name := range c.prog.AddressedFuncs {
 		if _, builtin := Builtins[name]; builtin || defined[name] {
 			continue
 		}
-		return nil, &Error{Msg: fmt.Sprintf("address taken of undefined function %s", name)}
+		return nil, c.errorf(c.addressedAt[i], "address taken of undefined function %s", name)
 	}
 	return c.prog, nil
 }
@@ -164,7 +163,7 @@ func (c *checker) pop()  { c.scopes = c.scopes[:len(c.scopes)-1] }
 func (c *checker) declare(pos token.Pos, name string, sym *ast.Symbol) error {
 	top := c.scopes[len(c.scopes)-1]
 	if _, dup := top[name]; dup {
-		return &Error{Pos: pos, Msg: fmt.Sprintf("%s redeclared in this scope", name)}
+		return c.errorf(pos, "%s redeclared in this scope", name)
 	}
 	top[name] = sym
 	return nil
@@ -180,7 +179,7 @@ func (c *checker) lookup(name string) *ast.Symbol {
 }
 
 func (c *checker) errorf(pos token.Pos, format string, args ...any) error {
-	return &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)}
+	return &Error{Pos: c.src.Position(pos), Msg: fmt.Sprintf(format, args...)}
 }
 
 func (c *checker) declareGlobal(n *ast.VarDecl) error {

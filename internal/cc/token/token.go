@@ -2,10 +2,14 @@
 // the front end.
 package token
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"sort"
+)
 
 // Kind identifies a token class.
-type Kind int
+type Kind int32
 
 const (
 	EOF Kind = iota
@@ -87,9 +91,13 @@ const (
 	Tilde // ~
 	Inc   // ++
 	Dec   // --
+
+	// NumKinds is the number of token kinds; it is not a kind. Tables
+	// indexed by Kind are this long.
+	NumKinds
 )
 
-var names = map[Kind]string{
+var names = [NumKinds]string{
 	EOF: "EOF", Ident: "identifier", IntLit: "integer literal",
 	FloatLit: "float literal", CharLit: "char literal", StringLit: "string literal",
 	KwBreak: "break", KwChar: "char", KwConst: "const", KwContinue: "continue",
@@ -109,8 +117,8 @@ var names = map[Kind]string{
 }
 
 func (k Kind) String() string {
-	if s, ok := names[k]; ok {
-		return s
+	if k >= 0 && k < NumKinds {
+		return names[k]
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
@@ -124,35 +132,73 @@ var Keywords = map[string]Kind{
 	"struct": KwStruct, "unsigned": KwUnsigned, "void": KwVoid, "while": KwWhile,
 }
 
-// Pos is a source position.
-type Pos struct {
+// Pos is a byte offset into one source file. It holds no pointer and
+// no line number: the File the source was scanned into resolves it to
+// a Position when a diagnostic needs one, as go/token does.
+type Pos int32
+
+// File is one source file's name and line table. The lexer records
+// the offset of every line start as it scans, so a File resolves any
+// position it has scanned past.
+type File struct {
+	name  string
+	lines []int32 // offsets of line starts; lines[0] is 0
+}
+
+// NewFile returns the line table of a file with the given name,
+// holding its first line.
+func NewFile(name string) *File {
+	return &File{name: name, lines: []int32{0}}
+}
+
+// Name is the file name positions resolve under.
+func (f *File) Name() string { return f.name }
+
+// AddLine records that a line starts at byte offset off. Offsets must
+// arrive in increasing order.
+func (f *File) AddLine(off int) {
+	f.lines = append(f.lines, int32(off))
+}
+
+// MaxSize is the largest source, in bytes, a Pos can address.
+const MaxSize = math.MaxInt32
+
+// Position resolves p to its file, line and byte-based column.
+func (f *File) Position(p Pos) Position {
+	i := sort.Search(len(f.lines), func(i int) bool { return f.lines[i] > int32(p) }) - 1
+	return Position{File: f.name, Line: i + 1, Col: int(int32(p)-f.lines[i]) + 1}
+}
+
+// Position is a resolved source position. Line and Col count from 1;
+// Col counts bytes, so a tab is one column.
+type Position struct {
 	File string
 	Line int
 	Col  int
 }
 
-func (p Pos) String() string {
+func (p Position) String() string {
 	if p.File == "" {
 		return fmt.Sprintf("%d:%d", p.Line, p.Col)
 	}
 	return fmt.Sprintf("%s:%d:%d", p.File, p.Line, p.Col)
 }
 
-// Token is one lexical token.
+// Token is one lexical token: 32 bytes, whose only pointer is Text's.
 type Token struct {
 	Kind Kind
 	Pos  Pos
 
-	// Text is the identifier or literal spelling.
+	// Text is the identifier or literal spelling; for a StringLit it
+	// is the decoded value (escapes processed, no terminating NUL).
 	Text string
-	// Int is the decoded value of IntLit and CharLit tokens.
+	// Int is the decoded value of IntLit and CharLit tokens, and the
+	// IEEE 754 bits of a FloatLit's value (see Float).
 	Int int64
-	// Float is the decoded value of FloatLit tokens.
-	Float float64
-	// Str is the decoded value of StringLit tokens (escapes
-	// processed, no terminating NUL).
-	Str string
 }
+
+// Float is the decoded value of a FloatLit token.
+func (t Token) Float() float64 { return math.Float64frombits(uint64(t.Int)) }
 
 func (t Token) String() string {
 	switch t.Kind {
@@ -161,11 +207,11 @@ func (t Token) String() string {
 	case IntLit:
 		return fmt.Sprintf("%d", t.Int)
 	case FloatLit:
-		return fmt.Sprintf("%g", t.Float)
+		return fmt.Sprintf("%g", t.Float())
 	case CharLit:
 		return fmt.Sprintf("%q", rune(t.Int))
 	case StringLit:
-		return fmt.Sprintf("%q", t.Str)
+		return fmt.Sprintf("%q", t.Text)
 	}
 	return t.Kind.String()
 }

@@ -5,6 +5,12 @@ import (
 
 	"regpromo/internal/analysis/cache"
 	"regpromo/internal/bench"
+	"regpromo/internal/cc/ast"
+	"regpromo/internal/cc/irgen"
+	"regpromo/internal/cc/lexer"
+	"regpromo/internal/cc/parser"
+	"regpromo/internal/cc/sema"
+	"regpromo/internal/cc/token"
 	"regpromo/internal/driver"
 	"regpromo/internal/testgen"
 )
@@ -75,16 +81,65 @@ func BenchmarkCompileScale(b *testing.B) {
 	b.Run("parallel", func(b *testing.B) { compileScale(b, 0) })
 }
 
-// BenchmarkParseScale measures the scale tier's front end alone —
-// lexing, parsing, semantic analysis and IL generation of the
-// 600-helper module (seed 1) — so -benchmem shows what irgen
-// allocates.
-func BenchmarkParseScale(b *testing.B) {
+// BenchmarkFrontEndScale measures the scale tier's front end alone on
+// the 600-helper module (seed 1), one layer per sub-benchmark, so
+// -benchmem shows each layer's share. parse streams tokens from the
+// lexer, so it includes lex; sema and irgen time only their own layer
+// over a fresh parse (and check) made with the timer stopped.
+func BenchmarkFrontEndScale(b *testing.B) {
+	const name = "scale.c"
 	src := testgen.Scale(testgen.ScaleOptions{Seed: 1, Funcs: 600, Edit: -1})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := driver.ParseSource("scale.c", src); err != nil {
+	parse := func(b *testing.B) *ast.File {
+		f, err := parser.Parse(name, src)
+		if err != nil {
 			b.Fatal(err)
 		}
+		return f
 	}
+	check := func(b *testing.B) *sema.Program {
+		prog, err := sema.Check(parse(b))
+		if err != nil {
+			b.Fatal(err)
+		}
+		return prog
+	}
+	b.Run("lex", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			lx := lexer.New(name, src)
+			for {
+				t, err := lx.Next()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if t.Kind == token.EOF {
+					break
+				}
+			}
+		}
+	})
+	b.Run("parse", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			parse(b)
+		}
+	})
+	b.Run("sema", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			f := parse(b)
+			b.StartTimer()
+			if _, err := sema.Check(f); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("irgen", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			prog := check(b)
+			b.StartTimer()
+			if _, err := irgen.Generate(prog); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

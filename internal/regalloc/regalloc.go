@@ -440,43 +440,20 @@ func color(g *graph, fn *ir.Func, k int, firstTemp ir.Reg) ([]int, []ir.Reg) {
 	for r := firstTemp; int(r) < g.n; r++ {
 		noSpillRep.add(g.find(r))
 	}
-	// Collect representative nodes actually used.
-	reps := newBitset(g.n)
-	var buf [8]ir.Reg
-	for _, b := range fn.Blocks {
-		for i := range b.Instrs {
-			in := &b.Instrs[i]
-			if d := in.Def(); d != ir.RegInvalid {
-				reps.add(g.find(d))
-			}
-			for _, u := range in.Uses(buf[:0]) {
-				reps.add(g.find(u))
-			}
-		}
-	}
-	for _, p := range fn.Params {
-		reps.add(g.find(p))
-	}
+	reps := usedReps(g, fn)
 	var repList []ir.Reg
 	reps.forEach(func(r ir.Reg) { repList = append(repList, r) })
 
-	// Working adjacency restricted to used representatives, with an
-	// incrementally maintained degree array and the set of remaining
-	// nodes whose degree is below k.
-	adj := make([]bitset, g.n)
+	// Coalescing leaves every row holding only representatives of
+	// registers fn defines or uses, never the row's own register, so
+	// simplify and select read the graph's rows in place. Only the
+	// degrees, which simplify counts down, are copied, along with the
+	// set of remaining nodes whose degree is below k.
+	adj := g.adj
 	deg := make([]int, g.n)
 	low := newBitset(g.n)
 	for _, r := range repList {
-		row := newBitset(g.n)
-		if g.adj[r] != nil {
-			copy(row, g.adj[r])
-			for i := range row {
-				row[i] &= reps[i]
-			}
-			row.del(r)
-		}
-		adj[r] = row
-		deg[r] = row.count()
+		deg[r] = int(g.deg[r])
 		if deg[r] < k {
 			low.add(r)
 		}
@@ -535,6 +512,28 @@ func color(g *graph, fn *ir.Func, k int, firstTemp ir.Reg) ([]int, []ir.Reg) {
 		colors[r] = c
 	}
 	return colors, spills
+}
+
+// usedReps is the set of representatives of the registers fn defines
+// or uses, its parameters included.
+func usedReps(g *graph, fn *ir.Func) bitset {
+	reps := newBitset(g.n)
+	var buf [8]ir.Reg
+	for _, b := range fn.Blocks {
+		for i := range b.Instrs {
+			in := &b.Instrs[i]
+			if d := in.Def(); d != ir.RegInvalid {
+				reps.add(g.find(d))
+			}
+			for _, u := range in.Uses(buf[:0]) {
+				reps.add(g.find(u))
+			}
+		}
+	}
+	for _, p := range fn.Params {
+		reps.add(g.find(p))
+	}
+	return reps
 }
 
 // spillCandidate picks the remaining node with the lowest spill cost
