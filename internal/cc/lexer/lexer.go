@@ -155,10 +155,7 @@ func (l *Lexer) Next() (token.Token, error) {
 			l.off++
 		}
 		text := l.src[start:l.off]
-		if kw, ok := token.Keywords[text]; ok {
-			return token.Token{Kind: kw, Pos: pos, Text: text}, nil
-		}
-		return token.Token{Kind: token.Ident, Pos: pos, Text: text}, nil
+		return token.Token{Kind: token.Lookup(text), Pos: pos, Text: text}, nil
 	case isDigit(c), c == '.' && isDigit(l.peek2()):
 		return l.number(pos)
 	case c == '\'':

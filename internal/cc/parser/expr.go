@@ -216,19 +216,14 @@ func (p *Parser) parseTypeName() (*types.Type, error) {
 		return types.PointerTo(types.FuncOf(base, params, variadic)), nil
 	}
 	for p.at(token.LBracket) {
-		p.next()
-		n := 0
-		if !p.at(token.RBracket) {
-			v, err := p.parseConstIntExpr()
-			if err != nil {
-				return nil, err
-			}
-			n = int(v)
-		}
-		if err := p.expect(token.RBracket); err != nil {
+		pos := p.cur().Pos
+		n, err := p.arrayLen()
+		if err != nil {
 			return nil, err
 		}
-		base = types.ArrayOf(base, n)
+		if base, err = p.arrayOf(base, n, pos); err != nil {
+			return nil, err
+		}
 	}
 	return base, nil
 }

@@ -299,6 +299,9 @@ func (p *Parser) parseStructDecl() error {
 		return err
 	}
 	st.LayOut()
+	if st.Size() > types.MaxSize {
+		return p.errorAt(pos, "struct %s is larger than %d bytes", name, types.MaxSize)
+	}
 	sd := &ast.StructDecl{P: pos, Name: name, Type: st}
 	p.file.Structs = append(p.file.Structs, sd)
 	p.file.Decls = append(p.file.Decls, sd)
@@ -517,23 +520,16 @@ func substitute(t, placeholder, repl *types.Type) *types.Type {
 func (p *Parser) declaratorSuffixes(base *types.Type) (*types.Type, error) {
 	switch p.cur().Kind {
 	case token.LBracket:
-		p.next()
-		n := 0
-		if !p.at(token.RBracket) {
-			v, err := p.parseConstIntExpr()
-			if err != nil {
-				return nil, err
-			}
-			n = int(v)
-		}
-		if err := p.expect(token.RBracket); err != nil {
+		pos := p.cur().Pos
+		n, err := p.arrayLen()
+		if err != nil {
 			return nil, err
 		}
 		elem, err := p.declaratorSuffixes(base)
 		if err != nil {
 			return nil, err
 		}
-		return types.ArrayOf(elem, n), nil
+		return p.arrayOf(elem, n, pos)
 	case token.LParen:
 		p.next()
 		params, names, variadic, err := p.parseParams()
@@ -544,6 +540,33 @@ func (p *Parser) declaratorSuffixes(base *types.Type) (*types.Type, error) {
 		return types.FuncOf(base, params, variadic), nil
 	}
 	return base, nil
+}
+
+// arrayLen parses "[n]", or "[]" for an array an initializer sizes
+// later (length 0).
+func (p *Parser) arrayLen() (int64, error) {
+	p.next() // [
+	var n int64
+	if !p.at(token.RBracket) {
+		v, err := p.parseConstIntExpr()
+		if err != nil {
+			return 0, err
+		}
+		n = v
+	}
+	return n, p.expect(token.RBracket)
+}
+
+// arrayOf returns the type "array of n elem" declared at pos, rejecting
+// a negative length or an array larger than types.MaxSize bytes.
+func (p *Parser) arrayOf(elem *types.Type, n int64, pos token.Pos) (*types.Type, error) {
+	if n < 0 {
+		return nil, p.errorAt(pos, "array size %d is negative", n)
+	}
+	if sz := int64(elem.Size()); sz > 0 && n > types.MaxSize/sz {
+		return nil, p.errorAt(pos, "array of %d %s is larger than %d bytes", n, elem, types.MaxSize)
+	}
+	return types.ArrayOf(elem, int(n)), nil
 }
 
 func (p *Parser) parseParams() ([]*types.Type, []string, bool, error) {

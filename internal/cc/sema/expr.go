@@ -184,7 +184,7 @@ func (c *checker) checkExpr(e ast.Expr) error {
 		}
 		xt := n.X.Type()
 		base := rval(xt)
-		if base.Kind != types.Pointer {
+		if base.Kind != types.Pointer || base.Elem.Kind == types.Func || base.Elem.Kind == types.Void {
 			return c.errorf(n.Pos(), "cannot index %s", xt)
 		}
 		if !rval(n.I.Type()).IsInteger() {

@@ -123,13 +123,53 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// Keywords maps keyword spellings to their token kinds.
-var Keywords = map[string]Kind{
-	"break": KwBreak, "char": KwChar, "const": KwConst, "continue": KwContinue,
-	"do": KwDo, "double": KwDouble, "else": KwElse, "enum": KwEnum,
-	"extern": KwExtern, "for": KwFor, "if": KwIf, "int": KwInt, "long": KwLong,
-	"return": KwReturn, "sizeof": KwSizeof, "static": KwStatic,
-	"struct": KwStruct, "unsigned": KwUnsigned, "void": KwVoid, "while": KwWhile,
+// Lookup returns the keyword kind an identifier spelling names, or
+// Ident. A string switch compiles to a search on length and bytes,
+// which beats hashing every identifier into a map.
+func Lookup(ident string) Kind {
+	switch ident {
+	case "break":
+		return KwBreak
+	case "char":
+		return KwChar
+	case "const":
+		return KwConst
+	case "continue":
+		return KwContinue
+	case "do":
+		return KwDo
+	case "double":
+		return KwDouble
+	case "else":
+		return KwElse
+	case "enum":
+		return KwEnum
+	case "extern":
+		return KwExtern
+	case "for":
+		return KwFor
+	case "if":
+		return KwIf
+	case "int":
+		return KwInt
+	case "long":
+		return KwLong
+	case "return":
+		return KwReturn
+	case "sizeof":
+		return KwSizeof
+	case "static":
+		return KwStatic
+	case "struct":
+		return KwStruct
+	case "unsigned":
+		return KwUnsigned
+	case "void":
+		return KwVoid
+	case "while":
+		return KwWhile
+	}
+	return Ident
 }
 
 // Pos is a byte offset into one source file. It holds no pointer and

@@ -63,6 +63,12 @@ var (
 	DoubleType = &Type{Kind: Double}
 )
 
+// MaxSize bounds the byte size of any array or struct type the front
+// end accepts. The compiler materializes an initialized global's bytes
+// and the interpreters lay all globals out in one buffer, so a larger
+// object would only exhaust memory.
+const MaxSize = 1 << 28
+
 // PointerTo returns the type "pointer to t".
 func PointerTo(t *Type) *Type { return &Type{Kind: Pointer, Elem: t} }
 
