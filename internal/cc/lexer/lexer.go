@@ -136,11 +136,11 @@ func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
 // Next returns the next token.
 func (l *Lexer) Next() (token.Token, error) {
-	if err := l.skipSpaceAndComments(); err != nil {
-		return token.Token{}, err
-	}
 	if len(l.src) > token.MaxSize {
 		return token.Token{}, l.errorf(0, "source file larger than %d bytes", token.MaxSize)
+	}
+	if err := l.skipSpaceAndComments(); err != nil {
+		return token.Token{}, err
 	}
 	pos := l.pos()
 	if l.off >= len(l.src) {
@@ -170,8 +170,7 @@ func (l *Lexer) number(pos token.Pos) (token.Token, error) {
 	start := l.off
 	isFloat := false
 	if l.peek() == '0' && (l.peek2() == 'x' || l.peek2() == 'X') {
-		l.off++
-		l.off++
+		l.off += 2
 		for l.off < len(l.src) && isHex(l.peek()) {
 			l.off++
 		}

@@ -98,13 +98,13 @@ func (p *Parser) parseBinaryExpr(minPrec int) (ast.Expr, error) {
 	}
 	for {
 		t := p.cur()
-		prec := binPrec[t.Kind]
-		if prec == 0 || int(prec) < minPrec {
+		prec := int(binPrec[t.Kind]) // minPrec >= 1 stops at non-operators
+		if prec < minPrec {
 			return lhs, nil
 		}
 		op, pos := t.Kind, t.Pos
 		p.next()
-		rhs, err := p.parseBinaryExpr(int(prec) + 1)
+		rhs, err := p.parseBinaryExpr(prec + 1)
 		if err != nil {
 			return nil, err
 		}

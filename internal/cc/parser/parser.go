@@ -131,12 +131,8 @@ func (p *Parser) expect(k token.Kind) error {
 
 // ident consumes an identifier and returns its name.
 func (p *Parser) ident() (string, error) {
-	if !p.at(token.Ident) {
-		return "", p.errorf("expected %s, found %s", token.Ident, p.cur())
-	}
 	name := p.cur().Text
-	p.next()
-	return name, nil
+	return name, p.expect(token.Ident)
 }
 
 func (p *Parser) errorf(format string, args ...any) error {
@@ -237,8 +233,7 @@ func (p *Parser) parseTopDecl() error {
 			return err
 		}
 	}
-	err = p.expect(token.Semi)
-	return err
+	return p.expect(token.Semi)
 }
 
 func (p *Parser) parseStructDecl() error {

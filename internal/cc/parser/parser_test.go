@@ -291,8 +291,8 @@ func TestLexErrorTakesPrecedence(t *testing.T) {
 	}
 }
 
-// structFieldErr parses src and requires exactly the diagnostic want.
-func structFieldErr(t *testing.T, src, want string) {
+// wantParseErr parses src and requires exactly the diagnostic want.
+func wantParseErr(t *testing.T, src, want string) {
 	t.Helper()
 	if got := parseErr(t, src).Error(); got != want {
 		t.Fatalf("error %q, want %q", got, want)
@@ -302,22 +302,33 @@ func structFieldErr(t *testing.T, src, want string) {
 // A struct that holds itself by value has no finite layout; laying it
 // out once recursed without bound.
 func TestSelfContainingStructRejected(t *testing.T) {
-	structFieldErr(t, "struct cell { int v; struct cell t; };\nint main() { return 0; }\n",
+	wantParseErr(t, "struct cell { int v; struct cell t; };\nint main() { return 0; }\n",
 		"t.c:1:34: field t has incomplete struct type struct cell")
 }
 
 // Two structs that hold each other by value: the first is laid out
 // while the second is still incomplete.
 func TestMutuallyContainingStructsRejected(t *testing.T) {
-	structFieldErr(t, "struct a { struct b x; };\nstruct b { struct a y; };\n",
+	wantParseErr(t, "struct a { struct b x; };\nstruct b { struct a y; };\n",
 		"t.c:1:21: field x has incomplete struct type struct b")
 }
 
 // A field of a struct defined only later was laid out at size 0, so
 // the next field overlapped it and the interpreter faulted at run time.
 func TestFieldOfLaterStructRejected(t *testing.T) {
-	structFieldErr(t, "struct a { struct b x; int after; };\nstruct b { int y; int z; };\n",
+	wantParseErr(t, "struct a { struct b x; int after; };\nstruct b { int y; int z; };\n",
 		"t.c:1:21: field x has incomplete struct type struct b")
-	structFieldErr(t, "struct b;\nstruct a { int n; struct b xs[4]; };\n",
+	wantParseErr(t, "struct b;\nstruct a { int n; struct b xs[4]; };\n",
 		"t.c:2:28: field xs has incomplete struct type struct b")
+}
+
+// Array lengths are checked where the array type is built: a negative
+// length or an object past types.MaxSize is rejected at its bracket.
+func TestArraySizeLimits(t *testing.T) {
+	wantParseErr(t, "int a[-1];", "t.c:1:6: array size -1 is negative")
+	wantParseErr(t, "int f(void) { return sizeof(int[-2]); }", "t.c:1:32: array size -2 is negative")
+	wantParseErr(t, "long a[2][20000000];", "t.c:1:7: array of 2 long[20000000] is larger than 268435456 bytes")
+	wantParseErr(t, "struct s { char a[200000000]; char b[200000000]; };",
+		"t.c:1:1: struct s is larger than 268435456 bytes")
+	parse(t, "char a[268435456];")
 }

@@ -114,6 +114,8 @@ func TestTypeErrors(t *testing.T) {
 	checkErr(t, `int f(void) { int a; return *a; }`, "dereference")
 	checkErr(t, `int f(void) { return 3 = 4; }`, "non-lvalue")
 	checkErr(t, `void g(void) { } int f(void) { return g() + 1; }`, "+")
+	checkErr(t, `int g(int a) { return a; } int f(void) { return g[0]; }`, "cannot index")
+	checkErr(t, `int f(void *p) { p[0]; return 0; }`, "cannot index")
 }
 
 func TestCallChecking(t *testing.T) {
@@ -261,6 +263,11 @@ func TestWholeProgramCompleteness(t *testing.T) {
 int helper(int v);
 int main(void) { return helper(3); }
 `, "undefined function helper")
+	// Taking the address is a use too, reported where it happens.
+	checkErr(t, `
+int helper(int v);
+int main(void) { int (*p)(int) = helper; return 0; }
+`, "t.c:3:34: address taken of undefined function helper")
 	// A prototype that is declared but never called is fine.
 	check(t, `
 int unused_proto(int v);

@@ -191,9 +191,6 @@ func NewFile(name string) *File {
 	return &File{name: name, lines: []int32{0}}
 }
 
-// Name is the file name positions resolve under.
-func (f *File) Name() string { return f.name }
-
 // AddLine records that a line starts at byte offset off. Offsets must
 // arrive in increasing order.
 func (f *File) AddLine(off int) {
