@@ -177,6 +177,9 @@ func Lookup(ident string) Kind {
 // a Position when a diagnostic needs one, as go/token does.
 type Pos int32
 
+// MaxSize is the largest source, in bytes, a Pos can address.
+const MaxSize = math.MaxInt32
+
 // File is one source file's name and line table. The lexer records
 // the offset of every line start as it scans, so a File resolves any
 // position it has scanned past.
@@ -196,9 +199,6 @@ func NewFile(name string) *File {
 func (f *File) AddLine(off int) {
 	f.lines = append(f.lines, int32(off))
 }
-
-// MaxSize is the largest source, in bytes, a Pos can address.
-const MaxSize = math.MaxInt32
 
 // Position resolves p to its file, line and byte-based column.
 func (f *File) Position(p Pos) Position {

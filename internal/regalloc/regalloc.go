@@ -445,8 +445,9 @@ func color(g *graph, fn *ir.Func, k int, firstTemp ir.Reg) ([]int, []ir.Reg) {
 	reps.forEach(func(r ir.Reg) { repList = append(repList, r) })
 
 	// Coalescing leaves every row holding only representatives of
-	// registers fn defines or uses, never the row's own register, so
-	// simplify and select read the graph's rows in place. Only the
+	// registers fn defines or uses, never the row's own register
+	// (TestCoalescedRowsHoldUsedRepresentatives), so simplify and
+	// select read the graph's rows in place. Only the
 	// degrees, which simplify counts down, are copied, along with the
 	// set of remaining nodes whose degree is below k.
 	adj := g.adj
