@@ -56,8 +56,6 @@ var Builtins = map[string]*types.Type{
 
 type checker struct {
 	prog *Program
-	// src resolves node positions for diagnostics.
-	src *token.File
 
 	scopes []map[string]*ast.Symbol
 	fn     *ast.FuncDecl
@@ -82,7 +80,6 @@ func Check(file *ast.File) (*Program, error) {
 			File:     file,
 			FuncSyms: make(map[string]*ast.Symbol),
 		},
-		src:      file.Source,
 		strIndex: make(map[string]int),
 		called:   make(map[string]token.Pos),
 	}
@@ -179,7 +176,7 @@ func (c *checker) lookup(name string) *ast.Symbol {
 }
 
 func (c *checker) errorf(pos token.Pos, format string, args ...any) error {
-	return &Error{Pos: c.src.Position(pos), Msg: fmt.Sprintf(format, args...)}
+	return &Error{Pos: c.prog.File.Source.Position(pos), Msg: fmt.Sprintf(format, args...)}
 }
 
 func (c *checker) declareGlobal(n *ast.VarDecl) error {
