@@ -210,17 +210,36 @@ func (o *Oracle) instrEffects(tr *tracer, in *ir.Instr) instrFX {
 // tracer resolves pointer bases syntactically within one function by
 // walking unique-definition chains of copies, address materializations
 // and in-object pointer arithmetic.
+//
+// The definitions of r are defs[defStart[r]:defStart[r+1]], in
+// compressed sparse rows.
 type tracer struct {
-	defs [][]*ir.Instr
+	defStart []int32
+	defs     []*ir.Instr
 }
 
 func newTracer(fn *ir.Func) *tracer {
-	t := &tracer{defs: make([][]*ir.Instr, fn.NumRegs)}
+	n := fn.NumRegs
+	ints := make([]int32, 2*n+1)
+	t := &tracer{defStart: ints[:n+1]}
+	for _, b := range fn.Blocks {
+		for i := range b.Instrs {
+			if d := b.Instrs[i].Def(); d != ir.RegInvalid && int(d) < n {
+				t.defStart[d+1]++
+			}
+		}
+	}
+	for r := 0; r < n; r++ {
+		t.defStart[r+1] += t.defStart[r]
+	}
+	t.defs = make([]*ir.Instr, t.defStart[n])
+	cursor := ints[n+1:]
 	for _, b := range fn.Blocks {
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
-			if d := in.Def(); d != ir.RegInvalid && int(d) < len(t.defs) {
-				t.defs[d] = append(t.defs[d], in)
+			if d := in.Def(); d != ir.RegInvalid && int(d) < n {
+				t.defs[t.defStart[d]+cursor[d]] = in
+				cursor[d]++
 			}
 		}
 	}
@@ -239,10 +258,10 @@ const maxTraceDepth = 64
 // set covers every possibility (upper bound only); neither means the
 // base is untraceable.
 func (t *tracer) trace(r ir.Reg, depth int) (set ir.TagSet, definite, known bool) {
-	if depth > maxTraceDepth || r < 0 || int(r) >= len(t.defs) {
+	if depth > maxTraceDepth || r < 0 || int(r) >= len(t.defStart)-1 {
 		return ir.TagSet{}, false, false
 	}
-	ds := t.defs[r]
+	ds := t.defs[t.defStart[r]:t.defStart[r+1]]
 	switch len(ds) {
 	case 0:
 		// Parameter or undefined: nothing syntactic to say.

@@ -125,8 +125,8 @@ func TestFindLoopsNest(t *testing.T) {
 	if len(forest.Loops) != 2 {
 		t.Fatalf("want 2 loops, got %d", len(forest.Loops))
 	}
-	outer := forest.ByHeader[fn.Blocks[1]]
-	inner := forest.ByHeader[fn.Blocks[2]]
+	outer := forest.ByHeader[fn.Blocks[1].ID]
+	inner := forest.ByHeader[fn.Blocks[2].ID]
 	if outer == nil || inner == nil {
 		t.Fatal("missing loop headers")
 	}
@@ -136,10 +136,10 @@ func TestFindLoopsNest(t *testing.T) {
 	if outer.Depth != 1 || inner.Depth != 2 {
 		t.Fatalf("depths: outer=%d inner=%d", outer.Depth, inner.Depth)
 	}
-	if !outer.Blocks[fn.Blocks[3]] || !inner.Blocks[fn.Blocks[3]] {
+	if !outer.Contains(fn.Blocks[3]) || !inner.Contains(fn.Blocks[3]) {
 		t.Fatal("block 3 belongs to both loops")
 	}
-	if inner.Blocks[fn.Blocks[4]] {
+	if inner.Contains(fn.Blocks[4]) {
 		t.Fatal("block 4 is not in the inner loop")
 	}
 }
@@ -157,7 +157,7 @@ func TestNormalizeInsertsPadsAndExits(t *testing.T) {
 		t.Fatal("no landing pad")
 	}
 	// Pad branches straight to the header and is outside the loop.
-	if l.Blocks[l.Pad] {
+	if l.Contains(l.Pad) {
 		t.Fatal("pad inside loop")
 	}
 	if len(l.Pad.Succs) != 1 || l.Pad.Succs[0] != l.Header {
@@ -166,7 +166,7 @@ func TestNormalizeInsertsPadsAndExits(t *testing.T) {
 	// Every exit block's preds are inside the loop.
 	for _, x := range l.Exits {
 		for _, p := range x.Preds {
-			if !l.Blocks[p] {
+			if !l.Contains(p) {
 				t.Fatalf("exit %s has outside pred %s", x.Label, p.Label)
 			}
 		}
@@ -249,7 +249,7 @@ func TestSelfLoop(t *testing.T) {
 	if len(l.Blocks) != 1 {
 		t.Fatalf("self loop spans %d blocks", len(l.Blocks))
 	}
-	if l.Pad == nil || l.Blocks[l.Pad] {
+	if l.Pad == nil || l.Contains(l.Pad) {
 		t.Fatal("self loop needs an outside pad")
 	}
 }
@@ -264,7 +264,7 @@ func TestSharedHeaderLoopsMerge(t *testing.T) {
 	}
 	l := forest.Loops[0]
 	for _, id := range []int{1, 2, 3} {
-		if !l.Blocks[fn.Blocks[id]] {
+		if !l.Contains(fn.Blocks[id]) {
 			t.Fatalf("block %d missing from merged loop", id)
 		}
 	}

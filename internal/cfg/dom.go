@@ -9,33 +9,42 @@ package cfg
 import "regpromo/internal/ir"
 
 // DomTree holds immediate-dominator information for one function.
+// Every table is indexed by block id and filled once by Dominators.
 type DomTree struct {
-	fn *ir.Func
 	// idom[b.ID] is b's immediate dominator (nil for the entry and
 	// unreachable blocks).
 	idom []*ir.Block
-	// children is the dominator tree.
-	children [][]*ir.Block
+	// The dominator tree in compressed sparse rows: the children of
+	// the block with id i are kids[kidStart[i]:kidStart[i+1]], in
+	// increasing depth-first number.
+	kidStart []int32
+	kids     []*ir.Block
+	// pre[b.ID] and post[b.ID] number b's entry and exit in a walk of
+	// the dominator tree, from 1; both are 0 for unreachable blocks. a
+	// dominates b exactly when a's interval encloses b's.
+	pre, post []int32
 	// order is a reverse-postorder numbering of reachable blocks.
 	order []*ir.Block
-	num   []int
 }
 
 // Idom returns b's immediate dominator (nil for the entry block).
 func (d *DomTree) Idom(b *ir.Block) *ir.Block { return d.idom[b.ID] }
 
-// Children returns the dominator-tree children of b.
-func (d *DomTree) Children(b *ir.Block) []*ir.Block { return d.children[b.ID] }
+// Children returns the dominator-tree children of b, in increasing
+// depth-first number. The slice is shared: callers must not modify it.
+func (d *DomTree) Children(b *ir.Block) []*ir.Block {
+	lo, hi := d.kidStart[b.ID], d.kidStart[b.ID+1]
+	return d.kids[lo:hi:hi]
+}
 
-// Dominates reports whether a dominates b (reflexively).
+// Dominates reports whether a dominates b (reflexively). It compares
+// the blocks' dominator-tree walk numbers, so it takes constant time.
 func (d *DomTree) Dominates(a, b *ir.Block) bool {
-	for b != nil {
-		if a == b {
-			return true
-		}
-		b = d.idom[b.ID]
+	if a == b {
+		return true
 	}
-	return false
+	pb := d.pre[b.ID]
+	return pb != 0 && d.pre[a.ID] <= pb && d.post[b.ID] <= d.post[a.ID]
 }
 
 // ReversePostorder returns reachable blocks in reverse postorder.
@@ -44,128 +53,171 @@ func (d *DomTree) ReversePostorder() []*ir.Block { return d.order }
 // Dominators computes the dominator tree of fn using the
 // Lengauer–Tarjan algorithm with simple path compression. Blocks must
 // be densely numbered (fn.Renumber).
+//
+// Every walk is iterative, and all the int32 tables, the tree's and
+// the scratch ones alike, are carved from one allocation; the block
+// pointers come from a second.
 func Dominators(fn *ir.Func) *DomTree {
 	n := len(fn.Blocks)
+	ptrs := make([]*ir.Block, 4*n)
+	ints := make([]int32, 13*n+1)
+	take := func(k int) []int32 {
+		s := ints[:k:k]
+		ints = ints[k:]
+		return s
+	}
 	d := &DomTree{
-		fn:       fn,
-		idom:     make([]*ir.Block, n),
-		children: make([][]*ir.Block, n),
-		num:      make([]int, n),
+		idom:     ptrs[:n:n],
+		pre:      take(n),
+		post:     take(n),
+		kidStart: take(n + 1),
 	}
+	dfn := take(n) // block id -> dfs number + 1 (0 = unreached)
+	// Tables by dfs number.
+	parent, semi := take(n), take(n)
+	ancestor, label := take(n), take(n)
+	idom := take(n)
+	bucketHead, bucketNext := take(n), take(n)
+	next := take(n) // a dfs frame's next successor; later a cursor by block id
+	stack := take(n)
 
-	// DFS numbering.
-	semi := make([]int, n) // semidominator number, by dfs number
-	vertex := make([]*ir.Block, 0, n)
-	parent := make([]int, n) // dfs parent, by dfs number
-	dfn := make([]int, n)    // block id -> dfs number (+1; 0 = unreached)
-	var dfs func(b *ir.Block, p int)
-	dfs = func(b *ir.Block, p int) {
-		if dfn[b.ID] != 0 {
-			return
+	// Depth-first numbering from the entry, successors in edge order.
+	// The same walk yields the postorder.
+	vertex := ptrs[n : n : 2*n]
+	postorder := ptrs[3*n : 3*n : 4*n]
+	vertex = append(vertex, fn.Entry)
+	dfn[fn.Entry.ID] = 1
+	parent[0] = -1
+	stack[0] = 0
+	for sp := 1; sp > 0; {
+		v := stack[sp-1]
+		b := vertex[v]
+		if int(next[v]) < len(b.Succs) {
+			s := b.Succs[next[v]]
+			next[v]++
+			if dfn[s.ID] == 0 {
+				w := int32(len(vertex))
+				dfn[s.ID] = w + 1
+				parent[w] = v
+				semi[w] = w
+				vertex = append(vertex, s)
+				stack[sp] = w
+				sp++
+			}
+			continue
 		}
-		dfn[b.ID] = len(vertex) + 1
-		parent[len(vertex)] = p
-		semi[len(vertex)] = len(vertex)
-		vertex = append(vertex, b)
-		for _, s := range b.Succs {
-			dfs(s, dfn[b.ID]-1)
-		}
+		postorder = append(postorder, b)
+		sp--
 	}
-	dfs(fn.Entry, -1)
-	m := len(vertex)
+	m := int32(len(vertex))
 
 	// Union-find with path compression on dfs numbers, tracking the
 	// minimum-semidominator vertex on the path.
-	ancestor := make([]int, m)
-	label := make([]int, m)
-	for i := range ancestor {
+	for i := int32(0); i < m; i++ {
 		ancestor[i] = -1
 		label[i] = i
+		idom[i] = -1
+		bucketHead[i] = -1
 	}
-	var compress func(v int)
-	compress = func(v int) {
-		if ancestor[ancestor[v]] == -1 {
-			return
-		}
-		compress(ancestor[v])
-		if semi[label[ancestor[v]]] < semi[label[v]] {
-			label[v] = label[ancestor[v]]
-		}
-		ancestor[v] = ancestor[ancestor[v]]
-	}
-	eval := func(v int) int {
+	eval := func(v int32) int32 {
 		if ancestor[v] == -1 {
 			return label[v]
 		}
-		compress(v)
+		// Compress the path from v to just below its forest root,
+		// rootmost first.
+		sp := 0
+		for x := v; ancestor[ancestor[x]] != -1; x = ancestor[x] {
+			stack[sp] = x
+			sp++
+		}
+		for sp > 0 {
+			sp--
+			x := stack[sp]
+			a := ancestor[x]
+			if semi[label[a]] < semi[label[x]] {
+				label[x] = label[a]
+			}
+			ancestor[x] = ancestor[a]
+		}
 		return label[v]
 	}
 
-	bucket := make([][]int, m)
-	idom := make([]int, m)
-	for i := range idom {
-		idom[i] = -1
-	}
-
+	// Buckets are linked lists threaded through bucketNext. The order
+	// a bucket is drained in does not matter: each member's idom
+	// candidate depends only on the forest, not on earlier members.
 	for w := m - 1; w >= 1; w-- {
 		b := vertex[w]
 		for _, p := range b.Preds {
 			if dfn[p.ID] == 0 {
 				continue // unreachable predecessor
 			}
-			v := dfn[p.ID] - 1
-			u := eval(v)
+			u := eval(dfn[p.ID] - 1)
 			if semi[u] < semi[w] {
 				semi[w] = semi[u]
 			}
 		}
-		bucket[semi[w]] = append(bucket[semi[w]], w)
-		ancestor[w] = parent[w]
-		for _, v := range bucket[parent[w]] {
-			u := eval(v)
-			if semi[u] < semi[v] {
+		bucketNext[w] = bucketHead[semi[w]]
+		bucketHead[semi[w]] = w
+		pw := parent[w]
+		ancestor[w] = pw
+		for v := bucketHead[pw]; v != -1; v = bucketNext[v] {
+			if u := eval(v); semi[u] < semi[v] {
 				idom[v] = u
 			} else {
-				idom[v] = parent[w]
+				idom[v] = pw
 			}
 		}
-		bucket[parent[w]] = nil
+		bucketHead[pw] = -1
 	}
-	for w := 1; w < m; w++ {
+	for w := int32(1); w < m; w++ {
 		if idom[w] != semi[w] {
 			idom[w] = idom[idom[w]]
 		}
 	}
 
-	for w := 1; w < m; w++ {
-		b := vertex[w]
-		ib := vertex[idom[w]]
+	// The tree, children in increasing dfs number.
+	kidStart := d.kidStart
+	for w := int32(1); w < m; w++ {
+		kidStart[vertex[idom[w]].ID+1]++
+	}
+	for i := 0; i < n; i++ {
+		kidStart[i+1] += kidStart[i]
+	}
+	cursor := next
+	copy(cursor, kidStart[:n])
+	d.kids = ptrs[2*n : 2*n+int(m)-1 : 2*n+int(m)-1]
+	for w := int32(1); w < m; w++ {
+		b, ib := vertex[w], vertex[idom[w]]
 		d.idom[b.ID] = ib
-		d.children[ib.ID] = append(d.children[ib.ID], b)
+		d.kids[cursor[ib.ID]] = b
+		cursor[ib.ID]++
+	}
+
+	// Number the tree walk for Dominates.
+	copy(cursor, kidStart[:n])
+	clock := int32(1)
+	d.pre[fn.Entry.ID] = clock
+	stack[0] = int32(fn.Entry.ID)
+	for sp := 1; sp > 0; {
+		id := stack[sp-1]
+		clock++
+		if cursor[id] < kidStart[id+1] {
+			c := int32(d.kids[cursor[id]].ID)
+			cursor[id]++
+			d.pre[c] = clock
+			stack[sp] = c
+			sp++
+			continue
+		}
+		d.post[id] = clock
+		sp--
 	}
 
 	// Reverse postorder for iteration orders elsewhere.
-	seen := make([]bool, n)
-	var post []*ir.Block
-	var walk func(b *ir.Block)
-	walk = func(b *ir.Block) {
-		if seen[b.ID] {
-			return
-		}
-		seen[b.ID] = true
-		for _, s := range b.Succs {
-			walk(s)
-		}
-		post = append(post, b)
+	for i, j := 0, len(postorder)-1; i < j; i, j = i+1, j-1 {
+		postorder[i], postorder[j] = postorder[j], postorder[i]
 	}
-	walk(fn.Entry)
-	d.order = make([]*ir.Block, 0, len(post))
-	for i := len(post) - 1; i >= 0; i-- {
-		d.order = append(d.order, post[i])
-	}
-	for i, b := range d.order {
-		d.num[b.ID] = i
-	}
+	d.order = postorder[:len(postorder):len(postorder)]
 	return d
 }
 

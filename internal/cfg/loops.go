@@ -1,7 +1,8 @@
 package cfg
 
 import (
-	"sort"
+	"math/bits"
+	"slices"
 
 	"regpromo/internal/ir"
 )
@@ -11,8 +12,12 @@ import (
 // by their header's block number the same way.
 type Loop struct {
 	Header *ir.Block
-	// Blocks is the set of blocks in the loop, header included.
-	Blocks map[*ir.Block]bool
+	// Blocks lists the loop's blocks, header included, in id order.
+	// Passes that emit or move code iterate in this order. Callers
+	// must not modify it.
+	Blocks []*ir.Block
+	// set holds the ids of Blocks as a bitset.
+	set []uint64
 	// Parent is the innermost enclosing loop, nil for outermost
 	// loops.
 	Parent *Loop
@@ -24,110 +29,171 @@ type Loop struct {
 	// header from outside the loop); set by EnsureLandingPads.
 	Pad *ir.Block
 	// Exits are the blocks outside the loop that loop edges leave
-	// to; after EnsureExitBlocks each has predecessors only inside
-	// the loop.
+	// to, in id order; after EnsureExitBlocks each has predecessors
+	// only inside the loop.
 	Exits []*ir.Block
 }
 
-// Contains reports whether b belongs to the loop.
-func (l *Loop) Contains(b *ir.Block) bool { return l.Blocks[b] }
-
-// BlocksInOrder returns the loop's blocks sorted by id. Passes that
-// emit or move code must iterate in this order: ranging over the
-// Blocks map would make the output order depend on map iteration.
-func (l *Loop) BlocksInOrder() []*ir.Block {
-	out := make([]*ir.Block, 0, len(l.Blocks))
-	for b := range l.Blocks {
-		out = append(out, b)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+// Contains reports whether b belongs to the loop. A block created
+// after the loop was found belongs to none.
+func (l *Loop) Contains(b *ir.Block) bool {
+	w := uint(b.ID) / 64
+	return w < uint(len(l.set)) && l.set[w]&(1<<(uint(b.ID)%64)) != 0
 }
+
+func (l *Loop) add(b *ir.Block) { l.set[b.ID/64] |= 1 << (uint(b.ID) % 64) }
 
 // LoopForest is the loop nesting structure of one function.
 type LoopForest struct {
 	// Roots are the outermost loops.
 	Roots []*Loop
-	// Loops lists every loop, outer before inner.
+	// Loops lists every loop, outer before inner: by size descending,
+	// then by header id.
 	Loops []*Loop
-	// ByHeader maps a header block to its loop.
-	ByHeader map[*ir.Block]*Loop
-	// InnermostOf maps each block to the innermost loop containing
-	// it (nil when outside all loops).
-	InnermostOf map[*ir.Block]*Loop
+	// ByHeader[b.ID] is the loop headed by b (nil when b heads none).
+	ByHeader []*Loop
+	// InnermostOf[b.ID] is the innermost loop containing b (nil when
+	// b is outside all loops).
+	InnermostOf []*Loop
 }
 
 // Depth returns the loop nesting depth of b (0 outside all loops).
 func (f *LoopForest) Depth(b *ir.Block) int {
-	if l := f.InnermostOf[b]; l != nil {
-		return l.Depth
+	if int(b.ID) < len(f.InnermostOf) {
+		if l := f.InnermostOf[b.ID]; l != nil {
+			return l.Depth
+		}
 	}
 	return 0
 }
 
 // FindLoops identifies natural loops from back edges (edges whose
 // head dominates their tail), merges loops sharing a header, and
-// builds the nesting forest.
+// builds the nesting forest. Blocks must be densely numbered, as for
+// Dominators.
 func FindLoops(fn *ir.Func, dom *DomTree) *LoopForest {
-	f := &LoopForest{
-		ByHeader:    make(map[*ir.Block]*Loop),
-		InnermostOf: make(map[*ir.Block]*Loop),
-	}
+	n := len(fn.Blocks)
+	rpo := dom.ReversePostorder()
 
-	// Collect back edges in reverse postorder for determinism.
-	for _, b := range dom.ReversePostorder() {
+	// Count the headers first, so the loops, their bitsets and the
+	// forest's slices each come from one allocation.
+	nl := 0
+	var hdr []bool
+	for _, b := range rpo {
 		for _, s := range b.Succs {
 			if dom.Dominates(s, b) {
-				loop := f.ByHeader[s]
-				if loop == nil {
-					loop = &Loop{Header: s, Blocks: map[*ir.Block]bool{s: true}}
-					f.ByHeader[s] = loop
+				if hdr == nil {
+					hdr = make([]bool, n)
 				}
-				// Grow the natural loop: all blocks that reach the
-				// back edge's tail without passing through the
-				// header.
-				var stack []*ir.Block
-				if !loop.Blocks[b] {
-					loop.Blocks[b] = true
-					stack = append(stack, b)
+				if !hdr[s.ID] {
+					hdr[s.ID] = true
+					nl++
 				}
-				for len(stack) > 0 {
-					x := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					for _, p := range x.Preds {
-						if !loop.Blocks[p] {
-							loop.Blocks[p] = true
-							stack = append(stack, p)
-						}
+			}
+		}
+	}
+	// slots holds ByHeader, InnermostOf, Loops, and then Roots with
+	// every loop's Children.
+	slots := make([]*Loop, 2*n+2*nl)
+	f := &LoopForest{ByHeader: slots[:n:n], InnermostOf: slots[n : 2*n : 2*n]}
+	if nl == 0 {
+		return f
+	}
+	f.Loops = slots[2*n : 2*n : 2*n+nl]
+	words := (n + 63) / 64
+	loops := make([]Loop, nl)
+	sets := make([]uint64, nl*words)
+
+	// Collect back edges in reverse postorder for determinism.
+	var buf [32]*ir.Block
+	stack := buf[:0]
+	for _, b := range rpo {
+		for _, s := range b.Succs {
+			if !dom.Dominates(s, b) {
+				continue
+			}
+			loop := f.ByHeader[s.ID]
+			if loop == nil {
+				k := len(f.Loops)
+				loop = &loops[k]
+				loop.Header = s
+				loop.set = sets[k*words : (k+1)*words : (k+1)*words]
+				loop.add(s)
+				f.ByHeader[s.ID] = loop
+				f.Loops = append(f.Loops, loop)
+			}
+			// Grow the natural loop: all blocks that reach the back
+			// edge's tail without passing through the header.
+			if !loop.Contains(b) {
+				loop.add(b)
+				stack = append(stack, b)
+			}
+			for len(stack) > 0 {
+				x := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				for _, p := range x.Preds {
+					if !loop.Contains(p) {
+						loop.add(p)
+						stack = append(stack, p)
 					}
 				}
 			}
 		}
 	}
 
-	// Order loops by size descending so parents precede children.
-	for _, l := range f.ByHeader {
-		f.Loops = append(f.Loops, l)
+	// Block lists in id order, read off the bitsets into one backing
+	// array.
+	total := 0
+	for _, w := range sets {
+		total += bits.OnesCount64(w)
 	}
-	sort.Slice(f.Loops, func(i, j int) bool {
-		if len(f.Loops[i].Blocks) != len(f.Loops[j].Blocks) {
-			return len(f.Loops[i].Blocks) > len(f.Loops[j].Blocks)
+	members := make([]*ir.Block, total)
+	for _, l := range f.Loops {
+		k := 0
+		for i, w := range l.set {
+			for ; w != 0; w &= w - 1 {
+				members[k] = fn.Blocks[i*64+bits.TrailingZeros64(w)]
+				k++
+			}
 		}
-		return f.Loops[i].Header.ID < f.Loops[j].Header.ID
+		l.Blocks, members = members[:k:k], members[k:]
+	}
+
+	// Order loops by size descending so parents precede children.
+	slices.SortFunc(f.Loops, func(a, b *Loop) int {
+		if len(a.Blocks) != len(b.Blocks) {
+			return len(b.Blocks) - len(a.Blocks)
+		}
+		return int(a.Header.ID) - int(b.Header.ID)
 	})
 
 	// Nesting: the parent of l is the smallest loop properly
-	// containing l's header (other than l itself).
+	// containing l's header. Loops are sorted by size descending, so
+	// it is the nearest earlier loop that does. Roots and each loop's
+	// children, in Loops order, share the last nl slots.
+	ints := make([]int32, 2*nl+n)
+	nkids, ends, stamp := ints[:nl], ints[nl:2*nl], ints[2*nl:]
+	nroots := 0
 	for i, l := range f.Loops {
 		for j := i - 1; j >= 0; j-- {
-			cand := f.Loops[j]
-			if cand != l && cand.Blocks[l.Header] {
-				// Loops are sorted by size descending, so scan from
-				// the nearest (smallest) candidate upward.
-				if l.Parent == nil || len(cand.Blocks) < len(l.Parent.Blocks) {
-					l.Parent = cand
-				}
+			if f.Loops[j].Contains(l.Header) {
+				l.Parent = f.Loops[j]
+				nkids[j]++
+				break
 			}
+		}
+		if l.Parent == nil {
+			l.Depth = 1
+			nroots++
+		} else {
+			l.Depth = l.Parent.Depth + 1
+		}
+	}
+	kids := slots[2*n+nl:]
+	f.Roots, kids = kids[:0:nroots], kids[nroots:]
+	for i, l := range f.Loops {
+		if c := nkids[i]; c > 0 {
+			l.Children, kids = kids[:0:c], kids[c:]
 		}
 	}
 	for _, l := range f.Loops {
@@ -137,37 +203,37 @@ func FindLoops(fn *ir.Func, dom *DomTree) *LoopForest {
 			l.Parent.Children = append(l.Parent.Children, l)
 		}
 	}
-	var setDepth func(l *Loop, d int)
-	setDepth = func(l *Loop, d int) {
-		l.Depth = d
-		for _, c := range l.Children {
-			setDepth(c, d+1)
-		}
-	}
-	for _, r := range f.Roots {
-		setDepth(r, 1)
-	}
 
 	// Innermost loop per block: loops sorted big→small, so later
 	// assignment wins.
 	for _, l := range f.Loops {
-		for b := range l.Blocks {
-			f.InnermostOf[b] = l
+		for _, b := range l.Blocks {
+			f.InnermostOf[b.ID] = l
 		}
 	}
 
-	// Exits: outside-successors of loop blocks.
-	for _, l := range f.Loops {
-		seen := map[*ir.Block]bool{}
-		for b := range l.Blocks {
+	// Exits: outside-successors of loop blocks, into one shared
+	// backing array. stamp[s.ID] holds the number (from 1) of the last
+	// loop s was collected for.
+	var exits []*ir.Block
+	for i, l := range f.Loops {
+		for _, b := range l.Blocks {
 			for _, s := range b.Succs {
-				if !l.Blocks[s] && !seen[s] {
-					seen[s] = true
-					l.Exits = append(l.Exits, s)
+				if !l.Contains(s) && stamp[s.ID] != int32(i+1) {
+					stamp[s.ID] = int32(i + 1)
+					exits = append(exits, s)
 				}
 			}
 		}
-		sort.Slice(l.Exits, func(i, j int) bool { return l.Exits[i].ID < l.Exits[j].ID })
+		ends[i] = int32(len(exits))
+	}
+	start := int32(0)
+	for i, l := range f.Loops {
+		if end := ends[i]; end > start {
+			l.Exits = exits[start:end:end]
+			slices.SortFunc(l.Exits, func(a, b *ir.Block) int { return int(a.ID) - int(b.ID) })
+			start = end
+		}
 	}
 	return f
 }
@@ -175,16 +241,17 @@ func FindLoops(fn *ir.Func, dom *DomTree) *LoopForest {
 // PreorderLoops returns the loops outermost-first (parents before
 // children), which is the evaluation order for equation (4).
 func (f *LoopForest) PreorderLoops() []*Loop {
-	var out []*Loop
-	var walk func(l *Loop)
-	walk = func(l *Loop) {
-		out = append(out, l)
-		for _, c := range l.Children {
-			walk(c)
-		}
-	}
+	out := make([]*Loop, 0, len(f.Loops))
 	for _, r := range f.Roots {
-		walk(r)
+		out = appendPreorder(out, r)
+	}
+	return out
+}
+
+func appendPreorder(out []*Loop, l *Loop) []*Loop {
+	out = append(out, l)
+	for _, c := range l.Children {
+		out = appendPreorder(out, c)
 	}
 	return out
 }

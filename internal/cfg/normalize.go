@@ -48,7 +48,7 @@ func Normalize(fn *ir.Func) (*DomTree, *LoopForest) {
 func landingPadOf(l *Loop) *ir.Block {
 	var pad *ir.Block
 	for _, p := range l.Header.Preds {
-		if !l.Blocks[p] {
+		if !l.Contains(p) {
 			pad = p
 		}
 	}
@@ -60,7 +60,7 @@ func landingPadOf(l *Loop) *ir.Block {
 func ensureLandingPad(fn *ir.Func, l *Loop) bool {
 	var outside []*ir.Block
 	for _, p := range l.Header.Preds {
-		if !l.Blocks[p] {
+		if !l.Contains(p) {
 			outside = append(outside, p)
 		}
 	}
@@ -88,9 +88,9 @@ func ensureExitBlocks(fn *ir.Func, l *Loop, forest *LoopForest) bool {
 		// Dedicated already: every predecessor inside l, and x is
 		// not a loop header (a store inserted into a header would
 		// execute per-iteration of that loop).
-		dedicated := forest.ByHeader[x] == nil
+		dedicated := forest.ByHeader[x.ID] == nil
 		for _, p := range x.Preds {
-			if !l.Blocks[p] {
+			if !l.Contains(p) {
 				dedicated = false
 				break
 			}
@@ -101,7 +101,7 @@ func ensureExitBlocks(fn *ir.Func, l *Loop, forest *LoopForest) bool {
 		exit := fn.NewBlock(x.Label + ".exit")
 		exit.Instrs = []ir.Instr{{Op: ir.OpBr}}
 		for _, p := range append([]*ir.Block(nil), x.Preds...) {
-			if l.Blocks[p] {
+			if l.Contains(p) {
 				p.ReplaceSucc(x, exit)
 			}
 		}

@@ -15,8 +15,6 @@
 package dataflow
 
 import (
-	"container/heap"
-
 	"regpromo/internal/ir"
 	"regpromo/internal/obs"
 )
@@ -27,19 +25,30 @@ import (
 // individual passes used before this package existed.
 func Postorder(fn *ir.Func) []*ir.Block {
 	order := make([]*ir.Block, 0, len(fn.Blocks))
-	seen := make([]bool, len(fn.Blocks))
-	var walk func(b *ir.Block)
-	walk = func(b *ir.Block) {
-		seen[b.ID] = true
-		for _, s := range b.Succs {
-			if !seen[s.ID] {
-				walk(s)
-			}
-		}
-		order = append(order, b)
+	if fn.Entry == nil {
+		return order
 	}
-	if fn.Entry != nil {
-		walk(fn.Entry)
+	seen := make([]bool, len(fn.Blocks))
+	type frame struct {
+		b    *ir.Block
+		next int
+	}
+	var buf [16]frame
+	stack := append(buf[:0], frame{b: fn.Entry})
+	seen[fn.Entry.ID] = true
+	for len(stack) > 0 {
+		top := &stack[len(stack)-1]
+		if top.next < len(top.b.Succs) {
+			s := top.b.Succs[top.next]
+			top.next++
+			if !seen[s.ID] {
+				seen[s.ID] = true
+				stack = append(stack, frame{b: s})
+			}
+			continue
+		}
+		order = append(order, top.b)
+		stack = stack[:len(stack)-1]
 	}
 	return order
 }
@@ -73,8 +82,8 @@ const (
 type worklist struct {
 	rank   []int // rank[id] = drain priority of item id
 	queued []bool
-	heap   workHeap
-	pushes int // enqueues that actually landed (dedup hits excluded)
+	heap   []workItem // binary min-heap on rank
+	pushes int        // enqueues that actually landed (dedup hits excluded)
 }
 
 // newWorklist builds a worklist for items 0..len(rank)-1 where rank[i]
@@ -83,7 +92,7 @@ func newWorklist(rank []int) *worklist {
 	return &worklist{
 		rank:   rank,
 		queued: make([]bool, len(rank)),
-		heap:   make(workHeap, 0, len(rank)),
+		heap:   make([]workItem, 0, len(rank)),
 	}
 }
 
@@ -94,35 +103,51 @@ func (w *worklist) push(id int) {
 	}
 	w.queued[id] = true
 	w.pushes++
-	heap.Push(&w.heap, workItem{id: id, rank: w.rank[id]})
+	// Sift up, as container/heap does, so equal ranks drain in the
+	// same order.
+	h := append(w.heap, workItem{id: id, rank: w.rank[id]})
+	for j := len(h) - 1; j > 0; {
+		i := (j - 1) / 2
+		if h[j].rank >= h[i].rank {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+	w.heap = h
 }
 
 // pop removes and returns the pending item with the lowest rank;
 // ok is false when the worklist is empty.
 func (w *worklist) pop() (id int, ok bool) {
-	if len(w.heap) == 0 {
+	h := w.heap
+	if len(h) == 0 {
 		return 0, false
 	}
-	it := heap.Pop(&w.heap).(workItem)
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	// Sift down over h[:n], as container/heap does.
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h[j2].rank < h[j].rank {
+			j = j2
+		}
+		if h[j].rank >= h[i].rank {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	it := h[n]
+	w.heap = h[:n]
 	w.queued[it.id] = false
 	return it.id, true
 }
 
 type workItem struct{ id, rank int }
-
-type workHeap []workItem
-
-func (h workHeap) Len() int            { return len(h) }
-func (h workHeap) Less(i, j int) bool  { return h[i].rank < h[j].rank }
-func (h workHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *workHeap) Push(x interface{}) { *h = append(*h, x.(workItem)) }
-func (h *workHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
-}
 
 // SolveBlocks iterates transfer over fn's reachable blocks until
 // fixpoint. transfer recomputes the block's facts from its current

@@ -142,18 +142,14 @@ func AddEdge(p, s *Block) {
 var reachEpoch atomic.Uint64
 
 // ReachableBlocks returns the blocks reachable from the entry in
-// depth-first preorder. It stamps the blocks it visits, so like a
-// mutation it must not run concurrently with other uses of f.
+// depth-first preorder, successors in edge order. It stamps the blocks
+// it visits, so like a mutation it must not run concurrently with
+// other uses of f.
 func (f *Func) ReachableBlocks() []*Block {
-	return f.markReachable(reachEpoch.Add(1))
-}
-
-// markReachable stamps every block reachable from the entry with epoch
-// and returns them in depth-first preorder, successors in edge order.
-func (f *Func) markReachable(epoch uint64) []*Block {
 	if f.Entry == nil {
 		return nil
 	}
+	epoch := reachEpoch.Add(1)
 	type frame struct {
 		b    *Block
 		next int
@@ -180,11 +176,34 @@ func (f *Func) markReachable(epoch uint64) []*Block {
 	return order
 }
 
+// markOnly stamps every block reachable from the entry with epoch. It
+// records no order, unlike ReachableBlocks: its only state is a stack
+// of blocks still to expand, which stays in the frame while the
+// function is small.
+func (f *Func) markOnly(epoch uint64) {
+	if f.Entry == nil {
+		return
+	}
+	var buf [32]*Block
+	stack := append(buf[:0], f.Entry)
+	f.Entry.mark = epoch
+	for len(stack) > 0 {
+		b := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, s := range b.Succs {
+			if s != nil && s.mark != epoch {
+				s.mark = epoch
+				stack = append(stack, s)
+			}
+		}
+	}
+}
+
 // RemoveUnreachable drops blocks not reachable from the entry and
 // fixes predecessor lists.
 func (f *Func) RemoveUnreachable() {
 	epoch := reachEpoch.Add(1)
-	f.markReachable(epoch)
+	f.markOnly(epoch)
 	f.Blocks = keepMarked(f.Blocks, epoch)
 	for _, b := range f.Blocks {
 		b.Preds = keepMarked(b.Preds, epoch)

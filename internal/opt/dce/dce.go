@@ -22,8 +22,14 @@ func Run(m *ir.Module) int {
 func Func(fn *ir.Func) int {
 	removed := 0
 	var buf [8]ir.Reg
-	live := make([]bool, fn.NumRegs)
-	defs := make([][]*ir.Instr, fn.NumRegs)
+	n := fn.NumRegs
+	live := make([]bool, n)
+	// The removable definitions of r are defs[defStart[r]:defStart[r+1]]
+	// in compressed sparse rows, rebuilt each round into the same
+	// arrays: a round only deletes instructions, so defs never grows.
+	ints := make([]int32, 2*n+1)
+	defStart, cursor := ints[:n+1], ints[n+1:]
+	var defs []*ir.Instr
 	var stack []ir.Reg
 	for {
 		// Sparse mark phase: seed liveness from the operands of
@@ -33,9 +39,7 @@ func Func(fn *ir.Func) int {
 		// alive in turn. Marking is monotone, so the drain order does
 		// not matter: the result is the least fixpoint.
 		clear(live)
-		for i := range defs {
-			defs[i] = defs[i][:0]
-		}
+		clear(defStart)
 		mark := func(r ir.Reg) {
 			if !live[r] {
 				live[r] = true
@@ -47,7 +51,7 @@ func Func(fn *ir.Func) int {
 				in := &b.Instrs[i]
 				if isRemovable(in) {
 					if d := in.Def(); d != ir.RegInvalid {
-						defs[d] = append(defs[d], in)
+						defStart[d+1]++
 					}
 					continue
 				}
@@ -56,18 +60,37 @@ func Func(fn *ir.Func) int {
 				}
 			}
 		}
+		for r := 0; r < n; r++ {
+			defStart[r+1] += defStart[r]
+		}
+		if defs == nil {
+			defs = make([]*ir.Instr, defStart[n])
+		}
+		copy(cursor, defStart[:n])
+		for _, b := range fn.Blocks {
+			for i := range b.Instrs {
+				in := &b.Instrs[i]
+				if !isRemovable(in) {
+					continue
+				}
+				if d := in.Def(); d != ir.RegInvalid {
+					defs[cursor[d]] = in
+					cursor[d]++
+				}
+			}
+		}
 		for len(stack) > 0 {
 			r := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			for _, in := range defs[r] {
+			for _, in := range defs[defStart[r]:defStart[r+1]] {
 				for _, u := range in.Uses(buf[:0]) {
 					mark(u)
 				}
 			}
 		}
-		n := sweep(fn, live)
-		removed += n
-		if n == 0 {
+		swept := sweep(fn, live)
+		removed += swept
+		if swept == 0 {
 			return removed
 		}
 	}

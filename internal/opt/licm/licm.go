@@ -54,30 +54,55 @@ func Func(fn *ir.Func) int {
 }
 
 type state struct {
-	fn  *ir.Func
 	dom *cfg.DomTree
 	// defCount counts definitions per register over the whole
 	// function; maintained across hoists (moves do not change it).
-	defCount []int
+	defCount []int32
 	// loopDefs is scratch for hoist, reused across loops.
-	loopDefs []int
+	loopDefs []int32
+	// The blocks of r's uses, one entry per use operand, are
+	// useBlock[useStart[r]:useStart[r+1]] in compressed sparse rows.
+	// A hoist moves its instruction's entries to the pad, so the rows
+	// stay exact as code moves.
+	useStart []int32
+	useBlock []*ir.Block
 }
 
 func newState(fn *ir.Func, dom *cfg.DomTree) *state {
+	n := fn.NumRegs
+	ints := make([]int32, 3*n+1)
 	st := &state{
-		fn:       fn,
 		dom:      dom,
-		defCount: make([]int, fn.NumRegs),
-		loopDefs: make([]int, fn.NumRegs),
+		defCount: ints[:n:n],
+		loopDefs: ints[n : 2*n : 2*n],
+		useStart: ints[2*n:],
 	}
 	// Parameters carry an implicit entry definition.
 	for _, p := range fn.Params {
 		st.defCount[p]++
 	}
+	var buf [8]ir.Reg
 	for _, b := range fn.Blocks {
 		for i := range b.Instrs {
-			if d := b.Instrs[i].Def(); d != ir.RegInvalid {
+			in := &b.Instrs[i]
+			if d := in.Def(); d != ir.RegInvalid {
 				st.defCount[d]++
+			}
+			for _, u := range in.Uses(buf[:0]) {
+				st.useStart[u+1]++
+			}
+		}
+	}
+	for r := 0; r < n; r++ {
+		st.useStart[r+1] += st.useStart[r]
+	}
+	st.useBlock = make([]*ir.Block, st.useStart[n])
+	cursor := st.loopDefs // zero until the first hoist, which clears it
+	for _, b := range fn.Blocks {
+		for i := range b.Instrs {
+			for _, u := range b.Instrs[i].Uses(buf[:0]) {
+				st.useBlock[st.useStart[u]+cursor[u]] = b
+				cursor[u]++
 			}
 		}
 	}
@@ -89,10 +114,8 @@ func (st *state) hoist(l *cfg.Loop) int {
 	moved := 0
 	// Definitions inside this loop.
 	loopDefs := st.loopDefs
-	for i := range loopDefs {
-		loopDefs[i] = 0
-	}
-	for b := range l.Blocks {
+	clear(loopDefs)
+	for _, b := range l.Blocks {
 		for i := range b.Instrs {
 			if d := b.Instrs[i].Def(); d != ir.RegInvalid {
 				loopDefs[d]++
@@ -100,7 +123,7 @@ func (st *state) hoist(l *cfg.Loop) int {
 		}
 	}
 	var buf [8]ir.Reg
-	for _, b := range l.BlocksInOrder() {
+	for _, b := range l.Blocks {
 		for i := 0; i < len(b.Instrs); i++ {
 			in := &b.Instrs[i]
 			if !hoistable(in) {
@@ -124,6 +147,9 @@ func (st *state) hoist(l *cfg.Loop) int {
 			b.Instrs = append(b.Instrs[:i], b.Instrs[i+1:]...)
 			i--
 			insertBeforeTerminator(l.Pad, hoisted)
+			for _, u := range hoisted.Uses(buf[:0]) {
+				st.moveUse(u, b, l.Pad)
+			}
 			loopDefs[d] = 0
 			moved++
 		}
@@ -131,25 +157,37 @@ func (st *state) hoist(l *cfg.Loop) int {
 	return moved
 }
 
+// moveUse records that one use of r moved from block from to block to.
+func (st *state) moveUse(r ir.Reg, from, to *ir.Block) {
+	row := st.useBlock[st.useStart[r]:st.useStart[r+1]]
+	for i, b := range row {
+		if b == from {
+			row[i] = to
+			return
+		}
+	}
+}
+
 // dominatesAllUses reports whether the definition at (db, di) dominates
-// every use of r in the function.
+// every use of r in the function: each use block other than db must be
+// dominated by db, and no use in db may come at or before di.
 func (st *state) dominatesAllUses(db *ir.Block, di int, r ir.Reg) bool {
+	inDefBlock := false
+	for _, b := range st.useBlock[st.useStart[r]:st.useStart[r+1]] {
+		if b == db {
+			inDefBlock = true
+		} else if !st.dom.Dominates(db, b) {
+			return false
+		}
+	}
+	if !inDefBlock {
+		return true
+	}
 	var buf [8]ir.Reg
-	for _, b := range st.fn.Blocks {
-		for i := range b.Instrs {
-			for _, u := range b.Instrs[i].Uses(buf[:0]) {
-				if u != r {
-					continue
-				}
-				if b == db {
-					if i <= di {
-						return false
-					}
-					continue
-				}
-				if !st.dom.Dominates(db, b) {
-					return false
-				}
+	for i := 0; i <= di; i++ {
+		for _, u := range db.Instrs[i].Uses(buf[:0]) {
+			if u == r {
+				return false
 			}
 		}
 	}

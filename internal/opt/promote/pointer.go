@@ -43,7 +43,7 @@ func promotePointerInLoop(fn *ir.Func, l *cfg.Loop, opts Options) Stats {
 
 	// Registers defined inside the loop are not invariant.
 	defined := make(map[ir.Reg]bool)
-	for b := range l.Blocks {
+	for _, b := range l.Blocks {
 		for i := range b.Instrs {
 			if d := b.Instrs[i].Def(); d != ir.RegInvalid {
 				defined[d] = true
@@ -56,7 +56,7 @@ func promotePointerInLoop(fn *ir.Func, l *cfg.Loop, opts Options) Stats {
 	// is deterministic.
 	groups := make(map[ir.Reg]*group)
 	var order []ir.Reg
-	for _, b := range l.BlocksInOrder() {
+	for _, b := range l.Blocks {
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
 			if in.Op != ir.OpPLoad && in.Op != ir.OpPStore {
@@ -90,7 +90,7 @@ func promotePointerInLoop(fn *ir.Func, l *cfg.Loop, opts Options) Stats {
 	// Disqualify groups whose tags any other access in the loop can
 	// reach: explicit scalar ops, calls, pointer ops with a
 	// different (or non-invariant) base.
-	for _, b := range l.BlocksInOrder() {
+	for _, b := range l.Blocks {
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
 			var touches ir.TagSet
@@ -157,7 +157,7 @@ func promotePointerInLoop(fn *ir.Func, l *cfg.Loop, opts Options) Stats {
 				stats.StoresInserted++
 			}
 		}
-		body := l.BlocksInOrder()
+		body := l.Blocks
 		stats.Regions = append(stats.Regions, Region{
 			Func:        fn.Name,
 			Tag:         ir.TagInvalid,

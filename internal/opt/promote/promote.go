@@ -249,7 +249,7 @@ func AnalyzeFunc(m *ir.Module, fn *ir.Func, forest *cfg.LoopForest) *FuncInfo {
 	// the parent's promotable set.
 	for _, l := range forest.PreorderLoops() {
 		ls := &LoopSets{Loop: l}
-		for b := range l.Blocks {
+		for _, b := range l.Blocks {
 			bExplicit[b.ID].UnionInto(&ls.Explicit)   // (1)
 			bAmbiguous[b.ID].UnionInto(&ls.Ambiguous) // (2)
 			bStored[b.ID].UnionInto(&ls.Stored)
@@ -305,7 +305,7 @@ func rewriteScalar(fn *ir.Func, forest *cfg.LoopForest, info *FuncInfo, opts Opt
 			stats.Regions = append(stats.Regions, Region{
 				Func:        fn.Name,
 				Tag:         tag,
-				Body:        l.BlocksInOrder(),
+				Body:        l.Blocks,
 				Pad:         l.Pad,
 				Exits:       append([]*ir.Block(nil), l.Exits...),
 				Size:        int(size),
@@ -315,7 +315,7 @@ func rewriteScalar(fn *ir.Func, forest *cfg.LoopForest, info *FuncInfo, opts Opt
 				Calls:       calls,
 			})
 			// Rewrite every reference in the loop to a copy.
-			for b := range l.Blocks {
+			for _, b := range l.Blocks {
 				for i := range b.Instrs {
 					in := &b.Instrs[i]
 					switch {
@@ -340,7 +340,7 @@ func rewriteScalar(fn *ir.Func, forest *cfg.LoopForest, info *FuncInfo, opts Opt
 // provenance, not stable pointers into the final IL.
 func collectCallFacts(l *cfg.Loop) []CallFact {
 	var facts []CallFact
-	for _, b := range l.BlocksInOrder() {
+	for _, b := range l.Blocks {
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
 			if in.Op != ir.OpJsr {
@@ -360,7 +360,7 @@ func collectCallFacts(l *cfg.Loop) []CallFact {
 
 // refSize finds the access width used for tag inside l.
 func refSize(fn *ir.Func, l *cfg.Loop, tag ir.TagID) int32 {
-	for b := range l.Blocks {
+	for _, b := range l.Blocks {
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
 			if (in.Op == ir.OpSLoad || in.Op == ir.OpSStore || in.Op == ir.OpCLoad) && in.Tag == tag {

@@ -32,7 +32,7 @@ func estimateLoopDemand(fn *ir.Func, l *cfg.Loop) int {
 	definedIn := make(map[ir.Reg]bool)
 	usedIn := make(map[ir.Reg]bool)
 	var buf [8]ir.Reg
-	for b := range l.Blocks {
+	for _, b := range l.Blocks {
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
 			if d := in.Def(); d != ir.RegInvalid {
@@ -45,7 +45,7 @@ func estimateLoopDemand(fn *ir.Func, l *cfg.Loop) int {
 	}
 	demand := 0
 	for _, b := range fn.Blocks {
-		if l.Blocks[b] {
+		if l.Contains(b) {
 			continue
 		}
 		for i := range b.Instrs {
@@ -69,7 +69,7 @@ func estimateLoopDemand(fn *ir.Func, l *cfg.Loop) int {
 // key for the bin-packer: more references, more benefit).
 func refCount(l *cfg.Loop, tag ir.TagID) int {
 	n := 0
-	for b := range l.Blocks {
+	for _, b := range l.Blocks {
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
 			switch in.Op {

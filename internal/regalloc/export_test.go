@@ -13,8 +13,10 @@ import (
 // row's popcount. It returns the number of rounds allocation took.
 func CheckCoalescedRows(fn *ir.Func, k int, tags ir.TagAlloc) (int, error) {
 	firstTemp := ir.Reg(fn.NumRegs)
+	sc := new(scratch)
 	for round := 1; round <= 100; round++ {
-		g := build(fn)
+		sc.reset()
+		g := build(fn, sc)
 		coalesce(g, k)
 		reps := usedReps(g, fn)
 		for r, row := range g.adj {

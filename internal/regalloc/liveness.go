@@ -56,12 +56,6 @@ func (s bitset) first() ir.Reg {
 	return ir.RegInvalid
 }
 
-func (s bitset) clone() bitset {
-	out := make(bitset, len(s))
-	copy(out, s)
-	return out
-}
-
 func (s bitset) forEach(f func(ir.Reg)) {
 	for i, w := range s {
 		for w != 0 {
@@ -77,15 +71,24 @@ type liveness struct {
 	liveOut []bitset
 }
 
-func computeLiveness(fn *ir.Func) *liveness {
+// computeLiveness solves liveness over fn with every set carved from
+// sc. A nil sc gets storage of its own, sized to the function, so the
+// sets come from one allocation.
+func computeLiveness(fn *ir.Func, sc *scratch) *liveness {
 	n := len(fn.Blocks)
 	nr := fn.NumRegs
-	use := make([]bitset, n)
-	def := make([]bitset, n)
-	lv := &liveness{liveIn: make([]bitset, n), liveOut: make([]bitset, n)}
+	var sets []bitset
+	if sc == nil {
+		sc = &scratch{words: make([]uint64, (4*n+1)*((nr+63)/64))}
+		sets = make([]bitset, 4*n)
+	} else {
+		sets = resize(&sc.sets, 4*n)
+	}
+	use, def := sets[:n:n], sets[n:2*n:2*n]
+	lv := &liveness{liveIn: sets[2*n : 3*n : 3*n], liveOut: sets[3*n:]}
 	var buf [8]ir.Reg
 	for _, b := range fn.Blocks {
-		u, d := newBitset(nr), newBitset(nr)
+		u, d := sc.bitset(nr), sc.bitset(nr)
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
 			for _, r := range in.Uses(buf[:0]) {
@@ -98,14 +101,14 @@ func computeLiveness(fn *ir.Func) *liveness {
 			}
 		}
 		use[b.ID], def[b.ID] = u, d
-		lv.liveIn[b.ID] = newBitset(nr)
-		lv.liveOut[b.ID] = newBitset(nr)
+		lv.liveIn[b.ID] = sc.bitset(nr)
+		lv.liveOut[b.ID] = sc.bitset(nr)
 	}
 	// Standard backward problem: out = ∪ succ in; in = use ∪ (out − def).
 	// The worklist visits blocks in postorder and only re-examines a
 	// block when a successor's live-in grew; the least fixpoint is the
 	// same one the old round-robin sweep computed.
-	tmp := newBitset(nr)
+	tmp := sc.bitset(nr)
 	dataflow.SolveBlocks(fn, dataflow.Backward, func(b *ir.Block) bool {
 		out := lv.liveOut[b.ID]
 		for _, s := range b.Succs {
@@ -134,7 +137,7 @@ type Liveness struct {
 // numbers are fn's current (virtual or physical) names; callers that
 // care about specific registers must query before any renaming pass.
 func ComputeLiveness(fn *ir.Func) *Liveness {
-	return &Liveness{lv: computeLiveness(fn)}
+	return &Liveness{lv: computeLiveness(fn, nil)}
 }
 
 // LiveInHas reports whether r is live at the entry of block b.

@@ -97,6 +97,8 @@ type graph struct {
 	remat []*ir.Instr
 	// defs counts definitions per register.
 	defs []int
+	// sc supplies the round's bitsets and per-register arrays.
+	sc *scratch
 }
 
 func (g *graph) find(r ir.Reg) ir.Reg {
@@ -117,7 +119,7 @@ func (g *graph) interferes(a, b ir.Reg) bool {
 
 func (g *graph) row(r ir.Reg) bitset {
 	if g.adj[r] == nil {
-		g.adj[r] = newBitset(g.n)
+		g.adj[r] = g.sc.bitset(g.n)
 	}
 	return g.adj[r]
 }
@@ -179,12 +181,16 @@ func Func(fn *ir.Func, opts Options, tags ir.TagAlloc) (Stats, error) {
 	// Spill rounds only ever append registers, so the temporaries are
 	// exactly those numbered from the function's entry count up.
 	firstTemp := ir.Reg(fn.NumRegs)
+	sc := scratchPool.Get().(*scratch)
+	defer sc.release()
 	for round := 0; ; round++ {
 		if round > 100 {
 			return stats, fmt.Errorf("regalloc: %s did not converge after %d rounds (K=%d)", fn.Name, round, k)
 		}
 		stats.Rounds = round + 1
-		g := build(fn)
+		// The previous round's graph is dead once its spills are in.
+		sc.reset()
+		g := build(fn, sc)
 		if g.maxLive > stats.MaxLive {
 			stats.MaxLive = g.maxLive
 		}
@@ -209,22 +215,26 @@ func Func(fn *ir.Func, opts Options, tags ir.TagAlloc) (Stats, error) {
 	}
 }
 
-// build constructs the interference graph.
-func build(fn *ir.Func) *graph {
+// build constructs the interference graph in sc's storage.
+func build(fn *ir.Func, sc *scratch) *graph {
 	// Loop depths weight spill costs; dominator/loop discovery must
 	// not mutate the CFG here because the liveness arrays are
 	// indexed by block id.
 	fn.RemoveUnreachable()
 	dom := cfg.Dominators(fn)
 	forest := cfg.FindLoops(fn, dom)
-	lv := computeLiveness(fn)
+	lv := computeLiveness(fn, sc)
+	n := fn.NumRegs
 	g := &graph{
-		n:       fn.NumRegs,
-		adj:     make([]bitset, fn.NumRegs),
-		deg:     make([]int32, fn.NumRegs),
-		alias:   make([]ir.Reg, fn.NumRegs),
-		cost:    make([]float64, fn.NumRegs),
-		isParam: make([]bool, fn.NumRegs),
+		sc:      sc,
+		n:       n,
+		adj:     resize(&sc.adj, n),
+		deg:     resize(&sc.deg, n),
+		alias:   resize(&sc.alias, n),
+		cost:    resize(&sc.cost, n),
+		isParam: resize(&sc.isParam, n),
+		remat:   resize(&sc.remat, n),
+		defs:    resize(&sc.defs, n),
 	}
 	for i := range g.alias {
 		g.alias[i] = ir.Reg(i)
@@ -232,8 +242,6 @@ func build(fn *ir.Func) *graph {
 	for _, p := range fn.Params {
 		g.isParam[p] = true
 	}
-	g.remat = make([]*ir.Instr, fn.NumRegs)
-	g.defs = make([]int, fn.NumRegs)
 	// Parameters carry an implicit entry definition, so an in-body
 	// constant assignment to one is never rematerializable.
 	for _, p := range fn.Params {
@@ -255,12 +263,13 @@ func build(fn *ir.Func) *graph {
 	}
 
 	var buf [8]ir.Reg
+	live := sc.bitset(n)
 	for _, b := range fn.Blocks {
 		weight := 1.0
 		for d := forest.Depth(b); d > 0 && weight < 1e6; d-- {
 			weight *= 10
 		}
-		live := lv.liveOut[b.ID].clone()
+		copy(live, lv.liveOut[b.ID])
 		for i := len(b.Instrs) - 1; i >= 0; i-- {
 			in := &b.Instrs[i]
 			d := in.Def()
@@ -434,15 +443,17 @@ func coalesce(g *graph, k int) int {
 // color assignment (indexed by representative, -1 = spilled/absent)
 // and the registers that must spill. Classes containing a spill
 // temporary (a register numbered firstTemp or above) are chosen as
-// spill candidates only when nothing else is available.
+// spill candidates only when nothing else is available. The colors
+// live in g's scratch storage, valid until the next round's build.
 func color(g *graph, fn *ir.Func, k int, firstTemp ir.Reg) ([]int, []ir.Reg) {
-	noSpillRep := newBitset(g.n)
+	noSpillRep := g.sc.bitset(g.n)
 	for r := firstTemp; int(r) < g.n; r++ {
 		noSpillRep.add(g.find(r))
 	}
 	reps := usedReps(g, fn)
-	var repList []ir.Reg
+	repList := g.sc.reps[:0]
 	reps.forEach(func(r ir.Reg) { repList = append(repList, r) })
+	g.sc.reps = repList
 
 	// Coalescing leaves every row holding only representatives of
 	// registers fn defines or uses, never the row's own register
@@ -451,8 +462,8 @@ func color(g *graph, fn *ir.Func, k int, firstTemp ir.Reg) ([]int, []ir.Reg) {
 	// degrees, which simplify counts down, are copied, along with the
 	// set of remaining nodes whose degree is below k.
 	adj := g.adj
-	deg := make([]int, g.n)
-	low := newBitset(g.n)
+	deg := resize(&g.sc.colorDeg, g.n)
+	low := g.sc.bitset(g.n)
 	for _, r := range repList {
 		deg[r] = int(g.deg[r])
 		if deg[r] < k {
@@ -460,8 +471,8 @@ func color(g *graph, fn *ir.Func, k int, firstTemp ir.Reg) ([]int, []ir.Reg) {
 		}
 	}
 
-	removed := newBitset(g.n)
-	var stack []ir.Reg
+	removed := g.sc.bitset(g.n)
+	stack := g.sc.stack[:0]
 	for remaining := len(repList); remaining > 0; remaining-- {
 		// Pick a trivially colorable node (lowest-numbered first);
 		// otherwise the cheapest spill candidate (optimistically
@@ -483,7 +494,8 @@ func color(g *graph, fn *ir.Func, k int, firstTemp ir.Reg) ([]int, []ir.Reg) {
 		}
 	}
 
-	colors := make([]int, g.n)
+	g.sc.stack = stack
+	colors := resize(&g.sc.colors, g.n)
 	for i := range colors {
 		colors[i] = -1
 	}
@@ -518,7 +530,7 @@ func color(g *graph, fn *ir.Func, k int, firstTemp ir.Reg) ([]int, []ir.Reg) {
 // usedReps is the set of representatives of the registers fn defines
 // or uses, its parameters included.
 func usedReps(g *graph, fn *ir.Func) bitset {
-	reps := newBitset(g.n)
+	reps := g.sc.bitset(g.n)
 	var buf [8]ir.Reg
 	for _, b := range fn.Blocks {
 		for i := range b.Instrs {

@@ -230,7 +230,7 @@ func TestLivenessComputation(t *testing.T) {
 	exit.Instrs = []ir.Instr{{Op: ir.OpRet, A: r1, HasValue: true}}
 	fn.HasVarRet = true
 
-	lv := computeLiveness(fn)
+	lv := computeLiveness(fn, nil)
 	if !lv.liveOut[entry.ID].has(r0) {
 		t.Fatal("r0 must be live out of entry")
 	}
