@@ -13,7 +13,10 @@
 // both lists). -sanitize runs the program under the analysis-soundness
 // sanitizer: every memory access is diffed against the static MOD/REF
 // and points-to sets, and any access outside them is reported with
-// function/block/instruction provenance (exit status 1). -certify
+// function/block/instruction provenance (exit status 1). Profiling and
+// the sanitizer are switch-engine hooks: with either flag a flat-engine
+// run executes on the switch engine, with identical counts and output,
+// and the native engine rejects both. -certify
 // re-proves every promotion certificate with the independent
 // region-soundness verifier right after promotion; a refuted
 // certificate fails the compile. -engine

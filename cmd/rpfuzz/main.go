@@ -31,10 +31,12 @@
 //	              "subprocess"; the fuzzer defaults to subprocess
 //	              because plugins can never be unloaded and a fuzz run
 //	              builds one artifact per (seed, config)
-//	-sanitize     additionally run every execution under the
-//	              analysis-soundness sanitizer; a memory access outside
-//	              the static MOD/REF or points-to sets is a divergence,
-//	              archived like any other
+//	-sanitize     additionally run every compilation on the switch
+//	              engine under the analysis-soundness sanitizer (the
+//	              flat run stays plain and must agree with it); a
+//	              memory access outside the static MOD/REF or
+//	              points-to sets is a divergence, archived like any
+//	              other
 //	-certify      additionally re-prove every promotion certificate with
 //	              the independent region-soundness verifier on every
 //	              compilation; a refuted certificate is a divergence,

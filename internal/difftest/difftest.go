@@ -106,10 +106,12 @@ type Mode struct {
 	// error text, and dynamic counts. Listing the native engine turns
 	// every seed into a translation-validation check of the codegen.
 	Engines []interp.Engine
-	// Sanitize runs every execution under the analysis-soundness
-	// sanitizer; any violation is reported as a divergence on that
-	// configuration (the third oracle, beside engine parity and
-	// config divergence).
+	// Sanitize runs each compilation on the switch engine under the
+	// analysis-soundness sanitizer; any violation is reported as a
+	// divergence on that configuration (the third oracle, beside
+	// engine parity and config divergence). The sanitizer is a
+	// switch-engine hook, so Sanitize adds that engine to the matrix;
+	// the flat run stays plain and is held to parity with it.
 	Sanitize bool
 	// Certify re-proves every promotion certificate with the
 	// independent region-soundness verifier on each compilation (the
@@ -122,7 +124,8 @@ type Mode struct {
 // EngineMatrix resolves the mode's full, deduplicated engine list.
 // The flat engine is always first: it is the primary whose behaviour
 // feeds the cross-configuration diff, and every other engine is
-// compared against it.
+// compared against it. BothEngines and Sanitize each bring in the
+// switch engine, once.
 func (m Mode) EngineMatrix() []interp.Engine {
 	engines := []interp.Engine{interp.EngineFlat}
 	seen := map[interp.Engine]bool{interp.EngineFlat: true}
@@ -132,7 +135,7 @@ func (m Mode) EngineMatrix() []interp.Engine {
 			engines = append(engines, e)
 		}
 	}
-	if m.BothEngines {
+	if m.BothEngines || m.Sanitize {
 		add(interp.EngineSwitch)
 	}
 	for _, e := range m.Engines {
@@ -157,10 +160,10 @@ func DiffSourceEngines(filename, src string, matrix []driver.NamedConfig, bothEn
 // from the shared artifact (compile-once sharing). With
 // Mode.BothEngines set, each compilation additionally executes on the
 // reference switch engine, and any flat-vs-switch disagreement —
-// output, exit code, dynamic counts, error text, or sanitizer
-// violations — is reported as a divergence on that configuration.
-// With Mode.Sanitize set, every execution runs under the
-// analysis-soundness sanitizer and its violations are divergences.
+// output, exit code, dynamic counts, or error text — is reported as a
+// divergence on that configuration. With Mode.Sanitize set, the
+// switch-engine execution runs under the analysis-soundness sanitizer
+// and its violations are divergences.
 func DiffSourceMode(filename, src string, matrix []driver.NamedConfig, mode Mode) *Result {
 	r := &Result{Source: src}
 	fe, feErr := driver.ParseSource(filename, src)
@@ -195,18 +198,26 @@ func DiffSeedMode(seed int64, matrix []driver.NamedConfig, mode Mode) *Result {
 	return r
 }
 
+// runOne compiles one configuration from the shared front end and
+// executes it.
 func runOne(fe *driver.Frontend, nc driver.NamedConfig, mode Mode) Execution {
-	e := Execution{Config: nc}
 	cfg := nc.Config
 	if mode.Certify {
 		cfg.Certify = true
 	}
 	c, err := fe.Compile(cfg, nil)
 	if err != nil {
-		e.Err = fmt.Errorf("compile: %w", err)
-		return e
+		return Execution{Config: nc, Err: fmt.Errorf("compile: %w", err)}
 	}
-	opts := interp.Options{MaxSteps: MaxSteps, Engine: interp.EngineFlat, Sanitize: mode.Sanitize}
+	return execute(c, nc, mode)
+}
+
+// execute runs one compilation on every engine of the mode's matrix:
+// the flat engine plainly, the others held to parity with it, and the
+// switch engine under the sanitizer when the mode asks for it.
+func execute(c *driver.Compilation, nc driver.NamedConfig, mode Mode) Execution {
+	e := Execution{Config: nc}
+	opts := interp.Options{MaxSteps: MaxSteps, Engine: interp.EngineFlat}
 	res, rerr := c.Execute(opts)
 	if rerr != nil {
 		e.Err = fmt.Errorf("execute: %w", rerr)
@@ -215,15 +226,19 @@ func runOne(fe *driver.Frontend, nc driver.NamedConfig, mode Mode) Execution {
 		e.Exit = res.Exit
 		e.Counts = res.Counts
 	}
+	// violations are the sanitized switch run's, reported only when
+	// every engine agrees.
+	var violations []ir.Diag
 	for _, eng := range mode.EngineMatrix()[1:] {
 		eopts := opts
 		eopts.Engine = eng
-		if eng == interp.EngineNative {
-			// The sanitizer is interpreter-only; the native engine is
-			// still held to output/exit/error/count parity.
-			eopts.Sanitize = false
-		}
+		// The sanitizer is a switch-engine hook; every other engine is
+		// still held to output/exit/error/count parity.
+		eopts.Sanitize = mode.Sanitize && eng == interp.EngineSwitch
 		sres, serr := c.Execute(eopts)
+		if eopts.Sanitize && serr == nil {
+			violations = sres.Violations
+		}
 		diverged := true
 		switch {
 		case rerr != nil && serr != nil:
@@ -240,11 +255,6 @@ func runOne(fe *driver.Frontend, nc driver.NamedConfig, mode Mode) Execution {
 			e.Err = fmt.Errorf(
 				"engine divergence: flat exit=%d counts=%+v output=%q; %s exit=%d counts=%+v output=%q",
 				res.Exit, res.Counts, res.Output, eng, sres.Exit, sres.Counts, sres.Output)
-		case eng != interp.EngineNative && !sameDiags(res.Violations, sres.Violations):
-			// Both interpreter engines observe execution in the same
-			// order, so their violation lists must match exactly.
-			e.Err = fmt.Errorf("engine divergence: flat violations %q, %s violations %q",
-				diagStrings(res.Violations), eng, diagStrings(sres.Violations))
 		default:
 			diverged = false
 		}
@@ -252,9 +262,9 @@ func runOne(fe *driver.Frontend, nc driver.NamedConfig, mode Mode) Execution {
 			break
 		}
 	}
-	if e.Err == nil && rerr == nil && len(res.Violations) > 0 {
+	if e.Err == nil && rerr == nil && len(violations) > 0 {
 		e.Err = fmt.Errorf("sanitizer: %d violation(s): %s",
-			len(res.Violations), strings.Join(diagStrings(res.Violations), "; "))
+			len(violations), strings.Join(diagStrings(violations), "; "))
 	}
 	return e
 }
@@ -271,18 +281,6 @@ func diagStrings(ds []ir.Diag) []string {
 		out = append(out, d.String())
 	}
 	return out
-}
-
-func sameDiags(a, b []ir.Diag) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Failure is one divergent seed with its reduction and artifact
@@ -325,10 +323,11 @@ type FuzzOptions struct {
 	// cross-check against the flat engine on every seed; see
 	// Mode.Engines.
 	Engines []interp.Engine
-	// Sanitize runs every execution under the analysis-soundness
-	// sanitizer, the third oracle: any observed memory access outside
-	// the static MOD/REF or points-to sets is a divergence, archived
-	// to the corpus like any other.
+	// Sanitize runs every compilation on the switch engine under the
+	// analysis-soundness sanitizer, the third oracle (see
+	// Mode.Sanitize): any observed memory access outside the static
+	// MOD/REF or points-to sets is a divergence, archived to the
+	// corpus like any other.
 	Sanitize bool
 	// Certify re-proves every promotion certificate on every
 	// compilation, the fourth oracle: a refuted certificate is a

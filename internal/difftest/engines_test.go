@@ -2,30 +2,34 @@ package difftest
 
 import (
 	"fmt"
-	"reflect"
+	"strings"
 	"testing"
 
 	"regpromo/internal/bench"
 	"regpromo/internal/driver"
 	"regpromo/internal/interp"
+	"regpromo/internal/ir"
 	"regpromo/internal/testgen"
 )
 
 // These tests hold the flat-code engine to byte equality with the
-// block-walking switch engine — counts, profiles (block execution
-// counts and per-tag traffic), exit codes, outputs, and error text —
-// across the generated fuzz corpus and the full benchmark suite. The
-// switch engine is the oracle: any disagreement is a bug in the flat
-// lowering or dispatch, never a tolerable difference.
+// block-walking switch engine — counts, exit codes, outputs, and error
+// text — across the generated fuzz corpus and the full benchmark
+// suite. The switch engine is the oracle: any disagreement is a bug in
+// the flat lowering or dispatch, never a tolerable difference. The
+// flat engine always runs plain; profiling is a switch-engine hook, so
+// the switch run is profiled and its profile is checked against its
+// own counts.
 
 // engineSeeds is how many consecutive testgen seeds the engine
 // differential covers (matching the CI fuzz smoke range).
 const engineSeeds = 200
 
-// compareEngines executes one compilation on both engines with
-// profiling enabled and reports any observable difference.
+// compareEngines executes one compilation plainly on the flat engine
+// and with profiling on the switch engine, and reports any observable
+// difference or a profile that disagrees with the switch run's counts.
 func compareEngines(label string, c *driver.Compilation, maxSteps int64) error {
-	flat, ferr := c.Execute(interp.Options{MaxSteps: maxSteps, Profile: true, Engine: interp.EngineFlat})
+	flat, ferr := c.Execute(interp.Options{MaxSteps: maxSteps, Engine: interp.EngineFlat})
 	sw, serr := c.Execute(interp.Options{MaxSteps: maxSteps, Profile: true, Engine: interp.EngineSwitch})
 	switch {
 	case ferr != nil && serr != nil:
@@ -45,9 +49,22 @@ func compareEngines(label string, c *driver.Compilation, maxSteps int64) error {
 	if flat.Output != sw.Output {
 		return fmt.Errorf("%s: output diverges: flat %q, switch %q", label, flat.Output, sw.Output)
 	}
-	if !reflect.DeepEqual(flat.Profile, sw.Profile) {
-		return fmt.Errorf("%s: profiles diverge:\nflat:\n%s\nswitch:\n%s",
-			label, flat.Profile.Format(10), sw.Profile.Format(10))
+	if flat.Profile != nil {
+		return fmt.Errorf("%s: a plain flat run returned a profile", label)
+	}
+	if sw.Profile == nil {
+		return fmt.Errorf("%s: the profiled switch run returned no profile", label)
+	}
+	// Every executed load and store is attributed to exactly one tag
+	// (or the untagged bucket).
+	var loads, stores int64
+	for _, tc := range sw.Profile.Tags {
+		loads += tc.Loads
+		stores += tc.Stores
+	}
+	if loads != sw.Counts.Loads || stores != sw.Counts.Stores {
+		return fmt.Errorf("%s: profile traffic %d loads / %d stores, counts %d / %d",
+			label, loads, stores, sw.Counts.Loads, sw.Counts.Stores)
 	}
 	return nil
 }
@@ -156,5 +173,62 @@ func TestSanitizeFuzzMode(t *testing.T) {
 	}
 	if len(report.Failures) != 0 {
 		t.Fatalf("sanitize fuzz found divergences:\n%s", report.Failures[0].Divergence)
+	}
+}
+
+// TestSanitizeAddsSwitchEngineOnce: the sanitizer is a switch-engine
+// hook, so Sanitize brings the switch engine into the matrix, and
+// combining it with BothEngines does not run that engine twice.
+func TestSanitizeAddsSwitchEngineOnce(t *testing.T) {
+	flat, sw, nat := interp.EngineFlat, interp.EngineSwitch, interp.EngineNative
+	for _, tc := range []struct {
+		mode Mode
+		want []interp.Engine
+	}{
+		{Mode{}, []interp.Engine{flat}},
+		{Mode{Sanitize: true}, []interp.Engine{flat, sw}},
+		{Mode{BothEngines: true, Sanitize: true}, []interp.Engine{flat, sw}},
+		{Mode{Sanitize: true, Engines: []interp.Engine{nat, sw}}, []interp.Engine{flat, sw, nat}},
+	} {
+		got := tc.mode.EngineMatrix()
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("%+v: matrix %v, want %v", tc.mode, got, tc.want)
+		}
+	}
+}
+
+// TestSanitizeReportsSwitchViolations: a seeded MOD/REF defect is
+// caught by the sanitized switch run and reported as a sanitizer
+// divergence, while the plain flat run still agrees with it on
+// behaviour and counts.
+func TestSanitizeReportsSwitchViolations(t *testing.T) {
+	const src = `
+int g;
+void f(void) { g = 1; }
+int main(void) { f(); return g; }
+`
+	fe, err := driver.ParseSource("pruned.c", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := fe.Compile(driver.Config{Analysis: driver.ModRef}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Prune g from the MOD set of main's call to f.
+	for _, b := range c.Module.Funcs["main"].Blocks {
+		for i := range b.Instrs {
+			in := &b.Instrs[i]
+			if in.Op == ir.OpJsr && in.Callee() == "f" {
+				in.SetEffects(ir.TagSet{}, in.Refs())
+			}
+		}
+	}
+	e := execute(c, driver.NamedConfig{Name: "pruned"}, Mode{Sanitize: true})
+	if e.Err == nil || !strings.Contains(e.Err.Error(), "sanitizer: 1 violation(s)") {
+		t.Fatalf("err = %v, want one sanitizer violation", e.Err)
+	}
+	if e.Exit != 1 {
+		t.Errorf("exit = %d, want 1", e.Exit)
 	}
 }

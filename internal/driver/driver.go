@@ -245,18 +245,17 @@ type Compilation struct {
 	// compile ran under a tracer; nil for an untraced compile.
 	Passes []*obs.PassEvent
 
-	// progs caches the module's flat-code lowering ([0] without
-	// profiling markers, [1] with) so repeated executions of one
-	// compilation — a benchmark matrix, a fuzz seed under several
-	// engines — pay for lowering once. The cache is never invalidated:
-	// a Compilation's module is not mutated after the pipeline
-	// finishes. Not safe for concurrent Execute calls on one
-	// Compilation; concurrent callers hold distinct Compilations.
-	progs [2]*interp.Program
+	// prog caches the module's flat-code lowering so repeated
+	// executions of one compilation — a benchmark matrix, a fuzz seed
+	// under several engines — pay for lowering once. The cache is
+	// never invalidated: a Compilation's module is not mutated after
+	// the pipeline finishes. Not safe for concurrent Execute calls on
+	// one Compilation; concurrent callers hold distinct Compilations.
+	prog *interp.Program
 
 	// natives caches the module's built native artifacts ([0]
-	// instrumented, [1] uninstrumented) the same way progs caches the
-	// flat lowerings: the native build is content-addressed by
+	// instrumented, [1] uninstrumented) the same way prog caches the
+	// flat lowering: the native build is content-addressed by
 	// (generated source, toolchain), so within one Compilation the
 	// artifact only depends on the instrumentation mode.
 	natives [2]*native.Artifact
@@ -850,8 +849,10 @@ func commitStagedTags(fn *ir.Func, staged *ir.StagedTags, tags *ir.TagTable) {
 
 // Execute runs a compiled program under the engine named in opts.
 // Flat-engine runs lower the module to flat code on first use and
-// reuse the lowering afterwards; native runs additionally build (or
-// reuse, via the content-addressed cache) a machine-code artifact.
+// reuse the lowering afterwards; a hooked one (interp.Options.Hooked:
+// profile, sanitizer or trace) runs on the switch engine instead.
+// Native runs additionally build (or reuse, via the
+// content-addressed cache) a machine-code artifact.
 func (c *Compilation) Execute(opts interp.Options) (*interp.Result, error) {
 	switch opts.Engine {
 	case interp.EngineSwitch:
@@ -863,14 +864,17 @@ func (c *Compilation) Execute(opts interp.Options) (*interp.Result, error) {
 		}
 		return a.Run(opts)
 	}
-	return c.flatProgram(opts.Profile).Run(opts)
+	if opts.Hooked() {
+		return interp.Run(c.Module, opts)
+	}
+	return c.flatProgram().Run(opts)
 }
 
 // PrepareEngine performs the engine's one-time setup — flat-code
 // lowering, native artifact build — without running the program, so
 // callers that time executions (the benchmark harness) can keep build
-// cost out of the measurement window. Preparing the switch engine is
-// a no-op.
+// cost out of the measurement window. Preparing the switch engine,
+// or a hooked flat-engine execution that runs there, is a no-op.
 func (c *Compilation) PrepareEngine(opts interp.Options) error {
 	switch opts.Engine {
 	case interp.EngineSwitch:
@@ -879,28 +883,24 @@ func (c *Compilation) PrepareEngine(opts interp.Options) error {
 		_, err := c.nativeArtifact(opts)
 		return err
 	}
-	c.flatProgram(opts.Profile)
+	if !opts.Hooked() {
+		c.flatProgram()
+	}
 	return nil
 }
 
-// flatProgram returns the cached flat lowering for the profiling
-// mode, lowering on first use.
-func (c *Compilation) flatProgram(profile bool) *interp.Program {
-	idx := 0
-	if profile {
-		idx = 1
+// flatProgram returns the cached flat lowering, lowering on first
+// use.
+func (c *Compilation) flatProgram() *interp.Program {
+	if c.prog == nil {
+		c.prog = interp.Flatten(c.Module, false)
 	}
-	if c.progs[idx] == nil {
-		c.progs[idx] = interp.Flatten(c.Module, profile)
-	}
-	return c.progs[idx]
+	return c.prog
 }
 
 // nativeArtifact returns the cached native build for the
-// instrumentation mode opts selects, building on first use. The
-// source is always generated from the unprofiled flat program — the
-// native engine rejects profiling in Run, so the profiled lowering
-// never feeds codegen.
+// instrumentation mode opts selects, building on first use from the
+// flat lowering.
 func (c *Compilation) nativeArtifact(opts interp.Options) (*native.Artifact, error) {
 	instrument := !opts.NoCounts
 	idx := 0
@@ -908,7 +908,7 @@ func (c *Compilation) nativeArtifact(opts interp.Options) (*native.Artifact, err
 		idx = 1
 	}
 	if c.natives[idx] == nil {
-		a, err := native.Build(c.flatProgram(false), instrument, native.Options{})
+		a, err := native.Build(c.flatProgram(), instrument, native.Options{})
 		if err != nil {
 			return nil, err
 		}

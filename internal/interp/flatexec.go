@@ -15,20 +15,22 @@ import (
 // file are loop-invariant — calls recurse into a fresh runFlat rather
 // than swapping them in place, which keeps the loop's live set small
 // enough to stay in machine registers. Register files are sliced out
-// of a per-machine arena and frame objects are pooled, so
+// of a per-machine arena and the frame is a value on the Go stack, so
 // steady-state calls allocate nothing.
 //
-// The engine is behaviour-identical to the block-walking reference
-// engine (exec.go): same counts, same profiles, same outputs, same
-// error strings. internal/difftest and the engines differential test
-// hold the two to byte equality.
+// The engine is a plain counted executor: it carries no profiling,
+// sanitizing or tracing hooks. Run hands any execution that asks for
+// them to the switch engine (exec.go), which is behaviour-identical —
+// same counts, same outputs, same error strings — and which
+// internal/difftest and the engines differential test hold the flat
+// engine to, byte for byte.
 
-// Run executes the program's main function. When opts.Profile is set
-// but the program was lowered without markers, the module is
-// re-lowered with profiling first.
+// Run executes the program's main function. A hooked execution
+// (Options.Hooked) runs on the switch engine over the program's
+// module; the Result is the same either way.
 func (p *Program) Run(opts Options) (*Result, error) {
-	if opts.Profile && !p.profiled {
-		p = Flatten(p.mod, true)
+	if opts.Hooked() {
+		return runSwitch(p.mod, opts)
 	}
 	if p.mainIdx < 0 {
 		return nil, &Error{Func: "main", Msg: "no main function"}
@@ -63,24 +65,9 @@ func (m *machine) allocRegs(n int) []int64 {
 	return regs
 }
 
-// pushFrame activates a frame for fn at the current stack pointer,
-// recycling a pooled frame object when one is free.
-func (m *machine) pushFrame(fn *ir.Func, regs []int64, ff *flatFunc) *frame {
-	var f *frame
-	if n := len(m.framePool); n > 0 {
-		f = m.framePool[n-1]
-		m.framePool = m.framePool[:n-1]
-		*f = frame{fn: fn, regs: regs, base: m.sp, size: ff.frameSize}
-	} else {
-		f = &frame{fn: fn, regs: regs, base: m.sp, size: ff.frameSize}
-	}
-	if ff.needsZero {
-		lo := f.base - stackBase
-		clear(m.stack[lo : lo+ff.frameSize])
-	}
-	m.sp += ff.frameSize
-	m.frames = append(m.frames, f)
-	return f
+// stepLimit is the error of a run that exhausts its step budget.
+func stepLimit(fn *ir.Func) error {
+	return &Error{Func: fn.Name, Msg: "step limit exceeded (infinite loop?)"}
 }
 
 // runFlat executes one function activation. regs must have been
@@ -92,9 +79,8 @@ func (m *machine) pushFrame(fn *ir.Func, regs []int64, ff *flatFunc) *frame {
 // both, settled into m.counts.Ops/m.steps only at call boundaries
 // and on successful return — error exits leave them stale because
 // nothing reads counts after a failed run), and hoisted
-// loop-invariant fields (prof, trace, the global and stack regions).
-// Every extra live variable here costs real dispatch throughput in
-// spills.
+// loop-invariant fields (the global and stack regions). Every extra
+// live variable here costs real dispatch throughput in spills.
 func (m *machine) runFlat(p *Program, fi int, regs []int64) (ret int64, err error) {
 	ff := &p.funcs[fi]
 	fn := ff.src
@@ -103,15 +89,19 @@ func (m *machine) runFlat(p *Program, fi int, regs []int64) (ret int64, err erro
 		return 0, &Error{Func: fn.Name, Msg: "stack overflow"}
 	}
 	m.ensureStack(m.sp + ff.frameSize - stackBase)
-	f := m.pushFrame(fn, regs, ff)
+	// The frame holds the activation's base address and names it in
+	// the slow paths' fault messages; nothing keeps it past the return.
+	f := frame{fn: fn, base: m.sp}
+	if ff.needsZero {
+		lo := f.base - stackBase
+		clear(m.stack[lo : lo+ff.frameSize])
+	}
+	m.sp += ff.frameSize
 
 	code := p.code
 	pc := ff.entry
 	var steps int64
 	budget := m.max - m.steps
-	prof := m.prof
-	trace := m.opts.Trace
-	san := m.san
 	globals := m.globals
 	// stk tracks m.stack; it is refreshed after every call, the only
 	// point where ensureStack can move the backing array.
@@ -120,19 +110,9 @@ func (m *machine) runFlat(p *Program, fi int, regs []int64) (ret int64, err erro
 	for {
 		in := &code[pc]
 		pc++
-		if in.op == fBlock {
-			// A profiled program can legally run without profiling (a
-			// cached lowering reused for a plain run); the marker is
-			// then a pure no-op, still outside the op/step counters.
-			if prof != nil {
-				ref := &p.blocks[in.imm]
-				prof.hitBlock(ref.fn, ref.b)
-			}
-			continue
-		}
 		steps++
 		if steps > budget {
-			return 0, &Error{Func: fn.Name, Msg: "step limit exceeded (infinite loop?)"}
+			return 0, stepLimit(fn)
 		}
 
 		switch in.op {
@@ -218,6 +198,32 @@ func (m *machine) runFlat(p *Program, fi int, regs []int64) (ret int64, err erro
 		case fF2I:
 			regs[in.dst] = int64(fval(regs[in.a]))
 
+		// Folded immediates: the constant load writes its register and
+		// counts first, with the same mid-pair budget check as the
+		// other fused pairs, then the ALU half runs against the
+		// immediate.
+		case fAndI:
+			regs[in.c] = in.imm
+			steps++
+			if steps > budget {
+				return 0, stepLimit(fn)
+			}
+			regs[in.dst] = regs[in.a] & in.imm
+		case fAddI:
+			regs[in.c] = in.imm
+			steps++
+			if steps > budget {
+				return 0, stepLimit(fn)
+			}
+			regs[in.dst] = regs[in.a] + in.imm
+		case fMulI:
+			regs[in.c] = in.imm
+			steps++
+			if steps > budget {
+				return 0, stepLimit(fn)
+			}
+			regs[in.dst] = regs[in.a] * in.imm
+
 		// Memory operations resolve their region inline: scalar ops
 		// know it statically (fLoadG/fStoreG are always global,
 		// fLoadL/fStoreL always stack), pointer ops pick it with two
@@ -227,59 +233,35 @@ func (m *machine) runFlat(p *Program, fi int, regs []int64) (ret int64, err erro
 		// engine's error text.
 		case fLoadG:
 			m.counts.Loads++
-			if prof != nil {
-				prof.load(in.tag)
-			}
-			if san != nil {
-				san.scalarRef(in.src)
-			}
 			v, ok := loadFast(globals, in.imm-globalBase, in.sz)
 			if !ok {
 				var lerr error
-				if v, lerr = m.loadMem(f, in.imm, int(in.sz)); lerr != nil {
+				if v, lerr = m.loadMem(&f, in.imm, int(in.sz)); lerr != nil {
 					return 0, lerr
 				}
 			}
 			regs[in.dst] = v
 		case fLoadL:
 			m.counts.Loads++
-			if prof != nil {
-				prof.load(in.tag)
-			}
-			if san != nil {
-				san.scalarRef(in.src)
-			}
 			v, ok := loadFast(stk, f.base+in.imm-stackBase, in.sz)
 			if !ok {
 				var lerr error
-				if v, lerr = m.loadMem(f, f.base+in.imm, int(in.sz)); lerr != nil {
+				if v, lerr = m.loadMem(&f, f.base+in.imm, int(in.sz)); lerr != nil {
 					return 0, lerr
 				}
 			}
 			regs[in.dst] = v
 		case fStoreG:
 			m.counts.Stores++
-			if prof != nil {
-				prof.store(in.tag)
-			}
-			if san != nil {
-				san.scalarMod(in.src)
-			}
 			if !storeFast(globals, in.imm-globalBase, in.sz, regs[in.a]) {
-				if serr := m.storeMem(f, in.imm, int(in.sz), regs[in.a]); serr != nil {
+				if serr := m.storeMem(&f, in.imm, int(in.sz), regs[in.a]); serr != nil {
 					return 0, serr
 				}
 			}
 		case fStoreL:
 			m.counts.Stores++
-			if prof != nil {
-				prof.store(in.tag)
-			}
-			if san != nil {
-				san.scalarMod(in.src)
-			}
 			if !storeFast(stk, f.base+in.imm-stackBase, in.sz, regs[in.a]) {
-				if serr := m.storeMem(f, f.base+in.imm, int(in.sz), regs[in.a]); serr != nil {
+				if serr := m.storeMem(&f, f.base+in.imm, int(in.sz), regs[in.a]); serr != nil {
 					return 0, serr
 				}
 			}
@@ -289,15 +271,6 @@ func (m *machine) runFlat(p *Program, fi int, regs []int64) (ret int64, err erro
 		case fPLoad:
 			m.counts.Loads++
 			addr := regs[in.a]
-			if trace != nil {
-				trace(fn.Name, in.src, addr, m.ownerOf(addr))
-			}
-			if prof != nil {
-				prof.load(m.ownerOf(addr))
-			}
-			if san != nil {
-				san.ptrAccess(fn.Name, in.src, m.ownerOf(addr), false)
-			}
 			var v int64
 			var ok bool
 			// Regions in descending base order; a miss (gap between
@@ -314,7 +287,7 @@ func (m *machine) runFlat(p *Program, fi int, regs []int64) (ret int64, err erro
 			}
 			if !ok {
 				var lerr error
-				if v, lerr = m.loadMem(f, addr, int(in.sz)); lerr != nil {
+				if v, lerr = m.loadMem(&f, addr, int(in.sz)); lerr != nil {
 					return 0, lerr
 				}
 			}
@@ -322,15 +295,6 @@ func (m *machine) runFlat(p *Program, fi int, regs []int64) (ret int64, err erro
 		case fPStore:
 			m.counts.Stores++
 			addr := regs[in.a]
-			if trace != nil {
-				trace(fn.Name, in.src, addr, m.ownerOf(addr))
-			}
-			if prof != nil {
-				prof.store(m.ownerOf(addr))
-			}
-			if san != nil {
-				san.ptrAccess(fn.Name, in.src, m.ownerOf(addr), true)
-			}
 			var ok bool
 			switch {
 			case addr >= heapBase:
@@ -341,7 +305,7 @@ func (m *machine) runFlat(p *Program, fi int, regs []int64) (ret int64, err erro
 				ok = storeFast(globals, addr-globalBase, in.sz, regs[in.b])
 			}
 			if !ok {
-				if serr := m.storeMem(f, addr, int(in.sz), regs[in.b]); serr != nil {
+				if serr := m.storeMem(&f, addr, int(in.sz), regs[in.b]); serr != nil {
 					return 0, serr
 				}
 			}
@@ -359,10 +323,8 @@ func (m *machine) runFlat(p *Program, fi int, regs []int64) (ret int64, err erro
 			if in.a >= 0 {
 				v = regs[in.a]
 			}
-			m.frames = m.frames[:len(m.frames)-1]
 			m.sp = f.base
 			m.regTop -= ff.numRegs
-			m.framePool = append(m.framePool, f)
 			m.counts.Ops += steps
 			m.steps += steps
 			return v, nil
@@ -371,145 +333,219 @@ func (m *machine) runFlat(p *Program, fi int, regs []int64) (ret int64, err erro
 		// back to back: write the compare register, count the branch
 		// as a second op (with its own budget check, so the step limit
 		// still fires between the two halves exactly where the
-		// reference engine would), then pick the successor.
+		// reference engine would), then pick the successor. A threaded
+		// branch first counts its br as a leading op, with a check of
+		// its own, and falls through into the pair.
+		case fBrJEQ:
+			steps++
+			if steps > budget {
+				return 0, stepLimit(fn)
+			}
+			fallthrough
 		case fJEQ:
 			v := b2i(regs[in.a] == regs[in.b])
 			regs[in.dst] = v
 			steps++
 			if steps > budget {
-				return 0, &Error{Func: fn.Name, Msg: "step limit exceeded (infinite loop?)"}
+				return 0, stepLimit(fn)
 			}
 			if v != 0 {
 				pc = int(in.imm)
 			} else {
 				pc = int(in.c)
 			}
+		case fBrJNE:
+			steps++
+			if steps > budget {
+				return 0, stepLimit(fn)
+			}
+			fallthrough
 		case fJNE:
 			v := b2i(regs[in.a] != regs[in.b])
 			regs[in.dst] = v
 			steps++
 			if steps > budget {
-				return 0, &Error{Func: fn.Name, Msg: "step limit exceeded (infinite loop?)"}
+				return 0, stepLimit(fn)
 			}
 			if v != 0 {
 				pc = int(in.imm)
 			} else {
 				pc = int(in.c)
 			}
+		case fBrJLT:
+			steps++
+			if steps > budget {
+				return 0, stepLimit(fn)
+			}
+			fallthrough
 		case fJLT:
 			v := b2i(regs[in.a] < regs[in.b])
 			regs[in.dst] = v
 			steps++
 			if steps > budget {
-				return 0, &Error{Func: fn.Name, Msg: "step limit exceeded (infinite loop?)"}
+				return 0, stepLimit(fn)
 			}
 			if v != 0 {
 				pc = int(in.imm)
 			} else {
 				pc = int(in.c)
 			}
+		case fBrJLE:
+			steps++
+			if steps > budget {
+				return 0, stepLimit(fn)
+			}
+			fallthrough
 		case fJLE:
 			v := b2i(regs[in.a] <= regs[in.b])
 			regs[in.dst] = v
 			steps++
 			if steps > budget {
-				return 0, &Error{Func: fn.Name, Msg: "step limit exceeded (infinite loop?)"}
+				return 0, stepLimit(fn)
 			}
 			if v != 0 {
 				pc = int(in.imm)
 			} else {
 				pc = int(in.c)
 			}
+		case fBrJGT:
+			steps++
+			if steps > budget {
+				return 0, stepLimit(fn)
+			}
+			fallthrough
 		case fJGT:
 			v := b2i(regs[in.a] > regs[in.b])
 			regs[in.dst] = v
 			steps++
 			if steps > budget {
-				return 0, &Error{Func: fn.Name, Msg: "step limit exceeded (infinite loop?)"}
+				return 0, stepLimit(fn)
 			}
 			if v != 0 {
 				pc = int(in.imm)
 			} else {
 				pc = int(in.c)
 			}
+		case fBrJGE:
+			steps++
+			if steps > budget {
+				return 0, stepLimit(fn)
+			}
+			fallthrough
 		case fJGE:
 			v := b2i(regs[in.a] >= regs[in.b])
 			regs[in.dst] = v
 			steps++
 			if steps > budget {
-				return 0, &Error{Func: fn.Name, Msg: "step limit exceeded (infinite loop?)"}
+				return 0, stepLimit(fn)
 			}
 			if v != 0 {
 				pc = int(in.imm)
 			} else {
 				pc = int(in.c)
 			}
+		case fBrJFEQ:
+			steps++
+			if steps > budget {
+				return 0, stepLimit(fn)
+			}
+			fallthrough
 		case fJFEQ:
 			v := b2i(fval(regs[in.a]) == fval(regs[in.b]))
 			regs[in.dst] = v
 			steps++
 			if steps > budget {
-				return 0, &Error{Func: fn.Name, Msg: "step limit exceeded (infinite loop?)"}
+				return 0, stepLimit(fn)
 			}
 			if v != 0 {
 				pc = int(in.imm)
 			} else {
 				pc = int(in.c)
 			}
+		case fBrJFNE:
+			steps++
+			if steps > budget {
+				return 0, stepLimit(fn)
+			}
+			fallthrough
 		case fJFNE:
 			v := b2i(fval(regs[in.a]) != fval(regs[in.b]))
 			regs[in.dst] = v
 			steps++
 			if steps > budget {
-				return 0, &Error{Func: fn.Name, Msg: "step limit exceeded (infinite loop?)"}
+				return 0, stepLimit(fn)
 			}
 			if v != 0 {
 				pc = int(in.imm)
 			} else {
 				pc = int(in.c)
 			}
+		case fBrJFLT:
+			steps++
+			if steps > budget {
+				return 0, stepLimit(fn)
+			}
+			fallthrough
 		case fJFLT:
 			v := b2i(fval(regs[in.a]) < fval(regs[in.b]))
 			regs[in.dst] = v
 			steps++
 			if steps > budget {
-				return 0, &Error{Func: fn.Name, Msg: "step limit exceeded (infinite loop?)"}
+				return 0, stepLimit(fn)
 			}
 			if v != 0 {
 				pc = int(in.imm)
 			} else {
 				pc = int(in.c)
 			}
+		case fBrJFLE:
+			steps++
+			if steps > budget {
+				return 0, stepLimit(fn)
+			}
+			fallthrough
 		case fJFLE:
 			v := b2i(fval(regs[in.a]) <= fval(regs[in.b]))
 			regs[in.dst] = v
 			steps++
 			if steps > budget {
-				return 0, &Error{Func: fn.Name, Msg: "step limit exceeded (infinite loop?)"}
+				return 0, stepLimit(fn)
 			}
 			if v != 0 {
 				pc = int(in.imm)
 			} else {
 				pc = int(in.c)
 			}
+		case fBrJFGT:
+			steps++
+			if steps > budget {
+				return 0, stepLimit(fn)
+			}
+			fallthrough
 		case fJFGT:
 			v := b2i(fval(regs[in.a]) > fval(regs[in.b]))
 			regs[in.dst] = v
 			steps++
 			if steps > budget {
-				return 0, &Error{Func: fn.Name, Msg: "step limit exceeded (infinite loop?)"}
+				return 0, stepLimit(fn)
 			}
 			if v != 0 {
 				pc = int(in.imm)
 			} else {
 				pc = int(in.c)
 			}
+		case fBrJFGE:
+			steps++
+			if steps > budget {
+				return 0, stepLimit(fn)
+			}
+			fallthrough
 		case fJFGE:
 			v := b2i(fval(regs[in.a]) >= fval(regs[in.b]))
 			regs[in.dst] = v
 			steps++
 			if steps > budget {
-				return 0, &Error{Func: fn.Name, Msg: "step limit exceeded (infinite loop?)"}
+				return 0, stepLimit(fn)
 			}
 			if v != 0 {
 				pc = int(in.imm)
@@ -526,18 +562,9 @@ func (m *machine) runFlat(p *Program, fi int, regs []int64) (ret int64, err erro
 			regs[in.c] = addr
 			steps++
 			if steps > budget {
-				return 0, &Error{Func: fn.Name, Msg: "step limit exceeded (infinite loop?)"}
+				return 0, stepLimit(fn)
 			}
 			m.counts.Loads++
-			if trace != nil {
-				trace(fn.Name, in.src, addr, m.ownerOf(addr))
-			}
-			if prof != nil {
-				prof.load(m.ownerOf(addr))
-			}
-			if san != nil {
-				san.ptrAccess(fn.Name, in.src, m.ownerOf(addr), false)
-			}
 			var v int64
 			var ok bool
 			switch {
@@ -550,7 +577,7 @@ func (m *machine) runFlat(p *Program, fi int, regs []int64) (ret int64, err erro
 			}
 			if !ok {
 				var lerr error
-				if v, lerr = m.loadMem(f, addr, int(in.sz)); lerr != nil {
+				if v, lerr = m.loadMem(&f, addr, int(in.sz)); lerr != nil {
 					return 0, lerr
 				}
 			}
@@ -560,18 +587,9 @@ func (m *machine) runFlat(p *Program, fi int, regs []int64) (ret int64, err erro
 			regs[in.c] = addr
 			steps++
 			if steps > budget {
-				return 0, &Error{Func: fn.Name, Msg: "step limit exceeded (infinite loop?)"}
+				return 0, stepLimit(fn)
 			}
 			m.counts.Stores++
-			if trace != nil {
-				trace(fn.Name, in.src, addr, m.ownerOf(addr))
-			}
-			if prof != nil {
-				prof.store(m.ownerOf(addr))
-			}
-			if san != nil {
-				san.ptrAccess(fn.Name, in.src, m.ownerOf(addr), true)
-			}
 			val := regs[in.dst]
 			var ok bool
 			switch {
@@ -583,7 +601,7 @@ func (m *machine) runFlat(p *Program, fi int, regs []int64) (ret int64, err erro
 				ok = storeFast(globals, addr-globalBase, in.sz, val)
 			}
 			if !ok {
-				if serr := m.storeMem(f, addr, int(in.sz), val); serr != nil {
+				if serr := m.storeMem(&f, addr, int(in.sz), val); serr != nil {
 					return 0, serr
 				}
 			}
@@ -608,7 +626,7 @@ func (m *machine) runFlat(p *Program, fi int, regs []int64) (ret int64, err erro
 					args = append(args, regs[a])
 				}
 				m.argScratch = args[:0]
-				v, ierr := m.intrinsic(f, src.Callee(), src, args)
+				v, ierr := m.intrinsic(&f, src.Callee(), src, args)
 				if ierr != nil {
 					return 0, ierr
 				}
@@ -631,15 +649,9 @@ func (m *machine) runFlat(p *Program, fi int, regs []int64) (ret int64, err erro
 			m.counts.Ops += steps
 			m.steps += steps
 			steps = 0
-			if san != nil {
-				san.pushCall(fn.Name, src)
-			}
 			v, cerr := m.runFlat(p, int(target), cregs)
 			if cerr != nil {
 				return 0, cerr
-			}
-			if san != nil {
-				san.popCall()
 			}
 			budget = m.max - m.steps
 			stk = m.stack

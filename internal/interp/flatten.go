@@ -20,9 +20,13 @@ import (
 //     frame layouts are computed once per function, not per call.
 //   - loadF immediates are pre-converted to their bit patterns, and
 //     addrOf of a global or function folds to a constant load.
-//   - Profiling hooks compile to explicit block-entry markers, emitted
-//     only when the profile build is requested — a zero-profiling
-//     program pays nothing for the instrumentation.
+//   - Hot adjacent pairs become superinstructions (see the fused
+//     opcodes below), and an unconditional branch to a block that opens
+//     with a fused compare-and-branch takes that test over itself.
+//
+// The flat code carries no instrumentation: profiling, sanitizing and
+// pointer tracing run on the switch engine (Program.Run reroutes
+// them), so the dispatch loop never tests for a hook.
 //
 // Lowering never fails: an instruction the flat engine cannot execute
 // (an unaddressable tag, a missing frame slot, a block without a
@@ -78,7 +82,6 @@ const (
 	fCBr    // pc ← imm when regs[a] != 0, else b
 	fRet    // return regs[a] (a < 0 returns 0)
 	fCall   // imm ≥ 0: p.funcs[imm]; callIndirect/callIntrinsic otherwise
-	fBlock  // profiling block-entry marker, blockRef index in imm
 	fErr    // deferred lowering fault, message index in imm
 
 	// Fused compare-and-branch superinstructions: a fCmpXX/fFCmpXX
@@ -107,7 +110,59 @@ const (
 	// (register c) and the pair still counts as two ops.
 	fAddPLoad  // c ← a+b; dst ← mem[c], width sz
 	fAddPStore // c ← a+b; mem[c] ← dst, width sz
+
+	// Threaded branches: an fBr whose target block opens with a fused
+	// compare-and-branch becomes a copy of that instruction, so the
+	// jump and the test share one dispatch. The copy counts the br as
+	// a leading op with its own budget check, then runs the fused
+	// pair exactly as at the target: three ops, three checks.
+	fBrJEQ
+	fBrJNE
+	fBrJLT
+	fBrJLE
+	fBrJGT
+	fBrJGE
+	fBrJFEQ
+	fBrJFNE
+	fBrJFLT
+	fBrJFLE
+	fBrJFGT
+	fBrJFGE
+
+	// Folded immediates: an fLoadI immediately followed in the same
+	// block by an fAnd/fAdd/fMul reading its register collapses into
+	// one dispatch. The constant is still written to its register c
+	// and the pair still counts as two ops; a is the other operand
+	// (c itself when the constant feeds both sides).
+	fAndI // c ← imm; dst ← a & imm
+	fAddI // c ← imm; dst ← a + imm
+	fMulI // c ← imm; dst ← a * imm
 )
+
+// threadBr maps a fused compare-and-branch opcode to its threaded
+// form; opcodes absent from the table (fNop zero value) do not thread.
+var threadBr = [...]flatOp{
+	fJEQ:  fBrJEQ,
+	fJNE:  fBrJNE,
+	fJLT:  fBrJLT,
+	fJLE:  fBrJLE,
+	fJGT:  fBrJGT,
+	fJGE:  fBrJGE,
+	fJFEQ: fBrJFEQ,
+	fJFNE: fBrJFNE,
+	fJFLT: fBrJFLT,
+	fJFLE: fBrJFLE,
+	fJFGT: fBrJFGT,
+	fJFGE: fBrJFGE,
+}
+
+// foldImm maps an ALU opcode to its folded-immediate form; opcodes
+// absent from the table (fNop zero value) do not fold.
+var foldImm = [...]flatOp{
+	fAnd: fAndI,
+	fAdd: fAddI,
+	fMul: fMulI,
+}
 
 // fuseCmpBr maps a compare opcode to its fused compare-and-branch
 // form; opcodes absent from the table (fNop zero value) do not fuse.
@@ -198,23 +253,15 @@ type flatFunc struct {
 	numRegs   int
 }
 
-// blockRef names a basic block for profiling markers.
-type blockRef struct {
-	fn *ir.Func
-	b  *ir.Block
-}
-
 // Program is a module lowered to flat code, ready to execute. A
 // Program is immutable after Flatten and safe to share across
 // sequential runs; each Run builds fresh machine state.
 type Program struct {
-	mod      *ir.Module
-	code     []flatInstr
-	funcs    []flatFunc
-	mainIdx  int // index into funcs, -1 when the module has no main
-	errs     []string
-	blocks   []blockRef
-	profiled bool
+	mod     *ir.Module
+	code    []flatInstr
+	funcs   []flatFunc
+	mainIdx int // index into funcs, -1 when the module has no main
+	errs    []string
 	// img is the module's load image, computed once at lowering time;
 	// every Run copies its initialized globals instead of re-walking
 	// the tag table and initializers.
@@ -224,26 +271,29 @@ type Program struct {
 // Mod returns the module the program was lowered from.
 func (p *Program) Mod() *ir.Module { return p.mod }
 
-// Len returns the number of flat instructions (profiling markers
-// included).
+// Len returns the number of flat instructions.
 func (p *Program) Len() int { return len(p.code) }
 
-// Profiled reports whether block-entry profiling markers were
-// compiled in.
-func (p *Program) Profiled() bool { return p.profiled }
-
-// Flatten lowers mod into a flat program. When profile is set,
-// block-entry markers are compiled in so executions can attribute
-// instruction counts to basic blocks; without it the lowered code
-// carries no instrumentation at all.
+// Flatten lowers mod into a flat program. The profile argument is
+// ignored: the flat code never carries instrumentation, and a profiled
+// Run executes on the switch engine instead.
 func Flatten(mod *ir.Module, profile bool) *Program {
-	p := &Program{mod: mod, mainIdx: -1, profiled: profile, img: buildImage(mod)}
+	p := &Program{mod: mod, mainIdx: -1, img: buildImage(mod)}
 	gaddrs := p.img.globalAddr
 	fidx := make(map[string]int, len(mod.FuncOrder))
+	n := 0
 	for i, name := range mod.FuncOrder {
 		fidx[name] = i
+		for _, b := range mod.Funcs[name].Blocks {
+			n += len(b.Instrs)
+		}
 	}
+	// Fusion only shrinks the code, so one instruction per IL
+	// instruction is an upper bound short of deferred faults for
+	// blocks without a terminator.
+	p.code = make([]flatInstr, 0, n)
 	p.funcs = make([]flatFunc, len(mod.FuncOrder))
+	var fl flattener
 	for i, name := range mod.FuncOrder {
 		fn := mod.Funcs[name]
 		if name == "main" {
@@ -257,25 +307,42 @@ func Flatten(mod *ir.Module, profile bool) *Program {
 			needsZero: layout.needsZero,
 			numRegs:   fn.NumRegs,
 		}
-		p.flattenFunc(fn, layout, gaddrs, fidx, profile)
+		fl.flattenFunc(p, fn, layout, gaddrs, fidx)
 	}
 	return p
 }
 
-// flattenFunc lowers one function and patches its branch targets.
-func (p *Program) flattenFunc(fn *ir.Func, layout *frameLayout, gaddrs map[ir.TagID]int64, fidx map[string]int, profile bool) {
-	blockPC := make(map[*ir.Block]int, len(fn.Blocks))
-	const (
-		patchImm = iota // taken / unconditional target
-		patchB          // fCBr false edge
-		patchC          // fused compare-and-branch fall-through
-	)
-	type patch struct {
-		at     int
-		target *ir.Block
-		field  uint8
+// Branch-target patch fields.
+const (
+	patchImm = iota // taken / unconditional target
+	patchB          // fCBr false edge
+	patchC          // fused compare-and-branch fall-through
+)
+
+// patch records a branch target to resolve once every block of the
+// function has its pc.
+type patch struct {
+	at     int
+	target *ir.Block
+	field  uint8
+}
+
+// flattener holds the per-function scratch tables of a Flatten call,
+// reused from one function to the next.
+type flattener struct {
+	blockPC []int32 // first pc of each block, by position (= block ID)
+	patches []patch
+}
+
+// flattenFunc lowers one function into p, patches its branch targets,
+// and threads its unconditional branches.
+func (fl *flattener) flattenFunc(p *Program, fn *ir.Func, layout *frameLayout, gaddrs map[ir.TagID]int64, fidx map[string]int) {
+	start := len(p.code)
+	if cap(fl.blockPC) < len(fn.Blocks) {
+		fl.blockPC = make([]int32, len(fn.Blocks))
 	}
-	var patches []patch
+	blockPC := fl.blockPC[:len(fn.Blocks)]
+	patches := fl.patches[:0]
 
 	// emitAddr lowers a scalar access of tag into (op-variant, imm):
 	// globals pre-resolve to absolute addresses, locals and spill
@@ -298,15 +365,19 @@ func (p *Program) flattenFunc(fn *ir.Func, layout *frameLayout, gaddrs map[ir.Ta
 		return 0, 0, false
 	}
 
-	for _, b := range fn.Blocks {
-		blockPC[b] = len(p.code)
-		if profile {
-			p.code = append(p.code, flatInstr{op: fBlock, imm: int64(len(p.blocks)), tag: ir.TagInvalid})
-			p.blocks = append(p.blocks, blockRef{fn, b})
-		}
+	for bi, b := range fn.Blocks {
+		blockPC[bi] = int32(len(p.code))
 		for j := range b.Instrs {
 			in := &b.Instrs[j]
 			fi := flatInstr{dst: int32(in.Dst), a: int32(in.A), b: int32(in.B), tag: ir.TagInvalid, src: in}
+			// prev is the flat instruction lowered from b.Instrs[j-1],
+			// or nil. The src identity check pins the pair as adjacent
+			// within this block, so nothing can branch between them:
+			// every fusion below requires it.
+			var prev *flatInstr
+			if j > 0 && p.code[len(p.code)-1].src == &b.Instrs[j-1] {
+				prev = &p.code[len(p.code)-1]
+			}
 			switch in.Op {
 			case ir.OpNop:
 				fi.op = fNop
@@ -328,25 +399,18 @@ func (p *Program) flattenFunc(fn *ir.Func, layout *frameLayout, gaddrs map[ir.Ta
 				fi.op, fi.imm, fi.sz, fi.tag = op, imm, uint8(in.Size), in.Tag
 			case ir.OpPLoad:
 				// Fuse with an immediately preceding add that computes
-				// this access's address (same-block adjacency pinned by
-				// the src identity check, as for compare-and-branch).
-				if j > 0 {
-					prev := &p.code[len(p.code)-1]
-					if prev.op == fAdd && prev.dst == fi.a && prev.src == &b.Instrs[j-1] {
-						prev.op, prev.c = fAddPLoad, prev.dst
-						prev.dst, prev.sz, prev.src = int32(in.Dst), uint8(in.Size), in
-						continue
-					}
+				// this access's address.
+				if prev != nil && prev.op == fAdd && prev.dst == fi.a {
+					prev.op, prev.c = fAddPLoad, prev.dst
+					prev.dst, prev.sz, prev.src = int32(in.Dst), uint8(in.Size), in
+					continue
 				}
 				fi.op, fi.sz = fPLoad, uint8(in.Size)
 			case ir.OpPStore:
-				if j > 0 {
-					prev := &p.code[len(p.code)-1]
-					if prev.op == fAdd && prev.dst == fi.a && prev.src == &b.Instrs[j-1] {
-						prev.op, prev.c = fAddPStore, prev.dst
-						prev.dst, prev.sz, prev.src = int32(in.B), uint8(in.Size), in
-						continue
-					}
+				if prev != nil && prev.op == fAdd && prev.dst == fi.a {
+					prev.op, prev.c = fAddPStore, prev.dst
+					prev.dst, prev.sz, prev.src = int32(in.B), uint8(in.Size), in
+					continue
 				}
 				fi.op, fi.sz = fPStore, uint8(in.Size)
 
@@ -371,20 +435,13 @@ func (p *Program) flattenFunc(fn *ir.Func, layout *frameLayout, gaddrs map[ir.Ta
 				patches = append(patches, patch{at: len(p.code), target: b.Succs[0]})
 			case ir.OpCBr:
 				// Fuse with an immediately preceding compare that feeds
-				// this branch. The src identity check pins the previous
-				// flat instruction to b.Instrs[j-1], so the pair is
-				// known to be adjacent within this block — nothing can
-				// branch between them.
-				if j > 0 {
-					prev := &p.code[len(p.code)-1]
-					if int(prev.op) < len(fuseCmpBr) && fuseCmpBr[prev.op] != fNop &&
-						prev.dst == fi.a && prev.src == &b.Instrs[j-1] {
-						prev.op = fuseCmpBr[prev.op]
-						prev.imm, prev.c = -1, -1
-						patches = append(patches, patch{at: len(p.code) - 1, target: b.Succs[0]})
-						patches = append(patches, patch{at: len(p.code) - 1, target: b.Succs[1], field: patchC})
-						continue
-					}
+				// this branch.
+				if prev != nil && int(prev.op) < len(fuseCmpBr) && fuseCmpBr[prev.op] != fNop && prev.dst == fi.a {
+					prev.op = fuseCmpBr[prev.op]
+					prev.imm, prev.c = -1, -1
+					patches = append(patches, patch{at: len(p.code) - 1, target: b.Succs[0]})
+					patches = append(patches, patch{at: len(p.code) - 1, target: b.Succs[1], field: patchC})
+					continue
 				}
 				fi.op, fi.imm, fi.b = fCBr, -1, -1
 				patches = append(patches, patch{at: len(p.code), target: b.Succs[0]})
@@ -412,12 +469,23 @@ func (p *Program) flattenFunc(fn *ir.Func, layout *frameLayout, gaddrs map[ir.Ta
 				}
 
 			default:
-				if int(in.Op) < len(aluOp) && aluOp[in.Op] != fNop {
-					fi.op = aluOp[in.Op]
-					break
+				if int(in.Op) >= len(aluOp) || aluOp[in.Op] == fNop {
+					p.emitErr(in, fmt.Sprintf("unimplemented opcode %s", in.Op))
+					continue
 				}
-				p.emitErr(in, fmt.Sprintf("unimplemented opcode %s", in.Op))
-				continue
+				fi.op = aluOp[in.Op]
+				// Fold an immediately preceding constant load that feeds
+				// this op, keeping its register write.
+				if prev != nil && prev.op == fLoadI && int(fi.op) < len(foldImm) && foldImm[fi.op] != fNop &&
+					(prev.dst == fi.a || prev.dst == fi.b) {
+					other := fi.a
+					if other == prev.dst {
+						other = fi.b
+					}
+					prev.op, prev.c = foldImm[fi.op], prev.dst
+					prev.dst, prev.a, prev.src = fi.dst, other, in
+					continue
+				}
 			}
 			p.code = append(p.code, fi)
 		}
@@ -427,20 +495,36 @@ func (p *Program) flattenFunc(fn *ir.Func, layout *frameLayout, gaddrs map[ir.Ta
 	}
 
 	for _, pt := range patches {
-		pc, ok := blockPC[pt.target]
-		if !ok {
-			// A successor outside fn.Blocks would be a malformed CFG;
-			// the verifier rejects it long before execution. Guard
-			// anyway so a stray edge faults instead of jumping wild.
-			pc = -1
+		// A successor outside fn.Blocks would be a malformed CFG; the
+		// verifier rejects it long before execution. Guard anyway so a
+		// stray edge faults instead of jumping wild.
+		pc := int32(-1)
+		if i := fn.BlockIndex(pt.target); i >= 0 {
+			pc = blockPC[i]
 		}
 		switch pt.field {
 		case patchB:
-			p.code[pt.at].b = int32(pc)
+			p.code[pt.at].b = pc
 		case patchC:
-			p.code[pt.at].c = int32(pc)
+			p.code[pt.at].c = pc
 		default:
 			p.code[pt.at].imm = int64(pc)
+		}
+	}
+	fl.patches = patches
+
+	// Thread each unconditional branch into a target that opens with a
+	// fused compare-and-branch. The copy keeps the target's operands
+	// and both successors, so the jump lands past the test.
+	for pc := start; pc < len(p.code); pc++ {
+		in := &p.code[pc]
+		if in.op != fBr || in.imm < 0 {
+			continue
+		}
+		t := p.code[in.imm]
+		if int(t.op) < len(threadBr) && threadBr[t.op] != fNop {
+			t.op = threadBr[t.op]
+			*in = t
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package interp
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"regpromo/internal/cc/irgen"
@@ -320,5 +322,204 @@ int main(void) {
 }`))
 	if res.Exit != 22 {
 		t.Errorf("exit = %d, want 22", res.Exit)
+	}
+}
+
+// foldSrc exercises all three folded-immediate forms: i + 1 and
+// i * 3 read a constant loaded just before them, and x & 7 masks
+// with one.
+const foldSrc = `
+int main(void) {
+	int i;
+	int s;
+	s = 0;
+	for (i = 0; i < 6; i = i + 1) s = s + (i * 3 & 7);
+	return s;
+}`
+
+// threadSrc's loop test compares two registers, so the loop header
+// opens with the fused compare-and-branch. (cmpBrSrc's header loads
+// its constant bound first.)
+const threadSrc = `
+int main(void) {
+	int i;
+	int n;
+	int s;
+	n = 10;
+	s = 0;
+	for (i = 0; i < n; i++) s += i;
+	return s;
+}`
+
+// TestThreadBranchIntoCmpBranch: the loop's back edge and its entry
+// jump land on a fused compare-and-branch, so each fBr takes the test
+// over as a threaded form; counts still match the switch engine,
+// which sees br, compare and cbr as three ops.
+func TestThreadBranchIntoCmpBranch(t *testing.T) {
+	mod := compileIR(t, threadSrc)
+	p := Flatten(mod, false)
+	ops := opCount(p)
+	if ops[fBrJLT] == 0 {
+		t.Errorf("expected a threaded fBrJLT, got %v", ops)
+	}
+	for pc := range p.code {
+		in := &p.code[pc]
+		if in.op == fBr {
+			if t2 := p.code[in.imm].op; t2 >= fJEQ && t2 <= fJFGE {
+				t.Errorf("pc %d: fBr into fused %d left unthreaded", pc, t2)
+			}
+		}
+	}
+	res := checkEngineParity(t, mod)
+	if res.Exit != 45 {
+		t.Errorf("exit = %d, want 45", res.Exit)
+	}
+}
+
+// TestThreadBranchNeedsFusedTarget: with the loop's compare split
+// from its branch, the target block opens with a plain compare, so
+// nothing threads.
+func TestThreadBranchNeedsFusedTarget(t *testing.T) {
+	mod := compileIR(t, threadSrc)
+	fn := mod.Funcs["main"]
+	b, split := findPair(t, fn, ir.OpCmpLT, ir.OpCBr)
+	splitBefore(fn, b, split)
+	ops := opCount(Flatten(mod, false))
+	if ops[fBrJLT] != 0 || ops[fJLT] != 0 {
+		t.Errorf("loop test threaded or fused across a block edge: %v", ops)
+	}
+	checkEngineParity(t, mod)
+}
+
+// TestFoldImmediates: a constant load immediately feeding an add,
+// a multiply or an and folds into it.
+func TestFoldImmediates(t *testing.T) {
+	mod := compileIR(t, foldSrc)
+	ops := opCount(Flatten(mod, false))
+	for _, op := range []flatOp{fAddI, fMulI, fAndI} {
+		if ops[op] == 0 {
+			t.Errorf("expected folded opcode %d, got %v", op, ops)
+		}
+	}
+	res := checkEngineParity(t, mod)
+	if res.Exit != 21 {
+		t.Errorf("exit = %d, want 21", res.Exit)
+	}
+}
+
+// TestFoldImmediateBlockEdge: a constant ending one block does not
+// fold into the op opening the next.
+func TestFoldImmediateBlockEdge(t *testing.T) {
+	mod := compileIR(t, foldSrc)
+	fn := mod.Funcs["main"]
+	b, split := findPair(t, fn, ir.OpLoadI, ir.OpMul)
+	splitBefore(fn, b, split)
+	ops := opCount(Flatten(mod, false))
+	if ops[fMulI] != 0 {
+		t.Errorf("constant folded across a block edge: %v", ops)
+	}
+	checkEngineParity(t, mod)
+}
+
+// TestFoldImmediateBothOperands: a constant feeding both operands,
+// and one whose register the op overwrites, still fold, and the
+// engines still agree.
+func TestFoldImmediateBothOperands(t *testing.T) {
+	for _, overwrite := range []bool{false, true} {
+		mod := compileIR(t, `
+int main(void) {
+	int a;
+	a = 2;
+	return a + 9;
+}`)
+		b, j := findPair(t, mod.Funcs["main"], ir.OpLoadI, ir.OpAdd)
+		k := b.Instrs[j-1].Dst
+		b.Instrs[j].A, b.Instrs[j].B = k, k
+		if overwrite {
+			b.Instrs[j].Dst = k
+		}
+		if ops := opCount(Flatten(mod, false)); ops[fAddI] == 0 {
+			t.Errorf("overwrite=%v: k+k did not fold: %v", overwrite, ops)
+		}
+		checkEngineParity(t, mod)
+	}
+}
+
+// faultSrc ends in a fused add-and-load through a null pointer, so a
+// budget that runs out on the add must stop with the step-limit error
+// before the load can fault.
+const faultSrc = `
+int main(void) {
+	int *p;
+	int i;
+	p = 0;
+	i = 2;
+	return p[i];
+}`
+
+// TestBudgetSweepMatchesSwitch runs each fusion test program under
+// every step budget from 1 up to the first that lets the switch
+// engine finish (return, or fault past the budget's reach) on both
+// engines: they must fail with the same error text or agree on every
+// result. The budgets around the op total pin how many ops each
+// fused, threaded and folded form counts. A check inside a form is
+// observable only when a later op in it can fault (faultSrc's
+// add-and-load): between pure ops the same error fires at the next
+// check, in the same function.
+func TestBudgetSweepMatchesSwitch(t *testing.T) {
+	for _, src := range []string{cmpBrSrc, threadSrc, addPLoadSrc, addPStoreSrc, foldSrc, faultSrc} {
+		mod := compileIR(t, src)
+		p := Flatten(mod, false)
+		for max := int64(1); ; max++ {
+			flat, ferr := p.Run(Options{MaxSteps: max})
+			ref, serr := Run(mod, Options{MaxSteps: max, Engine: EngineSwitch})
+			switch {
+			case ferr != nil || serr != nil:
+				if fmt.Sprint(ferr) != fmt.Sprint(serr) {
+					t.Fatalf("MaxSteps %d: flat err %v, switch err %v", max, ferr, serr)
+				}
+			case flat.Counts != ref.Counts || flat.Exit != ref.Exit || flat.Output != ref.Output:
+				t.Fatalf("MaxSteps %d: flat %+v exit %d, switch %+v exit %d",
+					max, flat.Counts, flat.Exit, ref.Counts, ref.Exit)
+			}
+			if serr == nil || !strings.Contains(serr.Error(), "step limit exceeded") {
+				break
+			}
+			if max > 1<<16 {
+				t.Fatalf("no budget up to %d finishes", max)
+			}
+		}
+	}
+}
+
+// TestHookedRunMovesToSwitch: asking the flat engine for a profile,
+// the sanitizer or a trace runs the switch engine, with the plain
+// flat run's counts and result.
+func TestHookedRunMovesToSwitch(t *testing.T) {
+	mod := compileIR(t, addPLoadSrc)
+	p := Flatten(mod, false)
+	plain, err := p.Run(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	traced := 0
+	for _, opts := range []Options{
+		{Profile: true},
+		{Sanitize: true},
+		{Trace: func(string, *ir.Instr, int64, ir.TagID) { traced++ }},
+	} {
+		res, err := p.Run(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Counts != plain.Counts || res.Exit != plain.Exit {
+			t.Errorf("hooked run %+v exit %d, plain %+v exit %d", res.Counts, res.Exit, plain.Counts, plain.Exit)
+		}
+		if opts.Profile && res.Profile == nil {
+			t.Error("profiled run returned no profile")
+		}
+	}
+	if traced == 0 {
+		t.Error("trace callback never ran")
 	}
 }

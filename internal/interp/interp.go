@@ -101,7 +101,8 @@ type Options struct {
 	MaxSteps int64
 	// Trace, when non-nil, is invoked for every pointer-based
 	// memory access with the instruction, the resolved address, and
-	// the tag owning that address (TagInvalid when unknown).
+	// the tag owning that address (TagInvalid when unknown). Like
+	// Profile and Sanitize it is a hook: see Hooked.
 	Trace func(fn string, in *ir.Instr, addr int64, owner ir.TagID)
 	// Profile enables hot-spot profiling: per-basic-block execution
 	// counts and per-tag dynamic load/store counters, reported in
@@ -114,8 +115,7 @@ type Options struct {
 	Engine Engine
 	// Sanitize enables the analysis-soundness sanitizer: every memory
 	// access is diffed against the static MOD/REF and points-to sets
-	// and violations are reported in Result.Violations. Guarded like
-	// profiling — zero cost when off.
+	// and violations are reported in Result.Violations.
 	Sanitize bool
 	// NoCounts, honoured by the native engine only, selects the
 	// uninstrumented build: no dynamic-op counters and no step-budget
@@ -125,6 +125,12 @@ type Options struct {
 	// are structural.
 	NoCounts bool
 }
+
+// Hooked reports whether the execution asks for a profile, the
+// sanitizer or a pointer trace. Only the switch engine carries these
+// hooks, so a hooked flat-engine execution runs there instead; the
+// engines' parity makes the Result the same.
+func (o Options) Hooked() bool { return o.Profile || o.Sanitize || o.Trace != nil }
 
 // Result is the outcome of an execution.
 type Result struct {
@@ -186,17 +192,16 @@ type machine struct {
 	regTop   int
 	// argScratch is a reusable buffer for intrinsic-call arguments.
 	argScratch []int64
-	// framePool recycles frame objects popped by the flat engine's
-	// threaded returns, so steady-state calls allocate nothing.
-	framePool []*frame
 
 	// prof records hot-spot data when profiling is enabled; nil
-	// otherwise.
+	// otherwise. Only the switch engine runs with it set.
 	prof *profiler
 	// san records analysis-soundness observations when sanitizing;
-	// nil otherwise.
+	// nil otherwise. Only the switch engine runs with it set.
 	san *sanitizer
 
+	// frames is the switch engine's activation stack, walked by
+	// ownerOf to attribute stack addresses.
 	frames []*frame
 }
 
@@ -241,9 +246,10 @@ func computeLayout(mod *ir.Module, fn *ir.Func) *frameLayout {
 }
 
 // Run executes the module's main function under the selected engine.
-// The native engine needs a build-artifact cache and a toolchain
-// invocation, both owned by driver.Compilation — route native
-// executions through Compilation.Execute instead.
+// A hooked flat-engine execution (Options.Hooked) runs on the switch
+// engine. The native engine needs a build-artifact cache and a
+// toolchain invocation, both owned by driver.Compilation — route
+// native executions through Compilation.Execute instead.
 func Run(mod *ir.Module, opts Options) (*Result, error) {
 	switch opts.Engine {
 	case EngineSwitch:
@@ -251,7 +257,10 @@ func Run(mod *ir.Module, opts Options) (*Result, error) {
 	case EngineNative:
 		return nil, fmt.Errorf("native engine requires a driver.Compilation (use Compilation.Execute)")
 	}
-	return Flatten(mod, opts.Profile).Run(opts)
+	if opts.Hooked() {
+		return runSwitch(mod, opts)
+	}
+	return Flatten(mod, false).Run(opts)
 }
 
 // runSwitch executes main on the block-walking reference engine.

@@ -19,9 +19,10 @@ import (
 //     and address-taken locals live in the same byte-addressed frame
 //     region the interpreters use, at the same offsets.
 //   - Branch targets become Go labels and gotos; fused
-//     superinstructions (cmp+branch, add+pload/pstore) are emitted as
-//     the exact two-op sequence the flat engine executes, including
-//     the mid-pair step-budget check.
+//     superinstructions (cmp+branch, add+pload/pstore, a constant
+//     folded into and/add/mul, a br threaded into the cmp+branch it
+//     jumps to) are emitted as the exact op sequence the flat engine
+//     executes, with the same step and counter totals.
 //   - Memory operations run against the same load image (globals
 //     embedded as base64, lazily committed stack, bump-allocated
 //     heap) with the same fast-path bounds checks and the same
@@ -705,12 +706,16 @@ func (g *natgen) genFunc(fi int) {
 				reg(int32(a))
 			}
 		case fJEQ, fJNE, fJLT, fJLE, fJGT, fJGE,
-			fJFEQ, fJFNE, fJFLT, fJFLE, fJFGT, fJFGE:
+			fJFEQ, fJFNE, fJFLT, fJFLE, fJFGT, fJFGE,
+			fBrJEQ, fBrJNE, fBrJLT, fBrJLE, fBrJGT, fBrJGE,
+			fBrJFEQ, fBrJFNE, fBrJFLT, fBrJFLE, fBrJFGT, fBrJFGE:
 			reg(in.dst, in.a, in.b)
 			target(int(in.imm))
 			target(int(in.c))
 		case fAddPLoad, fAddPStore:
 			reg(in.dst, in.a, in.b, in.c)
+		case fAndI, fAddI, fMulI:
+			reg(in.dst, in.a, in.c)
 		}
 	}
 	for _, pr := range fn.Params {
@@ -827,11 +832,11 @@ func (g *natgen) declareRegs(used map[int32]bool) {
 }
 
 // step renders the per-op step-count-and-budget check (empty when
-// uninstrumented). Every non-marker flat instruction counts exactly
-// one step — fused pairs two — but only checkpoint ops compare
-// against the budget; pure ALU ops batch their counts into the next
-// checkpoint (see checkpoint). This one is the unbatched single-step
-// form, used for the second half of fused pairs.
+// uninstrumented). Every flat instruction counts one step per op it
+// stands for — fused pairs two, threaded branches three — but only
+// checkpoint ops compare against the budget; pure ALU ops batch their
+// counts into the next checkpoint (see checkpoint). This one is the
+// unbatched single-step form, used for the second half of fused pairs.
 func (g *natgen) step() string {
 	if !g.instr {
 		return ""
@@ -1088,8 +1093,6 @@ func (g *natgen) genInstr(fi, pc, entry, end int) {
 	var s string
 	if g.instr {
 		switch in.op {
-		case fBlock:
-			// Profiling marker: counts no step at all.
 		case fLoadI, fAdd, fSub, fMul, fNeg, fAnd, fOr, fXor, fNot, fShl, fShr,
 			fCmpEQ, fCmpNE, fCmpLT, fCmpLE, fCmpGT, fCmpGE,
 			fFCmpEQ, fFCmpNE, fFCmpLT, fFCmpLE, fFCmpGT, fFCmpGE,
@@ -1097,6 +1100,9 @@ func (g *natgen) genInstr(fi, pc, entry, end int) {
 			// Pure register ops: counted, but the budget comparison is
 			// batched into the next checkpoint.
 			g.pending++
+		case fAndI, fAddI, fMulI:
+			// A folded constant and its ALU op: two pure register ops.
+			g.pending += 2
 		case fCopy:
 			g.pending++
 			g.pendCp++
@@ -1133,7 +1139,9 @@ func (g *natgen) genInstr(fi, pc, entry, end int) {
 				s = g.checkpoint()
 			}
 		case fBr, fCBr, fJEQ, fJNE, fJLT, fJLE, fJGT, fJGE,
-			fJFEQ, fJFNE, fJFLT, fJFLE, fJFGT, fJFGE:
+			fJFEQ, fJFNE, fJFLT, fJFLE, fJFGT, fJFGE,
+			fBrJEQ, fBrJNE, fBrJLT, fBrJLE, fBrJGT, fBrJGE,
+			fBrJFEQ, fBrJFNE, fBrJFLT, fBrJFLE, fBrJFGT, fBrJFGE:
 			// Branches do their own step accounting (branchSteps): back
 			// edges check the budget, forward edges only count.
 		default:
@@ -1149,27 +1157,27 @@ func (g *natgen) genInstr(fi, pc, entry, end int) {
 	}
 	condExpr := func(op flatOp) string {
 		switch op {
-		case fCmpEQ, fJEQ:
+		case fCmpEQ, fJEQ, fBrJEQ:
 			return fmt.Sprintf("%s == %s", a(), b())
-		case fCmpNE, fJNE:
+		case fCmpNE, fJNE, fBrJNE:
 			return fmt.Sprintf("%s != %s", a(), b())
-		case fCmpLT, fJLT:
+		case fCmpLT, fJLT, fBrJLT:
 			return fmt.Sprintf("%s < %s", a(), b())
-		case fCmpLE, fJLE:
+		case fCmpLE, fJLE, fBrJLE:
 			return fmt.Sprintf("%s <= %s", a(), b())
-		case fCmpGT, fJGT:
+		case fCmpGT, fJGT, fBrJGT:
 			return fmt.Sprintf("%s > %s", a(), b())
-		case fCmpGE, fJGE:
+		case fCmpGE, fJGE, fBrJGE:
 			return fmt.Sprintf("%s >= %s", a(), b())
-		case fFCmpEQ, fJFEQ:
+		case fFCmpEQ, fJFEQ, fBrJFEQ:
 			return fmt.Sprintf("fv(%s) == fv(%s)", a(), b())
-		case fFCmpNE, fJFNE:
+		case fFCmpNE, fJFNE, fBrJFNE:
 			return fmt.Sprintf("fv(%s) != fv(%s)", a(), b())
-		case fFCmpLT, fJFLT:
+		case fFCmpLT, fJFLT, fBrJFLT:
 			return fmt.Sprintf("fv(%s) < fv(%s)", a(), b())
-		case fFCmpLE, fJFLE:
+		case fFCmpLE, fJFLE, fBrJFLE:
 			return fmt.Sprintf("fv(%s) <= fv(%s)", a(), b())
-		case fFCmpGT, fJFGT:
+		case fFCmpGT, fJFGT, fBrJFGT:
 			return fmt.Sprintf("fv(%s) > fv(%s)", a(), b())
 		default: // fCmpGE's float twin
 			return fmt.Sprintf("fv(%s) >= fv(%s)", a(), b())
@@ -1180,10 +1188,6 @@ func (g *natgen) genInstr(fi, pc, entry, end int) {
 	}
 
 	switch in.op {
-	case fBlock:
-		// Profiling marker: a plain run of a profiled lowering treats
-		// it as a pure no-op outside the counters, and so do we.
-
 	case fNop:
 		if s != "" {
 			g.w("\t{ %s}", s)
@@ -1225,6 +1229,18 @@ func (g *natgen) genInstr(fi, pc, entry, end int) {
 	case fCmpEQ, fCmpNE, fCmpLT, fCmpLE, fCmpGT, fCmpGE,
 		fFCmpEQ, fFCmpNE, fFCmpLT, fFCmpLE, fFCmpGT, fFCmpGE:
 		alu(cmpExpr(in.op))
+
+	case fAndI, fAddI, fMulI:
+		// The constant lands in its register before the ALU half reads
+		// a, which may name that same register.
+		sym := "&"
+		switch in.op {
+		case fAddI:
+			sym = "+"
+		case fMulI:
+			sym = "*"
+		}
+		g.w("\t{ %sr%d = %d; %s = %s %s %d }", s, in.c, in.imm, d(), a(), sym, in.imm)
 
 	case fFAdd:
 		alu(fmt.Sprintf("fb(fv(%s) + fv(%s))", a(), b()))
@@ -1330,17 +1346,24 @@ func (g *natgen) genInstr(fi, pc, entry, end int) {
 		}
 
 	case fJEQ, fJNE, fJLT, fJLE, fJGT, fJGE,
-		fJFEQ, fJFNE, fJFLT, fJFLE, fJFGT, fJFGE:
-		// The fused pair counts as two ops with one combined budget
-		// comparison up front. Checking before the compare rather than
-		// between the halves is observationally identical: if the limit
-		// fires here, the interpreter's compare would have executed
-		// first, but it only writes a register, which is unread once the
-		// run errors; the error text and location are the same either
-		// way. Branching on the bool directly (rather than re-testing
-		// the materialized 0/1) lets the compiler keep the flag.
+		fJFEQ, fJFNE, fJFLT, fJFLE, fJFGT, fJFGE,
+		fBrJEQ, fBrJNE, fBrJLT, fBrJLE, fBrJGT, fBrJGE,
+		fBrJFEQ, fBrJFNE, fBrJFLT, fBrJFLE, fBrJFGT, fBrJFGE:
+		// The fused pair counts as two ops (a threaded one three, its
+		// br first) with one combined budget comparison up front.
+		// Checking before the compare rather than between the ops is
+		// observationally identical: if the limit fires here, the
+		// interpreter's compare may have executed first, but it only
+		// writes a register, which is unread once the run errors; the
+		// error text and location are the same either way. Branching on
+		// the bool directly (rather than re-testing the materialized
+		// 0/1) lets the compiler keep the flag.
+		nsteps := 2
+		if in.op >= fBrJEQ && in.op <= fBrJFGE {
+			nsteps = 3
+		}
 		g.w("\t{ %sv := %s; %s = b2i(v); if v { %s }; %s }",
-			g.branchSteps(2, int(in.imm) <= pc || int(in.c) <= pc),
+			g.branchSteps(nsteps, int(in.imm) <= pc || int(in.c) <= pc),
 			condExpr(in.op), d(),
 			jump(int(in.imm), entry, end), jump(int(in.c), entry, end))
 

@@ -197,8 +197,9 @@ int main(void) {
 }
 
 // BenchmarkSanitizerOverhead measures what Options.Sanitize costs when
-// on; when off the hooks are a nil check on a hoisted local, so the
-// off/on delta is the sanitizer's whole price.
+// on. The flat engine carries no sanitizer hook, so a sanitized run
+// moves to the switch engine: the off/on delta is the sanitizer's
+// price plus the change of engine.
 func BenchmarkSanitizerOverhead(b *testing.B) {
 	c := compileProgram(b, "mlink")
 	for _, mode := range []struct {

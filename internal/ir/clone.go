@@ -34,6 +34,12 @@ func (m *Module) Clone() *Module {
 
 // Clone returns a deep copy of the function. Blocks are duplicated and
 // their successor/predecessor edges remapped onto the copies.
+//
+// The copies are carved from a few slabs (blocks, instructions, edge
+// lists, side records and call arguments), each sub-slice capped at
+// its length so a later append reallocates instead of running into a
+// neighbour. Edges map by block ID, which is the block's position in
+// f.Blocks (NewBlock appends, RemoveUnreachable renumbers).
 func (f *Func) Clone() *Func {
 	nf := &Func{
 		Name:      f.Name,
@@ -43,34 +49,78 @@ func (f *Func) Clone() *Func {
 		HasVarRet: f.HasVarRet,
 		Allocated: f.Allocated,
 	}
-	bmap := make(map[*Block]*Block, len(f.Blocks))
+	var nInstrs, nEdges, nAux, nArgs int
 	for _, b := range f.Blocks {
-		nb := &Block{ID: b.ID, Label: b.Label}
-		if len(b.Instrs) > 0 {
-			nb.Instrs = make([]Instr, len(b.Instrs))
-			for i := range b.Instrs {
-				nb.Instrs[i] = b.Instrs[i].Clone()
+		nInstrs += len(b.Instrs)
+		nEdges += len(b.Succs) + len(b.Preds)
+		for i := range b.Instrs {
+			if a := b.Instrs[i].aux; a != nil {
+				nAux++
+				nArgs += len(a.Args)
 			}
 		}
-		bmap[b] = nb
-		nf.Blocks = append(nf.Blocks, nb)
+	}
+	blocks := make([]Block, len(f.Blocks))
+	instrs := make([]Instr, nInstrs)
+	edges := make([]*Block, nEdges)
+	auxes := make([]Aux, nAux)
+	args := make([]Reg, nArgs)
+
+	nf.Blocks = make([]*Block, len(f.Blocks))
+	for bi, b := range f.Blocks {
+		nb := &blocks[bi]
+		nb.ID, nb.Label = b.ID, b.Label
+		nf.Blocks[bi] = nb
+		if len(b.Instrs) == 0 {
+			continue
+		}
+		nb.Instrs = instrs[:len(b.Instrs):len(b.Instrs)]
+		instrs = instrs[len(b.Instrs):]
+		for i := range b.Instrs {
+			in := &b.Instrs[i]
+			nb.Instrs[i] = *in
+			if in.aux == nil {
+				continue
+			}
+			a := &auxes[0]
+			auxes = auxes[1:]
+			*a = *in.aux
+			if n := len(a.Args); n > 0 {
+				a.Args = args[:n:n]
+				args = args[n:]
+				copy(a.Args, in.aux.Args)
+			} else {
+				a.Args = nil
+			}
+			if a.Targets != nil {
+				a.Targets = append([]string(nil), a.Targets...)
+			}
+			nb.Instrs[i].aux = a
+		}
+	}
+	copyOf := func(b *Block) *Block {
+		if i := f.BlockIndex(b); i >= 0 {
+			return &blocks[i]
+		}
+		return nil
 	}
 	remap := func(bs []*Block) []*Block {
 		if bs == nil {
 			return nil
 		}
-		out := make([]*Block, len(bs))
+		out := edges[:len(bs):len(bs)]
+		edges = edges[len(bs):]
 		for i, b := range bs {
-			out[i] = bmap[b]
+			out[i] = copyOf(b)
 		}
 		return out
 	}
-	for _, b := range f.Blocks {
-		nb := bmap[b]
+	for bi, b := range f.Blocks {
+		nb := &blocks[bi]
 		nb.Succs = remap(b.Succs)
 		nb.Preds = remap(b.Preds)
 	}
-	nf.Entry = bmap[f.Entry]
+	nf.Entry = copyOf(f.Entry)
 	return nf
 }
 

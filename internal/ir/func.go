@@ -115,6 +115,25 @@ func (f *Func) NewBlock(label string) *Block {
 	return b
 }
 
+// BlockIndex returns b's position in f.Blocks, or -1 when b is not
+// one of f's blocks. A block's ID is its position (NewBlock appends,
+// Renumber restores it), so the ID is tried first; the scan only runs
+// on a function whose IDs have drifted.
+func (f *Func) BlockIndex(b *Block) int {
+	if b == nil {
+		return -1
+	}
+	if i := int(b.ID); i >= 0 && i < len(f.Blocks) && f.Blocks[i] == b {
+		return i
+	}
+	for i, c := range f.Blocks {
+		if c == b {
+			return i
+		}
+	}
+	return -1
+}
+
 // Renumber reassigns dense block ids in slice order and refreshes
 // default labels of the form "B<n>".
 func (f *Func) Renumber() {
