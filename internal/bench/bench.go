@@ -117,17 +117,11 @@ func measureWith(p Program, cfg driver.Config, tr *obs.Tracer) (*Measurement, er
 	return execute(p, c, []interp.Engine{interp.EngineFlat}, false, tr)
 }
 
-// measureShared forks cfg's pipeline from the program's parsed
-// artifact and executes the result under engine, untraced.
-func measureShared(p Program, fe *driver.Frontend, cfg driver.Config, engine interp.Engine) (*Measurement, error) {
-	return measureSharedEngines(p, fe, cfg, []interp.Engine{engine}, nil)
-}
-
-// measureSharedEngines is measureShared over an engine list: one
-// compilation, executed once per engine, with the engines held to
-// identical counts, output, and exit status (a disagreement fails the
-// measurement — it would mean the parity contract the differential
-// tests enforce has been broken on a real workload).
+// measureSharedEngines forks cfg's pipeline from the program's parsed
+// artifact and executes the result once per engine, with the engines
+// held to identical counts, output, and exit status (a disagreement
+// fails the measurement — it would mean the parity contract the
+// differential tests enforce has been broken on a real workload).
 func measureSharedEngines(p Program, fe *driver.Frontend, cfg driver.Config, engines []interp.Engine, tr *obs.Tracer) (*Measurement, error) {
 	c, err := fe.Compile(cfg, tr)
 	if err != nil {
@@ -354,8 +348,10 @@ type programFigures struct {
 // measureProgram runs one suite member under the four-configuration
 // matrix and cross-checks the outputs: a configuration that changes a
 // program's observable output indicates a miscompilation and fails
-// the measurement. The front end runs once; every configuration forks
-// its pipeline from the shared artifact.
+// the measurement. The front end runs once, and the four
+// configurations compile together as one matrix (driver.Frontend.
+// CompileMatrix), which runs the passes each analysis pair shares
+// before promotion once.
 func measureProgram(p Program, opts Options) (*programFigures, error) {
 	pf := &programFigures{
 		rows:       map[Metric][]Row{},
@@ -366,18 +362,27 @@ func measureProgram(p Program, opts Options) (*programFigures, error) {
 	if err != nil {
 		return nil, err
 	}
-	var outputs []string
-	for _, analysis := range []driver.Analysis{driver.ModRef, driver.PointsTo} {
-		base := driver.Config{Analysis: analysis, K: opts.K}
+	analyses := []driver.Analysis{driver.ModRef, driver.PointsTo}
+	var cfgs []driver.Config
+	for _, analysis := range analyses {
+		base := driver.Config{Analysis: analysis, K: opts.K, Certify: opts.Certify}
 		with := base
 		with.Promote = true
 		with.PointerPromote = opts.PointerPromotion
-
-		m0, err := measureShared(p, fe, base, opts.engineList()[0])
+		cfgs = append(cfgs, base, with)
+	}
+	cs, err := fe.CompileMatrix(cfgs, nil)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", p.Name, err)
+	}
+	engine := opts.engineList()[:1]
+	var outputs []string
+	for a, analysis := range analyses {
+		m0, err := execute(p, cs[2*a], engine, true, nil)
 		if err != nil {
 			return nil, err
 		}
-		m1, err := measureShared(p, fe, with, opts.engineList()[0])
+		m1, err := execute(p, cs[2*a+1], engine, true, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -21,6 +21,7 @@
 package difftest
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -156,8 +157,9 @@ func DiffSourceEngines(filename, src string, matrix []driver.NamedConfig, bothEn
 }
 
 // DiffSourceMode is DiffSource with every oracle dimension exposed.
-// The front end runs once; every configuration's pipeline is forked
-// from the shared artifact (compile-once sharing). With
+// The front end runs once, and the configurations compile together
+// through one driver.Frontend.CompileMatrix call, which runs each
+// pass prefix they share once (compile-once sharing). With
 // Mode.BothEngines set, each compilation additionally executes on the
 // reference switch engine, and any flat-vs-switch disagreement —
 // output, exit code, dynamic counts, or error text — is reported as a
@@ -166,17 +168,44 @@ func DiffSourceEngines(filename, src string, matrix []driver.NamedConfig, bothEn
 // and its violations are divergences.
 func DiffSourceMode(filename, src string, matrix []driver.NamedConfig, mode Mode) *Result {
 	r := &Result{Source: src}
-	fe, feErr := driver.ParseSource(filename, src)
-	for _, nc := range matrix {
-		if feErr != nil {
-			// A front-end failure hits every configuration identically,
-			// exactly as per-configuration recompiles would see it.
-			r.Execs = append(r.Execs, Execution{Config: nc, Err: fmt.Errorf("compile: %w", feErr)})
+	cs, errs := compileMatrix(filename, src, matrix, mode.Certify)
+	for i, nc := range matrix {
+		if errs[i] != nil {
+			r.Execs = append(r.Execs, Execution{Config: nc, Err: fmt.Errorf("compile: %w", errs[i])})
 			continue
 		}
-		r.Execs = append(r.Execs, runOne(fe, nc, mode))
+		r.Execs = append(r.Execs, execute(cs[i], nc, mode))
 	}
 	return r
+}
+
+// compileMatrix parses src once and compiles it under every
+// configuration of the matrix, with the certificate verifier on each
+// when certify is set. It returns one compilation or one error per
+// configuration; a front-end failure hits every configuration
+// identically, exactly as per-configuration recompiles would see it.
+func compileMatrix(filename, src string, matrix []driver.NamedConfig, certify bool) ([]*driver.Compilation, []error) {
+	errs := make([]error, len(matrix))
+	fe, err := driver.ParseSource(filename, src)
+	if err != nil {
+		for i := range errs {
+			errs[i] = err
+		}
+		return make([]*driver.Compilation, len(matrix)), errs
+	}
+	cfgs := make([]driver.Config, len(matrix))
+	for i, nc := range matrix {
+		cfgs[i] = nc.Config
+		if certify {
+			cfgs[i].Certify = true
+		}
+	}
+	cs, err := fe.CompileMatrix(cfgs, nil)
+	var merr *driver.MatrixError
+	if errors.As(err, &merr) {
+		errs = merr.Errs
+	}
+	return cs, errs
 }
 
 // DiffSeed generates the seed's program and diffs it.
@@ -196,20 +225,6 @@ func DiffSeedMode(seed int64, matrix []driver.NamedConfig, mode Mode) *Result {
 	r := DiffSourceMode(fmt.Sprintf("seed%d.c", seed), testgen.Program(seed), matrix, mode)
 	r.Seed = seed
 	return r
-}
-
-// runOne compiles one configuration from the shared front end and
-// executes it.
-func runOne(fe *driver.Frontend, nc driver.NamedConfig, mode Mode) Execution {
-	cfg := nc.Config
-	if mode.Certify {
-		cfg.Certify = true
-	}
-	c, err := fe.Compile(cfg, nil)
-	if err != nil {
-		return Execution{Config: nc, Err: fmt.Errorf("compile: %w", err)}
-	}
-	return execute(c, nc, mode)
 }
 
 // execute runs one compilation on every engine of the mode's matrix:
@@ -416,8 +431,8 @@ func Fuzz(opts FuzzOptions) (*FuzzReport, error) {
 // WriteArtifacts archives a divergent result under dir/seed<NNN>:
 // the generating source (prog.c), the reduced reproducer (reduced.c),
 // the divergence summary with a repro command (repro.txt), and the
-// final IL of each configuration as captured by the observability
-// pipeline (il-<config>.txt). It returns the artifact directory.
+// final IL of each configuration (il-<config>.txt), recompiled from
+// the reduced source as one matrix. It returns the artifact directory.
 func WriteArtifacts(dir string, r *Result, reduced string) (string, error) {
 	sub := filepath.Join(dir, fmt.Sprintf("seed%d", r.Seed))
 	if err := os.MkdirAll(sub, 0o755); err != nil {
@@ -436,12 +451,19 @@ func WriteArtifacts(dir string, r *Result, reduced string) (string, error) {
 	fmt.Fprintf(&repro, "Differential divergence on seed %d.\n\n%s\n", r.Seed, r.Divergence())
 	fmt.Fprintf(&repro, "Reproduce with:\n\n    go run ./cmd/rpfuzz -start %d -seeds 1\n\n", r.Seed)
 	repro.WriteString("Per-configuration behaviour:\n\n")
+	matrix := make([]driver.NamedConfig, len(r.Execs))
+	for i := range r.Execs {
+		matrix[i] = r.Execs[i].Config
+	}
+	cs, errs := compileMatrix(fmt.Sprintf("seed%d.c", r.Seed), reduced, matrix, false)
 	for i := range r.Execs {
 		e := &r.Execs[i]
 		fmt.Fprintf(&repro, "  %-22s %s\n", e.Config.Name, e.Behaviour())
-		il, err := finalIL(fmt.Sprintf("seed%d.c", r.Seed), reduced, e.Config)
-		if err != nil {
-			il = "; IL unavailable: " + err.Error() + "\n"
+		var il string
+		if errs[i] != nil {
+			il = "; IL unavailable: " + errs[i].Error() + "\n"
+		} else {
+			il = ir.FormatModule(cs[i].Module)
 		}
 		if err := write("il-"+e.Config.Name+".txt", il); err != nil {
 			return "", err
@@ -451,14 +473,4 @@ func WriteArtifacts(dir string, r *Result, reduced string) (string, error) {
 		return "", err
 	}
 	return sub, nil
-}
-
-// finalIL compiles src under one configuration and formats the
-// optimized IL.
-func finalIL(filename, src string, nc driver.NamedConfig) (string, error) {
-	c, err := driver.CompileSource(filename, src, nc.Config)
-	if err != nil {
-		return "", err
-	}
-	return ir.FormatModule(c.Module), nil
 }

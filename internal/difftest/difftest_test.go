@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"regpromo/internal/driver"
+	"regpromo/internal/ir"
 	"regpromo/internal/testgen"
 )
 
@@ -153,6 +154,17 @@ func TestWriteArtifacts(t *testing.T) {
 		}
 		if len(data) == 0 {
 			t.Errorf("artifact %s is empty", name)
+		}
+	}
+	// The archived IL is each configuration's own final IL.
+	for _, nc := range matrix {
+		c, err := driver.CompileSource("seed7.c", r.Source, nc.Config)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := os.ReadFile(filepath.Join(sub, "il-"+nc.Name+".txt"))
+		if string(data) != ir.FormatModule(c.Module) {
+			t.Errorf("il-%s.txt is not the configuration's IL", nc.Name)
 		}
 	}
 	repro, _ := os.ReadFile(filepath.Join(sub, "repro.txt"))

@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"regpromo/internal/driver"
@@ -26,17 +27,18 @@ func TestIncrementalSeedsClean(t *testing.T) {
 // TestFuzzIncrementalReportsClean drives the batch entry point the CLI
 // uses, checking seed accounting and the no-failure report shape.
 func TestFuzzIncrementalReportsClean(t *testing.T) {
-	var seen int
+	// Progress runs on the worker goroutines.
+	var seen atomic.Int64
 	report, err := FuzzIncremental(IncrementalOptions{
 		Start: 1, Seeds: 4, Short: true,
 		CorpusDir: t.TempDir(),
-		Progress:  func(int64, bool) { seen++ },
+		Progress:  func(int64, bool) { seen.Add(1) },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seen != 4 || report.Seeds != 4 {
-		t.Fatalf("progress saw %d seeds, report says %d, want 4", seen, report.Seeds)
+	if seen.Load() != 4 || report.Seeds != 4 {
+		t.Fatalf("progress saw %d seeds, report says %d, want 4", seen.Load(), report.Seeds)
 	}
 	if len(report.Failures) != 0 {
 		t.Fatalf("unexpected failures: %+v", report.Failures)

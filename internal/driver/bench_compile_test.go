@@ -18,8 +18,10 @@ import (
 // compileMatrix runs the paper's four measurement configurations over
 // every suite program, forking each pipeline from a pre-parsed
 // front-end artifact so the benchmark isolates the middle end (analysis
-// + optimization + allocation) the way the rpbench matrix pays for it.
-func compileMatrix(b *testing.B, workers int) {
+// + optimization + allocation). shared compiles each program's four
+// configurations in one Frontend.CompileMatrix call, the way the
+// rpbench matrix pays for them; otherwise each is compiled alone.
+func compileMatrix(b *testing.B, workers int, shared bool) {
 	b.Helper()
 	type job struct {
 		name string
@@ -34,11 +36,19 @@ func compileMatrix(b *testing.B, workers int) {
 		jobs = append(jobs, job{p.Name, fe})
 	}
 	configs := driver.Configurations()
+	for i := range configs {
+		configs[i].Workers = workers
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, j := range jobs {
+			if shared {
+				if _, err := j.fe.CompileMatrix(configs, nil); err != nil {
+					b.Fatalf("%s: %v", j.name, err)
+				}
+				continue
+			}
 			for _, cfg := range configs {
-				cfg.Workers = workers
 				if _, err := j.fe.Compile(cfg, nil); err != nil {
 					b.Fatalf("%s: %v", j.name, err)
 				}
@@ -48,10 +58,13 @@ func compileMatrix(b *testing.B, workers int) {
 }
 
 // BenchmarkCompileMatrix measures the full rpbench compile matrix:
-// every suite program under all four paper configurations.
+// every suite program under all four paper configurations, each
+// compiled alone (serial, parallel) and as one shared matrix per
+// program (shared, on a one-worker pool like serial).
 func BenchmarkCompileMatrix(b *testing.B) {
-	b.Run("serial", func(b *testing.B) { compileMatrix(b, 1) })
-	b.Run("parallel", func(b *testing.B) { compileMatrix(b, 0) })
+	b.Run("serial", func(b *testing.B) { compileMatrix(b, 1, false) })
+	b.Run("parallel", func(b *testing.B) { compileMatrix(b, 0, false) })
+	b.Run("shared", func(b *testing.B) { compileMatrix(b, 1, true) })
 }
 
 // compileScale times the cold compile of the 600-helper scale-profile

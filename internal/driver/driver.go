@@ -11,9 +11,11 @@
 // to a named pass list (see Config.Passes). The interprocedural passes
 // are whole-module barriers; every run of consecutive per-function
 // passes between them is a group that the worker pool walks function
-// by function. A compile under an obs.Tracer records spans and fills
-// Compilation.Passes with one record per pass: its span time, static IR
-// deltas, and pass statistics.
+// by function. Frontend.CompileMatrix runs several configurations'
+// lists as one trie, so a pass prefix they share runs once. A compile
+// under an obs.Tracer records spans and fills Compilation.Passes with
+// one record per pass: its span time, static IR deltas, and pass
+// statistics.
 package driver
 
 import (
@@ -290,8 +292,15 @@ func (c *Compilation) Pressure() []certify.Pressure {
 // pass's extra statistics for its record (may be nil). finish, when
 // non-nil, rebuilds a per-function pass's statistics from pipeState
 // after its group, where they are not a plain per-function sum.
+//
+// reads declares the Config fields the body reads beyond the pass's
+// presence in the list and the ambient fields (see ambientKey).
+// CompileMatrix shares one run of a pass between configurations whose
+// lists agree up to it and whose declared fields are equal, so a body
+// that reads an undeclared field would be shared wrongly.
 type pass struct {
 	name   string
+	reads  readSet
 	run    func(s *pipeState) (map[string]int64, error)
 	fn     func(s *pipeState, f *ir.Func, tags ir.TagAlloc) (map[string]int64, error)
 	finish func(s *pipeState) map[string]int64
@@ -300,12 +309,20 @@ type pass struct {
 // pipeState is the mutable state threaded through the pass list. The
 // mutex guards the Stats fields of c during parallel groups; both
 // folds are commutative, so the accumulation order cannot show.
+//
+// cfg supplies the ambient fields (Workers, Check, CheckPasses), which
+// every configuration sharing the state agrees on; pass bodies read
+// their own configuration's fields through their closures.
 type pipeState struct {
 	cfg Config
 	c   *Compilation
 	cg  *callgraph.Graph
 	tr  *obs.Tracer // nil for an untraced compile
 	mu  sync.Mutex
+
+	// analysisDone is set once a MOD/REF run has annotated the
+	// module, which some lint passes wait for.
+	analysisDone bool
 }
 
 // Canonical pass names, in the order the full pipeline runs them.
@@ -437,7 +454,8 @@ func (cfg Config) passes() []pass {
 			s.mu.Unlock()
 		}
 		ps = append(ps, pass{
-			name: PassPromote,
+			name:  PassPromote,
+			reads: readPointerPromote | readSkipUnwrittenStores | readThrottle | readK,
 			fn: func(s *pipeState, f *ir.Func, _ ir.TagAlloc) (map[string]int64, error) {
 				st := promote.Func(s.c.Module, f, promoteOpts)
 				s.mu.Lock()
@@ -499,9 +517,10 @@ func (cfg Config) passes() []pass {
 	}
 	if !cfg.NoAlloc {
 		ps = append(ps, pass{
-			name: PassRegalloc,
+			name:  PassRegalloc,
+			reads: readK,
 			fn: func(s *pipeState, f *ir.Func, tags ir.TagAlloc) (map[string]int64, error) {
-				st, err := regalloc.Func(f, regalloc.Options{K: s.cfg.K}, tags)
+				st, err := regalloc.Func(f, regalloc.Options{K: cfg.K}, tags)
 				if err != nil {
 					return nil, err
 				}
@@ -565,24 +584,23 @@ func CompileSource(filename, src string, cfg Config) (*Compilation, error) {
 // "frontend" — gets a span and a record in Compilation.Passes.
 //
 // To compile one source under several configurations, run the front
-// end once with ParseSource and fork each pipeline with
-// Frontend.Compile instead.
+// end once with ParseSource and compile the configurations together
+// with Frontend.CompileMatrix instead.
 func Compile(filename, src string, cfg Config, tr *obs.Tracer) (*Compilation, error) {
-	if err := checkDump(tr, PassFrontend, cfg); err != nil {
-		return nil, err
-	}
-	defer tr.Start("compile", "compile", 0).End()
-	sp := tr.Start(PassFrontend, "pass", 0)
-	m, err := frontEnd(filename, src)
-	dur := sp.End()
-	if err != nil {
-		return nil, err
-	}
-	// Single-use compile: the pipeline owns the module outright, so no
-	// clone is forked.
-	s := &pipeState{cfg: cfg, c: &Compilation{Module: m}, tr: tr}
-	s.recordModule(PassFrontend, dur, nil)
-	return compilePasses(s)
+	// Single-use compile: the pipeline owns the front end's module
+	// outright, so no clone is forked.
+	cs, errs := compileMatrix([]Config{cfg}, tr, allReads, nil, PassFrontend, func(s *pipeState) error {
+		sp := tr.Start(PassFrontend, "pass", 0)
+		m, err := frontEnd(filename, src)
+		dur := sp.End()
+		if err != nil {
+			return err
+		}
+		s.c.Module = m
+		s.recordModule(PassFrontend, dur, nil)
+		return nil
+	})
+	return cs[0], errs[0]
 }
 
 // checkDump rejects an IL-dump request naming a stage the compile
@@ -599,61 +617,6 @@ func checkDump(tr *obs.Tracer, first string, cfg Config) error {
 		}
 	}
 	return fmt.Errorf("cannot dump IL after %q: no such pass (passes: %s)", tr.DumpPass, strings.Join(stages, " "))
-}
-
-// compilePasses runs the configuration's pass list over s.c.Module.
-//
-// Barrier passes run whole-module; every maximal run of per-function
-// passes between them runs as one group on the worker pool (see
-// runGroup). A per-pass check or an IL dump needs the whole module at
-// every pass boundary, so either splits the per-function passes into
-// one-pass groups: the module then advances pass by pass, as a
-// pass-major walk.
-func compilePasses(s *pipeState) (*Compilation, error) {
-	cfg := s.cfg
-	if r := obs.Metrics(); r != nil {
-		r.Counter("compile.compiles").Inc()
-	}
-	s.tr.NameThread(0, "main")
-	ps := cfg.passes()
-	split := cfg.Check == CheckEveryPass || (s.tr != nil && s.tr.DumpPass != "")
-	analysisDone := false
-	if cfg.Check == CheckEveryPass {
-		// Lint the front end's output before any pass touches it.
-		if err := s.runChecks(PassFrontend, false); err != nil {
-			return nil, err
-		}
-	}
-	for i := 0; i < len(ps); {
-		j := i + 1
-		var err error
-		if ps[i].fn != nil {
-			for !split && j < len(ps) && ps[j].fn != nil {
-				j++
-			}
-			err = runGroup(s, ps[i:j])
-		} else {
-			err = s.runBarrier(ps[i])
-		}
-		if err != nil {
-			return nil, err
-		}
-		if ps[i].name == PassModRef {
-			analysisDone = true
-		}
-		if cfg.Check == CheckEveryPass {
-			if err := s.runChecks(ps[i].name, analysisDone); err != nil {
-				return nil, err
-			}
-		}
-		i = j
-	}
-	if cfg.Check == CheckModule {
-		if err := s.runChecks("module", true); err != nil {
-			return nil, err
-		}
-	}
-	return s.c, nil
 }
 
 // runBarrier runs one whole-module pass under its span.

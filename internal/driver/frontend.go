@@ -16,11 +16,13 @@ import (
 // configurations; forking each pipeline from a module clone instead of
 // re-running the front end per configuration removes the redundant
 // parse+sema+irgen work from the measurement loop entirely
-// (compile-once sharing).
+// (compile-once sharing). CompileMatrix goes on to run the pass
+// prefixes the configurations share once.
 //
-// A Frontend is immutable after construction: Compile hands every
-// configuration its own deep copy of the module, so concurrent and
-// sequential forks can never disturb each other.
+// A Frontend is immutable after construction: Compile and
+// CompileMatrix hand every configuration its own deep copy of the
+// module, so concurrent and sequential forks can never disturb each
+// other.
 type Frontend struct {
 	// Filename is the name the source was parsed under.
 	Filename string
@@ -64,22 +66,53 @@ func (fe *Frontend) NewModule() *ir.Module {
 	return fe.module.Clone()
 }
 
-// Clones reports how many pipelines have been forked from this
-// artifact so far.
+// Clones reports how many module copies pipelines compiled from this
+// artifact have made so far: one per Compile, and one per
+// configuration of a CompileMatrix call (the trie root's copy of the
+// artifact plus one at each extra branch).
 func (fe *Frontend) Clones() int64 { return fe.clones.Load() }
 
 // Compile forks a pipeline from the artifact: the module is cloned
 // (recorded under a tracer as "frontend.reuse" — the stage that
 // replaces a repeated front-end run) and the configuration's pass list
-// runs over the clone. tr may be nil. Safe to call concurrently.
+// runs over the clone. It is CompileMatrix over one configuration.
+// tr may be nil. Safe to call concurrently.
 func (fe *Frontend) Compile(cfg Config, tr *obs.Tracer) (*Compilation, error) {
-	if err := checkDump(tr, PassFrontendReuse, cfg); err != nil {
-		return nil, err
-	}
-	defer tr.Start("compile", "compile", 0).End()
-	sp := tr.Start(PassFrontendReuse, "pass", 0)
-	s := &pipeState{cfg: cfg, c: &Compilation{Module: fe.NewModule()}, tr: tr}
-	extra := map[string]int64{"reused": 1, "clones": fe.Clones()}
-	s.recordModule(PassFrontendReuse, sp.AddArgs(extra).End(), extra)
-	return compilePasses(s)
+	cs, errs := fe.compileMatrix([]Config{cfg}, tr, allReads)
+	return cs[0], errs[0]
+}
+
+// CompileMatrix compiles the artifact under every configuration of
+// cfgs, running each pass that a group of configurations reaches by
+// the same path once for the group. The configurations' pass lists
+// form a trie keyed by pass name and the Config fields each pass reads
+// (promote: PointerPromote, SkipUnwrittenStores, Throttle and K;
+// regalloc: K); configurations share a trie only when their Workers,
+// Check, CheckPasses and AnalysisCache agree. Each trie starts from
+// one clone of the artifact's module, and every branch but the last of
+// a node clones the module again, so a matrix costs as many clones as
+// it has configurations.
+//
+// The result holds one Compilation per configuration, in order, each
+// with its own module: the IL, statistics and pass records are those
+// the configuration compiled alone would produce, except that a
+// shared pass is one *obs.PassEvent in every Compilation.Passes that
+// ran it. A configuration that fails has a nil entry, and the error is
+// then a *MatrixError. Nothing is kept between calls. tr may be nil.
+// Safe to call concurrently.
+func (fe *Frontend) CompileMatrix(cfgs []Config, tr *obs.Tracer) ([]*Compilation, error) {
+	cs, errs := fe.compileMatrix(cfgs, tr, allReads)
+	return cs, matrixError(errs)
+}
+
+// compileMatrix runs the matrix with each trie rooted at a fresh clone
+// of the artifact's module.
+func (fe *Frontend) compileMatrix(cfgs []Config, tr *obs.Tracer, keep readSet) ([]*Compilation, []error) {
+	return compileMatrix(cfgs, tr, keep, fe, PassFrontendReuse, func(s *pipeState) error {
+		sp := tr.Start(PassFrontendReuse, "pass", 0)
+		s.c.Module = fe.NewModule()
+		extra := map[string]int64{"reused": 1, "clones": fe.Clones()}
+		s.recordModule(PassFrontendReuse, sp.AddArgs(extra).End(), extra)
+		return nil
+	})
 }

@@ -7,7 +7,11 @@
 // make that query exact.
 package valnum
 
-import "regpromo/internal/ir"
+import (
+	"sync"
+
+	"regpromo/internal/ir"
+)
 
 // Run value-numbers every block of every function; it returns the
 // number of instructions simplified.
@@ -21,18 +25,27 @@ func Run(m *ir.Module) int {
 
 // Func value-numbers one function.
 func Func(fn *ir.Func) int {
-	s := newState(fn.NumRegs)
+	s := statePool.Get().(*valnumState)
+	s.reset(fn.NumRegs)
 	n := 0
 	for _, b := range fn.Blocks {
 		n += s.block(b)
 	}
+	statePool.Put(s)
 	return n
 }
 
-// valnumState is one function's value-numbering tables, reused block
-// to block. Value numbers restart at 1 in every block: the maps are
-// cleared, and register numbers written in an earlier block carry an
-// older generation stamp and read as unknown.
+// statePool holds value-numbering tables between functions, so a
+// worker numbering function after function reuses one set: the maps
+// are cleared block by block anyway, and the register arrays are
+// bounded by the largest function served.
+var statePool = sync.Pool{New: func() any { return newState() }}
+
+// valnumState is the value-numbering tables, reused block to block
+// and function to function. Value numbers restart at 1 in every
+// block: the maps are cleared, and register numbers written in an
+// earlier block (or function) carry an older generation stamp and read
+// as unknown.
 type valnumState struct {
 	// gen stamps the current block.
 	gen uint32
@@ -95,16 +108,27 @@ type memFact struct {
 	size int32
 }
 
-func newState(nregs int) *valnumState {
+func newState() *valnumState {
 	return &valnumState{
-		vn:       make([]int32, nregs),
-		vnGen:    make([]uint32, nregs),
 		expr:     make(map[exprKey]exprVal),
 		addr:     make(map[addrKey]exprVal),
 		constVN:  make(map[int64]int32),
 		fconstVN: make(map[uint64]int32),
 		memVal:   make(map[ir.TagID]memFact),
 	}
+}
+
+// reset sizes the register arrays for a function of nregs registers.
+// Stamps left in them by earlier functions are all older than the
+// next block's generation, so they read as unknown.
+func (s *valnumState) reset(nregs int) {
+	if cap(s.vn) < nregs {
+		s.vn = make([]int32, nregs)
+		s.vnGen = make([]uint32, nregs)
+		return
+	}
+	s.vn = s.vn[:nregs]
+	s.vnGen = s.vnGen[:nregs]
 }
 
 // known returns r's value number in the current block, or 0.
@@ -179,6 +203,11 @@ func clearMap[K comparable, V any](m map[K]V) {
 
 func (s *valnumState) block(b *ir.Block) int {
 	s.gen++
+	if s.gen == 0 {
+		// The stamp wrapped: forget every stamp ever written.
+		clear(s.vnGen[:cap(s.vnGen)])
+		s.gen = 1
+	}
 	s.info = append(s.info[:0], vnInfo{})
 	clearMap(s.expr)
 	clearMap(s.addr)

@@ -1,9 +1,11 @@
 package valnum
 
 import (
+	"math"
 	"testing"
 
 	"regpromo/internal/ir"
+	"regpromo/internal/testgen"
 	"regpromo/internal/testutil"
 )
 
@@ -217,5 +219,52 @@ int main(void) {
 	}
 	if res := testutil.Run(t, m); res.Exit != 2 {
 		t.Fatalf("exit = %d", res.Exit)
+	}
+}
+
+// numberWith value-numbers fn with the tables s.
+func numberWith(s *valnumState, fn *ir.Func) int {
+	s.reset(fn.NumRegs)
+	n := 0
+	for _, b := range fn.Blocks {
+		n += s.block(b)
+	}
+	return n
+}
+
+// TestReusedStateNumbersLikeFresh holds the pooled tables to fresh
+// ones: one state carried across every function of several programs
+// must rewrite each function exactly as a state made for it alone
+// does.
+func TestReusedStateNumbersLikeFresh(t *testing.T) {
+	shared := newState()
+	for seed := int64(1); seed <= 10; seed++ {
+		src := testgen.Program(seed)
+		fresh, reused := testutil.Compile(t, src), testutil.Compile(t, src)
+		for _, name := range fresh.FuncOrder {
+			want := numberWith(newState(), fresh.Funcs[name])
+			if got := numberWith(shared, reused.Funcs[name]); got != want {
+				t.Errorf("seed %d %s: reused state simplified %d, fresh %d", seed, name, got, want)
+			}
+		}
+		if ir.FormatModule(reused) != ir.FormatModule(fresh) {
+			t.Errorf("seed %d: reused tables numbered differently from fresh ones", seed)
+		}
+	}
+}
+
+// TestGenerationWrapForgetsStamps checks that a state whose
+// generation stamp wraps does not read a register stamped one cycle
+// earlier as known.
+func TestGenerationWrapForgetsStamps(t *testing.T) {
+	s := newState()
+	s.reset(4)
+	s.vn[2], s.vnGen[2] = 5, 1
+	s.gen = math.MaxUint32
+	for i := 0; i < 2; i++ {
+		s.block(&ir.Block{})
+		if v := s.known(2); v != 0 {
+			t.Fatalf("block %d after the wrap: stale register reads as value %d", i, v)
+		}
 	}
 }
