@@ -27,12 +27,13 @@ import (
 
 // TestNoRegressionAgainstBaseline guards the benchmark trajectory:
 // when a recorded baseline exists (the newest BENCH_*.json in the repo
-// root, written by `rpbench -json`), the current dynamic total-ops for
-// every program/configuration cell must not regress more than 1%
-// against it. With no baseline recorded the test is skipped — run
+// root, written by `rpbench -json`), the current report must not
+// regress more than 1% against it on any quantity bench.Compare gates
+// (dynamic ops, loads and stores, promotions, spills, static pressure).
+// With no baseline recorded the test is skipped — run
 // `go run ./cmd/rpbench -json` to record one.
 func TestNoRegressionAgainstBaseline(t *testing.T) {
-	baseline, path, err := bench.LatestBaseline(".")
+	baseline, path, err := bench.BaselineBefore(".", "")
 	if errors.Is(err, os.ErrNotExist) {
 		t.Skip("no BENCH_*.json baseline recorded; run `go run ./cmd/rpbench -json`")
 	}
@@ -49,29 +50,12 @@ func TestNoRegressionAgainstBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const tolerance = 1.01
-	for _, bp := range baseline.Programs {
-		cp, ok := current.Program(bp.Name)
-		if !ok {
-			t.Errorf("%s: in baseline but missing from current suite", bp.Name)
-			continue
-		}
-		for _, bc := range bp.Configs {
-			cc, ok := cp.Config(bc.Analysis, bc.Promote)
-			if !ok {
-				t.Errorf("%s/%s promote=%v: configuration missing from current run",
-					bp.Name, bc.Analysis, bc.Promote)
-				continue
-			}
-			if bc.Counts.Ops <= 0 {
-				continue
-			}
-			limit := float64(bc.Counts.Ops) * tolerance
-			if float64(cc.Counts.Ops) > limit {
-				t.Errorf("%s/%s promote=%v: dynamic total-ops regressed >1%%: baseline %d, now %d",
-					bp.Name, bc.Analysis, bc.Promote, bc.Counts.Ops, cc.Counts.Ops)
-			}
-		}
+	if len(current.Programs) != len(programs) {
+		t.Errorf("baseline lists %d programs, the suite has %d of them", len(programs), len(current.Programs))
+	}
+	cr := bench.Compare(baseline, current, 1.0)
+	if len(cr.Regressions()) > 0 || cr.SkippedCells > 0 {
+		t.Errorf("against %s:\n%s", path, cr.Format())
 	}
 }
 

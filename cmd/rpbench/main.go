@@ -18,49 +18,40 @@
 //	                         adds over scalar promotion (§3.3 study)
 //	rpbench -programs a,b,c  restrict to named programs
 //	-k N                     physical register count (default 32)
-//	-engine E                execution engine(s): flat, switch, native,
-//	                         both, all, or a comma list (default flat;
-//	                         counts are engine-independent, only wall
-//	                         time changes). With -json, each engine gets
-//	                         its own timed execution cell per config in
-//	                         one report, and a native-over-flat speedup
-//	                         summary prints when both are listed; table
-//	                         output uses the first engine
-//	-native-backend B        native artifact execution: auto (probe
-//	                         plugin, fall back to subprocess), plugin,
-//	                         or subprocess
+//	-certify                 re-prove every promotion certificate
+//	                         during each measurement compile
 //	-markdown                emit Markdown tables (for EXPERIMENTS.md)
-//	rpbench -json            run the observed matrix and write the full
-//	                         machine-readable report — dynamic counts
-//	                         for all four configurations plus per-pass
-//	                         wall time and IR deltas per program — to a
-//	                         versioned BENCH_<timestamp>.json file
+//	rpbench -json            run the same matrix and write the
+//	                         machine-readable report — every program's
+//	                         four configuration cells (dynamic counts,
+//	                         promotions, spills, static register
+//	                         pressure) and the figure rows — to a
+//	                         versioned BENCH_<timestamp>.json file.
+//	                         Apart from its timestamp the report is
+//	                         deterministic: two runs of the same code,
+//	                         serial or parallel, write the same bytes
 //	-out path                destination for -json ("-" = stdout)
 //	rpbench -compare A[,B]   diff two benchmark reports and print the
 //	                         regression/improvement table: with one
 //	                         path, A is compared against the newest
 //	                         other BENCH_*.json baseline; with two,
 //	                         B is compared against A. Exits 1 when a
-//	                         deterministic metric (dynamic ops, loads,
-//	                         stores, promotions, spills) regressed past
-//	                         -threshold; wall-time and process-metric
-//	                         deltas are reported but never gate.
-//	rpbench -trend           print the accumulated BENCH_*.json history
-//	                         (one line per report with headline totals)
-//	                         and gate on the two newest reports
-//	-threshold P             gating percentage for -compare and -trend
+//	                         quantity (dynamic ops, loads, stores,
+//	                         promotions, spills, pressure, scale SCC
+//	                         counts) regressed past -threshold. Both
+//	                         reports must be at the current schema
+//	-threshold P             gating percentage for -compare
 //	                         (default 1.0)
 //	rpbench -tier scale      run the incremental-analysis scale tier:
 //	                         generate a ~1000-function module, compile
 //	                         it cold with a fresh analysis cache, then
 //	                         recompile a one-function-edited variant
 //	                         warm against the same cache, and report
-//	                         cold vs warm analysis time, solved vs
-//	                         cached SCC counts, and whether the warm IL
-//	                         is byte-identical to an uncached compile.
-//	                         With -json the scale cell is written as a
-//	                         schema-4 report (gated by -compare like any
-//	                         other report).
+//	                         solved vs cached SCC counts and whether the
+//	                         warm IL is byte-identical to an uncached
+//	                         compile. With -json the scale cell is
+//	                         written as a report (gated by -compare
+//	                         like any other report).
 //	-scale-funcs N           scale-tier module size in helper functions
 //	                         (default 1000; CI smoke uses less)
 //	-scale-seed S            scale-tier generation seed (default 1)
@@ -68,6 +59,10 @@
 //	                         (default: the middle helper)
 //	-scale-exec              also execute the compiled modules and check
 //	                         warm and uncached runs agree
+//
+// Wall-clock time is perfbench's to measure (perfbench/README.md),
+// repeated and with its spread; native-over-flat throughput is its
+// native workload.
 package main
 
 import (
@@ -78,9 +73,7 @@ import (
 	"time"
 
 	"regpromo/internal/bench"
-	"regpromo/internal/driver"
-	"regpromo/internal/native"
-	"regpromo/internal/obs"
+	"regpromo/internal/par"
 )
 
 func main() {
@@ -91,14 +84,11 @@ func main() {
 	k := flag.Int("k", 0, "physical register count (0 = default)")
 	certify := flag.Bool("certify", false, "re-prove promotion certificates during every measurement compile")
 	markdown := flag.Bool("markdown", false, "emit Markdown tables")
-	jsonOut := flag.Bool("json", false, "write the observed benchmark report as BENCH_<timestamp>.json")
+	jsonOut := flag.Bool("json", false, "write the benchmark report as BENCH_<timestamp>.json")
 	out := flag.String("out", "", "output path for -json (default BENCH_<timestamp>.json, \"-\" = stdout)")
 	parallel := flag.Int("parallel", 1, "programs measured concurrently (0 = one per CPU, 1 = serial)")
-	engineName := flag.String("engine", "flat", "execution engine(s): flat, switch, native, both, all, or a comma list")
-	nativeBackend := flag.String("native-backend", "", `native artifact execution: "auto", "plugin", or "subprocess"`)
 	compare := flag.String("compare", "", "diff reports: old.json,new.json (or one path vs the previous baseline)")
-	trend := flag.Bool("trend", false, "print the BENCH_*.json history and gate on the newest pair")
-	threshold := flag.Float64("threshold", 1.0, "regression gate percentage for -compare / -trend")
+	threshold := flag.Float64("threshold", 1.0, "regression gate percentage for -compare")
 	tier := flag.String("tier", "", "extra bench tier: \"scale\" (incremental-analysis scale run)")
 	scaleFuncs := flag.Int("scale-funcs", 1000, "scale tier: helper-function count")
 	scaleSeed := flag.Int64("scale-seed", 1, "scale tier: generation seed")
@@ -128,33 +118,14 @@ func main() {
 		}
 		return
 	}
-	if *trend {
-		runTrend(*threshold)
-		return
-	}
-
 	if *list {
 		fmt.Print(bench.FormatFigure4())
 		return
 	}
 
-	engines, err := driver.ParseEngines(*engineName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rpbench:", err)
-		os.Exit(2)
-	}
-	if *nativeBackend != "" {
-		b, err := native.ParseBackend(*nativeBackend)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rpbench:", err)
-			os.Exit(2)
-		}
-		native.SetDefaultBackend(b)
-	}
-
-	opts := bench.Options{K: *k, Certify: *certify, Parallel: *parallel, Engine: engines[0], Engines: engines}
+	opts := bench.Options{K: *k, Certify: *certify, Parallel: *parallel}
 	if *parallel == 0 {
-		opts.Parallel = bench.DefaultWorkers()
+		opts.Parallel = par.DefaultWorkers()
 	}
 	if *programs != "" {
 		opts.Programs = strings.Split(*programs, ",")
@@ -202,13 +173,10 @@ func main() {
 	}
 }
 
-// runJSON runs the observed measurement matrix and writes the
-// versioned report. Timestamped filenames sort chronologically, so the
-// newest file is the baseline bench.LatestBaseline picks up. Metrics
-// are enabled so the report carries the process-wide snapshot
-// (schema 3).
+// runJSON runs the measurement matrix and writes the versioned
+// report. Timestamped filenames sort chronologically, so the newest
+// file is the baseline bench.BaselineBefore picks up.
 func runJSON(opts bench.Options, out string) error {
-	obs.EnableMetrics()
 	r, err := bench.CollectReport(opts)
 	if err != nil {
 		return err
@@ -221,53 +189,7 @@ func runJSON(opts bench.Options, out string) error {
 		fmt.Printf("wrote %s (%d programs, Figures 5, 6, and 7 plus the Figure 8 extension, schema %s)\n",
 			path, len(r.Programs), r.Schema)
 	}
-	printNativeSpeedup(r)
 	return nil
-}
-
-// printNativeSpeedup summarizes native-over-flat throughput per
-// program when a multi-engine run measured both. Counts are identical
-// across engines by the parity contract, so the dynamic-ops/sec ratio
-// is the wall-time ratio; ops and durations are summed over the
-// program's four configuration cells.
-func printNativeSpeedup(r *bench.Report) {
-	type agg struct{ ops, flatNS, nativeNS int64 }
-	var rows []struct {
-		name string
-		agg
-	}
-	for i := range r.Programs {
-		p := &r.Programs[i]
-		var a agg
-		for j := range p.Configs {
-			c := &p.Configs[j]
-			fe, okF := c.ExecFor("flat")
-			ne, okN := c.ExecFor("native")
-			if !okF || !okN {
-				a = agg{}
-				break
-			}
-			a.ops += c.Counts.Ops
-			a.flatNS += fe.DurationNS
-			a.nativeNS += ne.DurationNS
-		}
-		if a.flatNS > 0 && a.nativeNS > 0 {
-			rows = append(rows, struct {
-				name string
-				agg
-			}{p.Name, a})
-		}
-	}
-	if len(rows) == 0 {
-		return
-	}
-	fmt.Println("\nnative vs flat throughput (dynamic ops/sec, summed over configs):")
-	for _, row := range rows {
-		flatRate := float64(row.ops) / (float64(row.flatNS) / 1e9)
-		nativeRate := float64(row.ops) / (float64(row.nativeNS) / 1e9)
-		fmt.Printf("  %-11s flat %10.1f Mops/s   native %10.1f Mops/s   speedup %6.1fx\n",
-			row.name, flatRate/1e6, nativeRate/1e6, float64(row.flatNS)/float64(row.nativeNS))
-	}
 }
 
 // writeReport stamps and writes a report to out ("-" = stdout, "" =
@@ -291,7 +213,7 @@ func writeReport(r *bench.Report, out string) (string, error) {
 		// suffix when two runs land in the same second — O_EXCL makes
 		// the existence check and the create one atomic step, so
 		// concurrent runs cannot silently overwrite each other. The _N
-		// suffix sorts after the bare name, keeping LatestBaseline's
+		// suffix sorts after the bare name, keeping BaselineBefore's
 		// newest-by-name ordering correct.
 		base := "BENCH_" + now.Format("20060102T150405")
 		for n := 0; ; n++ {
@@ -320,9 +242,8 @@ func writeReport(r *bench.Report, out string) (string, error) {
 
 // runScaleTier implements -tier scale: run the incremental-analysis
 // scale tier and either print the human summary or write the scale
-// cell as a schema-4 report.
+// cell as a report.
 func runScaleTier(o bench.ScaleOptions, jsonOut bool, out string) error {
-	obs.EnableMetrics()
 	sr, err := bench.RunScale(o)
 	if err != nil {
 		return err
@@ -334,9 +255,6 @@ func runScaleTier(o bench.ScaleOptions, jsonOut bool, out string) error {
 	}
 	if jsonOut {
 		r := &bench.Report{Schema: bench.SchemaVersion, MemLatency: bench.MemLatency, Scale: sr}
-		if reg := obs.Metrics(); reg != nil {
-			r.Metrics = reg.Snapshot()
-		}
 		path, err := writeReport(r, out)
 		if err != nil {
 			return err
@@ -348,14 +266,9 @@ func runScaleTier(o bench.ScaleOptions, jsonOut bool, out string) error {
 	}
 	fmt.Printf("scale tier: %d functions, %d lines, %d callgraph SCCs (seed %d, edit %s)\n",
 		sr.Functions, sr.Lines, sr.SCCs, sr.Seed, sr.EditedFunc)
-	fmt.Printf("  cold: analysis %10.3fms  compile %10.3fms  sccs solved %5d  cached %5d\n",
-		float64(sr.Cold.AnalysisNS)/1e6, float64(sr.Cold.CompileNS)/1e6,
-		sr.Cold.SCCsSolved, sr.Cold.SCCsCached)
-	fmt.Printf("  warm: analysis %10.3fms  compile %10.3fms  sccs solved %5d  cached %5d\n",
-		float64(sr.Warm.AnalysisNS)/1e6, float64(sr.Warm.CompileNS)/1e6,
-		sr.Warm.SCCsSolved, sr.Warm.SCCsCached)
-	fmt.Printf("  warm re-analysis speedup: %.1fx; warm IL identical to uncached compile: %v\n",
-		sr.Speedup, sr.Identical)
+	fmt.Printf("  cold: sccs solved %5d  cached %5d\n", sr.Cold.SCCsSolved, sr.Cold.SCCsCached)
+	fmt.Printf("  warm: sccs solved %5d  cached %5d\n", sr.Warm.SCCsSolved, sr.Warm.SCCsCached)
+	fmt.Printf("  warm IL identical to uncached compile: %v\n", sr.Identical)
 	return nil
 }
 
@@ -388,26 +301,6 @@ func runCompare(arg string, threshold float64) {
 	cr := bench.Compare(oldR, newR, threshold)
 	cr.OldPath, cr.NewPath = oldPath, newPath
 	fmt.Printf("comparing %s -> %s\n", oldPath, newPath)
-	fmt.Print(cr.Format())
-	if !cr.OK() {
-		os.Exit(1)
-	}
-}
-
-// runTrend implements -trend: print the whole BENCH_*.json history
-// and gate on its two newest reports.
-func runTrend(threshold float64) {
-	t, err := bench.LoadTrend(".")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rpbench: no benchmark history:", err)
-		os.Exit(2)
-	}
-	fmt.Print(t.Format())
-	cr := t.Compare(threshold)
-	if cr == nil {
-		return
-	}
-	fmt.Printf("\nnewest pair: %s -> %s\n", cr.OldPath, cr.NewPath)
 	fmt.Print(cr.Format())
 	if !cr.OK() {
 		os.Exit(1)

@@ -10,12 +10,11 @@ import (
 	"embed"
 	"fmt"
 	"strings"
-	"time"
 
 	"regpromo/internal/analysis/certify"
 	"regpromo/internal/driver"
 	"regpromo/internal/interp"
-	"regpromo/internal/obs"
+	"regpromo/internal/par"
 )
 
 //go:embed programs/*.c
@@ -77,120 +76,34 @@ type Measurement struct {
 	// Pressure is the static register-pressure report per promotion
 	// site (empty when nothing was promoted); see certify.Pressure.
 	Pressure []certify.Pressure
-
-	// Exec records how the run happened: which execution engine, a
-	// shared or from-scratch front end, and the execution wall time.
-	// In a multi-engine measurement it is the first engine's event;
-	// Execs carries the full list.
-	Exec obs.ExecEvent
-
-	// Execs is the per-engine execution record, one event per engine
-	// in the order requested. Single-engine measurements have exactly
-	// one entry (aliased by Exec).
-	Execs []obs.ExecEvent
-
-	// Passes is the per-pass telemetry (span time, IR deltas, pass
-	// stats) recorded when the measurement was traced; nil for plain
-	// Measure calls.
-	Passes []*obs.PassEvent
 }
 
 // Measure compiles p under cfg from source and executes it on the
-// default (flat) engine. The measurement matrix (RunFigures,
-// CollectReport) does not go through here: it parses each program once
-// and forks the per-configuration pipelines from the shared artifact.
+// flat engine. The measurement matrix (RunFigures, CollectReport)
+// does not go through here: it parses each program once and compiles
+// its configurations together as one matrix.
 func Measure(p Program, cfg driver.Config) (*Measurement, error) {
-	return measureWith(p, cfg, nil)
-}
-
-// MeasureObserved is Measure under a tracer: the returned measurement
-// carries the full per-pass record list.
-func MeasureObserved(p Program, cfg driver.Config) (*Measurement, error) {
-	return measureWith(p, cfg, obs.NewTracer())
-}
-
-func measureWith(p Program, cfg driver.Config, tr *obs.Tracer) (*Measurement, error) {
-	c, err := driver.Compile(p.Name+".c", Source(p), cfg, tr)
+	c, err := driver.CompileSource(p.Name+".c", Source(p), cfg)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", p.Name, err)
 	}
-	return execute(p, c, []interp.Engine{interp.EngineFlat}, false, tr)
+	return execute(p, c)
 }
 
-// measureSharedEngines forks cfg's pipeline from the program's parsed
-// artifact and executes the result once per engine, with the engines
-// held to identical counts, output, and exit status (a disagreement
-// fails the measurement — it would mean the parity contract the
-// differential tests enforce has been broken on a real workload).
-func measureSharedEngines(p Program, fe *driver.Frontend, cfg driver.Config, engines []interp.Engine, tr *obs.Tracer) (*Measurement, error) {
-	c, err := fe.Compile(cfg, tr)
+// execute runs a compiled program on the flat engine and packages the
+// measurement.
+func execute(p Program, c *driver.Compilation) (*Measurement, error) {
+	res, err := c.Execute(interp.Options{MaxSteps: 1 << 33})
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", p.Name, err)
 	}
-	return execute(p, c, engines, true, tr)
-}
-
-// frontend parses a suite member once for compile-once sharing.
-func frontend(p Program) (*driver.Frontend, error) {
-	fe, err := driver.ParseSource(p.Name+".c", Source(p))
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", p.Name, err)
-	}
-	return fe, nil
-}
-
-// execute runs a compiled program on each requested engine and
-// packages the measurement. Engine setup cost — flat-code lowering,
-// the native toolchain build — happens before the run timer starts,
-// so the per-engine wall times compare pure execution. The first
-// engine's counts and output define the measurement; every further
-// engine must reproduce them exactly.
-func execute(p Program, c *driver.Compilation, engines []interp.Engine, reused bool, tr *obs.Tracer) (*Measurement, error) {
-	m := &Measurement{
+	return &Measurement{
+		Counts:   res.Counts,
+		Output:   res.Output,
 		Promote:  c.Promote.ScalarPromotions + c.Promote.PointerPromotions,
 		Spilled:  c.Alloc.Spilled,
 		Pressure: c.Pressure(),
-		Passes:   c.Passes,
-	}
-	for i, engine := range engines {
-		opts := interp.Options{MaxSteps: 1 << 33, Engine: engine}
-		if err := c.PrepareEngine(opts); err != nil {
-			return nil, fmt.Errorf("%s: %s engine: %w", p.Name, engine, err)
-		}
-		// One untimed warmup run per engine, so the timed run measures
-		// steady-state execution for every engine alike — a freshly
-		// loaded native plugin otherwise pays its page-in and first-touch
-		// costs inside the timed window, which swamps short programs.
-		if _, err := c.Execute(opts); err != nil {
-			return nil, fmt.Errorf("%s: %w", p.Name, err)
-		}
-		sp := tr.Start("execute", "interp", 0).
-			Label("program", p.Name).Label("engine", engine.String())
-		start := time.Now()
-		res, err := c.Execute(opts)
-		if err != nil {
-			sp.End()
-			return nil, fmt.Errorf("%s: %w", p.Name, err)
-		}
-		sp.Arg("ops", res.Counts.Ops).
-			Arg("loads", res.Counts.Loads).
-			Arg("stores", res.Counts.Stores).
-			End()
-		if i == 0 {
-			m.Counts = res.Counts
-			m.Output = res.Output
-		} else if res.Counts != m.Counts || res.Output != m.Output {
-			return nil, fmt.Errorf("%s: engine parity broken: %s counts=%+v output %d bytes, %s counts=%+v output %d bytes",
-				p.Name, engines[0], m.Counts, len(m.Output), engine, res.Counts, len(res.Output))
-		}
-		m.Execs = append(m.Execs, obs.ExecEvent{
-			Engine:         engine.String(),
-			FrontendReused: reused,
-			DurationNS:     time.Since(start).Nanoseconds(),
-		})
-	}
-	m.Exec = m.Execs[0]
-	return m, nil
+	}, nil
 }
 
 // Metric selects which dynamic count a figure reports.
@@ -214,6 +127,9 @@ const (
 // MemLatency is the cycle weight of a load or store in the
 // WeightedCycles metric.
 const MemLatency = 3
+
+// figureMetrics lists the metrics in figure order (5, 6, 7, 8).
+var figureMetrics = []Metric{TotalOps, Stores, Loads, WeightedCycles}
 
 func (m Metric) String() string {
 	switch m {
@@ -275,16 +191,6 @@ type Options struct {
 	// independent region-soundness verifier during each measurement's
 	// compile; a refuted certificate fails the measurement.
 	Certify bool
-	// Engine selects the execution engine for the measurement runs
-	// (zero value = the flat engine). Counts are engine-independent —
-	// the engines differential test holds them to byte equality — so
-	// this only changes measurement wall time.
-	Engine interp.Engine
-	// Engines, when non-empty, runs every measurement on each listed
-	// engine (overriding Engine): one report cell records a timed
-	// execution per engine, all held to identical counts and output,
-	// so throughput ratios (e.g. native over flat) land in one report.
-	Engines []interp.Engine
 	// Parallel bounds how many programs are measured concurrently:
 	// 1 (or less) measures serially, 0 is treated as 1, and larger
 	// values fan the suite out over a worker pool. Results are
@@ -293,18 +199,8 @@ type Options struct {
 	Parallel int
 }
 
-// engineList resolves the effective engine list: Engines verbatim
-// when set, else the single Engine.
-func (o Options) engineList() []interp.Engine {
-	if len(o.Engines) > 0 {
-		return o.Engines
-	}
-	return []interp.Engine{o.Engine}
-}
-
-// workers normalizes Options.Parallel for ParallelMap: the harness
-// keeps "unset" meaning serial so existing callers measure exactly as
-// before.
+// workers normalizes Options.Parallel for par.ParallelMap: the
+// harness keeps "unset" meaning serial.
 func (o Options) workers() int {
 	if o.Parallel <= 1 {
 		return 1
@@ -338,31 +234,24 @@ type FigureResult struct {
 	Spills     map[string]int
 }
 
-// programFigures is one program's slice of the measurement matrix.
-type programFigures struct {
-	rows       map[Metric][]Row
-	promotions map[string]int
-	spills     map[string]int
-}
+// analyses are the paper's two interprocedural analyses, in the
+// tables' row order.
+var analyses = []driver.Analysis{driver.ModRef, driver.PointsTo}
 
 // measureProgram runs one suite member under the four-configuration
-// matrix and cross-checks the outputs: a configuration that changes a
-// program's observable output indicates a miscompilation and fails
-// the measurement. The front end runs once, and the four
-// configurations compile together as one matrix (driver.Frontend.
-// CompileMatrix), which runs the passes each analysis pair shares
-// before promotion once.
-func measureProgram(p Program, opts Options) (*programFigures, error) {
-	pf := &programFigures{
-		rows:       map[Metric][]Row{},
-		promotions: map[string]int{},
-		spills:     map[string]int{},
-	}
-	fe, err := frontend(p)
+// matrix ({modref, pointer} × {without, with promotion}) and
+// cross-checks the outputs: a configuration that changes a program's
+// observable output indicates a miscompilation and fails the
+// measurement. The front end runs once, and the four configurations
+// compile together as one matrix (driver.Frontend.CompileMatrix),
+// which runs the passes each analysis pair shares before promotion
+// once.
+func measureProgram(p Program, opts Options) (ProgramReport, error) {
+	pr := ProgramReport{Name: p.Name, Lines: Lines(p)}
+	fe, err := driver.ParseSource(p.Name+".c", Source(p))
 	if err != nil {
-		return nil, err
+		return pr, fmt.Errorf("%s: %w", p.Name, err)
 	}
-	analyses := []driver.Analysis{driver.ModRef, driver.PointsTo}
 	var cfgs []driver.Config
 	for _, analysis := range analyses {
 		base := driver.Config{Analysis: analysis, K: opts.K, Certify: opts.Certify}
@@ -373,69 +262,88 @@ func measureProgram(p Program, opts Options) (*programFigures, error) {
 	}
 	cs, err := fe.CompileMatrix(cfgs, nil)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", p.Name, err)
+		return pr, fmt.Errorf("%s: %w", p.Name, err)
 	}
-	engine := opts.engineList()[:1]
-	var outputs []string
-	for a, analysis := range analyses {
-		m0, err := execute(p, cs[2*a], engine, true, nil)
+	var output string
+	for i, c := range cs {
+		m, err := execute(p, c)
 		if err != nil {
-			return nil, err
+			return pr, err
 		}
-		m1, err := execute(p, cs[2*a+1], engine, true, nil)
-		if err != nil {
-			return nil, err
+		if i == 0 {
+			output = m.Output
+		} else if m.Output != output {
+			return pr, fmt.Errorf("%s: configurations disagree on program output", p.Name)
 		}
-		outputs = append(outputs, m0.Output, m1.Output)
-		key := p.Name + "/" + analysis.String()
-		pf.promotions[key] = m1.Promote
-		pf.spills[key] = m1.Spilled
-		for _, metric := range []Metric{TotalOps, Stores, Loads, WeightedCycles} {
-			pf.rows[metric] = append(pf.rows[metric], Row{
-				Program:  p.Name,
-				Analysis: analysis.String(),
-				Without:  metric.pick(m0.Counts),
-				With:     metric.pick(m1.Counts),
-			})
+		pr.Configs = append(pr.Configs, ConfigReport{
+			Analysis:   cfgs[i].Analysis.String(),
+			Promote:    cfgs[i].Promote,
+			Counts:     m.Counts,
+			Promotions: m.Promote,
+			Spilled:    m.Spilled,
+			Pressure:   m.Pressure,
+		})
+	}
+	return pr, nil
+}
+
+// measureSuite measures the selected programs, Options.Parallel at a
+// time, and returns them in suite order, so parallel and serial runs
+// produce identical results.
+func measureSuite(opts Options) ([]ProgramReport, error) {
+	programs := opts.selected()
+	return par.ParallelMap(len(programs), opts.workers(), func(i int) (ProgramReport, error) {
+		return measureProgram(programs[i], opts)
+	})
+}
+
+// figureRows derives the rows of Figures 5, 6, and 7, plus the Figure
+// 8 weighted-cycles extension, from the programs' cells.
+func figureRows(programs []ProgramReport) map[Metric][]Row {
+	rows := map[Metric][]Row{}
+	for i := range programs {
+		p := &programs[i]
+		for _, analysis := range analyses {
+			without, okW := p.Config(analysis.String(), false)
+			with, okP := p.Config(analysis.String(), true)
+			if !okW || !okP {
+				continue
+			}
+			for _, metric := range figureMetrics {
+				rows[metric] = append(rows[metric], Row{
+					Program:  p.Name,
+					Analysis: analysis.String(),
+					Without:  metric.pick(without.Counts),
+					With:     metric.pick(with.Counts),
+				})
+			}
 		}
 	}
-	for _, o := range outputs[1:] {
-		if o != outputs[0] {
-			return nil, fmt.Errorf("%s: configurations disagree on program output", p.Name)
-		}
-	}
-	return pf, nil
+	return rows
 }
 
 // RunFigures executes the full measurement matrix: each program is
-// compiled and run four times ({modref, pointer} × {without, with
-// promotion}), and rows for Figures 5, 6, and 7 (plus the Figure 8
-// weighted-cycles extension) are assembled from the same runs.
-// Options.Parallel spreads the programs over a worker pool; rows are
-// merged back in suite order, so parallel and serial runs produce
-// identical results.
+// compiled and run four times, and rows for Figures 5, 6, and 7 (plus
+// the Figure 8 weighted-cycles extension) are assembled from the same
+// runs.
 func RunFigures(opts Options) (*FigureResult, error) {
-	programs := opts.selected()
-	parts, err := ParallelMap(len(programs), opts.workers(), func(i int) (*programFigures, error) {
-		return measureProgram(programs[i], opts)
-	})
+	programs, err := measureSuite(opts)
 	if err != nil {
 		return nil, err
 	}
 	fr := &FigureResult{
-		Rows:       map[Metric][]Row{},
+		Rows:       figureRows(programs),
 		Promotions: map[string]int{},
 		Spills:     map[string]int{},
 	}
-	for _, pf := range parts {
-		for metric, rows := range pf.rows {
-			fr.Rows[metric] = append(fr.Rows[metric], rows...)
-		}
-		for k, v := range pf.promotions {
-			fr.Promotions[k] = v
-		}
-		for k, v := range pf.spills {
-			fr.Spills[k] = v
+	for i := range programs {
+		p := &programs[i]
+		for _, analysis := range analyses {
+			if with, ok := p.Config(analysis.String(), true); ok {
+				key := p.Name + "/" + analysis.String()
+				fr.Promotions[key] = with.Promotions
+				fr.Spills[key] = with.Spilled
+			}
 		}
 	}
 	return fr, nil

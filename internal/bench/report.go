@@ -1,42 +1,33 @@
 package bench
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 
 	"regpromo/internal/analysis/certify"
-	"regpromo/internal/driver"
 	"regpromo/internal/interp"
-	"regpromo/internal/obs"
 )
 
-// SchemaVersion identifies the BENCH_*.json layout. Bump it when the
-// report shape changes incompatibly. regpromo-bench/2 added the
-// per-stage compile wall-time breakdown (ConfigReport.StageNS: wall
-// time by frontend / interprocedural analysis / per-function passes);
-// regpromo-bench/3 added the process-wide metrics snapshot
-// (Report.Metrics) captured after the measurement matrix ran;
-// regpromo-bench/4 added the scale-tier cell (Report.Scale: cold vs
-// warm incremental-analysis cost on a ~1000-function module);
-// regpromo-bench/5 added per-engine execution cells
-// (ConfigReport.Execs: one timed run per requested engine — flat,
-// switch, native — with Exec kept as the first engine's event for
-// older readers); regpromo-bench/6 added the static register-pressure
-// reports (ConfigReport.Pressure: per promotion site, how many
-// promoted values are simultaneously live against the K budget).
-const SchemaVersion = "regpromo-bench/6"
+// SchemaVersion identifies the BENCH_*.json layout; LoadReport reads
+// this version only. regpromo-bench/7 holds deterministic quantities
+// only: the dynamic counts, compile-side diagnostics and static
+// register pressure of every cell, the figure rows derived from them,
+// and the scale tier's SCC counts. Wall-clock time is perfbench's to
+// measure, repeated and with its spread.
+const SchemaVersion = "regpromo-bench/7"
 
 // BaselineGlob matches versioned benchmark reports in the repo root.
 const BaselineGlob = "BENCH_*.json"
 
-// Report is the machine-readable benchmark trajectory: the paper's
-// full figure matrix plus per-pass compile telemetry for every
-// program under all four measurement configurations.
+// Report is the machine-readable benchmark record: the paper's full
+// figure matrix with every program's four configuration cells. Apart
+// from the caller-stamped Timestamp it is deterministic, so two runs
+// of the same code write the same bytes however they were scheduled.
 type Report struct {
 	Schema string `json:"schema"`
 	// Timestamp is when the run happened (RFC 3339); the caller
@@ -46,11 +37,8 @@ type Report struct {
 	MemLatency int             `json:"mem_latency"`
 	Programs   []ProgramReport `json:"programs"`
 	Figures    []FigureReport  `json:"figures"`
-	// Metrics is the process-wide metrics snapshot taken right after
-	// the matrix ran, when metrics were enabled for the run (schema 3+).
-	Metrics *obs.MetricsSnapshot `json:"metrics,omitempty"`
-	// Scale is the scale-tier cell, present when the run included
-	// `-tier scale` (schema 4+).
+	// Scale is the scale-tier cell, present when the run was
+	// `-tier scale`.
 	Scale *ScaleReport `json:"scale,omitempty"`
 }
 
@@ -73,26 +61,8 @@ type ConfigReport struct {
 	// Promotions and Spilled are the compile-side diagnostics.
 	Promotions int `json:"promotions"`
 	Spilled    int `json:"spilled"`
-	// CompileNS is the pass records' times summed (a per-function
-	// pass's time is itself summed over functions, so this is worker
-	// time, not wall time); StageNS breaks it down by coarse compile
-	// stage (driver.PassStage: "frontend", "analysis", "passes");
-	// Passes itemizes it with per-pass IR deltas and statistics.
-	CompileNS int64            `json:"compile_ns"`
-	StageNS   map[string]int64 `json:"stage_ns,omitempty"`
-	Passes    []*obs.PassEvent `json:"passes"`
-	// Exec records the execution side: engine, compile-once reuse,
-	// and run wall time. In a multi-engine run it duplicates Execs[0]
-	// so readers of older schemas keep working.
-	Exec obs.ExecEvent `json:"exec,omitempty"`
-	// Execs is the per-engine execution record (schema 5+), one event
-	// per engine in the order the run requested. Counts are identical
-	// across engines by the parity contract; only the wall times
-	// differ, which is exactly what the native-speedup ratio reads.
-	Execs []obs.ExecEvent `json:"execs,omitempty"`
 	// Pressure is the static register-pressure report per promotion
-	// site (schema 6+): present only in promoting configurations, and
-	// fully deterministic — it survives StripTimings. An over-budget
+	// site, present only in promoting configurations. An over-budget
 	// site is the static signature of the paper's water anecdote.
 	Pressure []certify.Pressure `json:"pressure,omitempty"`
 }
@@ -114,132 +84,30 @@ type ReportRow struct {
 	PercentRemoved float64 `json:"percent_removed"`
 }
 
-// figureNumbers maps each metric to its figure number (8 is this
-// reproduction's weighted-cycles extension).
-var figureNumbers = map[Metric]int{TotalOps: 5, Stores: 6, Loads: 7, WeightedCycles: 8}
-
-// CollectReport runs the full observed measurement matrix: every
-// selected program is compiled with pass-manager telemetry and
-// executed under all four paper configurations. Outputs are
-// cross-checked across configurations, as in RunFigures, and
-// Options.Parallel fans the programs out the same way; everything in
-// the report except wall-clock pass timings is identical between
-// serial and parallel runs.
+// CollectReport runs the measurement matrix RunFigures runs and
+// packages every cell, with the figure rows derived from them.
 func CollectReport(opts Options) (*Report, error) {
-	programs := opts.selected()
-	reports, err := ParallelMap(len(programs), opts.workers(), func(i int) (ProgramReport, error) {
-		return collectProgram(programs[i], opts)
-	})
+	programs, err := measureSuite(opts)
 	if err != nil {
 		return nil, err
 	}
-	r := &Report{Schema: SchemaVersion, MemLatency: MemLatency, Programs: reports}
-	r.Figures = r.buildFigures()
-	if reg := obs.Metrics(); reg != nil {
-		r.Metrics = reg.Snapshot()
-	}
-	return r, nil
-}
-
-// collectProgram measures one suite member under all four paper
-// configurations with telemetry attached. The front end runs once per
-// program; each configuration's pipeline is forked from the shared
-// artifact and its trace records the "frontend.reuse" stage in place
-// of a repeated parse.
-func collectProgram(p Program, opts Options) (ProgramReport, error) {
-	pr := ProgramReport{Name: p.Name, Lines: Lines(p)}
-	fe, err := frontend(p)
-	if err != nil {
-		return pr, err
-	}
-	var outputs []string
-	for _, analysis := range []driver.Analysis{driver.ModRef, driver.PointsTo} {
-		for _, promote := range []bool{false, true} {
-			cfg := driver.Config{Analysis: analysis, Promote: promote, K: opts.K, Certify: opts.Certify}
-			if promote {
-				cfg.PointerPromote = opts.PointerPromotion
-			}
-			m, err := measureSharedEngines(p, fe, cfg, opts.engineList(), obs.NewTracer())
-			if err != nil {
-				return pr, err
-			}
-			outputs = append(outputs, m.Output)
-			var compileNS int64
-			stageNS := make(map[string]int64)
-			for _, e := range m.Passes {
-				compileNS += e.DurationNS
-				stageNS[driver.PassStage(e.Name)] += e.DurationNS
-			}
-			pr.Configs = append(pr.Configs, ConfigReport{
-				Analysis:   analysis.String(),
-				Promote:    promote,
-				Counts:     m.Counts,
-				Promotions: m.Promote,
-				Spilled:    m.Spilled,
-				CompileNS:  compileNS,
-				StageNS:    stageNS,
-				Passes:     m.Passes,
-				Exec:       m.Exec,
-				Execs:      m.Execs,
-				Pressure:   m.Pressure,
+	r := &Report{Schema: SchemaVersion, MemLatency: MemLatency, Programs: programs}
+	rows := figureRows(programs)
+	for i, metric := range figureMetrics {
+		fr := FigureReport{Figure: 5 + i, Metric: metric.String()}
+		for _, row := range rows[metric] {
+			fr.Rows = append(fr.Rows, ReportRow{
+				Program:        row.Program,
+				Analysis:       row.Analysis,
+				Without:        row.Without,
+				With:           row.With,
+				Difference:     row.Difference(),
+				PercentRemoved: row.PercentRemoved(),
 			})
 		}
+		r.Figures = append(r.Figures, fr)
 	}
-	for _, o := range outputs[1:] {
-		if o != outputs[0] {
-			return pr, fmt.Errorf("%s: configurations disagree on program output", p.Name)
-		}
-	}
-	return pr, nil
-}
-
-// buildFigures derives the rows of Figures 5, 6, and 7 — plus the
-// Figure 8 weighted-cycles extension — from the per-config counts.
-func (r *Report) buildFigures() []FigureReport {
-	var figs []FigureReport
-	for _, metric := range []Metric{TotalOps, Stores, Loads, WeightedCycles} {
-		fr := FigureReport{Figure: figureNumbers[metric], Metric: metric.String()}
-		for _, p := range r.Programs {
-			for _, analysis := range []string{"modref", "pointer"} {
-				without, okW := p.Config(analysis, false)
-				with, okP := p.Config(analysis, true)
-				if !okW || !okP {
-					continue
-				}
-				row := ReportRow{
-					Program:  p.Name,
-					Analysis: analysis,
-					Without:  metric.pick(without.Counts),
-					With:     metric.pick(with.Counts),
-				}
-				row.Difference = row.Without - row.With
-				if row.Without != 0 {
-					row.PercentRemoved = 100 * float64(row.Difference) / float64(row.Without)
-				}
-				fr.Rows = append(fr.Rows, row)
-			}
-		}
-		figs = append(figs, fr)
-	}
-	return figs
-}
-
-// ExecFor returns the cell's execution event for the named engine,
-// if the cell recorded one. Schema-5 cells are searched by engine;
-// older reports carry a single legacy Exec event, which matches by
-// its engine name (reports predating the engine label count as flat).
-func (c *ConfigReport) ExecFor(engine string) (*obs.ExecEvent, bool) {
-	for i := range c.Execs {
-		if c.Execs[i].Engine == engine {
-			return &c.Execs[i], true
-		}
-	}
-	if len(c.Execs) == 0 && c.Exec != (obs.ExecEvent{}) {
-		if c.Exec.Engine == engine || (c.Exec.Engine == "" && engine == "flat") {
-			return &c.Exec, true
-		}
-	}
-	return nil, false
+	return r, nil
 }
 
 // Config returns the cell for (analysis, promote), if present.
@@ -263,39 +131,6 @@ func (r *Report) Program(name string) (*ProgramReport, bool) {
 	return nil, false
 }
 
-// StripTimings zeroes every wall-clock field — the report timestamp,
-// per-config compile times, and per-pass durations. What remains is
-// fully deterministic (counts, figure rows, IR snapshots), so two
-// stripped reports from the same code are byte-identical however they
-// were scheduled; the determinism tests compare serial and parallel
-// runs this way.
-func (r *Report) StripTimings() {
-	r.Timestamp = ""
-	// The metrics snapshot is process-wide — it accumulates across every
-	// compilation the process ran, not just this report's matrix — so it
-	// cannot survive a determinism comparison.
-	r.Metrics = nil
-	for i := range r.Programs {
-		for j := range r.Programs[i].Configs {
-			c := &r.Programs[i].Configs[j]
-			c.CompileNS = 0
-			c.StageNS = nil
-			c.Exec.DurationNS = 0
-			for k := range c.Execs {
-				c.Execs[k].DurationNS = 0
-			}
-			for _, e := range c.Passes {
-				e.DurationNS = 0
-			}
-		}
-	}
-	if r.Scale != nil {
-		r.Scale.Cold.AnalysisNS, r.Scale.Cold.CompileNS = 0, 0
-		r.Scale.Warm.AnalysisNS, r.Scale.Warm.CompileNS = 0, 0
-		r.Scale.Speedup = 0
-	}
-}
-
 // WriteJSON emits the report as indented JSON.
 func (r *Report) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
@@ -309,32 +144,70 @@ func LoadReport(path string) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	var r Report
-	if err := json.Unmarshal(data, &r); err != nil {
+	r, err := decodeReport(data)
+	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if !strings.HasPrefix(r.Schema, "regpromo-bench/") {
-		return nil, fmt.Errorf("%s: unrecognized schema %q", path, r.Schema)
+	return r, nil
+}
+
+// decodeReport parses a report at SchemaVersion. Any other schema is
+// an error rather than a zero-filled read: a field the file's version
+// does not carry would otherwise compare as zero. So is a program or
+// cell listed twice, which Compare could not match unambiguously.
+func decodeReport(data []byte) (*Report, error) {
+	var head struct {
+		Schema string `json:"schema"`
+	}
+	if err := json.Unmarshal(data, &head); err != nil {
+		return nil, err
+	}
+	if head.Schema != SchemaVersion {
+		return nil, fmt.Errorf("schema %q, want %q", head.Schema, SchemaVersion)
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	var r Report
+	if err := dec.Decode(&r); err != nil {
+		return nil, err
+	}
+	programs := map[string]bool{}
+	for i := range r.Programs {
+		p := &r.Programs[i]
+		if programs[p.Name] {
+			return nil, fmt.Errorf("program %q listed twice", p.Name)
+		}
+		programs[p.Name] = true
+		for j := range p.Configs {
+			c := &p.Configs[j]
+			if first, _ := p.Config(c.Analysis, c.Promote); first != c {
+				return nil, fmt.Errorf("%s: cell %s listed twice", p.Name, configKey(c))
+			}
+		}
 	}
 	return &r, nil
 }
 
-// LatestBaseline loads the newest BENCH_*.json in dir (timestamped
-// names sort chronologically). It returns os.ErrNotExist when no
-// baseline has been recorded yet.
-func LatestBaseline(dir string) (*Report, string, error) {
+// BaselineBefore loads the newest BENCH_*.json in dir other than
+// exclude (compared by cleaned path; "" excludes nothing). Timestamped
+// names sort chronologically. It returns os.ErrNotExist when no other
+// baseline exists.
+func BaselineBefore(dir, exclude string) (*Report, string, error) {
 	matches, err := filepath.Glob(filepath.Join(dir, BaselineGlob))
 	if err != nil {
 		return nil, "", err
 	}
-	if len(matches) == 0 {
-		return nil, "", os.ErrNotExist
-	}
 	sort.Strings(matches)
-	path := matches[len(matches)-1]
-	r, err := LoadReport(path)
-	if err != nil {
-		return nil, "", err
+	ex := filepath.Clean(exclude)
+	for i := len(matches) - 1; i >= 0; i-- {
+		if filepath.Clean(matches[i]) == ex {
+			continue
+		}
+		r, err := LoadReport(matches[i])
+		if err != nil {
+			return nil, "", err
+		}
+		return r, matches[i], nil
 	}
-	return r, path, nil
+	return nil, "", os.ErrNotExist
 }

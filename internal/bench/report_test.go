@@ -2,20 +2,17 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
-
-	"regpromo/internal/driver"
 )
 
-// TestCollectReport runs the observed matrix on a small subset and
-// checks the report carries everything the acceptance criteria name:
-// all four configurations per program, dynamic counts, per-pass wall
-// time, and IR-delta records.
+// TestCollectReport runs the report on a small subset and checks it
+// carries all four configurations per program with their counts, and
+// figure rows equal to RunFigures' over the same subset.
 func TestCollectReport(t *testing.T) {
 	r, err := CollectReport(Options{Programs: []string{"tsp", "dhrystone"}})
 	if err != nil {
@@ -36,56 +33,31 @@ func TestCollectReport(t *testing.T) {
 		}
 		for _, c := range p.Configs {
 			if c.Counts.Ops <= 0 {
-				t.Fatalf("%s/%s: no dynamic counts", p.Name, c.Analysis)
+				t.Fatalf("%s/%s: no dynamic counts", p.Name, configKey(&c))
 			}
-			if len(c.Passes) == 0 {
-				t.Fatalf("%s/%s: no per-pass records", p.Name, c.Analysis)
-			}
-			if c.CompileNS <= 0 {
-				t.Fatalf("%s/%s: no compile wall time", p.Name, c.Analysis)
-			}
-			names := map[string]bool{}
-			for _, e := range c.Passes {
-				names[e.Name] = true
-			}
-			// Compile-once sharing: each configuration's stream opens
-			// with the fork-from-artifact stage, not a repeated parse.
-			if !names[driver.PassFrontendReuse] || !names[driver.PassRegalloc] {
-				t.Fatalf("%s/%s: pass stream incomplete: %v", p.Name, c.Analysis, names)
-			}
-			if names[driver.PassFrontend] {
-				t.Fatalf("%s/%s: front end re-ran despite the shared artifact", p.Name, c.Analysis)
-			}
-			if c.Promote != names[driver.PassPromote] {
-				t.Fatalf("%s/%s: promote pass presence disagrees with config", p.Name, c.Analysis)
-			}
-			if c.Exec.Engine != "flat" || !c.Exec.FrontendReused || c.Exec.DurationNS <= 0 {
-				t.Fatalf("%s/%s: execution telemetry incomplete: %+v", p.Name, c.Analysis, c.Exec)
+			if !c.Promote && (c.Promotions != 0 || len(c.Pressure) != 0) {
+				t.Fatalf("%s/%s: promotion diagnostics without promotion", p.Name, configKey(&c))
 			}
 		}
-	}
-	// Figures: 4 figures × (2 programs × 2 analyses) rows, agreeing
-	// with an unobserved RunFigures over the same subset.
-	if len(r.Figures) != 4 {
-		t.Fatalf("got %d figures", len(r.Figures))
 	}
 	fr, err := RunFigures(Options{Programs: []string{"tsp", "dhrystone"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, fig := range r.Figures {
-		if len(fig.Rows) != 4 {
-			t.Fatalf("figure %d: got %d rows", fig.Figure, len(fig.Rows))
-		}
+	if len(r.Figures) != len(figureMetrics) {
+		t.Fatalf("got %d figures", len(r.Figures))
 	}
-	wantOps := fr.Rows[TotalOps]
-	gotOps := r.Figures[0].Rows
-	for i := range wantOps {
-		if gotOps[i].Program != wantOps[i].Program ||
-			gotOps[i].Without != wantOps[i].Without ||
-			gotOps[i].With != wantOps[i].With {
-			t.Fatalf("figure 5 row %d disagrees with RunFigures: %+v vs %+v",
-				i, gotOps[i], wantOps[i])
+	for i, fig := range r.Figures {
+		want := fr.Rows[figureMetrics[i]]
+		if fig.Figure != 5+i || len(fig.Rows) != len(want) || len(want) != 4 {
+			t.Fatalf("figure %d: %d rows, RunFigures has %d", fig.Figure, len(fig.Rows), len(want))
+		}
+		for k, w := range want {
+			g := fig.Rows[k]
+			if g.Program != w.Program || g.Analysis != w.Analysis || g.Without != w.Without ||
+				g.With != w.With || g.Difference != w.Difference() || g.PercentRemoved != w.PercentRemoved() {
+				t.Fatalf("figure %d row %d disagrees with RunFigures: %+v vs %+v", fig.Figure, k, g, w)
+			}
 		}
 	}
 }
@@ -101,7 +73,7 @@ func TestReportJSONRoundTripAndBaseline(t *testing.T) {
 	r.Timestamp = "2026-08-06T00:00:00Z"
 
 	dir := t.TempDir()
-	if _, _, err := LatestBaseline(dir); !errors.Is(err, os.ErrNotExist) {
+	if _, _, err := BaselineBefore(dir, ""); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("empty dir should report ErrNotExist, got %v", err)
 	}
 
@@ -119,7 +91,7 @@ func TestReportJSONRoundTripAndBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	back, path, err := LatestBaseline(dir)
+	back, path, err := BaselineBefore(dir, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,25 +111,70 @@ func TestReportJSONRoundTripAndBaseline(t *testing.T) {
 }
 
 // TestLoadReportRejectsGarbage: schema and syntax failures are
-// reported, not silently accepted.
+// reported, not silently accepted. A report at an older schema is an
+// error naming both versions, not a read with its missing fields
+// zero-filled.
 func TestLoadReportRejectsGarbage(t *testing.T) {
 	dir := t.TempDir()
 	bad := filepath.Join(dir, "BENCH_bad.json")
-	if err := os.WriteFile(bad, []byte(`{"schema":"other/1"}`), 0o644); err != nil {
+	for _, c := range []struct{ data, want string }{
+		{`{"schema":"other/1"}`, `"other/1"`},
+		{`{"schema":"regpromo-bench/6","programs":[]}`, `schema "regpromo-bench/6", want "` + SchemaVersion + `"`},
+		{`{`, "unexpected end"},
+		{`{"schema":"` + SchemaVersion + `","programs":[{"name":"a","configs":[{"compile_ns":1}]}]}`, "compile_ns"},
+		{`{"schema":"` + SchemaVersion + `","programs":[{"name":"a"},{"name":"a"}]}`, "listed twice"},
+		{`{"schema":"` + SchemaVersion + `","programs":[{"name":"a","configs":[{"analysis":"modref"},{"analysis":"modref"}]}]}`, "listed twice"},
+	} {
+		if err := os.WriteFile(bad, []byte(c.data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadReport(bad)
+		if err == nil || !strings.Contains(err.Error(), c.want) || !strings.Contains(err.Error(), bad) {
+			t.Errorf("LoadReport(%s) = %v, want an error naming the file and %s", c.data, err, c.want)
+		}
+	}
+}
+
+// poolPrograms is a small, cheap subset used by the determinism tests.
+var poolPrograms = []string{"allroots", "dhrystone", "tsp"}
+
+// TestRunFiguresParallelDeterminism: the parallel measurement matrix
+// must render byte-identical tables to the serial one.
+func TestRunFiguresParallelDeterminism(t *testing.T) {
+	serial, err := RunFigures(Options{Programs: poolPrograms})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadReport(bad); err == nil {
-		t.Fatal("foreign schema accepted")
-	}
-	if err := os.WriteFile(bad, []byte(`{`), 0o644); err != nil {
+	par, err := RunFigures(Options{Programs: poolPrograms, Parallel: 4})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadReport(bad); err == nil {
-		t.Fatal("syntax error accepted")
+	for _, m := range []Metric{TotalOps, Stores, Loads, WeightedCycles} {
+		s, p := FormatTable(m, serial.Rows[m]), FormatTable(m, par.Rows[m])
+		if s != p {
+			t.Errorf("%s: parallel table differs from serial\nserial:\n%s\nparallel:\n%s", m, s, p)
+		}
 	}
-	var r Report
-	data, _ := json.Marshal(map[string]string{"schema": SchemaVersion})
-	if err := json.Unmarshal(data, &r); err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(serial.Promotions, par.Promotions) || !reflect.DeepEqual(serial.Spills, par.Spills) {
+		t.Error("diagnostic maps differ between serial and parallel runs")
+	}
+}
+
+// TestCollectReportParallelDeterminism: the JSON report must be
+// byte-identical however the programs were scheduled.
+func TestCollectReportParallelDeterminism(t *testing.T) {
+	render := func(parallel int) []byte {
+		r, err := CollectReport(Options{Programs: poolPrograms, Parallel: parallel})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := r.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	if s, p := render(1), render(4); !bytes.Equal(s, p) {
+		t.Error("parallel report differs from serial report")
 	}
 }

@@ -16,10 +16,10 @@ import (
 // measures the compiler itself on a ~1000-function module — cold
 // interprocedural analysis, then warm re-analysis of the same module
 // with one function edited, sharing one analysis cache. Its headline
-// quantities are the warm/cold analysis wall-time ratio and the
-// solved-vs-cached SCC counts; its soundness gate is that the warm
-// compile's IL is byte-identical to an uncached compile of the same
-// edited source.
+// quantities are the solved-vs-cached SCC counts; its soundness gate
+// is that the warm compile's IL is byte-identical to an uncached
+// compile of the same edited source. perfbench's scale workload times
+// the same cold and warm compiles.
 
 // ScaleOptions selects the scale-tier run.
 type ScaleOptions struct {
@@ -38,23 +38,16 @@ type ScaleOptions struct {
 	Execute bool
 }
 
-// ScalePhase is one compile's analysis cost.
+// ScalePhase is one compile's incremental-analysis work.
 type ScalePhase struct {
-	// AnalysisNS is span time summed over the interprocedural analysis
-	// passes (driver.PassStage "analysis"); CompileNS sums every pass
-	// record including the front end (per-function passes count summed
-	// worker time). Clock-based, so informational.
-	AnalysisNS int64 `json:"analysis_ns"`
-	CompileNS  int64 `json:"compile_ns"`
 	// SCCsSolved and SCCsCached count component fixpoints computed
 	// versus replayed from the cache, summed over the pipeline's
-	// analysis passes. Deterministic.
+	// analysis passes.
 	SCCsSolved int `json:"sccs_solved"`
 	SCCsCached int `json:"sccs_cached"`
 }
 
-// ScaleReport is the scale tier's cell in the bench report
-// (regpromo-bench/4).
+// ScaleReport is the scale tier's cell in the bench report.
 type ScaleReport struct {
 	Seed      int64 `json:"seed"`
 	Functions int   `json:"functions"`
@@ -65,10 +58,6 @@ type ScaleReport struct {
 	EditedFunc string     `json:"edited_func"`
 	Cold       ScalePhase `json:"cold"`
 	Warm       ScalePhase `json:"warm"`
-	// Speedup is Cold.AnalysisNS / Warm.AnalysisNS (wall-clock,
-	// informational; the deterministic warm-work gate is
-	// Warm.SCCsSolved ≪ SCCs).
-	Speedup float64 `json:"analysis_speedup"`
 	// Identical certifies the incremental result: the warm compile's
 	// final IL is byte-identical to compiling the edited source with
 	// no cache.
@@ -95,19 +84,28 @@ func RunScale(o ScaleOptions) (*ScaleReport, error) {
 	store := cache.NewStore()
 	cfg := driver.Config{Analysis: driver.PointsTo, Promote: true, AnalysisCache: store}
 
-	coldC, cold, sccs, err := compileScale("scale-cold.c", base, cfg)
+	// The cold compile is traced: the component count is its first
+	// MOD/REF pass's record, which only a traced compile keeps.
+	coldC, err := driver.Compile("scale-cold.c", base, cfg, obs.NewTracer())
 	if err != nil {
 		return nil, fmt.Errorf("cold compile: %w", err)
 	}
-	warmC, warm, _, err := compileScale("scale-warm.c", edited, cfg)
+	warmC, err := driver.CompileSource("scale-warm.c", edited, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("warm compile: %w", err)
 	}
 	scratchCfg := cfg
 	scratchCfg.AnalysisCache = nil
-	scratchC, _, _, err := compileScale("scale-scratch.c", edited, scratchCfg)
+	scratchC, err := driver.CompileSource("scale-scratch.c", edited, scratchCfg)
 	if err != nil {
 		return nil, fmt.Errorf("scratch compile: %w", err)
+	}
+	sccs := 0
+	for _, e := range coldC.Passes {
+		if e.Name == driver.PassModRef {
+			sccs = int(e.Extra["sccs_solved"] + e.Extra["sccs_cached"])
+			break
+		}
 	}
 
 	r := &ScaleReport{
@@ -116,12 +114,9 @@ func RunScale(o ScaleOptions) (*ScaleReport, error) {
 		Lines:      countLines(base),
 		SCCs:       sccs,
 		EditedFunc: testgen.ScaleFuncName(o.Edit),
-		Cold:       cold,
-		Warm:       warm,
+		Cold:       ScalePhase(coldC.Analysis),
+		Warm:       ScalePhase(warmC.Analysis),
 		Identical:  ir.FormatModule(warmC.Module) == ir.FormatModule(scratchC.Module),
-	}
-	if warm.AnalysisNS > 0 {
-		r.Speedup = float64(cold.AnalysisNS) / float64(warm.AnalysisNS)
 	}
 	if o.Execute {
 		if err := scaleExecute(coldC, warmC, scratchC); err != nil {
@@ -129,28 +124,6 @@ func RunScale(o ScaleOptions) (*ScaleReport, error) {
 		}
 	}
 	return r, nil
-}
-
-// compileScale compiles one source under a tracer and folds the pass
-// records into a ScalePhase. sccs is the component count the
-// pipeline's first MOD/REF pass reported.
-func compileScale(name, src string, cfg driver.Config) (*driver.Compilation, ScalePhase, int, error) {
-	c, err := driver.Compile(name, src, cfg, obs.NewTracer())
-	if err != nil {
-		return nil, ScalePhase{}, 0, err
-	}
-	ph := ScalePhase{SCCsSolved: c.Analysis.SCCsSolved, SCCsCached: c.Analysis.SCCsCached}
-	sccs := 0
-	for _, e := range c.Passes {
-		ph.CompileNS += e.DurationNS
-		if driver.PassStage(e.Name) == "analysis" {
-			ph.AnalysisNS += e.DurationNS
-		}
-		if sccs == 0 && e.Name == driver.PassModRef {
-			sccs = int(e.Extra["sccs_solved"] + e.Extra["sccs_cached"])
-		}
-	}
-	return c, ph, sccs, nil
 }
 
 // scaleExecute runs the three compilations and checks the two edited

@@ -6,12 +6,9 @@ import (
 )
 
 // TestRunScaleSmall runs the scale tier at a reduced size and gates on
-// its deterministic quantities: the warm recompile must replay most
-// components from the cache, re-solve strictly fewer than cold, and
-// produce IL byte-identical to an uncached compile of the same edited
-// source. Wall-clock speedup is intentionally not asserted here — the
-// full-size tier reports it, but a loaded CI machine must not flake
-// this test.
+// its quantities: the warm recompile must replay most components from
+// the cache, re-solve strictly fewer than cold, and produce IL
+// byte-identical to an uncached compile of the same edited source.
 func TestRunScaleSmall(t *testing.T) {
 	r, err := RunScale(ScaleOptions{Seed: 5, Funcs: 80, Edit: 33, Execute: true})
 	if err != nil {
@@ -50,7 +47,7 @@ func TestRunScaleSmall(t *testing.T) {
 }
 
 // TestScaleReportRoundTrip: the scale cell survives the report's JSON
-// encoding and the trend comparison sees its gated quantities.
+// encoding and Compare gates its quantities.
 func TestScaleReportRoundTrip(t *testing.T) {
 	r, err := RunScale(ScaleOptions{Seed: 2, Funcs: 40})
 	if err != nil {

@@ -27,11 +27,11 @@ import (
 	"path/filepath"
 	"strings"
 
-	"regpromo/internal/bench"
 	"regpromo/internal/driver"
 	"regpromo/internal/interp"
 	"regpromo/internal/ir"
 	"regpromo/internal/obs"
+	"regpromo/internal/par"
 	"regpromo/internal/testgen"
 )
 
@@ -377,7 +377,7 @@ type FuzzReport struct {
 func Fuzz(opts FuzzOptions) (*FuzzReport, error) {
 	matrix := driver.DifferentialConfigurations(opts.Short)
 	report := &FuzzReport{Seeds: opts.Seeds, Matrix: matrix}
-	fails, err := bench.ParallelMap(int(opts.Seeds), opts.Parallel, func(i int) (*Failure, error) {
+	fails, err := par.ParallelMap(int(opts.Seeds), opts.Parallel, func(i int) (*Failure, error) {
 		seed := opts.Start + int64(i)
 		r := DiffSeedMode(seed, matrix, Mode{BothEngines: opts.BothEngines, Engines: opts.Engines, Sanitize: opts.Sanitize, Certify: opts.Certify})
 		div := r.Divergence()

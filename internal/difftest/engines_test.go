@@ -9,6 +9,7 @@ import (
 	"regpromo/internal/driver"
 	"regpromo/internal/interp"
 	"regpromo/internal/ir"
+	"regpromo/internal/par"
 	"regpromo/internal/testgen"
 )
 
@@ -77,7 +78,7 @@ func TestEnginesAgreeOnSeeds(t *testing.T) {
 		seeds = 25
 	}
 	matrix := driver.DifferentialConfigurations(testing.Short())
-	_, err := bench.ParallelMap(seeds, 0, func(i int) (struct{}, error) {
+	_, err := par.ParallelMap(seeds, 0, func(i int) (struct{}, error) {
 		seed := int64(i)
 		fe, err := driver.ParseSource(fmt.Sprintf("seed%d.c", seed), testgen.Program(seed))
 		if err != nil {
@@ -106,7 +107,7 @@ func TestEnginesAgreeOnBenchSuite(t *testing.T) {
 	if testing.Short() {
 		programs = programs[:4]
 	}
-	_, err := bench.ParallelMap(len(programs), 0, func(i int) (struct{}, error) {
+	_, err := par.ParallelMap(len(programs), 0, func(i int) (struct{}, error) {
 		p := programs[i]
 		fe, err := driver.ParseSource(p.Name+".c", bench.Source(p))
 		if err != nil {

@@ -25,10 +25,10 @@ import (
 	"strings"
 
 	"regpromo/internal/analysis/cache"
-	"regpromo/internal/bench"
 	"regpromo/internal/driver"
 	"regpromo/internal/ir"
 	"regpromo/internal/obs"
+	"regpromo/internal/par"
 	"regpromo/internal/testgen"
 )
 
@@ -163,7 +163,7 @@ type IncrementalReport struct {
 func FuzzIncremental(opts IncrementalOptions) (*IncrementalReport, error) {
 	matrix := driver.DifferentialConfigurations(opts.Short)
 	report := &IncrementalReport{Seeds: opts.Seeds, Matrix: matrix}
-	fails, err := bench.ParallelMap(int(opts.Seeds), opts.Parallel, func(i int) (*IncrementalFailure, error) {
+	fails, err := par.ParallelMap(int(opts.Seeds), opts.Parallel, func(i int) (*IncrementalFailure, error) {
 		seed := opts.Start + int64(i)
 		r := IncrementalSeed(seed, matrix)
 		if reg := obs.Metrics(); reg != nil {

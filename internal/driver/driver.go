@@ -556,23 +556,6 @@ func (cfg Config) Passes() []string {
 // PassFrontend is the record name of the parse+sema+irgen stage.
 const PassFrontend = "frontend"
 
-// PassStage classifies a pass name into one of the three coarse
-// compile stages benchmark reports break wall time down by:
-// "frontend" (parse+sema+irgen, including the "frontend.reuse" clone
-// stage of a forked pipeline), "analysis" (the interprocedural
-// barriers — MOD/REF and points-to), and "passes" (the per-function
-// middle end, including the memory-op refinement rewrite and
-// verification).
-func PassStage(name string) string {
-	switch {
-	case strings.HasPrefix(name, PassFrontend):
-		return "frontend"
-	case name == PassModRef || name == PassPointsTo:
-		return "analysis"
-	}
-	return "passes"
-}
-
 // CompileSource runs the full pipeline over one C source file.
 func CompileSource(filename, src string, cfg Config) (*Compilation, error) {
 	return Compile(filename, src, cfg, nil)

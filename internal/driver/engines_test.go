@@ -8,9 +8,8 @@ import (
 )
 
 // TestParseEngines is the table over every engine-list spelling the
-// CLI accepts. Both list-valued flags (`rpbench -engine` and
-// `rpfuzz -engines`) route through ParseEngines, so one table covers
-// both entry points: names resolve in first-mention order, the "both"
+// CLI accepts. The list-valued flag (`rpfuzz -engines`) routes
+// through ParseEngines: names resolve in first-mention order, the "both"
 // and "all" shorthands expand, duplicates collapse, and an unknown
 // name is rejected with the canonical [engine] diagnostic instead of
 // failing deep in execution.

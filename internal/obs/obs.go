@@ -236,21 +236,6 @@ func cyclicBlocks(fn *ir.Func) map[*ir.Block]bool {
 	return out
 }
 
-// ExecEvent records one interpreter execution: which engine ran the
-// program, whether its compile was forked from a shared front-end
-// artifact (compile-once sharing) rather than parsed from scratch, and
-// the execution wall time. Benchmark reports embed it so a trajectory
-// shows which engine produced each number.
-type ExecEvent struct {
-	// Engine names the interpreter engine ("flat" or "switch").
-	Engine string `json:"engine,omitempty"`
-	// FrontendReused is true when the compile reused a parsed artifact
-	// instead of re-running the front end.
-	FrontendReused bool `json:"frontend_reused,omitempty"`
-	// DurationNS is the execution's wall-clock time in nanoseconds.
-	DurationNS int64 `json:"duration_ns,omitempty"`
-}
-
 // PassEvent is one pass's record in a traced compile.
 type PassEvent struct {
 	// Index is the pass's position in the pipeline, from 0.
