@@ -57,7 +57,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"regpromo/internal/driver"
 	"regpromo/internal/ir"
@@ -67,23 +66,13 @@ import (
 )
 
 func main() {
-	analysis := flag.String("analysis", "modref", "interprocedural analysis: modref or pointer")
-	promoteFlag := flag.Bool("promote", false, "enable scalar register promotion")
-	pointerPromo := flag.Bool("pointerpromo", false, "enable pointer-based promotion (§3.3)")
-	noopt := flag.Bool("noopt", false, "disable classical optimizations")
-	noalloc := flag.Bool("noalloc", false, "skip register allocation")
-	k := flag.Int("k", 0, "physical register count (0 = default 32)")
-	throttle := flag.Int("throttle", 0, "promotion pressure limit (0 = unthrottled, §3.4 bin-packing)")
-	dseFlag := flag.Bool("dse", false, "enable tag-based dead-store elimination (§3.4 extension)")
+	cf := driver.RegisterCompileFlags(flag.CommandLine)
 	dump := flag.Bool("dump", false, "print the final IL")
 	dot := flag.String("dot", "", "emit the named function's CFG as Graphviz dot")
 	stats := flag.Bool("stats", false, "print only the statistics footer, no IL")
-	trace := flag.Bool("trace", false, "print the per-pass trace table")
 	dumpIR := flag.String("dump-ir", "", "print the IL after the named pass (\"all\" = every pass)")
 	jsonOut := flag.Bool("json", false, "emit the compilation record as JSON")
-	traceOut := flag.String("trace-out", "", "write the compile's span tree as Chrome trace_event JSON to this file")
 	checkFlag := flag.String("check", "off", `IL checker: "off", "module", "pass", or a comma list of lint-pass names`)
-	certifyFlag := flag.Bool("certify", false, "re-prove promotion certificates with the region-soundness verifier")
 	flag.Parse()
 
 	if flag.NArg() != 1 {
@@ -98,22 +87,9 @@ func main() {
 		os.Exit(1)
 	}
 
-	cfg := driver.Config{
-		Promote:        *promoteFlag || *pointerPromo,
-		PointerPromote: *pointerPromo,
-		DisableOpt:     *noopt,
-		NoAlloc:        *noalloc,
-		K:              *k,
-		Throttle:       *throttle,
-		DSE:            *dseFlag,
-	}
-	switch *analysis {
-	case "modref":
-		cfg.Analysis = driver.ModRef
-	case "pointer":
-		cfg.Analysis = driver.PointsTo
-	default:
-		fmt.Fprintf(os.Stderr, "rpcc: unknown analysis %q (want modref or pointer)\n", *analysis)
+	cfg, err := cf.Config()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "rpcc:", err)
 		os.Exit(2)
 	}
 	level, checkPasses, err := driver.ParseCheck(*checkFlag)
@@ -123,11 +99,10 @@ func main() {
 	}
 	cfg.Check = level
 	cfg.CheckPasses = checkPasses
-	cfg.Certify = *certifyFlag
 
 	// Trace the compile whenever any telemetry output was asked for.
 	var tr *obs.Tracer
-	if *trace || *dumpIR != "" || *jsonOut || *traceOut != "" {
+	if cf.Trace || cf.TraceOut != "" || *dumpIR != "" || *jsonOut {
 		tr = obs.NewTracer()
 		tr.DumpPass = *dumpIR
 	}
@@ -145,11 +120,9 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *traceOut != "" {
-		if err := writeTrace(*traceOut, tr); err != nil {
-			fmt.Fprintln(os.Stderr, "rpcc:", err)
-			os.Exit(1)
-		}
+	if err := cf.WriteTrace(tr); err != nil {
+		fmt.Fprintln(os.Stderr, "rpcc:", err)
+		os.Exit(1)
 	}
 	if *jsonOut {
 		if err := writeJSON(path, cfg, c); err != nil {
@@ -167,15 +140,15 @@ func main() {
 		printDot(fn, c.Module)
 		return
 	}
-	if *trace {
-		fmt.Print(obs.FormatTable(c.Passes, compileWall(tr)))
+	if cf.Trace {
+		fmt.Print(driver.PassTable(c, tr))
 	}
 	for _, e := range c.Passes {
 		if e.IRDump != "" {
 			fmt.Printf(";; IL after pass %d (%s)\n%s\n", e.Index, e.Name, e.IRDump)
 		}
 	}
-	if *dump || (!*stats && !*trace && *dumpIR == "") {
+	if *dump || (!*stats && !cf.Trace && *dumpIR == "") {
 		fmt.Print(ir.FormatModule(c.Module))
 	}
 	printFooter(c)
@@ -202,30 +175,6 @@ type record struct {
 		Promote promote.Stats  `json:"promote"`
 		Alloc   regalloc.Stats `json:"alloc"`
 	} `json:"stats"`
-}
-
-// compileWall returns the wall time of the compile's root span.
-func compileWall(tr *obs.Tracer) time.Duration {
-	for _, sp := range tr.Spans() {
-		if sp.Name == "compile" && sp.Cat == "compile" {
-			return time.Duration(sp.DurNS)
-		}
-	}
-	return 0
-}
-
-// writeTrace writes the collected span tree as Chrome trace_event
-// JSON to path.
-func writeTrace(path string, tr *obs.Tracer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteChromeTrace(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func writeJSON(path string, cfg driver.Config, c *driver.Compilation) error {

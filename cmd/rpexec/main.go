@@ -30,10 +30,10 @@
 // instrumentation, reporting zero counts in exchange for the fastest
 // possible run.
 // -cpuprofile writes a Go pprof profile of the whole compile+run, for
-// profiling the measurement loop itself. -trace-out writes the
-// compile and execute spans as Chrome trace_event JSON, and -metrics
-// enables the process-wide metrics registry and prints its snapshot
-// after the run.
+// profiling the measurement loop itself. -trace prints the compile's
+// per-pass table, as rpcc -trace does, above the counts line, and
+// -trace-out writes the compile and execute spans as Chrome
+// trace_event JSON.
 package main
 
 import (
@@ -49,14 +49,7 @@ import (
 )
 
 func main() {
-	analysis := flag.String("analysis", "modref", "interprocedural analysis: modref or pointer")
-	promote := flag.Bool("promote", false, "enable scalar register promotion")
-	pointerPromo := flag.Bool("pointerpromo", false, "enable pointer-based promotion (§3.3)")
-	noopt := flag.Bool("noopt", false, "disable classical optimizations")
-	noalloc := flag.Bool("noalloc", false, "skip register allocation")
-	k := flag.Int("k", 0, "physical register count (0 = default 32)")
-	throttle := flag.Int("throttle", 0, "promotion pressure limit (0 = unthrottled, §3.4 bin-packing)")
-	dseFlag := flag.Bool("dse", false, "enable tag-based dead-store elimination (§3.4 extension)")
+	cf := driver.RegisterCompileFlags(flag.CommandLine)
 	maxSteps := flag.Int64("maxsteps", 1<<33, "interpreter step limit")
 	quiet := flag.Bool("q", false, "suppress program output, print only counts")
 	profile := flag.Bool("profile", false, "collect and print a hot-spot profile")
@@ -65,10 +58,7 @@ func main() {
 	nativeBackend := flag.String("native-backend", "", `native artifact execution: "auto", "plugin", or "subprocess"`)
 	noCounts := flag.Bool("nocounts", false, "native engine only: skip instrumentation (counts report zero)")
 	sanitize := flag.Bool("sanitize", false, "diff observed memory behaviour against the static analyses")
-	certify := flag.Bool("certify", false, "re-prove promotion certificates with the region-soundness verifier")
 	cpuprofile := flag.String("cpuprofile", "", "write a Go CPU profile of the compile+run to this file")
-	traceOut := flag.String("trace-out", "", "write compile+execute spans as Chrome trace_event JSON to this file")
-	metrics := flag.Bool("metrics", false, "enable the metrics registry and print its snapshot after the run")
 	flag.Parse()
 
 	if flag.NArg() != 1 {
@@ -83,23 +73,9 @@ func main() {
 		os.Exit(1)
 	}
 
-	cfg := driver.Config{
-		Promote:        *promote || *pointerPromo,
-		PointerPromote: *pointerPromo,
-		DisableOpt:     *noopt,
-		NoAlloc:        *noalloc,
-		K:              *k,
-		Throttle:       *throttle,
-		DSE:            *dseFlag,
-		Certify:        *certify,
-	}
-	switch *analysis {
-	case "modref":
-		cfg.Analysis = driver.ModRef
-	case "pointer":
-		cfg.Analysis = driver.PointsTo
-	default:
-		fmt.Fprintf(os.Stderr, "rpexec: unknown analysis %q\n", *analysis)
+	cfg, err := cf.Config()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "rpexec:", err)
 		os.Exit(2)
 	}
 
@@ -131,11 +107,8 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	if *metrics {
-		obs.EnableMetrics()
-	}
 	var tr *obs.Tracer
-	if *traceOut != "" {
+	if cf.Trace || cf.TraceOut != "" {
 		tr = obs.NewTracer()
 	}
 	c, err := driver.Compile(path, string(src), cfg, tr)
@@ -150,11 +123,12 @@ func main() {
 		os.Exit(1)
 	}
 	esp.Arg("ops", res.Counts.Ops).Arg("loads", res.Counts.Loads).Arg("stores", res.Counts.Stores).End()
-	if *traceOut != "" {
-		if err := writeTrace(*traceOut, tr); err != nil {
-			fmt.Fprintln(os.Stderr, "rpexec:", err)
-			os.Exit(1)
-		}
+	if err := cf.WriteTrace(tr); err != nil {
+		fmt.Fprintln(os.Stderr, "rpexec:", err)
+		os.Exit(1)
+	}
+	if cf.Trace {
+		fmt.Print(driver.PassTable(c, tr))
 	}
 	if !*quiet {
 		fmt.Print(res.Output)
@@ -165,9 +139,6 @@ func main() {
 	if res.Profile != nil {
 		fmt.Print(res.Profile.Format(*top))
 	}
-	if *metrics {
-		fmt.Print(obs.Metrics().Snapshot().Format())
-	}
 	if len(res.Violations) > 0 {
 		fmt.Fprintf(os.Stderr, "rpexec: sanitizer: %d violation(s):\n", len(res.Violations))
 		for _, d := range res.Violations {
@@ -175,18 +146,4 @@ func main() {
 		}
 		os.Exit(1)
 	}
-}
-
-// writeTrace writes the collected span tree as Chrome trace_event
-// JSON to path.
-func writeTrace(path string, tr *obs.Tracer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteChromeTrace(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

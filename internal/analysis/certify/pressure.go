@@ -2,7 +2,6 @@ package certify
 
 import (
 	"regpromo/internal/ir"
-	"regpromo/internal/obs"
 	"regpromo/internal/opt/promote"
 	"regpromo/internal/regalloc"
 )
@@ -121,15 +120,6 @@ func MeasurePressure(fn *ir.Func, regions []promote.Region, k int) []Pressure {
 		// and keeps the promotion win, so it does not flag.
 		p.OverBudget = p.MaxLiveAll > k && 2*p.MaxLive > k
 		reports = append(reports, p)
-	}
-	if r := obs.Metrics(); r != nil {
-		r.Counter("certify.pressure.sites").Add(int64(len(reports)))
-		for i := range reports {
-			if reports[i].OverBudget {
-				r.Counter("certify.pressure.over_budget").Inc()
-			}
-			r.Gauge("certify.pressure.max_live").SetMax(int64(reports[i].MaxLive))
-		}
 	}
 	return reports
 }

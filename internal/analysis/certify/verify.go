@@ -5,7 +5,6 @@ import (
 
 	"regpromo/internal/dataflow"
 	"regpromo/internal/ir"
-	"regpromo/internal/obs"
 	"regpromo/internal/opt/promote"
 )
 
@@ -76,12 +75,6 @@ func Verify(m *ir.Module, regions []promote.Region) Summary {
 		sum.Diags = append(sum.Diags, rr.Diags...)
 	}
 	ir.SortDiags(sum.Diags)
-	if r := obs.Metrics(); r != nil {
-		r.Counter("certify.regions").Add(int64(sum.Regions))
-		r.Counter("certify.proved").Add(int64(sum.Proved))
-		r.Counter("certify.unproven").Add(int64(sum.Unproven))
-		r.Counter("certify.violations").Add(int64(sum.Violations))
-	}
 	return sum
 }
 

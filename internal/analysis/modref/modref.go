@@ -23,12 +23,9 @@
 package modref
 
 import (
-	"time"
-
 	"regpromo/internal/analysis/cache"
 	"regpromo/internal/callgraph"
 	"regpromo/internal/ir"
-	"regpromo/internal/obs"
 	"regpromo/internal/par"
 )
 
@@ -131,7 +128,6 @@ func Analyze(m *ir.Module, cg *callgraph.Graph, store *cache.Store) *Result {
 	// summary hash into its callers' keys, so a single hit certifies
 	// the entire callee subtree unchanged.
 	compValue := make([]cache.Key, len(cg.SCCs))
-	metrics := obs.Metrics()
 	for ci, comp := range cg.SCCMemberIDs {
 		var key cache.Key
 		if store != nil {
@@ -150,17 +146,10 @@ func Analyze(m *ir.Module, cg *callgraph.Graph, store *cache.Store) *Result {
 				}
 				compValue[ci] = e.Value
 				r.SCCsCached++
-				if metrics != nil {
-					metrics.Counter("analysis.scc.hit").Inc()
-				}
 				continue
-			}
-			if metrics != nil {
-				metrics.Counter("analysis.scc.miss").Inc()
 			}
 		}
 
-		start := time.Now()
 		var cm, cr ir.TagSet
 		for _, id := range comp {
 			fn := funcs[id]
@@ -183,9 +172,6 @@ func Analyze(m *ir.Module, cg *callgraph.Graph, store *cache.Store) *Result {
 		value := cache.SummaryValue(cm, cr)
 		compValue[ci] = value
 		store.PutModRef(key, cm, cr, value)
-		if metrics != nil {
-			metrics.Histogram("analysis.scc.solve_ns", obs.DurationBucketsNS).Observe(time.Since(start).Nanoseconds())
-		}
 	}
 
 	// Install summaries on call sites.

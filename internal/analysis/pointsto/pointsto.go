@@ -49,7 +49,6 @@ import (
 	"regpromo/internal/analysis/cache"
 	"regpromo/internal/callgraph"
 	"regpromo/internal/ir"
-	"regpromo/internal/obs"
 	"regpromo/internal/par"
 )
 
@@ -134,25 +133,13 @@ func Solve(m *ir.Module, cg *callgraph.Graph, store *cache.Store, _ ...Options) 
 		if e, ok := store.PointsTo(key); ok {
 			res := &Result{Steps: e.Steps, Cached: true, SCCsCached: len(cg.SCCs)}
 			replay(m, e)
-			if r := obs.Metrics(); r != nil {
-				r.Counter("pointsto.cache.hit").Inc()
-				r.Counter("analysis.scc.hit").Add(int64(len(cg.SCCs)))
-			}
 			return res
-		}
-		if r := obs.Metrics(); r != nil {
-			r.Counter("pointsto.cache.miss").Inc()
-			r.Counter("analysis.scc.miss").Add(int64(len(cg.SCCs)))
 		}
 	}
 
 	s := newSolver(m, cg)
 	s.solve()
 	res := &Result{s: s, Steps: s.steps, SCCsSolved: len(cg.SCCs)}
-	if r := obs.Metrics(); r != nil {
-		r.Counter("pointsto.runs").Inc()
-		r.Counter("pointsto.steps").Add(int64(s.steps))
-	}
 
 	rec := s.narrow()
 	if store != nil {

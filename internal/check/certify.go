@@ -9,8 +9,8 @@ import (
 // runCertify re-proves every promotion certificate in the context
 // with the independent verifier. Only refuted obligations become
 // diagnostics; certificates the oracle merely cannot re-establish
-// (Unproven) are counted in metrics but stay silent — the sharper
-// interprocedural analyses may legitimately know more.
+// (Unproven) are counted in certify.Summary but stay silent — the
+// sharper interprocedural analyses may legitimately know more.
 func runCertify(c *Context) []Diag {
 	if len(c.Regions) == 0 {
 		return nil

@@ -17,7 +17,6 @@ import (
 	"regpromo/internal/analysis/certify"
 	"regpromo/internal/callgraph"
 	"regpromo/internal/ir"
-	"regpromo/internal/obs"
 	"regpromo/internal/opt/promote"
 )
 
@@ -169,9 +168,5 @@ func Module(ctx *Context) []Diag {
 	// order and of the parallel middle end's scheduling; the stable
 	// sort keeps registry order between diags at the same position.
 	ir.SortDiags(ds)
-	if r := obs.Metrics(); r != nil {
-		r.Counter("check.runs").Inc()
-		r.Counter("check.diags").Add(int64(len(ds)))
-	}
 	return ds
 }

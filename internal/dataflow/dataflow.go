@@ -14,10 +14,7 @@
 // before the code after the loop.
 package dataflow
 
-import (
-	"regpromo/internal/ir"
-	"regpromo/internal/obs"
-)
+import "regpromo/internal/ir"
 
 // Postorder returns fn's blocks reachable from Entry in postorder
 // (every block after all of its unvisited successors). The traversal
@@ -83,7 +80,6 @@ type worklist struct {
 	rank   []int // rank[id] = drain priority of item id
 	queued []bool
 	heap   []workItem // binary min-heap on rank
-	pushes int        // enqueues that actually landed (dedup hits excluded)
 }
 
 // newWorklist builds a worklist for items 0..len(rank)-1 where rank[i]
@@ -102,7 +98,6 @@ func (w *worklist) push(id int) {
 		return
 	}
 	w.queued[id] = true
-	w.pushes++
 	// Sift up, as container/heap does, so equal ranks drain in the
 	// same order.
 	h := append(w.heap, workItem{id: id, rank: w.rank[id]})
@@ -180,12 +175,6 @@ func SolveBlocks(fn *ir.Func, dir Direction, transfer func(b *ir.Block) bool) in
 	for {
 		id, ok := w.pop()
 		if !ok {
-			if r := obs.Metrics(); r != nil {
-				r.Counter("dataflow.solves").Inc()
-				r.Counter("dataflow.steps").Add(int64(steps))
-				r.Counter("dataflow.pushes").Add(int64(w.pushes))
-				r.Histogram("dataflow.steps_per_solve", obs.SizeBuckets).Observe(int64(steps))
-			}
 			return steps
 		}
 		b := byID[id]

@@ -30,7 +30,6 @@ import (
 	"regpromo/internal/driver"
 	"regpromo/internal/interp"
 	"regpromo/internal/ir"
-	"regpromo/internal/obs"
 	"regpromo/internal/par"
 	"regpromo/internal/testgen"
 )
@@ -383,18 +382,6 @@ func Fuzz(opts FuzzOptions) (*FuzzReport, error) {
 		div := r.Divergence()
 		sanitizer := strings.Contains(div, "sanitizer:")
 		certify := strings.Contains(div, "[certify")
-		if reg := obs.Metrics(); reg != nil {
-			reg.Counter("difftest.seeds").Inc()
-			if div != "" {
-				reg.Counter("difftest.divergences").Inc()
-			}
-			if sanitizer {
-				reg.Counter("difftest.sanitizer_divergences").Inc()
-			}
-			if certify {
-				reg.Counter("difftest.certify_divergences").Inc()
-			}
-		}
 		if opts.Progress != nil {
 			opts.Progress(seed, div != "", sanitizer, certify)
 		}

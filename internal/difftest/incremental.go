@@ -27,7 +27,6 @@ import (
 	"regpromo/internal/analysis/cache"
 	"regpromo/internal/driver"
 	"regpromo/internal/ir"
-	"regpromo/internal/obs"
 	"regpromo/internal/par"
 	"regpromo/internal/testgen"
 )
@@ -166,12 +165,6 @@ func FuzzIncremental(opts IncrementalOptions) (*IncrementalReport, error) {
 	fails, err := par.ParallelMap(int(opts.Seeds), opts.Parallel, func(i int) (*IncrementalFailure, error) {
 		seed := opts.Start + int64(i)
 		r := IncrementalSeed(seed, matrix)
-		if reg := obs.Metrics(); reg != nil {
-			reg.Counter("difftest.incremental.seeds").Inc()
-			if r.Diverged() {
-				reg.Counter("difftest.incremental.divergences").Inc()
-			}
-		}
 		if opts.Progress != nil {
 			opts.Progress(seed, r.Diverged())
 		}

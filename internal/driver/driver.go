@@ -635,10 +635,6 @@ func (s *pipeState) record(name string, durNS int64, extra map[string]int64, aft
 		ev.IRDump = ir.FormatModule(c.Module)
 	}
 	c.Passes = append(c.Passes, ev)
-	if r := obs.Metrics(); r != nil {
-		r.Counter("compile.passes").Inc()
-		r.Histogram("compile.pass_ns", obs.DurationBucketsNS).Observe(durNS)
-	}
 }
 
 // runChecks runs the internal/check lint registry over the module's
@@ -699,9 +695,6 @@ func runGroup(s *pipeState, group []pass) error {
 	var recs [][]funcStage
 	if tr != nil {
 		recs = make([][]funcStage, len(fns))
-	}
-	if r := obs.Metrics(); r != nil {
-		r.Counter("compile.functions").Add(int64(len(fns)))
 	}
 	if _, err := par.ParallelMapWorker(len(fns), s.cfg.Workers, func(worker, i int) (struct{}, error) {
 		fn := fns[i]

@@ -177,9 +177,6 @@ func compileMatrix(cfgs []Config, tr *obs.Tracer, keep readSet, fe *Frontend, fi
 	}
 	defer tr.Start("compile", "compile", 0).End()
 	tr.NameThread(0, "main")
-	if r := obs.Metrics(); r != nil {
-		r.Counter("compile.compiles").Add(int64(len(live)))
-	}
 	for _, t := range mx.tries(live, keep) {
 		s := &pipeState{cfg: cfgs[t.cfgs[0]], c: &Compilation{}, tr: tr}
 		err := root(s)

@@ -18,7 +18,6 @@ import (
 	"strings"
 
 	"regpromo/internal/ir"
-	"regpromo/internal/obs"
 )
 
 // Region base addresses. Address 0 stays unmapped so null dereferences
@@ -381,32 +380,7 @@ func (m *machine) result(exit int64) *Result {
 	if m.san != nil {
 		res.Violations = m.san.finish()
 	}
-	reportRunMetrics(res)
 	return res
-}
-
-// ReportRunMetrics folds a finished execution into the process-wide
-// metrics registry on behalf of an out-of-process engine. The
-// interpreter engines report through machine.result; the native
-// runner calls this so its runs land in the same counters.
-func ReportRunMetrics(res *Result) { reportRunMetrics(res) }
-
-// reportRunMetrics folds one finished execution into the process-wide
-// metrics registry. Both engines end through machine.result, so the
-// per-run aggregates land here once, off the dispatch hot path.
-func reportRunMetrics(res *Result) {
-	r := obs.Metrics()
-	if r == nil {
-		return
-	}
-	r.Counter("interp.runs").Inc()
-	r.Counter("interp.ops").Add(res.Counts.Ops)
-	r.Counter("interp.loads").Add(res.Counts.Loads)
-	r.Counter("interp.stores").Add(res.Counts.Stores)
-	r.Counter("interp.copies").Add(res.Counts.Copies)
-	r.Counter("interp.calls").Add(res.Counts.Calls)
-	r.Counter("interp.sanitizer_violations").Add(int64(len(res.Violations)))
-	r.Histogram("interp.ops_per_run", obs.SizeBuckets).Observe(res.Counts.Ops)
 }
 
 // globalAddrs computes the global memory layout: every global tag's

@@ -39,10 +39,8 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"regpromo/internal/interp"
-	"regpromo/internal/obs"
 )
 
 // Backend selects how a built artifact is executed.
@@ -186,9 +184,6 @@ func Build(p *interp.Program, instrument bool, opts Options) (*Artifact, error) 
 		// Auto probe failed: remember, and never try plugins again in
 		// this process.
 		pluginBroken.Store(true)
-		if r := obs.Metrics(); r != nil {
-			r.Counter("native.plugin_fallback").Inc()
-		}
 		backend = BackendSubprocess
 	}
 	return buildSubprocess(dir, key, src, instrument)
@@ -240,17 +235,9 @@ func ensureBuilt(dir, key, src, outPath string, pluginMode bool) error {
 	lock.Lock()
 	defer lock.Unlock()
 
-	r := obs.Metrics()
 	if _, err := os.Stat(outPath); err == nil {
-		if r != nil {
-			r.Counter("native.build.hit").Inc()
-		}
 		return nil
 	}
-	if r != nil {
-		r.Counter("native.build.miss").Inc()
-	}
-	began := time.Now()
 
 	goPath := filepath.Join(dir, "rp_"+key+".go")
 	if _, err := os.Stat(goPath); err != nil {
@@ -280,9 +267,6 @@ func ensureBuilt(dir, key, src, outPath string, pluginMode bool) error {
 	if err := os.Rename(tmpOut, outPath); err != nil {
 		os.Remove(tmpOut)
 		return fmt.Errorf("native cache: %w", err)
-	}
-	if r != nil {
-		r.Histogram("native.build_ns", obs.DurationBucketsNS).Observe(time.Since(began).Nanoseconds())
 	}
 	return nil
 }
@@ -333,17 +317,12 @@ func (a *Artifact) Run(opts interp.Options) (*interp.Result, error) {
 		}
 		vals, out, errFn, errMsg = w.Vals, decoded, w.ErrFn, w.ErrMsg
 	}
-	if r := obs.Metrics(); r != nil {
-		r.Counter("native.runs").Inc()
-	}
 	if vals[6] != 0 {
 		return nil, &interp.Error{Func: errFn, Msg: errMsg}
 	}
-	res := &interp.Result{
+	return &interp.Result{
 		Counts: interp.Counts{Ops: vals[1], Loads: vals[2], Stores: vals[3], Copies: vals[4], Calls: vals[5]},
 		Exit:   vals[0],
 		Output: string(out),
-	}
-	interp.ReportRunMetrics(res)
-	return res, nil
+	}, nil
 }

@@ -1,18 +1,19 @@
-// Package obs is the compiler's observability layer. It has two
-// pieces. A Tracer (span.go) collects hierarchical wall-clock spans —
-// compile → passes → per-function middle-end work items → analysis
-// fixpoints — and exports them as JSON or Chrome trace_event files; the
-// metrics registry (metrics.go) keeps process-wide counters, gauges and
-// histograms.
+// Package obs is the compiler's observability layer: one record,
+// viewed two ways. A Tracer (span.go) collects hierarchical wall-clock
+// spans — compile → passes → per-function middle-end work items →
+// analysis fixpoints — and exports them as JSON or Chrome trace_event
+// files.
 //
-// Pass records are not a third channel but a per-compile result: when
-// the driver (internal/driver) compiles under a tracer it fills one
-// PassEvent per pass, whose duration is the pass's own span and whose
-// static IR census (function/block/instruction counts plus the Table-1
-// memory-op census: immediate and constant loads, scalar ("tagged")
-// loads and stores, general pointer-based loads and stores) is
-// measured after the pass. The records serialize to JSON, so benchmark
-// trajectories (BENCH_*.json) and CLI traces share one schema.
+// Pass records are the second view of the same trace, not a second
+// channel: when the driver (internal/driver) compiles under a tracer it
+// fills one PassEvent per pass, whose duration is the pass's own span,
+// whose Extra holds the pass's statistics (the span's arguments), and
+// whose static IR census (function/block/instruction counts plus the
+// Table-1 memory-op census: immediate and constant loads, scalar
+// ("tagged") loads and stores, general pointer-based loads and stores)
+// is measured after the pass. FormatTable renders them as the -trace
+// table rpcc and rpexec print. An untraced compile reads no clock and
+// records nothing; there is no process-wide state.
 //
 // The paper's evaluation (§5) is measurement end to end; this package
 // makes the pipeline itself measurable, pass by pass.

@@ -37,9 +37,9 @@ type SpanEvent struct {
 	// epoch.
 	StartNS int64 `json:"start_ns"`
 	DurNS   int64 `json:"dur_ns"`
-	// Args carries numeric attributes (dataflow iterations, worklist
-	// pushes, tagset sizes, promotion and spill counts, register
-	// pressure, dynamic counts, …).
+	// Args carries numeric attributes (a pass's extras: rewrite,
+	// promotion and spill counts, register pressure, SCC and solver
+	// step counts; an execution's dynamic counts, …).
 	Args map[string]int64 `json:"args,omitempty"`
 	// Labels carries string attributes (function name, engine, …).
 	Labels map[string]string `json:"labels,omitempty"`

@@ -6,7 +6,6 @@ import (
 
 	"regpromo/internal/cfg"
 	"regpromo/internal/ir"
-	"regpromo/internal/obs"
 )
 
 // DefaultK is the physical register count used by the experiments,
@@ -199,13 +198,6 @@ func Func(fn *ir.Func, opts Options, tags ir.TagAlloc) (Stats, error) {
 		if len(spills) == 0 {
 			stats.Coalesced += rewrite(fn, g, colors)
 			fn.Allocated = true
-			if r := obs.Metrics(); r != nil {
-				r.Counter("regalloc.funcs").Inc()
-				r.Counter("regalloc.spilled").Add(int64(stats.Spilled))
-				r.Counter("regalloc.coalesced").Add(int64(stats.Coalesced))
-				r.Gauge("regalloc.max_live").SetMax(int64(stats.MaxLive))
-				r.Histogram("regalloc.rounds", obs.SizeBuckets).Observe(int64(stats.Rounds))
-			}
 			return stats, nil
 		}
 		st := insertSpills(fn, spills, g, tags)
