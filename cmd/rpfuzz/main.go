@@ -31,45 +31,55 @@
 //	              "subprocess"; the fuzzer defaults to subprocess
 //	              because plugins can never be unloaded and a fuzz run
 //	              builds one artifact per (seed, config)
-//	-sanitize     additionally run every compilation on the switch
-//	              engine under the analysis-soundness sanitizer (the
-//	              flat run stays plain and must agree with it); a
-//	              memory access outside the static MOD/REF or
-//	              points-to sets is a divergence, archived like any
-//	              other
-//	-certify      additionally re-prove every promotion certificate with
-//	              the independent region-soundness verifier on every
-//	              compilation; a refuted certificate is a divergence,
-//	              archived like any other
+//	-oracles O    comma list of optional oracles to run beside the
+//	              cross-configuration diff and engine parity:
+//	                sanitize     run every compilation on the switch
+//	                             engine under the analysis-soundness
+//	                             sanitizer (the flat run stays plain
+//	                             and must agree with it); a memory
+//	                             access outside the static MOD/REF or
+//	                             points-to sets is a divergence
+//	                certify      re-prove every promotion certificate
+//	                             with the independent region-soundness
+//	                             verifier on every compilation; a
+//	                             refuted certificate is a divergence
+//	                incremental  per seed, compile a one-unit-edited
+//	                             variant cold into a fresh analysis
+//	                             cache, recompile the full program warm
+//	                             against it (and the reverse
+//	                             direction), and fail unless the warm
+//	                             IL is byte-identical to an uncached
+//	                             compile; a stale replayed summary is a
+//	                             divergence
+//	              An unknown name exits 2 with a diagnostic.
 //	-noreduce     archive failures without shrinking them first
-//	-incremental  run the incremental-compilation oracle instead: per
-//	              seed, compile a one-unit-edited variant cold into a
-//	              fresh analysis cache, recompile the full program warm
-//	              against it (and the reverse direction), and fail
-//	              unless the warm IL is byte-identical to an uncached
-//	              compile — a stale replayed summary is a divergence
 //	-corpus DIR   failure artifact directory (default difftest/corpus)
 //	-progress N   print a progress line every N completed seeds
 //	              (default 100; 0 disables)
 //	-v            log each divergent seed as it is found
 //
-// Long runs are not silent: a progress line (seeds done, divergences,
-// sanitizer violations, refuted certificates, elapsed, seeds/sec) goes
-// to stderr every -progress seeds, and a matching summary line always
-// ends the run.
+// Long runs are not silent: a progress line (seeds done, divergences
+// with one count per listed oracle, elapsed, seeds/sec) goes to stderr
+// every -progress seeds, and a matching summary line always ends the
+// run.
 //
 // Exit status is 0 when every seed agrees under every configuration,
 // 1 when any divergence was found, 2 on usage or I/O errors. Each
 // failure is written to <corpus>/seed<N>/ as prog.c (generator
 // output), reduced.c (minimal reproducer), il-<config>.txt (final IL
-// per configuration), and repro.txt (divergence summary plus repro
-// command).
+// per configuration), and repro.txt (divergence summary plus a repro
+// command carrying the run's -engines and -oracles). An incremental
+// divergence adds base.c and mutated.c (the edit's two programs) and
+// il-warm.txt and il-scratch.txt (the first diverging IL pair); it is
+// archived unreduced, since the reducer replays only the
+// cross-configuration diff.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -85,12 +95,10 @@ func main() {
 	parallel := flag.Int("parallel", 0, "concurrent seeds (0 = one per CPU)")
 	short := flag.Bool("short", false, "trim the configuration matrix for smoke runs")
 	noreduce := flag.Bool("noreduce", false, "skip delta-debugging reduction of failures")
-	incremental := flag.Bool("incremental", false, "run the incremental-compilation oracle (warm-vs-scratch IL identity)")
 	corpus := flag.String("corpus", "difftest/corpus", "failure artifact directory")
 	engines := flag.String("engines", "flat", `engine matrix: "flat", "both", "all", or a comma list (e.g. "flat,native")`)
 	nativeBackend := flag.String("native-backend", "", `native artifact execution: "auto", "plugin", or "subprocess" (default subprocess)`)
-	sanitize := flag.Bool("sanitize", false, "run executions under the analysis-soundness sanitizer")
-	certify := flag.Bool("certify", false, "re-prove promotion certificates with the region-soundness verifier")
+	oracles := flag.String("oracles", "", `optional oracles: a comma list of "sanitize", "certify", "incremental"`)
 	progressEvery := flag.Int64("progress", 100, "print a progress line every N completed seeds (0 = off)")
 	verbose := flag.Bool("v", false, "log each divergence as it is found")
 	flag.Parse()
@@ -98,13 +106,18 @@ func main() {
 		fmt.Fprintln(os.Stderr, "rpfuzz: -seeds must be positive")
 		os.Exit(2)
 	}
-	matrix, err := driver.ParseEngines(*engines)
+	mode, err := difftest.ParseOracles(*oracles)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "rpfuzz:", err)
+		os.Exit(2)
+	}
+	mode.Engines, err = driver.ParseEngines(*engines)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rpfuzz:", err)
 		os.Exit(2)
 	}
 	hasNative := false
-	for _, e := range matrix {
+	for _, e := range mode.Engines {
 		if e == interp.EngineNative {
 			hasNative = true
 		}
@@ -123,45 +136,46 @@ func main() {
 		// plugins can never be unloaded from the process.
 		native.SetDefaultBackend(native.BackendSubprocess)
 	}
-	if *incremental {
-		os.Exit(runIncremental(*start, *seeds, *parallel, *short, *corpus, *progressEvery, *verbose))
-	}
 
+	// Progress accounting shared by the (possibly parallel) seed
+	// workers. Progress runs on worker goroutines, so every counter is
+	// atomic; the per-oracle map is filled here and only read there.
+	began := time.Now()
+	var done, diverged atomic.Int64
+	hits := map[string]*atomic.Int64{}
+	for _, o := range mode.Oracles() {
+		hits[o] = new(atomic.Int64)
+	}
+	status := func() string {
+		var counts []string
+		for _, o := range mode.Oracles() {
+			counts = append(counts, fmt.Sprintf("%d %s", hits[o].Load(), o))
+		}
+		return statusLine(done.Load(), *seeds, diverged.Load(), counts, time.Since(began))
+	}
 	opts := difftest.FuzzOptions{
 		Start:     *start,
 		Seeds:     *seeds,
 		Parallel:  *parallel,
 		Short:     *short,
-		Engines:   matrix,
-		Sanitize:  *sanitize,
-		Certify:   *certify,
+		Mode:      mode,
 		Reduce:    !*noreduce,
 		CorpusDir: *corpus,
-	}
-
-	// Progress accounting shared by the (possibly parallel) seed
-	// workers. Progress runs on worker goroutines, so everything it
-	// touches is atomic.
-	began := time.Now()
-	var done, diverged, sanitizerHits, certifyHits atomic.Int64
-	opts.Progress = func(seed int64, div, san, cert bool) {
-		n := done.Add(1)
-		if div {
-			diverged.Add(1)
-			if *verbose {
-				fmt.Fprintf(os.Stderr, "rpfuzz: seed %d diverges\n", seed)
+		Progress: func(r *difftest.Result) {
+			n := done.Add(1)
+			if r.Diverged() {
+				diverged.Add(1)
+				if *verbose {
+					fmt.Fprintf(os.Stderr, "rpfuzz: seed %d diverges\n", r.Seed)
+				}
 			}
-		}
-		if san {
-			sanitizerHits.Add(1)
-		}
-		if cert {
-			certifyHits.Add(1)
-		}
-		if *progressEvery > 0 && n%*progressEvery == 0 {
-			fmt.Fprintf(os.Stderr, "rpfuzz: %s\n",
-				statusLine(n, *seeds, diverged.Load(), sanitizerHits.Load(), certifyHits.Load(), time.Since(began)))
-		}
+			for _, o := range r.Oracles() {
+				hits[o].Add(1)
+			}
+			if *progressEvery > 0 && n%*progressEvery == 0 {
+				fmt.Fprintf(os.Stderr, "rpfuzz: %s\n", status())
+			}
+		},
 	}
 
 	report, err := difftest.Fuzz(opts)
@@ -170,8 +184,7 @@ func main() {
 		os.Exit(2)
 	}
 	fmt.Printf("rpfuzz: seeds [%d, %d) × %d configs: %s\n",
-		*start, *start+*seeds, len(report.Matrix),
-		statusLine(done.Load(), *seeds, diverged.Load(), sanitizerHits.Load(), certifyHits.Load(), time.Since(began)))
+		*start, *start+*seeds, len(report.Matrix), status())
 	if len(report.Failures) == 0 {
 		return
 	}
@@ -182,81 +195,23 @@ func main() {
 	os.Exit(1)
 }
 
-// runIncremental drives the incremental-compilation oracle
-// (difftest.FuzzIncremental) and returns the process exit status:
-// 0 when every warm compile was byte-identical to scratch, 1 when any
-// seed diverged, 2 on infrastructure errors.
-func runIncremental(start, seeds int64, parallel int, short bool, corpus string, progressEvery int64, verbose bool) int {
-	began := time.Now()
-	var done, diverged atomic.Int64
-	opts := difftest.IncrementalOptions{
-		Start:     start,
-		Seeds:     seeds,
-		Parallel:  parallel,
-		Short:     short,
-		CorpusDir: corpus,
-		Progress: func(seed int64, div bool) {
-			n := done.Add(1)
-			if div {
-				diverged.Add(1)
-				if verbose {
-					fmt.Fprintf(os.Stderr, "rpfuzz: seed %d incremental compile diverges\n", seed)
-				}
-			}
-			if progressEvery > 0 && n%progressEvery == 0 {
-				fmt.Fprintf(os.Stderr, "rpfuzz: incremental %s\n",
-					statusLine(n, seeds, diverged.Load(), 0, 0, time.Since(began)))
-			}
-		},
-	}
-	report, err := difftest.FuzzIncremental(opts)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rpfuzz:", err)
-		return 2
-	}
-	fmt.Printf("rpfuzz: incremental oracle, seeds [%d, %d) × %d configs × 2 directions: %s\n",
-		start, start+seeds, len(report.Matrix),
-		statusLine(done.Load(), seeds, diverged.Load(), 0, 0, time.Since(began)))
-	if len(report.Failures) == 0 {
-		return 0
-	}
-	for _, f := range report.Failures {
-		fmt.Printf("\nseed %d — artifacts in %s\n%s", f.Seed, f.Dir, indent(f.Divergence))
-	}
-	return 1
-}
-
 // statusLine renders the shared progress/summary form: seeds done,
-// divergences, sanitizer violations, refuted certificates, elapsed
-// wall time, seeds/sec.
-func statusLine(done, total, diverged, sanitizer, certify int64, elapsed time.Duration) string {
+// divergences with one count per listed oracle, elapsed wall time,
+// seeds/sec.
+func statusLine(done, total, diverged int64, oracleCounts []string, elapsed time.Duration) string {
 	rate := 0.0
 	if secs := elapsed.Seconds(); secs > 0 {
 		rate = float64(done) / secs
 	}
-	return fmt.Sprintf("%d/%d seeds, %d divergences (%d sanitizer, %d certify), %.1fs elapsed, %.1f seeds/sec",
-		done, total, diverged, sanitizer, certify, elapsed.Seconds(), rate)
+	perOracle := ""
+	if len(oracleCounts) > 0 {
+		perOracle = " (" + strings.Join(oracleCounts, ", ") + ")"
+	}
+	return fmt.Sprintf("%d/%d seeds, %d divergences%s, %.1fs elapsed, %.1f seeds/sec",
+		done, total, diverged, perOracle, elapsed.Seconds(), rate)
 }
 
+// indent prefixes every line of s with two spaces.
 func indent(s string) string {
-	var out string
-	for _, line := range splitLines(s) {
-		out += "  " + line + "\n"
-	}
-	return out
-}
-
-func splitLines(s string) []string {
-	var lines []string
-	start := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			lines = append(lines, s[start:i])
-			start = i + 1
-		}
-	}
-	if start < len(s) {
-		lines = append(lines, s[start:])
-	}
-	return lines
+	return "  " + strings.ReplaceAll(strings.TrimSuffix(s, "\n"), "\n", "\n  ") + "\n"
 }

@@ -15,9 +15,11 @@
 // functions while the divergence still reproduces, then writes a
 // self-contained failure artifact — original and reduced C source,
 // the final IL of every configuration, and a repro command — under a
-// corpus directory (WriteArtifacts). Fuzz drives the whole loop
-// across a seed range on the shared bench worker pool; cmd/rpfuzz is
-// its CLI.
+// corpus directory (WriteArtifacts). Mode selects the oracles beyond
+// the cross-configuration diff — engine parity, the sanitizer,
+// certify, and the incremental-compilation oracle — and Fuzz, the one
+// seed loop, runs them across a seed range on the shared bench worker
+// pool; cmd/rpfuzz is its CLI.
 package difftest
 
 import (
@@ -48,6 +50,10 @@ type Execution struct {
 	Output string
 	Exit   int64
 	Err    error
+	// Oracle names the optional oracle that produced Err
+	// (OracleSanitize or OracleCertify), or is "" when Err is not an
+	// optional oracle's verdict.
+	Oracle string
 	// Counts are the dynamic execution counters. They differ across
 	// configurations by design (that difference is the paper's
 	// result), so the cross-configuration comparison ignores them —
@@ -69,13 +75,33 @@ func (e *Execution) Behaviour() string {
 type Result struct {
 	Seed   int64
 	Source string
-	Execs  []Execution
+	// Mode is the oracle mode the program was diffed under.
+	Mode  Mode
+	Execs []Execution
+	// Incremental is the incremental oracle's verdict on the seed
+	// (nil unless Mode.Incremental was set on a seed).
+	Incremental *IncrementalResult
 }
 
-// Divergence describes how the configurations disagree, or returns ""
-// when they all agree. The first configuration (the no-opt reference)
-// is the anchor every other configuration is compared against.
+// Divergence describes how the configurations disagree, followed by
+// any incremental-oracle divergence, or returns "" when all agree.
+// The first configuration (the no-opt reference) is the anchor every
+// other configuration is compared against.
 func (r *Result) Divergence() string {
+	div := r.configDivergence()
+	if r.Incremental != nil && r.Incremental.Diverged() {
+		for _, line := range strings.SplitAfter(r.Incremental.Divergence, "\n") {
+			if line != "" {
+				div += "incremental " + line
+			}
+		}
+	}
+	return div
+}
+
+// configDivergence is the cross-configuration part of Divergence: the
+// part the reducer can chase, since DiffSourceMode reproduces it.
+func (r *Result) configDivergence() string {
 	if len(r.Execs) == 0 {
 		return ""
 	}
@@ -91,11 +117,29 @@ func (r *Result) Divergence() string {
 }
 
 // Diverged reports whether any configuration disagrees with the
-// reference.
+// reference, or the incremental oracle failed.
 func (r *Result) Diverged() bool { return r.Divergence() != "" }
 
-// Mode selects the optional oracles of a differential comparison
-// beyond the cross-configuration diff itself.
+// Oracles lists the optional oracles the result's divergence is
+// attributed to, in Mode.Oracles order. Each attribution is made
+// where the verdict is produced: the sanitizer branch of execute, a
+// compile refuted by certify, the incremental result. A divergence
+// none of them produced (a miscompiled output, an engine
+// disagreement) belongs to no optional oracle.
+func (r *Result) Oracles() []string {
+	var hit Mode
+	if r.configDivergence() != "" {
+		for _, e := range r.Execs {
+			hit.Sanitize = hit.Sanitize || e.Oracle == OracleSanitize
+			hit.Certify = hit.Certify || e.Oracle == OracleCertify
+		}
+	}
+	hit.Incremental = r.Incremental != nil && r.Incremental.Diverged()
+	return hit.Oracles()
+}
+
+// Mode selects the engines and optional oracles of a differential
+// comparison beyond the cross-configuration diff itself.
 type Mode struct {
 	// BothEngines executes each compilation on the reference switch
 	// engine too and reports any flat-vs-switch disagreement.
@@ -119,6 +163,84 @@ type Mode struct {
 	// compile, which the diff reports as a divergence on that
 	// configuration).
 	Certify bool
+	// Incremental runs the incremental-compilation oracle on each
+	// seed (IncrementalSeed, the fifth oracle) and attaches its verdict
+	// to the seed's Result. Only DiffSeedMode runs it: it derives its
+	// edit from the seed's generator units, so DiffSourceMode, which
+	// has no seed, ignores the field.
+	Incremental bool
+}
+
+// The optional oracles' names, as ParseOracles accepts them.
+const (
+	OracleSanitize    = "sanitize"
+	OracleCertify     = "certify"
+	OracleIncremental = "incremental"
+)
+
+// ParseOracles resolves an oracle-list specification from a CLI flag
+// (a comma list of "sanitize", "certify" and "incremental"; "" names
+// none) into the Mode that runs them. Repeated names count once.
+// Unknown names are rejected with the canonical diagnostic format
+// (ir.Diag, check "oracle"), as driver.ParseEngines rejects engines.
+func ParseOracles(spec string) (Mode, error) {
+	var m Mode
+	if spec == "" {
+		return m, nil
+	}
+	for _, part := range strings.Split(spec, ",") {
+		switch name := strings.TrimSpace(part); name {
+		case OracleSanitize:
+			m.Sanitize = true
+		case OracleCertify:
+			m.Certify = true
+		case OracleIncremental:
+			m.Incremental = true
+		default:
+			return Mode{}, ir.DiagError([]ir.Diag{{
+				Check: "oracle",
+				Index: -1,
+				Msg:   `unknown oracle "` + name + `" (want sanitize, certify, or incremental)`,
+			}})
+		}
+	}
+	return m, nil
+}
+
+// Oracles lists the optional oracles the mode runs, in canonical
+// order.
+func (m Mode) Oracles() []string {
+	var out []string
+	if m.Sanitize {
+		out = append(out, OracleSanitize)
+	}
+	if m.Certify {
+		out = append(out, OracleCertify)
+	}
+	if m.Incremental {
+		out = append(out, OracleIncremental)
+	}
+	return out
+}
+
+// Args renders the mode as the rpfuzz flags that select it: -engines
+// with the engine matrix when it holds more than the flat engine, and
+// -oracles with the optional oracles when there are any. Parsing the
+// flags back (driver.ParseEngines, ParseOracles) yields the same
+// engine matrix and oracles.
+func (m Mode) Args() []string {
+	var args []string
+	if engines := m.EngineMatrix(); len(engines) > 1 {
+		names := make([]string, len(engines))
+		for i, e := range engines {
+			names[i] = e.String()
+		}
+		args = append(args, "-engines", strings.Join(names, ","))
+	}
+	if oracles := m.Oracles(); len(oracles) > 0 {
+		args = append(args, "-oracles", strings.Join(oracles, ","))
+	}
+	return args
 }
 
 // EngineMatrix resolves the mode's full, deduplicated engine list.
@@ -144,38 +266,38 @@ func (m Mode) EngineMatrix() []interp.Engine {
 	return engines
 }
 
-// DiffSource compiles and executes src under every configuration of
-// the matrix, on the default (flat) engine.
-func DiffSource(filename, src string, matrix []driver.NamedConfig) *Result {
-	return DiffSourceMode(filename, src, matrix, Mode{})
-}
-
-// DiffSourceEngines is DiffSource with the engine dimension exposed.
-func DiffSourceEngines(filename, src string, matrix []driver.NamedConfig, bothEngines bool) *Result {
-	return DiffSourceMode(filename, src, matrix, Mode{BothEngines: bothEngines})
-}
-
-// DiffSourceMode is DiffSource with every oracle dimension exposed.
-// The front end runs once, and the configurations compile together
-// through one driver.Frontend.CompileMatrix call, which runs each
-// pass prefix they share once (compile-once sharing). With
-// Mode.BothEngines set, each compilation additionally executes on the
+// DiffSourceMode compiles and executes src under every configuration
+// of the matrix, with the mode's oracles. The front end runs once, and
+// the configurations compile together through one
+// driver.Frontend.CompileMatrix call, which runs each pass prefix they
+// share once (compile-once sharing). With Mode.BothEngines set, each compilation additionally executes on the
 // reference switch engine, and any flat-vs-switch disagreement —
 // output, exit code, dynamic counts, or error text — is reported as a
 // divergence on that configuration. With Mode.Sanitize set, the
 // switch-engine execution runs under the analysis-soundness sanitizer
-// and its violations are divergences.
+// and its violations are divergences. Mode.Incremental is ignored.
 func DiffSourceMode(filename, src string, matrix []driver.NamedConfig, mode Mode) *Result {
-	r := &Result{Source: src}
+	r := &Result{Source: src, Mode: mode}
 	cs, errs := compileMatrix(filename, src, matrix, mode.Certify)
 	for i, nc := range matrix {
 		if errs[i] != nil {
-			r.Execs = append(r.Execs, Execution{Config: nc, Err: fmt.Errorf("compile: %w", errs[i])})
+			r.Execs = append(r.Execs, compileFailure(nc, errs[i]))
 			continue
 		}
 		r.Execs = append(r.Execs, execute(cs[i], nc, mode))
 	}
 	return r
+}
+
+// compileFailure is a configuration's outcome when it failed to
+// compile; a certificate refuted by certify is that oracle's verdict.
+func compileFailure(nc driver.NamedConfig, err error) Execution {
+	e := Execution{Config: nc, Err: fmt.Errorf("compile: %w", err)}
+	var ce *driver.CheckError
+	if errors.As(err, &ce) && ce.Pass == driver.PassCertify {
+		e.Oracle = OracleCertify
+	}
+	return e
 }
 
 // compileMatrix parses src once and compiles it under every
@@ -207,22 +329,15 @@ func compileMatrix(filename, src string, matrix []driver.NamedConfig, certify bo
 	return cs, errs
 }
 
-// DiffSeed generates the seed's program and diffs it.
-func DiffSeed(seed int64, matrix []driver.NamedConfig) *Result {
-	return DiffSeedMode(seed, matrix, Mode{})
-}
-
-// DiffSeedEngines generates the seed's program and diffs it, with the
-// both-engines cross-check when requested.
-func DiffSeedEngines(seed int64, matrix []driver.NamedConfig, bothEngines bool) *Result {
-	return DiffSeedMode(seed, matrix, Mode{BothEngines: bothEngines})
-}
-
 // DiffSeedMode generates the seed's program and diffs it under the
-// given oracle mode.
+// given oracle mode, running the incremental oracle on the seed too
+// when the mode asks for it.
 func DiffSeedMode(seed int64, matrix []driver.NamedConfig, mode Mode) *Result {
 	r := DiffSourceMode(fmt.Sprintf("seed%d.c", seed), testgen.Program(seed), matrix, mode)
 	r.Seed = seed
+	if mode.Incremental {
+		r.Incremental = IncrementalSeed(seed, matrix)
+	}
 	return r
 }
 
@@ -279,6 +394,7 @@ func execute(c *driver.Compilation, nc driver.NamedConfig, mode Mode) Execution 
 	if e.Err == nil && rerr == nil && len(violations) > 0 {
 		e.Err = fmt.Errorf("sanitizer: %d violation(s): %s",
 			len(violations), strings.Join(diagStrings(violations), "; "))
+		e.Oracle = OracleSanitize
 	}
 	return e
 }
@@ -302,13 +418,6 @@ func diagStrings(ds []ir.Diag) []string {
 type Failure struct {
 	Seed       int64
 	Divergence string
-	// Sanitizer is true when the divergence includes an
-	// analysis-soundness sanitizer violation (as opposed to a pure
-	// behavioural or engine disagreement).
-	Sanitizer bool
-	// Certify is true when the divergence includes a refuted
-	// promotion certificate from the region-soundness verifier.
-	Certify bool
 	// Reduced is the shrunk source (equal to the original when
 	// reduction was disabled or could not shrink it).
 	Reduced string
@@ -329,35 +438,20 @@ type FuzzOptions struct {
 	Parallel int
 	// Short trims the configuration matrix for smoke runs.
 	Short bool
-	// BothEngines executes every compilation on both interpreter
-	// engines (flat and the switch reference) and reports any
-	// disagreement — counts included — as a divergence.
-	BothEngines bool
-	// Engines lists additional engines (e.g. the native backend) to
-	// cross-check against the flat engine on every seed; see
-	// Mode.Engines.
-	Engines []interp.Engine
-	// Sanitize runs every compilation on the switch engine under the
-	// analysis-soundness sanitizer, the third oracle (see
-	// Mode.Sanitize): any observed memory access outside the static
-	// MOD/REF or points-to sets is a divergence, archived to the
-	// corpus like any other.
-	Sanitize bool
-	// Certify re-proves every promotion certificate on every
-	// compilation, the fourth oracle: a refuted certificate is a
-	// divergence, archived to the corpus like any other.
-	Certify bool
-	// Reduce shrinks each failing program before reporting it.
+	// Mode selects the engines and optional oracles every seed runs
+	// (see DiffSeedMode).
+	Mode Mode
+	// Reduce shrinks each program whose configurations diverge before
+	// reporting it. An incremental-only divergence is reported
+	// unreduced: the reducer replays the cross-configuration diff,
+	// which does not reproduce it.
 	Reduce bool
 	// CorpusDir, when non-empty, receives a failure artifact per
 	// divergent seed.
 	CorpusDir string
-	// Progress, when non-nil, is called after each seed completes
-	// (from worker goroutines, possibly out of order). sanitizer and
-	// certify report whether the seed's divergence includes an
-	// analysis-soundness sanitizer violation or a refuted promotion
-	// certificate, respectively.
-	Progress func(seed int64, diverged, sanitizer, certify bool)
+	// Progress, when non-nil, is called with each seed's result as it
+	// completes (from worker goroutines, possibly out of order).
+	Progress func(r *Result)
 }
 
 // FuzzReport summarizes a fuzzing run.
@@ -378,21 +472,18 @@ func Fuzz(opts FuzzOptions) (*FuzzReport, error) {
 	report := &FuzzReport{Seeds: opts.Seeds, Matrix: matrix}
 	fails, err := par.ParallelMap(int(opts.Seeds), opts.Parallel, func(i int) (*Failure, error) {
 		seed := opts.Start + int64(i)
-		r := DiffSeedMode(seed, matrix, Mode{BothEngines: opts.BothEngines, Engines: opts.Engines, Sanitize: opts.Sanitize, Certify: opts.Certify})
-		div := r.Divergence()
-		sanitizer := strings.Contains(div, "sanitizer:")
-		certify := strings.Contains(div, "[certify")
+		r := DiffSeedMode(seed, matrix, opts.Mode)
 		if opts.Progress != nil {
-			opts.Progress(seed, div != "", sanitizer, certify)
+			opts.Progress(r)
 		}
+		div := r.Divergence()
 		if div == "" {
 			return nil, nil
 		}
-		f := &Failure{Seed: seed, Divergence: div, Sanitizer: sanitizer, Certify: certify, Reduced: r.Source, Units: testgen.Units(seed)}
-		if opts.Reduce {
+		f := &Failure{Seed: seed, Divergence: div, Reduced: r.Source, Units: testgen.Units(seed)}
+		if opts.Reduce && r.configDivergence() != "" {
 			f.Reduced, f.Units = Reduce(seed, func(src string) bool {
-				m := Mode{BothEngines: opts.BothEngines, Engines: opts.Engines, Sanitize: opts.Sanitize, Certify: opts.Certify}
-				return DiffSourceMode(fmt.Sprintf("seed%d.c", seed), src, matrix, m).Diverged()
+				return DiffSourceMode(fmt.Sprintf("seed%d.c", seed), src, matrix, opts.Mode).Diverged()
 			})
 		}
 		if opts.CorpusDir != "" {
@@ -417,9 +508,12 @@ func Fuzz(opts FuzzOptions) (*FuzzReport, error) {
 
 // WriteArtifacts archives a divergent result under dir/seed<NNN>:
 // the generating source (prog.c), the reduced reproducer (reduced.c),
-// the divergence summary with a repro command (repro.txt), and the
-// final IL of each configuration (il-<config>.txt), recompiled from
-// the reduced source as one matrix. It returns the artifact directory.
+// the divergence summary with a repro command that selects the
+// result's engines and oracles (repro.txt), and the final IL of each
+// configuration (il-<config>.txt), recompiled from the reduced source
+// as one matrix. An incremental divergence adds both program variants
+// (base.c, mutated.c) and its first diverging IL pair (il-warm.txt,
+// il-scratch.txt). It returns the artifact directory.
 func WriteArtifacts(dir string, r *Result, reduced string) (string, error) {
 	sub := filepath.Join(dir, fmt.Sprintf("seed%d", r.Seed))
 	if err := os.MkdirAll(sub, 0o755); err != nil {
@@ -434,9 +528,25 @@ func WriteArtifacts(dir string, r *Result, reduced string) (string, error) {
 	if err := write("reduced.c", reduced); err != nil {
 		return "", err
 	}
+	if inc := r.Incremental; inc != nil && inc.Diverged() {
+		for name, content := range map[string]string{
+			"base.c":         inc.Base,
+			"mutated.c":      inc.Mutated,
+			"il-warm.txt":    inc.WarmIL,
+			"il-scratch.txt": inc.ScratchIL,
+		} {
+			if err := write(name, content); err != nil {
+				return "", err
+			}
+		}
+	}
 	var repro strings.Builder
-	fmt.Fprintf(&repro, "Differential divergence on seed %d.\n\n%s\n", r.Seed, r.Divergence())
-	fmt.Fprintf(&repro, "Reproduce with:\n\n    go run ./cmd/rpfuzz -start %d -seeds 1\n\n", r.Seed)
+	fmt.Fprintf(&repro, "Divergence on seed %d.\n\n%s\n", r.Seed, r.Divergence())
+	cmd := fmt.Sprintf("go run ./cmd/rpfuzz -start %d -seeds 1", r.Seed)
+	if args := r.Mode.Args(); len(args) > 0 {
+		cmd += " " + strings.Join(args, " ")
+	}
+	fmt.Fprintf(&repro, "Reproduce with:\n\n    %s\n\n", cmd)
 	repro.WriteString("Per-configuration behaviour:\n\n")
 	matrix := make([]driver.NamedConfig, len(r.Execs))
 	for i := range r.Execs {

@@ -1,12 +1,16 @@
 package difftest
 
 import (
+	"errors"
+	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"regpromo/internal/driver"
+	"regpromo/internal/interp"
 	"regpromo/internal/ir"
 	"regpromo/internal/testgen"
 )
@@ -16,7 +20,7 @@ import (
 func TestDiffSeedAgreesOnMain(t *testing.T) {
 	matrix := driver.DifferentialConfigurations(false)
 	for seed := int64(1); seed <= 5; seed++ {
-		r := DiffSeed(seed, matrix)
+		r := DiffSeedMode(seed, matrix, Mode{})
 		if d := r.Divergence(); d != "" {
 			t.Errorf("seed %d diverges:\n%s\n%s", seed, d, r.Source)
 		}
@@ -119,7 +123,7 @@ func TestReducedCandidatesStayWellFormed(t *testing.T) {
 	probes := 0
 	Reduce(seed, func(src string) bool {
 		probes++
-		r := DiffSource("cand.c", src, ref)
+		r := DiffSourceMode("cand.c", src, ref, Mode{})
 		// Compile errors are legitimate rejected trials (e.g. a
 		// pruned helper that is still called); runtime faults are
 		// not — pruning whole units must never corrupt the program.
@@ -137,7 +141,7 @@ func TestReducedCandidatesStayWellFormed(t *testing.T) {
 // corpus layout.
 func TestWriteArtifacts(t *testing.T) {
 	matrix := driver.DifferentialConfigurations(true)
-	r := DiffSeed(7, matrix)
+	r := DiffSeedMode(7, matrix, Mode{})
 	dir := t.TempDir()
 	sub, err := WriteArtifacts(dir, r, r.Source)
 	if err != nil {
@@ -170,5 +174,112 @@ func TestWriteArtifacts(t *testing.T) {
 	repro, _ := os.ReadFile(filepath.Join(sub, "repro.txt"))
 	if !strings.Contains(string(repro), "rpfuzz -start 7 -seeds 1") {
 		t.Error("repro.txt lacks the repro command")
+	}
+}
+
+// TestParseOracles pins the -oracles spec: each name sets its Mode
+// field, repeats count once, and an unknown name gets the canonical
+// diagnostic.
+func TestParseOracles(t *testing.T) {
+	for _, tc := range []struct {
+		spec    string
+		want    Mode
+		wantErr string
+	}{
+		{spec: "", want: Mode{}},
+		{spec: "sanitize", want: Mode{Sanitize: true}},
+		{spec: "certify", want: Mode{Certify: true}},
+		{spec: "incremental", want: Mode{Incremental: true}},
+		{spec: "certify, sanitize", want: Mode{Sanitize: true, Certify: true}},
+		{spec: "incremental,sanitize,incremental,certify,sanitize", want: Mode{Sanitize: true, Certify: true, Incremental: true}},
+		{spec: "bogus", wantErr: `[oracle] unknown oracle "bogus" (want sanitize, certify, or incremental)`},
+		{spec: "sanitize,", wantErr: `[oracle] unknown oracle "" (want sanitize, certify, or incremental)`},
+	} {
+		got, err := ParseOracles(tc.spec)
+		if tc.wantErr != "" {
+			if err == nil || err.Error() != tc.wantErr {
+				t.Errorf("ParseOracles(%q) error = %v, want %s", tc.spec, err, tc.wantErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("ParseOracles(%q): %v", tc.spec, err)
+			continue
+		}
+		if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", tc.want) {
+			t.Errorf("ParseOracles(%q) = %+v, want %+v", tc.spec, got, tc.want)
+		}
+	}
+}
+
+// TestReproCommandRoundTrips: the repro command WriteArtifacts writes
+// carries the run's engines and oracles, and parsing its flags back the
+// way rpfuzz does yields the same engine matrix and oracles.
+func TestReproCommandRoundTrips(t *testing.T) {
+	r := DiffSeedMode(7, driver.DifferentialConfigurations(true)[:1], Mode{})
+	for _, m := range []Mode{
+		{},
+		{Sanitize: true},
+		{BothEngines: true, Sanitize: true, Certify: true},
+		{Engines: []interp.Engine{interp.EngineFlat, interp.EngineNative}, Incremental: true},
+		{Engines: []interp.Engine{interp.EngineFlat, interp.EngineSwitch, interp.EngineNative}, Certify: true},
+	} {
+		r.Mode = m
+		sub, err := WriteArtifacts(t.TempDir(), r, r.Source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		repro, err := os.ReadFile(filepath.Join(sub, "repro.txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var args []string
+		for _, line := range strings.Split(string(repro), "\n") {
+			if f := strings.Fields(line); len(f) > 3 && strings.Join(f[:3], " ") == "go run ./cmd/rpfuzz" {
+				args = f[3:]
+			}
+		}
+		fs := flag.NewFlagSet("rpfuzz", flag.ContinueOnError)
+		start := fs.Int64("start", 1, "")
+		seeds := fs.Int64("seeds", 100, "")
+		engines := fs.String("engines", "flat", "")
+		oracles := fs.String("oracles", "", "")
+		if err := fs.Parse(args); err != nil || fs.NArg() != 0 {
+			t.Fatalf("%+v: repro flags %q do not parse: %v", m, args, err)
+		}
+		got, err := ParseOracles(*oracles)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Engines, err = driver.ParseEngines(*engines); err != nil {
+			t.Fatal(err)
+		}
+		if *start != 7 || *seeds != 1 {
+			t.Errorf("%+v: repro runs -start %d -seeds %d, want 7 and 1", m, *start, *seeds)
+		}
+		if fmt.Sprint(got.EngineMatrix()) != fmt.Sprint(m.EngineMatrix()) || fmt.Sprint(got.Oracles()) != fmt.Sprint(m.Oracles()) {
+			t.Errorf("%+v: repro %q parses to engines %v oracles %v, want %v and %v",
+				m, args, got.EngineMatrix(), got.Oracles(), m.EngineMatrix(), m.Oracles())
+		}
+	}
+}
+
+// TestCertifyRefutationIsAttributed: a compile refuted by certify is
+// that oracle's verdict, and a divergence it causes is counted for
+// certify alone; any other compile failure belongs to no oracle.
+func TestCertifyRefutationIsAttributed(t *testing.T) {
+	refuted := &driver.CheckError{Pass: driver.PassCertify, Diags: []ir.Diag{{Check: "certify", Index: -1, Msg: "refuted"}}}
+	nc := driver.NamedConfig{Name: "promote-modref"}
+	if e := compileFailure(nc, refuted); e.Oracle != OracleCertify {
+		t.Errorf("certify refutation: oracle %q, want %q", e.Oracle, OracleCertify)
+	}
+	for _, err := range []error{errors.New("parse error"), &driver.CheckError{Pass: "module", Diags: refuted.Diags}} {
+		if e := compileFailure(nc, err); e.Oracle != "" {
+			t.Errorf("%v: oracle %q, want none", err, e.Oracle)
+		}
+	}
+	r := &Result{Execs: []Execution{{Config: driver.NamedConfig{Name: "ref-noopt"}}, compileFailure(nc, refuted)}}
+	if got := r.Oracles(); fmt.Sprint(got) != "[certify]" {
+		t.Errorf("oracles = %v, want [certify]", got)
 	}
 }

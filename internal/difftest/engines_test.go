@@ -130,11 +130,11 @@ func TestEnginesAgreeOnBenchSuite(t *testing.T) {
 	}
 }
 
-// TestBothEnginesFuzzMode exercises the FuzzOptions.BothEngines path
+// TestBothEnginesFuzzMode exercises the Mode.BothEngines path
 // end to end: a clean seed range must stay clean with the engine
 // cross-check enabled.
 func TestBothEnginesFuzzMode(t *testing.T) {
-	report, err := Fuzz(FuzzOptions{Seeds: 10, Short: true, BothEngines: true})
+	report, err := Fuzz(FuzzOptions{Seeds: 10, Short: true, Mode: Mode{BothEngines: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestNativeEngineFuzzMode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("native builds are toolchain invocations; skipped in -short")
 	}
-	report, err := Fuzz(FuzzOptions{Seeds: 3, Short: true, Engines: []interp.Engine{interp.EngineNative}})
+	report, err := Fuzz(FuzzOptions{Seeds: 3, Short: true, Mode: Mode{Engines: []interp.Engine{interp.EngineNative}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,14 +161,14 @@ func TestNativeEngineFuzzMode(t *testing.T) {
 	}
 }
 
-// TestSanitizeFuzzMode exercises FuzzOptions.Sanitize end to end: a
+// TestSanitizeFuzzMode exercises Mode.Sanitize end to end: a
 // clean seed range must stay clean with the analysis-soundness
 // sanitizer armed as the third oracle. (The oracle's ability to catch
 // a real defect is proven by the seeded-corruption tests in
 // internal/interp; here we pin the absence of false positives on
 // honest compilations.)
 func TestSanitizeFuzzMode(t *testing.T) {
-	report, err := Fuzz(FuzzOptions{Start: 500, Seeds: 10, Short: true, Sanitize: true})
+	report, err := Fuzz(FuzzOptions{Start: 500, Seeds: 10, Short: true, Mode: Mode{Sanitize: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,6 +228,9 @@ int main(void) { f(); return g; }
 	e := execute(c, driver.NamedConfig{Name: "pruned"}, Mode{Sanitize: true})
 	if e.Err == nil || !strings.Contains(e.Err.Error(), "sanitizer: 1 violation(s)") {
 		t.Fatalf("err = %v, want one sanitizer violation", e.Err)
+	}
+	if e.Oracle != OracleSanitize {
+		t.Errorf("oracle = %q, want %q", e.Oracle, OracleSanitize)
 	}
 	if e.Exit != 1 {
 		t.Errorf("exit = %d, want 1", e.Exit)

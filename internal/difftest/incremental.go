@@ -1,14 +1,15 @@
 package difftest
 
 // This file is the incremental-compilation oracle: the differential
-// gate for the analysis summary cache. Where difftest.Fuzz compares
-// configurations against each other on one program, the incremental
-// oracle compares one configuration against itself across an edit —
-// compile program A cold into a fresh cache.Store, compile program B
-// warm against that populated store, and demand the warm compile's
-// final IL be byte-identical to compiling B with no cache at all. Any
-// byte of difference means a stale summary was replayed, which is a
-// miscompilation in waiting; the seed is archived as a reproducer.
+// gate for the analysis summary cache. Where the cross-configuration
+// diff compares configurations against each other on one program, the
+// incremental oracle compares one configuration against itself across
+// an edit — compile program A cold into a fresh cache.Store, compile
+// program B warm against that populated store, and demand the warm
+// compile's final IL be byte-identical to compiling B with no cache
+// at all. Any byte of difference means a stale summary was replayed,
+// which is a miscompilation in waiting; the seed is archived as a
+// reproducer.
 //
 // Each seed derives its edit from the generator itself: program B is
 // the seed's full program and program A is the same program with one
@@ -17,17 +18,17 @@ package difftest
 // Both directions run — growing A→B exercises summaries computed
 // before the code existed, shrinking B→A exercises summaries that
 // must not resurrect deleted effects.
+//
+// Fuzz runs the oracle on every seed when Mode.Incremental is set
+// (DiffSeedMode attaches its verdict to the seed's Result).
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 
 	"regpromo/internal/analysis/cache"
 	"regpromo/internal/driver"
 	"regpromo/internal/ir"
-	"regpromo/internal/par"
 	"regpromo/internal/testgen"
 )
 
@@ -56,19 +57,20 @@ func (r *IncrementalResult) Diverged() bool { return r.Divergence != "" }
 func IncrementalSeed(seed int64, matrix []driver.NamedConfig) *IncrementalResult {
 	r := &IncrementalResult{Seed: seed, Base: testgen.Program(seed)}
 	r.Mutated = mutateSeed(seed)
+	grow := incrementalOne(seed, matrix, r.Mutated, r.Base)
+	shrink := incrementalOne(seed, matrix, r.Base, r.Mutated)
 	var sb strings.Builder
-	for _, nc := range matrix {
-		for _, d := range []struct{ name, cold, warm string }{
-			{"grow", r.Mutated, r.Base},
-			{"shrink", r.Base, r.Mutated},
-		} {
-			div, warmIL, scratchIL := incrementalOne(seed, nc, d.cold, d.warm)
-			if div == "" {
+	for i, nc := range matrix {
+		for _, d := range []struct {
+			name string
+			v    incrementalVerdict
+		}{{"grow", grow[i]}, {"shrink", shrink[i]}} {
+			if d.v.div == "" {
 				continue
 			}
-			fmt.Fprintf(&sb, "%s/%s: %s\n", nc.Name, d.name, div)
+			fmt.Fprintf(&sb, "%s/%s: %s\n", nc.Name, d.name, d.v.div)
 			if r.WarmIL == "" {
-				r.WarmIL, r.ScratchIL = warmIL, scratchIL
+				r.WarmIL, r.ScratchIL = d.v.warmIL, d.v.scratchIL
 			}
 		}
 	}
@@ -95,124 +97,43 @@ func mutateSeed(seed int64) string {
 	return testgen.Program(seed)
 }
 
-// incrementalOne runs one configuration in one direction: cold compile
-// populating a fresh store, warm compile of the edited source against
-// it, scratch compile of the same edited source with no cache. The IL
-// pair is returned only when it diverges.
-func incrementalOne(seed int64, nc driver.NamedConfig, cold, warm string) (string, string, string) {
+// incrementalVerdict is one configuration's outcome in one edit
+// direction: div is "" when the warm IL matched scratch, and the IL
+// pair is set only when it diverged.
+type incrementalVerdict struct {
+	div, warmIL, scratchIL string
+}
+
+// incrementalOne runs one edit direction under every configuration:
+// per configuration, a cold compile populating a fresh store and a
+// warm compile of the edited source against it; then one scratch
+// compile of the edited source with no cache, all configurations as
+// one matrix.
+func incrementalOne(seed int64, matrix []driver.NamedConfig, cold, warm string) []incrementalVerdict {
 	name := fmt.Sprintf("seed%d.c", seed)
-	cfg := nc.Config
-	cfg.AnalysisCache = cache.NewStore()
-	if _, err := driver.CompileSource(name, cold, cfg); err != nil {
-		return fmt.Sprintf("cold compile: %v", err), "", ""
-	}
-	warmC, err := driver.CompileSource(name, warm, cfg)
-	if err != nil {
-		return fmt.Sprintf("warm compile: %v", err), "", ""
-	}
-	scratchC, err := driver.CompileSource(name, warm, nc.Config)
-	if err != nil {
-		return fmt.Sprintf("scratch compile: %v", err), "", ""
-	}
-	w, s := ir.FormatModule(warmC.Module), ir.FormatModule(scratchC.Module)
-	if w != s {
-		return fmt.Sprintf("warm IL differs from scratch (%d vs %d bytes; %d SCCs replayed from cache)",
-			len(w), len(s), warmC.Analysis.SCCsCached), w, s
-	}
-	return "", "", ""
-}
-
-// IncrementalOptions configure an incremental-oracle fuzzing run.
-type IncrementalOptions struct {
-	// Start is the first seed; Seeds is how many consecutive seeds to
-	// test.
-	Start, Seeds int64
-	// Parallel bounds concurrent seeds (<=0 means one worker per CPU).
-	Parallel int
-	// Short trims the configuration matrix for smoke runs.
-	Short bool
-	// CorpusDir, when non-empty, receives a failure artifact per
-	// divergent seed.
-	CorpusDir string
-	// Progress, when non-nil, is called after each seed completes
-	// (from worker goroutines, possibly out of order).
-	Progress func(seed int64, diverged bool)
-}
-
-// IncrementalFailure is one divergent seed with its artifact location.
-type IncrementalFailure struct {
-	Seed       int64
-	Divergence string
-	// Dir is the corpus directory the artifact was written to (empty
-	// when no corpus was requested).
-	Dir string
-}
-
-// IncrementalReport summarizes an incremental-oracle run.
-type IncrementalReport struct {
-	Seeds    int64
-	Matrix   []driver.NamedConfig
-	Failures []IncrementalFailure
-}
-
-// FuzzIncremental runs the incremental oracle over Seeds consecutive
-// seeds on the shared bench worker pool and reports every divergence,
-// archived according to the options. As with Fuzz, the error return
-// is for infrastructure problems; divergences are data.
-func FuzzIncremental(opts IncrementalOptions) (*IncrementalReport, error) {
-	matrix := driver.DifferentialConfigurations(opts.Short)
-	report := &IncrementalReport{Seeds: opts.Seeds, Matrix: matrix}
-	fails, err := par.ParallelMap(int(opts.Seeds), opts.Parallel, func(i int) (*IncrementalFailure, error) {
-		seed := opts.Start + int64(i)
-		r := IncrementalSeed(seed, matrix)
-		if opts.Progress != nil {
-			opts.Progress(seed, r.Diverged())
+	out := make([]incrementalVerdict, len(matrix))
+	scratch, errs := compileMatrix(name, warm, matrix, false)
+	for i, nc := range matrix {
+		cfg := nc.Config
+		cfg.AnalysisCache = cache.NewStore()
+		if _, err := driver.CompileSource(name, cold, cfg); err != nil {
+			out[i].div = fmt.Sprintf("cold compile: %v", err)
+			continue
 		}
-		if !r.Diverged() {
-			return nil, nil
+		warmC, err := driver.CompileSource(name, warm, cfg)
+		if err != nil {
+			out[i].div = fmt.Sprintf("warm compile: %v", err)
+			continue
 		}
-		f := &IncrementalFailure{Seed: seed, Divergence: r.Divergence}
-		if opts.CorpusDir != "" {
-			dir, err := writeIncrementalArtifacts(opts.CorpusDir, r)
-			if err != nil {
-				return nil, err
-			}
-			f.Dir = dir
+		if errs[i] != nil {
+			out[i].div = fmt.Sprintf("scratch compile: %v", errs[i])
+			continue
 		}
-		return f, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, f := range fails {
-		if f != nil {
-			report.Failures = append(report.Failures, *f)
+		w, s := ir.FormatModule(warmC.Module), ir.FormatModule(scratch[i].Module)
+		if w != s {
+			out[i] = incrementalVerdict{fmt.Sprintf("warm IL differs from scratch (%d vs %d bytes; %d SCCs replayed from cache)",
+				len(w), len(s), warmC.Analysis.SCCsCached), w, s}
 		}
 	}
-	return report, nil
-}
-
-// writeIncrementalArtifacts archives a divergent seed under
-// dir/incr-seed<NNN>: both program variants, the first diverging
-// warm/scratch IL pair, and a repro command.
-func writeIncrementalArtifacts(dir string, r *IncrementalResult) (string, error) {
-	sub := filepath.Join(dir, fmt.Sprintf("incr-seed%d", r.Seed))
-	if err := os.MkdirAll(sub, 0o755); err != nil {
-		return "", err
-	}
-	var repro strings.Builder
-	fmt.Fprintf(&repro, "Incremental-compilation divergence on seed %d.\n\n%s\n", r.Seed, r.Divergence)
-	fmt.Fprintf(&repro, "Reproduce with:\n\n    go run ./cmd/rpfuzz -incremental -start %d -seeds 1\n", r.Seed)
-	for name, content := range map[string]string{
-		"base.c":         r.Base,
-		"mutated.c":      r.Mutated,
-		"il-warm.txt":    r.WarmIL,
-		"il-scratch.txt": r.ScratchIL,
-		"repro.txt":      repro.String(),
-	} {
-		if err := os.WriteFile(filepath.Join(sub, name), []byte(content), 0o644); err != nil {
-			return "", err
-		}
-	}
-	return sub, nil
+	return out
 }
