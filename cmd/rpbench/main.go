@@ -10,7 +10,9 @@
 //	rpbench -figure 6        print one figure (5=ops, 6=stores,
 //	                         7=loads, 8=weighted cycles)
 //	rpbench -parallel N      measure up to N programs concurrently
-//	                         (0 = one per CPU); results are assembled
+//	                         (0 = one per CPU; never more than the
+//	                         CPUs, and each program's compiles then
+//	                         run inline); results are assembled
 //	                         in suite order, so the tables are
 //	                         identical to a serial run's
 //	rpbench -pointerpromo    rerun the matrix with §3.3 pointer-based

@@ -14,7 +14,9 @@
 //
 //	-seeds N      number of consecutive seeds to test (default 100)
 //	-start S      first seed (default 1)
-//	-parallel M   concurrent seeds (default: one per CPU)
+//	-parallel M   concurrent seeds (default: one per CPU; never more
+//	              than the CPUs, and each seed's own steps then run
+//	              inline)
 //	-short        trim the matrix to the reference plus the paper's
 //	              three measured pipelines (CI smoke runs)
 //	-engines E    engine matrix: "flat" runs the default engine only;

@@ -270,23 +270,24 @@ func (m Mode) EngineMatrix() []interp.Engine {
 // of the matrix, with the mode's oracles. The front end runs once, and
 // the configurations compile together through one
 // driver.Frontend.CompileMatrix call, which runs each pass prefix they
-// share once (compile-once sharing). With Mode.BothEngines set, each compilation additionally executes on the
-// reference switch engine, and any flat-vs-switch disagreement —
-// output, exit code, dynamic counts, or error text — is reported as a
-// divergence on that configuration. With Mode.Sanitize set, the
-// switch-engine execution runs under the analysis-soundness sanitizer
-// and its violations are divergences. Mode.Incremental is ignored.
+// share once (compile-once sharing). The configurations' executions
+// then run through par, concurrently when the CPU budget has room, and
+// land in matrix order. With Mode.BothEngines set, each compilation
+// additionally executes on the reference switch engine, and any
+// flat-vs-switch disagreement — output, exit code, dynamic counts, or
+// error text — is reported as a divergence on that configuration. With
+// Mode.Sanitize set, the switch-engine execution runs under the
+// analysis-soundness sanitizer and its violations are divergences.
+// Mode.Incremental is ignored.
 func DiffSourceMode(filename, src string, matrix []driver.NamedConfig, mode Mode) *Result {
-	r := &Result{Source: src, Mode: mode}
 	cs, errs := compileMatrix(filename, src, matrix, mode.Certify)
-	for i, nc := range matrix {
+	execs, _ := par.ParallelMap(len(matrix), 0, func(i int) (Execution, error) {
 		if errs[i] != nil {
-			r.Execs = append(r.Execs, compileFailure(nc, errs[i]))
-			continue
+			return compileFailure(matrix[i], errs[i]), nil
 		}
-		r.Execs = append(r.Execs, execute(cs[i], nc, mode))
-	}
-	return r
+		return execute(cs[i], matrix[i], mode), nil
+	})
+	return &Result{Source: src, Mode: mode, Execs: execs}
 }
 
 // compileFailure is a configuration's outcome when it failed to

@@ -27,6 +27,36 @@ func TestDiffSeedAgreesOnMain(t *testing.T) {
 	}
 }
 
+// TestExecsFollowMatrixOrder checks that DiffSourceMode, which runs
+// the configurations' executions concurrently when the CPU budget has
+// room, still reports them in matrix order: each execution names its
+// own configuration and carries exactly the behaviour and counts of
+// that configuration compiled alone on one worker.
+func TestExecsFollowMatrixOrder(t *testing.T) {
+	matrix := driver.DifferentialConfigurations(false)
+	mode := Mode{BothEngines: true}
+	for seed := int64(1); seed <= 10; seed++ {
+		r := DiffSeedMode(seed, matrix, mode)
+		if len(r.Execs) != len(matrix) {
+			t.Fatalf("seed %d: %d executions for %d configurations", seed, len(r.Execs), len(matrix))
+		}
+		for i, nc := range matrix {
+			got := &r.Execs[i]
+			cfg := nc.Config
+			cfg.Workers = 1
+			c, err := driver.CompileSource(fmt.Sprintf("seed%d.c", seed), r.Source, cfg)
+			if err != nil {
+				t.Fatalf("seed %d %s: %v", seed, nc.Name, err)
+			}
+			want := execute(c, nc, mode)
+			if got.Config.Name != nc.Name || got.Behaviour() != want.Behaviour() || got.Counts != want.Counts {
+				t.Errorf("seed %d execution %d: %s %s %+v, want %s %s %+v", seed, i,
+					got.Config.Name, got.Behaviour(), got.Counts, nc.Name, want.Behaviour(), want.Counts)
+			}
+		}
+	}
+}
+
 // TestFuzzCleanOnMain drives the whole Fuzz loop (parallel, short
 // matrix) and expects a clean report.
 func TestFuzzCleanOnMain(t *testing.T) {

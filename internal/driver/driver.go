@@ -12,7 +12,8 @@
 // are whole-module barriers; every run of consecutive per-function
 // passes between them is a group that the worker pool walks function
 // by function. Frontend.CompileMatrix runs several configurations'
-// lists as one trie, so a pass prefix they share runs once. A compile
+// lists as one trie, so a pass prefix they share runs once, and the
+// trie's branches run concurrently. A compile
 // under an obs.Tracer records spans and fills Compilation.Passes with
 // one record per pass: its span time, static IR deltas, and pass
 // statistics.
@@ -194,10 +195,14 @@ type Config struct {
 	K int
 
 	// Workers bounds how many functions the per-function middle-end
-	// passes process concurrently: 0 picks one worker per CPU, larger
-	// values set the pool size directly (1 is a one-worker pool, which
-	// walks the functions in order on the calling goroutine). The
-	// produced IL is identical at any setting.
+	// passes process concurrently, and how many branches of a
+	// CompileMatrix trie run at once: 0 picks one worker per CPU,
+	// larger values set the bound directly. The workers come from
+	// internal/par's process-wide budget of GOMAXPROCS slots, so a
+	// step that finds fewer than two free (a group inside a branch
+	// that runs beside its siblings, say) runs inline. 1 runs the
+	// whole compile on the calling goroutine, branches and functions
+	// in order. The produced IL is identical at any setting.
 	Workers int
 
 	// Check selects how much of the internal/check lint registry to
@@ -320,6 +325,17 @@ type pipeState struct {
 	tr  *obs.Tracer // nil for an untraced compile
 	mu  sync.Mutex
 
+	// width is the worker bound of the state's parallel steps:
+	// Config.Workers, or GOMAXPROCS when that is 0, fixed when the
+	// matrix starts.
+	width int
+	// lane is the trace thread (tid) of the state's barrier spans, and
+	// a group's worker w traces on tid lane+1+w. A matrix's root state
+	// has lane 0; a branch that runs beside its siblings gets a fresh
+	// block of width+1 tids, so concurrent branches never share a tid
+	// (see matrix.descend).
+	lane int
+
 	// analysisDone is set once a MOD/REF run has annotated the
 	// module, which some lint passes wait for.
 	analysisDone bool
@@ -351,7 +367,7 @@ func (cfg Config) passes() []pass {
 	var ps []pass
 	ps = append(ps, pass{name: PassModRef, run: func(s *pipeState) (map[string]int64, error) {
 		s.cg = callgraph.Build(s.c.Module)
-		sp := s.tr.Start("modref.fixpoint", "analysis", 0)
+		sp := s.tr.Start("modref.fixpoint", "analysis", s.lane)
 		res := modref.Analyze(s.c.Module, s.cg, cfg.AnalysisCache)
 		s.c.Analysis.SCCsSolved += res.SCCsSolved
 		s.c.Analysis.SCCsCached += res.SCCsCached
@@ -368,7 +384,7 @@ func (cfg Config) passes() []pass {
 	if cfg.Analysis == PointsTo {
 		ps = append(ps, pass{name: PassPointsTo, run: func(s *pipeState) (map[string]int64, error) {
 			m := s.c.Module
-			sp := s.tr.Start("pointsto.fixpoint", "analysis", 0)
+			sp := s.tr.Start("pointsto.fixpoint", "analysis", s.lane)
 			res := pointsto.Solve(m, s.cg, cfg.AnalysisCache)
 			s.c.Analysis.SCCsSolved += res.SCCsSolved
 			s.c.Analysis.SCCsCached += res.SCCsCached
@@ -392,7 +408,7 @@ func (cfg Config) passes() []pass {
 			return map[string]int64{"changed": int64(changed)}, nil
 		}})
 		ps = append(ps, pass{name: PassModRef, run: func(s *pipeState) (map[string]int64, error) {
-			sp := s.tr.Start("modref.fixpoint", "analysis", 0)
+			sp := s.tr.Start("modref.fixpoint", "analysis", s.lane)
 			res := modref.Analyze(s.c.Module, s.cg, cfg.AnalysisCache)
 			s.c.Analysis.SCCsSolved += res.SCCsSolved
 			s.c.Analysis.SCCsCached += res.SCCsCached
@@ -471,7 +487,7 @@ func (cfg Config) passes() []pass {
 			// certificates and the whole module's call structure, so
 			// the middle end parks here between its groups.
 			ps = append(ps, pass{name: PassCertify, run: func(s *pipeState) (map[string]int64, error) {
-				sp := s.tr.Start("certify.verify", "analysis", 0)
+				sp := s.tr.Start("certify.verify", "analysis", s.lane)
 				sum := certify.Verify(s.c.Module, s.c.Promote.Regions)
 				sp.Arg("regions", int64(sum.Regions)).
 					Arg("violations", int64(sum.Violations)).End()
@@ -604,7 +620,7 @@ func checkDump(tr *obs.Tracer, first string, cfg Config) error {
 
 // runBarrier runs one whole-module pass under its span.
 func (s *pipeState) runBarrier(p pass) error {
-	sp := s.tr.Start(p.name, "pass", 0)
+	sp := s.tr.Start(p.name, "pass", s.lane)
 	extra, err := p.run(s)
 	dur := sp.AddArgs(extra).End()
 	if err != nil {
@@ -670,8 +686,10 @@ type funcStage struct {
 // module's functions on the worker pool. Each function walks the
 // whole group — function A can be in regalloc while function B is
 // still in constprop — so the group's wall time is bounded by the
-// slowest function, not by the slowest pass. A one-worker pool walks
-// the functions in order on the calling goroutine.
+// slowest function, not by the slowest pass. A one-worker pool, or a
+// group that finds no free slot in par's CPU budget (a group inside a
+// matrix branch that runs beside its siblings, say), walks the
+// functions in order on the calling goroutine.
 //
 // Determinism: the passes in a group only read shared state (the tag
 // table, call-graph summaries baked into instructions) and mutate
@@ -696,7 +714,7 @@ func runGroup(s *pipeState, group []pass) error {
 	if tr != nil {
 		recs = make([][]funcStage, len(fns))
 	}
-	if _, err := par.ParallelMapWorker(len(fns), s.cfg.Workers, func(worker, i int) (struct{}, error) {
+	if _, err := par.ParallelMapWorker(len(fns), s.width, func(worker, i int) (struct{}, error) {
 		fn := fns[i]
 		st := &ir.StagedTags{}
 		staged[i] = st
@@ -708,10 +726,11 @@ func runGroup(s *pipeState, group []pass) error {
 			}
 			return struct{}{}, nil
 		}
-		// Middle-end work items are attributed to logical thread
-		// worker+1 (tid 0 is the coordinating goroutine).
-		tid := worker + 1
-		tr.NameThread(tid, fmt.Sprintf("worker %d", worker))
+		// Middle-end work items are attributed to the tids after the
+		// state's lane; tid t >= 1 is logical worker t-1 (tid 0 is the
+		// coordinating goroutine).
+		tid := s.lane + 1 + worker
+		tr.NameThread(tid, fmt.Sprintf("worker %d", tid-1))
 		fsp := tr.Start(fn.Name, "middleend", tid).Arg("worker", int64(worker))
 		rs := make([]funcStage, len(group))
 		for j := range group {
@@ -788,22 +807,21 @@ func commitStagedTags(fn *ir.Func, staged *ir.StagedTags, tags *ir.TagTable) {
 
 // Execute runs a compiled program under the engine named in opts.
 // Flat-engine runs lower the module to flat code on first use and
-// reuse the lowering afterwards; a hooked one (interp.Options.Hooked:
-// profile, sanitizer or trace) runs on the switch engine instead.
-// Native runs additionally build (or reuse, via the
+// reuse the lowering, with its load image, afterwards. A switch-engine
+// run (asked for, or a hooked flat-engine one — interp.Options.Hooked:
+// profile, sanitizer or trace) loads from that image once it exists;
+// before any flat run it builds an image of its own, which costs less
+// than lowering. Native runs additionally build (or reuse, via the
 // content-addressed cache) a machine-code artifact.
 func (c *Compilation) Execute(opts interp.Options) (*interp.Result, error) {
-	switch opts.Engine {
-	case interp.EngineSwitch:
-		return interp.Run(c.Module, opts)
-	case interp.EngineNative:
+	switch {
+	case opts.Engine == interp.EngineNative:
 		a, err := c.nativeArtifact(opts)
 		if err != nil {
 			return nil, err
 		}
 		return a.Run(opts)
-	}
-	if opts.Hooked() {
+	case c.prog == nil && (opts.Engine == interp.EngineSwitch || opts.Hooked()):
 		return interp.Run(c.Module, opts)
 	}
 	return c.flatProgram().Run(opts)

@@ -91,7 +91,8 @@ func (fe *Frontend) Compile(cfg Config, tr *obs.Tracer) (*Compilation, error) {
 // Check, CheckPasses and AnalysisCache agree. Each trie starts from
 // one clone of the artifact's module, and every branch but the last of
 // a node clones the module again, so a matrix costs as many clones as
-// it has configurations.
+// it has configurations. A node's branches run concurrently, up to
+// Workers at once.
 //
 // The result holds one Compilation per configuration, in order, each
 // with its own module: the IL, statistics and pass records are those

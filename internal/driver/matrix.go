@@ -5,11 +5,13 @@ import (
 	"maps"
 	"slices"
 	"strings"
+	"sync/atomic"
 
 	"regpromo/internal/analysis/cache"
 	"regpromo/internal/ir"
 	"regpromo/internal/obs"
 	"regpromo/internal/opt/promote"
+	"regpromo/internal/par"
 )
 
 // readSet is a set of Config fields a pass body reads (see pass.reads).
@@ -139,7 +141,9 @@ func matrixError(errs []error) error {
 	return nil
 }
 
-// matrix is one compileMatrix call's run state.
+// matrix is one compileMatrix call's run state. Branches of a trie
+// run concurrently, each writing only the out and errs entries of the
+// configurations below it.
 type matrix struct {
 	cfgs []Config
 	out  []*Compilation
@@ -147,6 +151,9 @@ type matrix struct {
 	// fe counts the modules forked at the trie's branches among its
 	// clones; nil for a compile from source.
 	fe *Frontend
+	// lanes is the first trace tid no pipeline state has claimed (see
+	// pipeState.lane).
+	lanes atomic.Int64
 }
 
 // compileMatrix is the pipeline runner behind Compile,
@@ -156,8 +163,9 @@ type matrix struct {
 // trie node runs once over the module every configuration below it
 // shares. At a node where the configurations part ways, every branch
 // but the last gets a clone of the module and a copy of the pipeline
-// state, and the last takes them over. keep narrows the declared
-// per-pass key fields; it is allReads except in tests.
+// state, and the last takes them over; the branches then run
+// concurrently, up to Config.Workers at once. keep narrows the
+// declared per-pass key fields; it is allReads except in tests.
 //
 // The results are indexed like cfgs: each configuration gets its own
 // Compilation or its error. An error at a shared node is the error of
@@ -178,7 +186,15 @@ func compileMatrix(cfgs []Config, tr *obs.Tracer, keep readSet, fe *Frontend, fi
 	defer tr.Start("compile", "compile", 0).End()
 	tr.NameThread(0, "main")
 	for _, t := range mx.tries(live, keep) {
-		s := &pipeState{cfg: cfgs[t.cfgs[0]], c: &Compilation{}, tr: tr}
+		cfg := cfgs[t.cfgs[0]]
+		width := cfg.Workers
+		if width <= 0 {
+			width = par.DefaultWorkers()
+		}
+		// The root state traces on tid 0 and its groups on tids
+		// 1..width; branch lanes are claimed above them.
+		mx.lanes.Store(int64(width) + 1)
+		s := &pipeState{cfg: cfg, c: &Compilation{}, tr: tr, width: width}
 		err := root(s)
 		if err == nil && s.cfg.Check == CheckEveryPass {
 			// Lint the front end's output before any pass touches it.
@@ -225,24 +241,44 @@ func (mx *matrix) fail(n *node, err error) {
 }
 
 // descend continues below n, whose pass has just run over s: the last
-// branch takes s over, every other branch a fork of it.
+// branch takes s over, every other branch a fork of it. Every fork is
+// made before any branch runs, since the last one mutates s; the
+// branches then run through par, up to s.width at once. Branches on
+// par's worker 0 keep s's trace lanes (the caller waits while they
+// run, so its lanes are idle); each other worker claims a block of
+// width+1 fresh lanes the first time it takes a branch.
 func (mx *matrix) descend(s *pipeState, n *node) {
-	last := len(n.ends) + len(n.children) - 1
-	b := 0
-	next := func() *pipeState {
-		t := s
-		if b < last {
-			t = mx.fork(s)
+	nb := len(n.ends) + len(n.children)
+	branch := func(t *pipeState, b int) {
+		if b < len(n.ends) {
+			mx.finish(t, n.ends[b])
+		} else {
+			mx.run(t, n.children[b-len(n.ends)])
 		}
-		b++
-		return t
 	}
-	for _, i := range n.ends {
-		mx.finish(next(), i)
+	if nb == 1 {
+		branch(s, 0)
+		return
 	}
-	for _, c := range n.children {
-		mx.run(next(), c)
+	states := make([]*pipeState, nb)
+	for b := range nb - 1 {
+		states[b] = mx.fork(s)
 	}
+	states[nb-1] = s
+	lanes := make([]int, s.width)
+	block := s.width + 1
+	par.ParallelMapWorker(nb, s.width, func(worker, b int) (struct{}, error) {
+		t := states[b]
+		if worker > 0 {
+			if lanes[worker] == 0 {
+				lanes[worker] = int(mx.lanes.Add(int64(block))) - block
+				s.tr.NameThread(lanes[worker], "branch")
+			}
+			t.lane = lanes[worker]
+		}
+		branch(t, b)
+		return struct{}{}, nil
+	})
 }
 
 // run executes n's pass over s and descends. A per-function pass
@@ -313,7 +349,7 @@ func (mx *matrix) fork(s *pipeState) *pipeState {
 		pressureByFunc: maps.Clone(from.pressureByFunc),
 	}
 	c.Promote.Regions = remapRegions(from.Promote.Regions, from.Module, c.Module)
-	return &pipeState{cfg: s.cfg, c: c, cg: s.cg, tr: s.tr, analysisDone: s.analysisDone}
+	return &pipeState{cfg: s.cfg, c: c, cg: s.cg, tr: s.tr, width: s.width, lane: s.lane, analysisDone: s.analysisDone}
 }
 
 // remapRegions copies regions recorded on module from onto its clone

@@ -40,8 +40,11 @@ func fullMatrix(fe *driver.Frontend, cfgs []driver.Config, tr *obs.Tracer) ([]*d
 }
 
 // matrixMismatches compiles p under every configuration alone, each
-// from its own front end, and all together through compile, and lists
-// every difference between the two: the IL bytes, the pass records
+// from its own front end on one worker (Workers: 1, so wholly on the
+// calling goroutine), and all together through compile with the
+// configurations' own worker counts, so the matrix's branches and
+// groups run concurrently when the CPU budget has room. It lists every
+// difference between the two: the IL bytes, the pass records in order
 // with time excluded, the promotion, allocation and analysis
 // statistics, and the pressure reports. newTracer makes each compile's
 // tracer.
@@ -64,7 +67,9 @@ func matrixMismatches(t *testing.T, p matrixProgram, cfgs []driver.Config, compi
 	}
 	var diffs []string
 	for i, cfg := range cfgs {
-		want, err := parse().Compile(cfg, newTracer())
+		serial := cfg
+		serial.Workers = 1
+		want, err := parse().Compile(serial, newTracer())
 		if err != nil {
 			t.Fatalf("%s config %d: alone: %v", p.name, i, err)
 		}
@@ -123,7 +128,9 @@ func matrixConfigLists() map[string][]driver.Config {
 // each configuration alone: for the suite and testgen seeds 1–40,
 // under the paper's four configurations and the full differential
 // matrix, every configuration's IL, pass records (time aside),
-// statistics and pressure reports must be the same either way.
+// statistics and pressure reports must be the same either way. The
+// matrix runs at the default worker count, its branches in parallel,
+// and each configuration alone on one worker.
 func TestCompileMatrixMatchesSeparate(t *testing.T) {
 	for list, cfgs := range matrixConfigLists() {
 		for _, p := range matrixPrograms() {

@@ -3,12 +3,16 @@ package driver_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"slices"
+	"sort"
 	"testing"
 
 	"regpromo/internal/bench"
 	"regpromo/internal/driver"
 	"regpromo/internal/interp"
 	"regpromo/internal/obs"
+	"regpromo/internal/testgen"
 )
 
 // TestTracedParallelCompile compiles with the parallel middle end
@@ -100,6 +104,84 @@ func TestTracedParallelCompile(t *testing.T) {
 	}
 	if !sawFixpoint {
 		t.Error("no analysis fixpoint span recorded")
+	}
+}
+
+// laneOverlap names two spans on one tid that overlap without one
+// containing the other, or returns "" when every tid's spans nest.
+func laneOverlap(spans []obs.SpanEvent) string {
+	// Outer spans first where two start together.
+	spans = slices.Clone(spans)
+	sort.SliceStable(spans, func(i, j int) bool {
+		if spans[i].StartNS != spans[j].StartNS {
+			return spans[i].StartNS < spans[j].StartNS
+		}
+		return spans[i].DurNS > spans[j].DurNS
+	})
+	end := func(sp obs.SpanEvent) int64 { return sp.StartNS + sp.DurNS }
+	open := map[int][]obs.SpanEvent{} // per tid, the spans enclosing the current one
+	for _, sp := range spans {
+		stack := open[sp.TID]
+		for len(stack) > 0 && end(stack[len(stack)-1]) <= sp.StartNS {
+			stack = stack[:len(stack)-1]
+		}
+		if n := len(stack); n > 0 && end(stack[n-1]) < end(sp) {
+			return fmt.Sprintf("tid %d: %s [%d,%d] overlaps %s [%d,%d]", sp.TID,
+				stack[n-1].Name, stack[n-1].StartNS, end(stack[n-1]), sp.Name, sp.StartNS, end(sp))
+		}
+		open[sp.TID] = append(stack, sp)
+	}
+	return ""
+}
+
+// TestConcurrentBranchesTraceOnOwnLanes compiles the full differential
+// matrix of testgen seeds 1–10 at the default worker count, so the
+// trie's branches (and any group that finds free CPU slots) run
+// concurrently, and checks that the trace still nests on every tid:
+// each concurrent branch must trace on lanes of its own.
+func TestConcurrentBranchesTraceOnOwnLanes(t *testing.T) {
+	cfgs := matrixConfigLists()["differential"]
+	for seed := int64(1); seed <= 10; seed++ {
+		fe, err := driver.ParseSource(fmt.Sprintf("seed%d.c", seed), testgen.Program(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := obs.NewTracer()
+		if _, err := fe.CompileMatrix(cfgs, tr); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if o := laneOverlap(tr.Spans()); o != "" {
+			t.Errorf("seed %d: %s", seed, o)
+		}
+	}
+}
+
+// TestOneWorkerMatrixStaysOnCaller compiles the differential matrix
+// with Workers: 1. Every branch and group then runs on the calling
+// goroutine, so no branch claims a lane of its own: the trace holds
+// tid 0 (the compile and its barriers) and tid 1 (the groups, as
+// worker 0) alone, and still nests.
+func TestOneWorkerMatrixStaysOnCaller(t *testing.T) {
+	cfgs := matrixConfigLists()["differential"]
+	for i := range cfgs {
+		cfgs[i].Workers = 1
+	}
+	p := bench.Suite()[0]
+	fe, err := driver.ParseSource(p.Name+".c", bench.Source(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.NewTracer()
+	if _, err := fe.CompileMatrix(cfgs, tr); err != nil {
+		t.Fatal(err)
+	}
+	for _, sp := range tr.Spans() {
+		if sp.TID > 1 || (sp.Cat == "middleend" && sp.Args["worker"] != 0) {
+			t.Errorf("span %s on tid %d, worker %d", sp.Name, sp.TID, sp.Args["worker"])
+		}
+	}
+	if o := laneOverlap(tr.Spans()); o != "" {
+		t.Error(o)
 	}
 }
 

@@ -26,11 +26,12 @@ import (
 // engine to, byte for byte.
 
 // Run executes the program's main function. A hooked execution
-// (Options.Hooked) runs on the switch engine over the program's
-// module; the Result is the same either way.
+// (Options.Hooked), or one that asks for EngineSwitch, runs on the
+// switch engine over the program's module, loaded from the program's
+// image; the Result is the same either way.
 func (p *Program) Run(opts Options) (*Result, error) {
-	if opts.Hooked() {
-		return runSwitch(p.mod, opts)
+	if opts.Engine == EngineSwitch || opts.Hooked() {
+		return runSwitch(p.mod, opts, p.img)
 	}
 	if p.mainIdx < 0 {
 		return nil, &Error{Func: "main", Msg: "no main function"}

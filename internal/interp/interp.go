@@ -252,23 +252,24 @@ func computeLayout(mod *ir.Module, fn *ir.Func) *frameLayout {
 func Run(mod *ir.Module, opts Options) (*Result, error) {
 	switch opts.Engine {
 	case EngineSwitch:
-		return runSwitch(mod, opts)
+		return runSwitch(mod, opts, buildImage(mod))
 	case EngineNative:
 		return nil, fmt.Errorf("native engine requires a driver.Compilation (use Compilation.Execute)")
 	}
 	if opts.Hooked() {
-		return runSwitch(mod, opts)
+		return runSwitch(mod, opts, buildImage(mod))
 	}
 	return Flatten(mod, false).Run(opts)
 }
 
-// runSwitch executes main on the block-walking reference engine.
-func runSwitch(mod *ir.Module, opts Options) (*Result, error) {
+// runSwitch executes main on the block-walking reference engine,
+// loading the module from img.
+func runSwitch(mod *ir.Module, opts Options, img *execImage) (*Result, error) {
 	mainFn, ok := mod.Funcs["main"]
 	if !ok {
 		return nil, &Error{Func: "main", Msg: "no main function"}
 	}
-	m := newMachine(mod, opts)
+	m := newMachineImage(mod, opts, img)
 	exit, err := m.call(mainFn, nil)
 	if err != nil {
 		return nil, err
@@ -314,12 +315,6 @@ func buildImage(mod *ir.Module) *execImage {
 	return img
 }
 
-// newMachine builds the execution state shared by both engines,
-// computing the module's load image from scratch.
-func newMachine(mod *ir.Module, opts Options) *machine {
-	return newMachineImage(mod, opts, buildImage(mod))
-}
-
 // newMachineImage builds execution state from a precomputed image.
 // The address map and ownership ranges are shared read-only; the
 // global bytes are copied. The stack region is committed lazily
@@ -349,17 +344,20 @@ func newMachineImage(mod *ir.Module, opts Options, img *execImage) *machine {
 	return m
 }
 
-// ensureStack commits the stack region through need bytes. The region
-// is logically stackSize bytes of zeroes; committing it lazily keeps
-// machine construction cheap when one program runs many times. Both
-// engines commit at frame push with identical frame sizes, so the
+// ensureStack commits the stack region through need bytes, rounded up
+// to a power of two (capped at stackSize): the first commit is the
+// entry frame's own need, and every later one at least doubles the
+// region. The region is logically stackSize bytes of zeroes;
+// committing it lazily keeps machine construction cheap when one
+// program runs many times. Both engines (and natgen's copy of this
+// function) commit at frame push with identical frame sizes, so the
 // committed prefix — and therefore which wild stack addresses fault in
-// mem — evolves identically under either engine.
+// mem — evolves identically under each engine.
 func (m *machine) ensureStack(need int64) {
 	if need <= int64(len(m.stack)) {
 		return
 	}
-	sz := int64(64 << 10)
+	sz := int64(1)
 	for sz < need {
 		sz *= 2
 	}

@@ -191,7 +191,7 @@ func (m *mach) ensureStack(need int64) {
 	if need <= int64(len(m.stack)) {
 		return
 	}
-	sz := int64(64 << 10)
+	sz := int64(1)
 	for sz < need {
 		sz *= 2
 	}
