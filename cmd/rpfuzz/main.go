@@ -61,9 +61,11 @@
 //	-v            log each divergent seed as it is found
 //
 // Long runs are not silent: a progress line (seeds done, divergences
-// with one count per listed oracle, elapsed, seeds/sec) goes to stderr
-// every -progress seeds, and a matching summary line always ends the
-// run.
+// with one count per listed oracle, "executed N of M" — the
+// configurations' compilations executed, of all configurations: those
+// that compile to identical modules share one execution —, elapsed,
+// seeds/sec) goes to stderr every -progress seeds, and a matching
+// summary line always ends the run.
 //
 // Exit status is 0 when every seed agrees under every configuration,
 // 1 when any divergence was found, 2 on usage or I/O errors. Each
@@ -143,7 +145,7 @@ func main() {
 	// workers. Progress runs on worker goroutines, so every counter is
 	// atomic; the per-oracle map is filled here and only read there.
 	began := time.Now()
-	var done, diverged atomic.Int64
+	var done, diverged, executed, compiled atomic.Int64
 	hits := map[string]*atomic.Int64{}
 	for _, o := range mode.Oracles() {
 		hits[o] = new(atomic.Int64)
@@ -153,7 +155,7 @@ func main() {
 		for _, o := range mode.Oracles() {
 			counts = append(counts, fmt.Sprintf("%d %s", hits[o].Load(), o))
 		}
-		return statusLine(done.Load(), *seeds, diverged.Load(), counts, time.Since(began))
+		return statusLine(done.Load(), *seeds, diverged.Load(), counts, executed.Load(), compiled.Load(), time.Since(began))
 	}
 	opts := difftest.FuzzOptions{
 		Start:     *start,
@@ -165,6 +167,8 @@ func main() {
 		CorpusDir: *corpus,
 		Progress: func(r *difftest.Result) {
 			n := done.Add(1)
+			executed.Add(int64(r.Executed))
+			compiled.Add(int64(len(r.Execs)))
 			if r.Diverged() {
 				diverged.Add(1)
 				if *verbose {
@@ -198,9 +202,11 @@ func main() {
 }
 
 // statusLine renders the shared progress/summary form: seeds done,
-// divergences with one count per listed oracle, elapsed wall time,
+// divergences with one count per listed oracle, how many of the
+// seeds' configurations were executed (configurations that compiled
+// to identical modules share one execution), elapsed wall time,
 // seeds/sec.
-func statusLine(done, total, diverged int64, oracleCounts []string, elapsed time.Duration) string {
+func statusLine(done, total, diverged int64, oracleCounts []string, executed, configs int64, elapsed time.Duration) string {
 	rate := 0.0
 	if secs := elapsed.Seconds(); secs > 0 {
 		rate = float64(done) / secs
@@ -209,8 +215,8 @@ func statusLine(done, total, diverged int64, oracleCounts []string, elapsed time
 	if len(oracleCounts) > 0 {
 		perOracle = " (" + strings.Join(oracleCounts, ", ") + ")"
 	}
-	return fmt.Sprintf("%d/%d seeds, %d divergences%s, %.1fs elapsed, %.1f seeds/sec",
-		done, total, diverged, perOracle, elapsed.Seconds(), rate)
+	return fmt.Sprintf("%d/%d seeds, %d divergences%s, executed %d of %d, %.1fs elapsed, %.1f seeds/sec",
+		done, total, diverged, perOracle, executed, configs, elapsed.Seconds(), rate)
 }
 
 // indent prefixes every line of s with two spaces.

@@ -29,6 +29,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"regpromo/internal/analysis/cache"
 	"regpromo/internal/driver"
 	"regpromo/internal/interp"
 	"regpromo/internal/ir"
@@ -78,6 +79,11 @@ type Result struct {
 	// Mode is the oracle mode the program was diffed under.
 	Mode  Mode
 	Execs []Execution
+	// Executed counts the compilations that actually ran: the
+	// configurations whose modules are identical (equal
+	// driver.Compilation.ContentKey) run once between them, and the
+	// ones that failed to compile not at all.
+	Executed int
 	// Incremental is the incremental oracle's verdict on the seed
 	// (nil unless Mode.Incremental was set on a seed).
 	Incremental *IncrementalResult
@@ -270,9 +276,12 @@ func (m Mode) EngineMatrix() []interp.Engine {
 // of the matrix, with the mode's oracles. The front end runs once, and
 // the configurations compile together through one
 // driver.Frontend.CompileMatrix call, which runs each pass prefix they
-// share once (compile-once sharing). The configurations' executions
-// then run through par, concurrently when the CPU budget has room, and
-// land in matrix order. With Mode.BothEngines set, each compilation
+// share once (compile-once sharing). Configurations whose compiled
+// modules have equal content keys (driver.Compilation.ContentKey) run
+// once between them: the first executes, and the others get a copy of
+// its Execution under their own configuration. The distinct
+// executions run through par, concurrently when the CPU budget has
+// room, and land in matrix order. With Mode.BothEngines set, each compilation
 // additionally executes on the reference switch engine, and any
 // flat-vs-switch disagreement — output, exit code, dynamic counts, or
 // error text — is reported as a divergence on that configuration. With
@@ -281,13 +290,41 @@ func (m Mode) EngineMatrix() []interp.Engine {
 // Mode.Incremental is ignored.
 func DiffSourceMode(filename, src string, matrix []driver.NamedConfig, mode Mode) *Result {
 	cs, errs := compileMatrix(filename, src, matrix, mode.Certify)
-	execs, _ := par.ParallelMap(len(matrix), 0, func(i int) (Execution, error) {
+	// same[i] is the configuration whose execution i copies (i itself
+	// when it runs); run lists the ones that run, in matrix order.
+	same := make([]int, len(matrix))
+	var run []int
+	first := map[cache.Key]int{}
+	for i := range matrix {
+		same[i] = i
 		if errs[i] != nil {
-			return compileFailure(matrix[i], errs[i]), nil
+			continue
 		}
-		return execute(cs[i], matrix[i], mode), nil
+		k := cs[i].ContentKey()
+		if j, ok := first[k]; ok {
+			same[i] = j
+			continue
+		}
+		first[k] = i
+		run = append(run, i)
+	}
+	ran, _ := par.ParallelMap(len(run), 0, func(r int) (Execution, error) {
+		return execute(cs[run[r]], matrix[run[r]], mode), nil
 	})
-	return &Result{Source: src, Mode: mode, Execs: execs}
+	execs := make([]Execution, len(matrix))
+	for r, i := range run {
+		execs[i] = ran[r]
+	}
+	for i := range matrix {
+		switch {
+		case errs[i] != nil:
+			execs[i] = compileFailure(matrix[i], errs[i])
+		case same[i] != i:
+			execs[i] = execs[same[i]]
+			execs[i].Config = matrix[i]
+		}
+	}
+	return &Result{Source: src, Mode: mode, Execs: execs, Executed: len(run)}
 }
 
 // compileFailure is a configuration's outcome when it failed to

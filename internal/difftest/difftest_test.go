@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"regpromo/internal/analysis/cache"
 	"regpromo/internal/driver"
 	"regpromo/internal/interp"
 	"regpromo/internal/ir"
@@ -28,18 +29,24 @@ func TestDiffSeedAgreesOnMain(t *testing.T) {
 }
 
 // TestExecsFollowMatrixOrder checks that DiffSourceMode, which runs
-// the configurations' executions concurrently when the CPU budget has
-// room, still reports them in matrix order: each execution names its
-// own configuration and carries exactly the behaviour and counts of
-// that configuration compiled alone on one worker.
+// the distinct executions concurrently when the CPU budget has room
+// and shares one between configurations with identical modules, still
+// reports them in matrix order: each execution names its own
+// configuration and carries exactly the behaviour and counts of that
+// configuration compiled alone on one worker.
 func TestExecsFollowMatrixOrder(t *testing.T) {
 	matrix := driver.DifferentialConfigurations(false)
 	mode := Mode{BothEngines: true}
+	executed := 0
 	for seed := int64(1); seed <= 10; seed++ {
 		r := DiffSeedMode(seed, matrix, mode)
 		if len(r.Execs) != len(matrix) {
 			t.Fatalf("seed %d: %d executions for %d configurations", seed, len(r.Execs), len(matrix))
 		}
+		if r.Executed < 1 || r.Executed > len(matrix) {
+			t.Errorf("seed %d: executed %d of %d", seed, r.Executed, len(matrix))
+		}
+		executed += r.Executed
 		for i, nc := range matrix {
 			got := &r.Execs[i]
 			cfg := nc.Config
@@ -54,6 +61,92 @@ func TestExecsFollowMatrixOrder(t *testing.T) {
 					got.Config.Name, got.Behaviour(), got.Counts, nc.Name, want.Behaviour(), want.Counts)
 			}
 		}
+	}
+	if executed >= 10*len(matrix) {
+		t.Errorf("executed all %d configurations: no two ever shared a module", executed)
+	}
+}
+
+// tagTable renders every field of every tag in m's table.
+func tagTable(m *ir.Module) string {
+	var sb strings.Builder
+	for _, tag := range m.Tags.All() {
+		fmt.Fprintf(&sb, "%+v\n", *tag)
+	}
+	return sb.String()
+}
+
+// TestContentKeyMeansSameModule: over testgen seeds 1–200 under the
+// full differential matrix (certify on, as the fuzz workload runs it),
+// configurations whose compilations share a ContentKey must print the
+// same IL over the same tag table — which is what lets DiffSourceMode
+// execute them once.
+func TestContentKeyMeansSameModule(t *testing.T) {
+	matrix := driver.DifferentialConfigurations(false)
+	shared := 0
+	for seed := int64(1); seed <= 200; seed++ {
+		cs, errs := compileMatrix(fmt.Sprintf("seed%d.c", seed), testgen.Program(seed), matrix, true)
+		first := map[cache.Key]int{}
+		for i, c := range cs {
+			if errs[i] != nil {
+				t.Fatalf("seed %d %s: %v", seed, matrix[i].Name, errs[i])
+			}
+			k := c.ContentKey()
+			j, ok := first[k]
+			if !ok {
+				first[k] = i
+				continue
+			}
+			shared++
+			if ir.FormatModule(c.Module) != ir.FormatModule(cs[j].Module) {
+				t.Errorf("seed %d: %s and %s share a content key but not their IL", seed, matrix[i].Name, matrix[j].Name)
+			}
+			if tagTable(c.Module) != tagTable(cs[j].Module) {
+				t.Errorf("seed %d: %s and %s share a content key but not their tag tables", seed, matrix[i].Name, matrix[j].Name)
+			}
+		}
+	}
+	if shared == 0 {
+		t.Error("no two configurations ever shared a content key")
+	}
+}
+
+// TestSharedExecutionsKeepTheirNames seeds a divergence every
+// optimizing configuration shares: a dead division by zero faults in
+// the unoptimized reference and is deleted everywhere else. Several
+// of those configurations compile to the same module and share one
+// execution, yet the divergence must still name each of them, and
+// every execution must carry its own configuration.
+func TestSharedExecutionsKeepTheirNames(t *testing.T) {
+	const src = `
+int main() {
+	int z;
+	int d;
+	z = 0;
+	d = 5 / z;
+	print_int(7);
+	return 0;
+}
+`
+	matrix := driver.DifferentialConfigurations(false)
+	r := DiffSourceMode("dead_div.c", src, matrix, Mode{BothEngines: true})
+	if r.Executed >= len(matrix) || r.Executed < 2 {
+		t.Errorf("executed %d of %d configurations, want some shared and the reference apart", r.Executed, len(matrix))
+	}
+	div := r.Divergence()
+	for i, nc := range matrix {
+		if r.Execs[i].Config.Name != nc.Name {
+			t.Errorf("execution %d names %s, want %s", i, r.Execs[i].Config.Name, nc.Name)
+		}
+		if i == 0 {
+			continue
+		}
+		if want := nc.Name + ": exit=0 output=\"7\\n\""; !strings.Contains(div, want) {
+			t.Errorf("divergence does not report %q:\n%s", want, div)
+		}
+	}
+	if !strings.Contains(r.Execs[0].Behaviour(), "division by zero") {
+		t.Errorf("reference behaviour %s, want the division fault", r.Execs[0].Behaviour())
 	}
 }
 

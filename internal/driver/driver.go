@@ -13,14 +13,21 @@
 // passes between them is a group that the worker pool walks function
 // by function. Frontend.CompileMatrix runs several configurations'
 // lists as one trie, so a pass prefix they share runs once, and the
-// trie's branches run concurrently. A compile
-// under an obs.Tracer records spans and fills Compilation.Passes with
-// one record per pass: its span time, static IR deltas, and pass
+// trie's branches run concurrently. Past the point where the branches
+// part, a trie's final local passes (pre through regalloc) run once
+// per distinct function: a content-addressed memo keyed by the
+// passes' trie keys and the whole function hands every later
+// identical function a copy of the first one's output (see funcMemo).
+// Compilation.ContentKey names a compiled module's content, so
+// identical modules can be executed once. A compile under an
+// obs.Tracer records spans and fills Compilation.Passes with one
+// record per pass: its span time, static IR deltas, and pass
 // statistics.
 package driver
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -267,6 +274,12 @@ type Compilation struct {
 	// artifact only depends on the instrumentation mode.
 	natives [2]*native.Artifact
 
+	// finalKeys holds, in function order, the key each function had
+	// going into a matrix's memoized final segment (see funcMemo);
+	// nil, or a zero key, where the function did not go through one.
+	// Read through ContentKey.
+	finalKeys []cache.Key
+
 	// pressureByFunc holds the static register-pressure reports
 	// measured right after promotion, keyed by function (only functions
 	// with promotions appear). Read through Pressure.
@@ -292,28 +305,48 @@ func (c *Compilation) Pressure() []certify.Pressure {
 // is a whole-module barrier (the interprocedural analyses, certify,
 // verify). fn is a per-function pass: a maximal run of consecutive fn
 // passes forms a group that runGroup executes function by function
-// (each function walks the whole group before the next barrier); tags
-// is the function's private spill-slot allocator. Both return the
-// pass's extra statistics for its record (may be nil). finish, when
-// non-nil, rebuilds a per-function pass's statistics from pipeState
-// after its group, where they are not a plain per-function sum.
+// (each function walks the whole group before the next barrier); r is
+// the function's private run state. Both return the pass's extra
+// statistics for its record (may be nil). finish, when non-nil,
+// rebuilds a per-function pass's statistics from pipeState after its
+// group, where they are not a plain per-function sum.
 //
 // reads declares the Config fields the body reads beyond the pass's
 // presence in the list and the ambient fields (see ambientKey).
 // CompileMatrix shares one run of a pass between configurations whose
 // lists agree up to it and whose declared fields are equal, so a body
 // that reads an undeclared field would be shared wrongly.
+//
+// local marks a per-function pass that reads nothing but its function
+// and writes nothing but the function and r: its output is fixed by
+// its input function and trie key, which is what lets a matrix memoize
+// it (see funcMemo).
 type pass struct {
 	name   string
 	reads  readSet
+	local  bool
 	run    func(s *pipeState) (map[string]int64, error)
-	fn     func(s *pipeState, f *ir.Func, tags ir.TagAlloc) (map[string]int64, error)
+	fn     func(s *pipeState, f *ir.Func, r *funcRun) (map[string]int64, error)
 	finish func(s *pipeState) map[string]int64
 }
 
+// funcRun is one function's private state while it walks a group:
+// the spill tags it stages, the promotion and allocation statistics it
+// produces (runGroup folds them into the compilation in function
+// order, so the promotion regions come out in that order), and the key
+// it went into a memoized segment with.
+type funcRun struct {
+	tags    ir.StagedTags
+	promote promote.Stats
+	alloc   regalloc.Stats
+	key     cache.Key
+}
+
 // pipeState is the mutable state threaded through the pass list. The
-// mutex guards the Stats fields of c during parallel groups; both
-// folds are commutative, so the accumulation order cannot show.
+// mutex guards c's pressure reports during parallel groups (a map
+// keyed by function, so the insertion order cannot show); the
+// statistics a group produces are kept per function (funcRun) and
+// folded in function order after it.
 //
 // cfg supplies the ambient fields (Workers, Check, CheckPasses), which
 // every configuration sharing the state agrees on; pass bodies read
@@ -339,6 +372,10 @@ type pipeState struct {
 	// analysisDone is set once a MOD/REF run has annotated the
 	// module, which some lint passes wait for.
 	analysisDone bool
+
+	// memo is the trie's final-segment memo, shared by its forks; nil
+	// for a one-configuration compile.
+	memo *funcMemo
 }
 
 // Canonical pass names, in the order the full pipeline runs them.
@@ -426,7 +463,7 @@ func (cfg Config) passes() []pass {
 	// The classical passes report how many rewrites they performed;
 	// surface that as the pass's "changed" statistic.
 	simple := func(name string, fn func(*ir.Func) int) pass {
-		return pass{name: name, fn: func(_ *pipeState, f *ir.Func, _ ir.TagAlloc) (map[string]int64, error) {
+		return pass{name: name, local: true, fn: func(_ *pipeState, f *ir.Func, _ *funcRun) (map[string]int64, error) {
 			return map[string]int64{"changed": int64(fn(f))}, nil
 		}}
 	}
@@ -472,11 +509,9 @@ func (cfg Config) passes() []pass {
 		ps = append(ps, pass{
 			name:  PassPromote,
 			reads: readPointerPromote | readSkipUnwrittenStores | readThrottle | readK,
-			fn: func(s *pipeState, f *ir.Func, _ ir.TagAlloc) (map[string]int64, error) {
+			fn: func(s *pipeState, f *ir.Func, r *funcRun) (map[string]int64, error) {
 				st := promote.Func(s.c.Module, f, promoteOpts)
-				s.mu.Lock()
-				s.c.Promote.Add(st)
-				s.mu.Unlock()
+				r.promote.Add(st)
 				recordPressure(s, f, st.Regions)
 				return nil, nil
 			},
@@ -507,7 +542,7 @@ func (cfg Config) passes() []pass {
 	if cfg.DSE {
 		ps = append(ps, pass{
 			name: PassDSE,
-			fn: func(s *pipeState, f *ir.Func, _ ir.TagAlloc) (map[string]int64, error) {
+			fn: func(s *pipeState, f *ir.Func, _ *funcRun) (map[string]int64, error) {
 				return map[string]int64{"changed": int64(dse.Func(s.c.Module, f))}, nil
 			},
 		})
@@ -535,14 +570,13 @@ func (cfg Config) passes() []pass {
 		ps = append(ps, pass{
 			name:  PassRegalloc,
 			reads: readK,
-			fn: func(s *pipeState, f *ir.Func, tags ir.TagAlloc) (map[string]int64, error) {
-				st, err := regalloc.Func(f, regalloc.Options{K: cfg.K}, tags)
+			local: true,
+			fn: func(_ *pipeState, f *ir.Func, r *funcRun) (map[string]int64, error) {
+				st, err := regalloc.Func(f, regalloc.Options{K: cfg.K}, &r.tags)
 				if err != nil {
 					return nil, err
 				}
-				s.mu.Lock()
-				s.c.Alloc.Add(st)
-				s.mu.Unlock()
+				r.alloc.Add(st)
 				return nil, nil
 			},
 			finish: func(s *pipeState) map[string]int64 { return allocExtras(s.c.Alloc) },
@@ -689,7 +723,9 @@ type funcStage struct {
 // slowest function, not by the slowest pass. A one-worker pool, or a
 // group that finds no free slot in par's CPU budget (a group inside a
 // matrix branch that runs beside its siblings, say), walks the
-// functions in order on the calling goroutine.
+// functions in order on the calling goroutine. When seg is non-nil,
+// each function runs the group's tail from seg.from through the
+// trie's memo (see funcWalk.memoized).
 //
 // Determinism: the passes in a group only read shared state (the tag
 // table, call-graph summaries baked into instructions) and mutate
@@ -705,59 +741,58 @@ type funcStage struct {
 // decomposes over functions, so the merged census equals the
 // whole-module snapshot. Untraced, no clock is read and nothing is
 // measured or kept per function.
-func runGroup(s *pipeState, group []pass) error {
+func runGroup(s *pipeState, group []*node, seg *segment) error {
 	m := s.c.Module
 	fns := m.FuncsInOrder()
-	staged := make([]*ir.StagedTags, len(fns))
+	runs := make([]funcRun, len(fns))
 	tr := s.tr
 	var recs [][]funcStage
 	if tr != nil {
 		recs = make([][]funcStage, len(fns))
 	}
 	if _, err := par.ParallelMapWorker(len(fns), s.width, func(worker, i int) (struct{}, error) {
-		fn := fns[i]
-		st := &ir.StagedTags{}
-		staged[i] = st
-		if tr == nil {
-			for j := range group {
-				if _, err := group[j].fn(s, fn, st); err != nil {
-					return struct{}{}, err
-				}
-			}
-			return struct{}{}, nil
+		w := &funcWalk{s: s, group: group, fn: fns[i], run: &runs[i]}
+		if tr != nil {
+			// Middle-end work items are attributed to the tids after
+			// the state's lane; tid t >= 1 is logical worker t-1 (tid 0
+			// is the coordinating goroutine).
+			w.tid = s.lane + 1 + worker
+			tr.NameThread(w.tid, fmt.Sprintf("worker %d", w.tid-1))
+			fsp := tr.Start(w.fn.Name, "middleend", w.tid).Arg("worker", int64(worker))
+			w.recs = make([]funcStage, len(group))
+			recs[i] = w.recs
+			defer fsp.End()
 		}
-		// Middle-end work items are attributed to the tids after the
-		// state's lane; tid t >= 1 is logical worker t-1 (tid 0 is the
-		// coordinating goroutine).
-		tid := s.lane + 1 + worker
-		tr.NameThread(tid, fmt.Sprintf("worker %d", tid-1))
-		fsp := tr.Start(fn.Name, "middleend", tid).Arg("worker", int64(worker))
-		rs := make([]funcStage, len(group))
-		for j := range group {
-			psp := tr.Start(group[j].name, "pass", tid).Label("func", fn.Name)
-			extra, err := group[j].fn(s, fn, st)
-			rs[j].durNS = psp.AddArgs(extra).End()
-			if err != nil {
-				return struct{}{}, err
-			}
-			rs[j].after = obs.MeasureFunc(fn)
-			rs[j].extra = extra
+		end := len(group)
+		if seg != nil {
+			end = seg.from
 		}
-		fsp.End()
-		recs[i] = rs
-		return struct{}{}, nil
+		err := w.steps(0, end)
+		if err == nil && seg != nil {
+			err = w.memoized(seg)
+		}
+		return struct{}{}, err
 	}); err != nil {
 		return err
 	}
 
-	// Commit staged spill tags in function order: the replay hands out
-	// exactly the ids a pass-major walk would have, then the function's
-	// provisional references are rewritten to them.
+	// Fold the functions' statistics and commit their staged spill tags
+	// in function order: the replay hands out exactly the ids a
+	// pass-major walk would have, then the function's provisional
+	// references are rewritten to them.
 	for i, fn := range fns {
-		if staged[i].Empty() {
-			continue
+		r := &runs[i]
+		s.c.Promote.Add(r.promote)
+		s.c.Alloc.Add(r.alloc)
+		if seg != nil {
+			if s.c.finalKeys == nil {
+				s.c.finalKeys = make([]cache.Key, len(fns))
+			}
+			s.c.finalKeys[i] = r.key
 		}
-		commitStagedTags(fn, staged[i], &m.Tags)
+		if !r.tags.Empty() {
+			commitStagedTags(fn, &r.tags, &m.Tags)
+		}
 	}
 
 	if tr == nil {
@@ -778,11 +813,86 @@ func runGroup(s *pipeState, group []pass) error {
 				extra[k] += v
 			}
 		}
-		if group[j].finish != nil {
-			extra = group[j].finish(s)
+		p := &group[j].pass
+		if p.finish != nil {
+			extra = p.finish(s)
 		}
-		s.record(group[j].name, durNS, extra, after)
+		s.record(p.name, durNS, extra, after)
 	}
+	return nil
+}
+
+// funcWalk is one function's walk through a group. recs is nil
+// untraced; traced, it collects the function's record of every pass.
+type funcWalk struct {
+	s     *pipeState
+	group []*node
+	fn    *ir.Func
+	run   *funcRun
+	tid   int
+	recs  []funcStage
+}
+
+// steps runs the group's passes from index from up to to over the
+// function, each under its span when traced.
+func (w *funcWalk) steps(from, to int) error {
+	for j := from; j < to; j++ {
+		p := &w.group[j].pass
+		if w.recs == nil {
+			if _, err := p.fn(w.s, w.fn, w.run); err != nil {
+				return err
+			}
+			continue
+		}
+		psp := w.s.tr.Start(p.name, "pass", w.tid).Label("func", w.fn.Name)
+		extra, err := p.fn(w.s, w.fn, w.run)
+		w.recs[j].durNS = psp.AddArgs(extra).End()
+		if err != nil {
+			return err
+		}
+		w.recs[j].after = obs.MeasureFunc(w.fn)
+		w.recs[j].extra = extra
+	}
+	return nil
+}
+
+// memoized runs the segment's passes over the function through the
+// trie's memo. The key is the segment's trie keys plus the whole
+// function (hashFunc). The first function with a key runs the passes
+// and stores the result; a later one takes it over (one memo.hit span
+// when traced, the stored censuses and extras standing in for the
+// passes' records). The function's stage and allocation statistics
+// are still empty here: regalloc, the one pass that fills them, is
+// local, so it is always inside the segment.
+func (w *funcWalk) memoized(seg *segment) error {
+	end := len(w.group)
+	r := w.run
+	h := seg.seed
+	hashFunc(&h, w.fn)
+	r.key = h.Sum()
+	e, own := w.s.memo.lookup(r.key)
+	if !own {
+		if !e.ok {
+			return w.steps(seg.from, end)
+		}
+		sp := w.s.tr.Start("memo.hit", "memo", w.tid).Label("func", w.fn.Name)
+		e.apply(w.fn, r)
+		if w.recs != nil {
+			copy(w.recs[seg.from:], e.stages)
+		}
+		sp.End()
+		return nil
+	}
+	defer e.ready.Done()
+	in := slices.Clone(w.fn.Blocks)
+	if err := w.steps(seg.from, end); err != nil {
+		return err
+	}
+	var stages []funcStage
+	if w.recs != nil {
+		stages = w.recs[seg.from:]
+	}
+	e.store(w.fn, in, r, stages)
 	return nil
 }
 

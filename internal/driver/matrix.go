@@ -183,8 +183,9 @@ func compileMatrix(cfgs []Config, tr *obs.Tracer, keep readSet, fe *Frontend, fi
 	if len(live) == 0 {
 		return mx.out, mx.errs
 	}
-	defer tr.Start("compile", "compile", 0).End()
+	sp := tr.Start("compile", "compile", 0)
 	tr.NameThread(0, "main")
+	var lookups, hits int64
 	for _, t := range mx.tries(live, keep) {
 		cfg := cfgs[t.cfgs[0]]
 		width := cfg.Workers
@@ -195,6 +196,9 @@ func compileMatrix(cfgs []Config, tr *obs.Tracer, keep readSet, fe *Frontend, fi
 		// 1..width; branch lanes are claimed above them.
 		mx.lanes.Store(int64(width) + 1)
 		s := &pipeState{cfg: cfg, c: &Compilation{}, tr: tr, width: width}
+		if len(t.cfgs) > 1 {
+			s.memo = newFuncMemo()
+		}
 		err := root(s)
 		if err == nil && s.cfg.Check == CheckEveryPass {
 			// Lint the front end's output before any pass touches it.
@@ -205,7 +209,12 @@ func compileMatrix(cfgs []Config, tr *obs.Tracer, keep readSet, fe *Frontend, fi
 			continue
 		}
 		mx.descend(s, t)
+		if s.memo != nil {
+			lookups += s.memo.lookups.Load()
+			hits += s.memo.hits.Load()
+		}
 	}
+	sp.Arg("memo.lookups", lookups).Arg("memo.hits", hits).End()
 	return mx.out, mx.errs
 }
 
@@ -291,12 +300,12 @@ func (mx *matrix) descend(s *pipeState, n *node) {
 func (mx *matrix) run(s *pipeState, n *node) {
 	var err error
 	if n.pass.fn != nil {
-		group := []pass{n.pass}
+		group := []*node{n}
 		for !s.split() && len(n.ends) == 0 && len(n.children) == 1 && n.children[0].pass.fn != nil {
 			n = n.children[0]
-			group = append(group, n.pass)
+			group = append(group, n)
 		}
-		err = runGroup(s, group)
+		err = runGroup(s, group, s.segment(group))
 	} else {
 		err = s.runBarrier(n.pass)
 		if n.pass.name == PassModRef {
@@ -346,10 +355,11 @@ func (mx *matrix) fork(s *pipeState) *pipeState {
 		Alloc:          from.Alloc,
 		Analysis:       from.Analysis,
 		Passes:         slices.Clone(from.Passes),
+		finalKeys:      slices.Clone(from.finalKeys),
 		pressureByFunc: maps.Clone(from.pressureByFunc),
 	}
 	c.Promote.Regions = remapRegions(from.Promote.Regions, from.Module, c.Module)
-	return &pipeState{cfg: s.cfg, c: c, cg: s.cg, tr: s.tr, width: s.width, lane: s.lane, analysisDone: s.analysisDone}
+	return &pipeState{cfg: s.cfg, c: c, cg: s.cg, tr: s.tr, width: s.width, lane: s.lane, analysisDone: s.analysisDone, memo: s.memo}
 }
 
 // remapRegions copies regions recorded on module from onto its clone

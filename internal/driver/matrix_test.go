@@ -80,11 +80,17 @@ func matrixMismatches(t *testing.T, p matrixProgram, cfgs []driver.Config, compi
 	return diffs
 }
 
-// compilationDiffs lists how got differs from want.
+// compilationDiffs lists how got differs from want: the IL, the
+// statistics, the pressure reports, where each promotion region's
+// blocks sit in the final functions, and the pass records with their
+// censuses and extras.
 func compilationDiffs(want, got *driver.Compilation) []string {
 	var ds []string
 	if ir.FormatModule(want.Module) != ir.FormatModule(got.Module) {
 		ds = append(ds, "IL differs")
+	}
+	if w, g := regionPlaces(want), regionPlaces(got); !reflect.DeepEqual(w, g) {
+		ds = append(ds, fmt.Sprintf("region blocks at %v, alone %v", g, w))
 	}
 	if w, g := want.Promote.Counters(), got.Promote.Counters(); w != g {
 		ds = append(ds, fmt.Sprintf("promote stats %+v, alone %+v", g, w))
@@ -109,6 +115,26 @@ func compilationDiffs(want, got *driver.Compilation) []string {
 		}
 	}
 	return ds
+}
+
+// regionPlaces lists, per promotion region, the positions its Body,
+// Exits and Pad blocks hold in the final function (-1 for a block a
+// later pass removed).
+func regionPlaces(c *driver.Compilation) [][]int {
+	var out [][]int
+	for _, r := range c.Promote.Regions {
+		fn := c.Module.Funcs[r.Func]
+		var at []int
+		for _, b := range r.Body {
+			at = append(at, fn.BlockIndex(b))
+		}
+		at = append(at, -2)
+		for _, b := range r.Exits {
+			at = append(at, fn.BlockIndex(b))
+		}
+		out = append(out, append(at, -2, fn.BlockIndex(r.Pad)))
+	}
+	return out
 }
 
 // matrixConfigLists are the configuration lists the equivalence tests
@@ -350,5 +376,72 @@ func TestCompileMatrixConcurrent(t *testing.T) {
 	}
 	if n := fe.Clones(); n != int64((callers+1)*len(cfgs)) {
 		t.Errorf("%d clones, want %d", n, (callers+1)*len(cfgs))
+	}
+}
+
+// memoCounts compiles seeds start..start+n-1 under the differential
+// matrix with the given worker count, traced, and sums the memo
+// lookups and hits the compile spans report.
+func memoCounts(t *testing.T, start, n int64, workers int) (lookups, hits int64) {
+	t.Helper()
+	cfgs := matrixConfigLists()["differential"]
+	for i := range cfgs {
+		cfgs[i].Workers = workers
+	}
+	for seed := start; seed < start+n; seed++ {
+		fe, err := driver.ParseSource("seed.c", testgen.Program(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := obs.NewTracer()
+		if _, err := fe.CompileMatrix(cfgs, tr); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for _, sp := range tr.Spans() {
+			if sp.Name == "compile" && sp.Cat == "compile" {
+				lookups += sp.Args["memo.lookups"]
+				hits += sp.Args["memo.hits"]
+			}
+		}
+	}
+	return lookups, hits
+}
+
+// TestMemoHitsAreDeterministic holds the final-segment memo's counts
+// to the schedule: one worker and four must look up and hit the same
+// number of times (the entries are singleflight).
+func TestMemoHitsAreDeterministic(t *testing.T) {
+	l1, h1 := memoCounts(t, 1, 16, 1)
+	l4, h4 := memoCounts(t, 1, 16, 4)
+	if l1 != l4 || h1 != h4 {
+		t.Errorf("Workers 1: %d hits of %d lookups; Workers 4: %d of %d", h1, l1, h4, l4)
+	}
+	if l1 == 0 {
+		t.Error("the differential matrix never consulted the memo")
+	}
+}
+
+// TestMemoHitFloor: over testgen seeds 1–32 under the differential
+// matrix, at least 45% of the final segments must be copies. Most
+// functions leave promotion unchanged in several configurations; a
+// key that folded in something configuration-specific beyond the
+// segment's passes would lose those hits.
+func TestMemoHitFloor(t *testing.T) {
+	lookups, hits := memoCounts(t, 1, 32, 0)
+	if lookups == 0 || float64(hits) < 0.45*float64(lookups) {
+		t.Errorf("%d hits of %d final segments, want at least 45%%", hits, lookups)
+	}
+}
+
+// TestOneConfigCompileHasNoMemo: a lone compile consults no memo.
+func TestOneConfigCompileHasNoMemo(t *testing.T) {
+	tr := obs.NewTracer()
+	if _, err := driver.Compile("seed.c", testgen.Program(1), driver.Configurations()[3], tr); err != nil {
+		t.Fatal(err)
+	}
+	for _, sp := range tr.Spans() {
+		if sp.Cat == "memo" || sp.Args["memo.lookups"] != 0 {
+			t.Errorf("span %s: a one-configuration compile used the memo", sp.Name)
+		}
 	}
 }

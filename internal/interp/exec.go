@@ -9,17 +9,27 @@ import (
 )
 
 // call executes fn with the given arguments and returns its result.
+// args may be the machine's argument buffer: it is read into the
+// callee's parameters before anything else can refill it. The
+// activation allocates nothing: the register file comes from the
+// flat engine's arena and goes back on return, and the frame is a
+// value, with a copy on m.frames for ownerOf.
 func (m *machine) call(fn *ir.Func, args []int64) (int64, error) {
 	layout := m.layoutOf(fn)
 	if m.sp+layout.size > stackBase+stackSize {
 		return 0, &Error{Func: fn.Name, Msg: "stack overflow"}
 	}
 	m.ensureStack(m.sp + layout.size - stackBase)
-	f := &frame{
+	f := frame{
 		fn:   fn,
-		regs: make([]int64, fn.NumRegs),
+		regs: m.allocRegs(fn.NumRegs),
 		base: m.sp,
 		size: layout.size,
+	}
+	for i, p := range fn.Params {
+		if i < len(args) {
+			f.regs[p] = args[i]
+		}
 	}
 	// Zero the frame so uninitialized locals read deterministically.
 	// Spill-only frames are skipped: the allocator stores every spill
@@ -30,27 +40,21 @@ func (m *machine) call(fn *ir.Func, args []int64) (int64, error) {
 	}
 	m.sp += layout.size
 	m.frames = append(m.frames, f)
-	defer func() {
-		m.frames = m.frames[:len(m.frames)-1]
-		m.sp = f.base
-	}()
-
-	for i, p := range fn.Params {
-		if i < len(args) {
-			f.regs[p] = args[i]
-		}
-	}
 
 	b := fn.Entry
 	for {
-		next, ret, done, err := m.execBlock(f, b)
+		next, ret, done, err := m.execBlock(&f, b)
+		if err == nil && !done {
+			b = next
+			continue
+		}
+		m.frames = m.frames[:len(m.frames)-1]
+		m.sp = f.base
+		m.regTop -= fn.NumRegs
 		if err != nil {
 			return 0, err
 		}
-		if done {
-			return ret, nil
-		}
-		b = next
+		return ret, nil
 	}
 }
 
@@ -281,10 +285,11 @@ func (m *machine) execCall(f *frame, in *ir.Instr) (int64, error) {
 		}
 		name = m.mod.FuncOrder[idx]
 	}
-	args := make([]int64, len(in.Args()))
-	for i, a := range in.Args() {
-		args[i] = f.regs[a]
+	args := m.argScratch[:0]
+	for _, a := range in.Args() {
+		args = append(args, f.regs[a])
 	}
+	m.argScratch = args[:0]
 	if callee, ok := m.mod.Funcs[name]; ok {
 		if m.san == nil {
 			return m.call(callee, args)

@@ -189,7 +189,9 @@ type machine struct {
 	// array; outstanding frames keep their own (still valid) slices.
 	regArena []int64
 	regTop   int
-	// argScratch is a reusable buffer for intrinsic-call arguments.
+	// argScratch is a reusable buffer for call arguments: every
+	// intrinsic call's, and the switch engine's for every call (call
+	// copies them into the callee's parameters first thing).
 	argScratch []int64
 
 	// prof records hot-spot data when profiling is enabled; nil
@@ -201,7 +203,7 @@ type machine struct {
 
 	// frames is the switch engine's activation stack, walked by
 	// ownerOf to attribute stack addresses.
-	frames []*frame
+	frames []frame
 }
 
 type ownerRange struct {
@@ -496,7 +498,7 @@ func (m *machine) ownerOf(addr int64) ir.TagID {
 	}
 	// Stack: walk active frames.
 	for i := len(m.frames) - 1; i >= 0; i-- {
-		f := m.frames[i]
+		f := &m.frames[i]
 		if addr >= f.base && addr < f.base+f.size {
 			l := m.layoutOf(f.fn)
 			for tid, off := range l.offsets {

@@ -41,7 +41,18 @@ func (m *Module) Clone() *Module {
 // neighbour. Edges map by block ID, which is the block's position in
 // f.Blocks (NewBlock appends, RemoveUnreachable renumbers).
 func (f *Func) Clone() *Func {
-	nf := &Func{
+	nf := &Func{}
+	f.CloneOnto(nf, nil)
+	return nf
+}
+
+// CloneOnto makes dst a deep copy of f, as Clone does, except that the
+// copy of f's block at position i is the Block value reuse[i] when
+// reuse has a non-nil entry there: that value is overwritten in full,
+// so a pointer to it held elsewhere now names the copied block.
+// Positions without one get a fresh Block.
+func (f *Func) CloneOnto(dst *Func, reuse []*Block) {
+	*dst = Func{
 		Name:      f.Name,
 		Params:    append([]Reg(nil), f.Params...),
 		NumRegs:   f.NumRegs,
@@ -60,17 +71,30 @@ func (f *Func) Clone() *Func {
 			}
 		}
 	}
-	blocks := make([]Block, len(f.Blocks))
+	fresh := len(f.Blocks)
+	for _, b := range reuse {
+		if b != nil {
+			fresh--
+		}
+	}
+	blocks := make([]Block, fresh)
 	instrs := make([]Instr, nInstrs)
 	edges := make([]*Block, nEdges)
 	auxes := make([]Aux, nAux)
 	args := make([]Reg, nArgs)
 
-	nf.Blocks = make([]*Block, len(f.Blocks))
+	dst.Blocks = make([]*Block, len(f.Blocks))
 	for bi, b := range f.Blocks {
-		nb := &blocks[bi]
+		var nb *Block
+		if bi < len(reuse) && reuse[bi] != nil {
+			nb = reuse[bi]
+			*nb = Block{}
+		} else {
+			nb = &blocks[0]
+			blocks = blocks[1:]
+		}
 		nb.ID, nb.Label = b.ID, b.Label
-		nf.Blocks[bi] = nb
+		dst.Blocks[bi] = nb
 		if len(b.Instrs) == 0 {
 			continue
 		}
@@ -100,7 +124,7 @@ func (f *Func) Clone() *Func {
 	}
 	copyOf := func(b *Block) *Block {
 		if i := f.BlockIndex(b); i >= 0 {
-			return &blocks[i]
+			return dst.Blocks[i]
 		}
 		return nil
 	}
@@ -116,12 +140,11 @@ func (f *Func) Clone() *Func {
 		return out
 	}
 	for bi, b := range f.Blocks {
-		nb := &blocks[bi]
+		nb := dst.Blocks[bi]
 		nb.Succs = remap(b.Succs)
 		nb.Preds = remap(b.Preds)
 	}
-	nf.Entry = copyOf(f.Entry)
-	return nf
+	dst.Entry = copyOf(f.Entry)
 }
 
 // Clone returns a deep copy of the table; the copies' tags can be

@@ -173,6 +173,27 @@ func (s *StagedTags) NewTag(name string, kind TagKind, fn string, size, elem int
 // Empty reports whether nothing was staged.
 func (s *StagedTags) Empty() bool { return len(s.tags) == 0 }
 
+// Snapshot returns copies of the staged tags, in staging order, for a
+// later Replay.
+func (s *StagedTags) Snapshot() []Tag {
+	out := make([]Tag, len(s.tags))
+	for i, t := range s.tags {
+		out[i] = *t
+	}
+	return out
+}
+
+// Replay stages copies of tags, in order, as if each had been created
+// through NewTag and then given its remaining fields. Replayed into an
+// empty stage, a Snapshot's tags get back the provisional ids they had.
+func (s *StagedTags) Replay(tags []Tag) {
+	for _, t := range tags {
+		c := t
+		c.ID = stagedBase - TagID(len(s.tags))
+		s.tags = append(s.tags, &c)
+	}
+}
+
 // Commit replays the staged creations against tt in staging order. The
 // returned map sends each provisional id to the real id it received;
 // the staged Tag structs themselves are re-identified in place, so
