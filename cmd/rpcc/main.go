@@ -39,7 +39,7 @@
 //	                           front end and after every pass
 //	                           (pinpoints the first pass that breaks
 //	                           an invariant), and a comma list of pass
-//	                           names (e.g. "uninit,promoted" or
+//	                           names (e.g. "uninit,tags" or
 //	                           "certify,pressure") runs exactly those
 //	                           at the module boundary
 //	-certify                   re-prove every promotion certificate

@@ -23,12 +23,10 @@
 // selects the execution engine: flat (the pre-lowered default),
 // switch (the block-walking reference), or native (the program
 // compiled to machine code via generated Go); all three produce
-// identical counts, output, and error text, so the choice only
-// changes wall time. -native-backend picks how native artifacts
-// execute (auto probes in-process plugin loading and falls back to a
-// subprocess exec); -nocounts runs the native engine without
-// instrumentation, reporting zero counts in exchange for the fastest
-// possible run.
+// identical counts, output, and error text, and all three stop a
+// program at -maxsteps with the same error, so the choice only
+// changes wall time. Native artifacts run in-process as a plugin
+// where the platform supports it, else as a subprocess.
 // -cpuprofile writes a Go pprof profile of the whole compile+run, for
 // profiling the measurement loop itself. -trace prints the compile's
 // per-pass table, as rpcc -trace does, above the counts line, and
@@ -44,7 +42,6 @@ import (
 
 	"regpromo/internal/driver"
 	"regpromo/internal/interp"
-	"regpromo/internal/native"
 	"regpromo/internal/obs"
 )
 
@@ -55,8 +52,6 @@ func main() {
 	profile := flag.Bool("profile", false, "collect and print a hot-spot profile")
 	top := flag.Int("top", 10, "profile list length (with -profile)")
 	engineName := flag.String("engine", "flat", "execution engine: flat, switch, or native")
-	nativeBackend := flag.String("native-backend", "", `native artifact execution: "auto", "plugin", or "subprocess"`)
-	noCounts := flag.Bool("nocounts", false, "native engine only: skip instrumentation (counts report zero)")
 	sanitize := flag.Bool("sanitize", false, "diff observed memory behaviour against the static analyses")
 	cpuprofile := flag.String("cpuprofile", "", "write a Go CPU profile of the compile+run to this file")
 	flag.Parse()
@@ -84,15 +79,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "rpexec:", err)
 		os.Exit(2)
 	}
-	if *nativeBackend != "" {
-		b, err := native.ParseBackend(*nativeBackend)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rpexec:", err)
-			os.Exit(2)
-		}
-		native.SetDefaultBackend(b)
-	}
-
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
@@ -117,7 +103,7 @@ func main() {
 		os.Exit(1)
 	}
 	esp := tr.Start("execute", "interp", 0).Label("engine", engine.String())
-	res, err := c.Execute(interp.Options{MaxSteps: *maxSteps, Profile: *profile, Engine: engine, Sanitize: *sanitize, NoCounts: *noCounts})
+	res, err := c.Execute(interp.Options{MaxSteps: *maxSteps, Profile: *profile, Engine: engine, Sanitize: *sanitize})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rpexec:", err)
 		os.Exit(1)

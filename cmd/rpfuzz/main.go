@@ -27,12 +27,9 @@
 //	              disagreement with the flat engine — output, exit,
 //	              error text, dynamic counts — is a divergence, so a
 //	              native run is a translation-validation check of the
-//	              codegen on every seed
-//	-native-backend B  how native artifacts execute: "auto" (probe
-//	              plugin, fall back to subprocess), "plugin", or
-//	              "subprocess"; the fuzzer defaults to subprocess
-//	              because plugins can never be unloaded and a fuzz run
-//	              builds one artifact per (seed, config)
+//	              codegen on every seed. Native artifacts always run as
+//	              subprocesses: a fuzz run builds one artifact per
+//	              (seed, config), and plugins can never be unloaded
 //	-oracles O    comma list of optional oracles to run beside the
 //	              cross-configuration diff and engine parity:
 //	                sanitize     run every compilation on the switch
@@ -101,7 +98,6 @@ func main() {
 	noreduce := flag.Bool("noreduce", false, "skip delta-debugging reduction of failures")
 	corpus := flag.String("corpus", "difftest/corpus", "failure artifact directory")
 	engines := flag.String("engines", "flat", `engine matrix: "flat", "both", "all", or a comma list (e.g. "flat,native")`)
-	nativeBackend := flag.String("native-backend", "", `native artifact execution: "auto", "plugin", or "subprocess" (default subprocess)`)
 	oracles := flag.String("oracles", "", `optional oracles: a comma list of "sanitize", "certify", "incremental"`)
 	progressEvery := flag.Int64("progress", 100, "print a progress line every N completed seeds (0 = off)")
 	verbose := flag.Bool("v", false, "log each divergence as it is found")
@@ -120,25 +116,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "rpfuzz:", err)
 		os.Exit(2)
 	}
-	hasNative := false
 	for _, e := range mode.Engines {
 		if e == interp.EngineNative {
-			hasNative = true
+			// Every (seed, config) pair builds a distinct artifact, and
+			// plugins can never be unloaded from the process.
+			native.SetDefaultBackend(native.BackendSubprocess)
 		}
-	}
-	switch {
-	case *nativeBackend != "":
-		b, err := native.ParseBackend(*nativeBackend)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rpfuzz:", err)
-			os.Exit(2)
-		}
-		native.SetDefaultBackend(b)
-	case hasNative:
-		// Unless overridden, fuzzing forces the subprocess backend:
-		// every (seed, config) pair builds a distinct artifact and
-		// plugins can never be unloaded from the process.
-		native.SetDefaultBackend(native.BackendSubprocess)
 	}
 
 	// Progress accounting shared by the (possibly parallel) seed

@@ -9,8 +9,9 @@
 //     bottom-up compositional, so a component whose key is unchanged
 //     has an unchanged summary and the fixpoint over it can be
 //     skipped; editing one function re-solves only the components on
-//     the dirty paths through the condensation
-//     (callgraph.Graph.DirtySCCs describes the same frontier).
+//     the dirty paths through the condensation: the edited one, its
+//     callers' and, where the edit changes visible sets, its
+//     callees'.
 //
 //   - The points-to narrowing for a whole module, keyed by a hash of
 //     the module's pointer projection: every instruction the solver's

@@ -128,7 +128,9 @@ type verifier struct {
 //	                    the landing pad, so the promoted register is
 //	                    initialized before any rewritten use.
 //	R2 non-interference — no surviving access in the region body can
-//	                    touch the promoted location (oracle bounds).
+//	                    touch the promoted location, by the oracle's
+//	                    bounds or by the instruction's own IL facts,
+//	                    and no promotion spill code for it sits there.
 //	R3 summary consistency — each recorded call-summary claim contains
 //	                    everything the oracle proves the callee does
 //	                    to the promoted location.
@@ -228,35 +230,46 @@ func solveThrough(fn *ir.Func, pad *ir.Block) []bool {
 	return through
 }
 
-// checkBody is R2: no non-synthesized instruction surviving in the
-// region body may touch the promoted location. A definite touch
-// (oracle lower bound) is a violation; a possible touch (upper bound
-// only) is merely unprovable — the sharper analyses may legitimately
-// have excluded it. Reads matter only for regions that wrote the
-// location: with memory unmodified, a stray read still sees the
-// current value.
+// checkBody is R2: no instruction surviving in the region body may
+// touch the promoted location. A definite touch (oracle lower bound)
+// is a violation; so is an instruction whose own IL facts — its tag,
+// its pointer tag set, a call's MOD/REF summary — name the location,
+// since promotion rewrote every such access into a register copy and
+// the compiler's later passes trust those facts. A possible touch by
+// the oracle's upper bound alone is merely unprovable: the sharper
+// analyses may legitimately have excluded it. Oracle reads matter
+// only for regions that wrote the location, since with memory
+// unmodified a stray read still sees the current value. Synthesized
+// instructions are promotion's spill code: a nested region's may sit
+// in the body, but spill code for this region's own location belongs
+// at its boundaries.
 func (v *verifier) checkBody(r *promote.Region, body []*ir.Block, rset ir.TagSet, what string, scalar bool, rr *RegionResult) {
 	unproven := 0
 	for _, b := range body {
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
+			diag := func(format string) {
+				rr.Diags = append(rr.Diags, ir.Diag{
+					Check: "certify", Func: r.Func, Block: b.Label, Index: i, Op: in.Op,
+					Msg: fmt.Sprintf(format, what),
+				})
+			}
 			if in.Synth {
-				// Boundary spill code of nested regions; the promoted
-				// lint polices its placement.
+				if namesLocation(in, rset) {
+					diag("promotion spill code for %s inside the region body (boundaries only)")
+				}
 				continue
 			}
 			fx := v.oracle.instrEffects(v.tracer, in)
 			switch {
 			case fx.lowerMod.Intersects(rset):
-				rr.Diags = append(rr.Diags, ir.Diag{
-					Check: "certify", Func: r.Func, Block: b.Label, Index: i, Op: in.Op,
-					Msg: fmt.Sprintf("instruction provably writes promoted %s inside its region", what),
-				})
+				diag("instruction provably writes promoted %s inside its region")
 			case r.Stored && fx.lowerRef.Intersects(rset):
-				rr.Diags = append(rr.Diags, ir.Diag{
-					Check: "certify", Func: r.Func, Block: b.Label, Index: i, Op: in.Op,
-					Msg: fmt.Sprintf("instruction provably reads promoted %s from memory inside its region (register holds a newer value)", what),
-				})
+				diag("instruction provably reads promoted %s from memory inside its region (register holds a newer value)")
+			case namesLocation(in, rset) && in.Op == ir.OpJsr:
+				diag("call may touch promoted %s inside its region")
+			case namesLocation(in, rset):
+				diag("access to promoted %s survives inside its region")
 			case fx.upperMod.Intersects(rset) || (r.Stored && fx.upperRef.Intersects(rset)):
 				unproven++
 			}
@@ -265,6 +278,21 @@ func (v *verifier) checkBody(r *promote.Region, body []*ir.Block, rset ir.TagSet
 	if unproven > 0 {
 		rr.Notes = append(rr.Notes, fmt.Sprintf("%d instruction(s) whose independent effect bound may overlap %s", unproven, what))
 	}
+}
+
+// namesLocation reports whether in's own IL facts say it may touch
+// rset: a scalar access's tag, a pointer access's tag set, or a
+// call's MOD or REF summary.
+func namesLocation(in *ir.Instr, rset ir.TagSet) bool {
+	switch in.Op {
+	case ir.OpSLoad, ir.OpCLoad, ir.OpSStore:
+		return rset.Has(in.Tag)
+	case ir.OpPLoad, ir.OpPStore:
+		return in.Tags().Intersects(rset)
+	case ir.OpJsr:
+		return in.Mods().Intersects(rset) || in.Refs().Intersects(rset)
+	}
+	return false
 }
 
 // checkSummaries is R3: every call-summary fact the promotion relied

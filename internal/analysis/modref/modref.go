@@ -18,8 +18,9 @@
 // content-addressed cache: each component's key chains those three
 // inputs, a hit installs the cached summary without touching the
 // component's bodies, and the per-component direct-effect scan runs
-// only on misses. After a one-function edit, only the components
-// callgraph.DirtySCCs describes miss; everything else replays.
+// only on misses. After a one-function edit, only the edited
+// component and the components that can reach it or be reached from
+// it miss; everything else replays.
 package modref
 
 import (

@@ -74,20 +74,6 @@ type Result struct {
 	SCCsSolved, SCCsCached int
 }
 
-// RegPointsTo returns the tag set register r of function fn may point
-// to. Every register reports its full solved set, whether or not it
-// reaches a dereference. Unavailable after a cache replay.
-func (r *Result) RegPointsTo(fn string, reg ir.Reg) ir.TagSet {
-	if r.s == nil {
-		return ir.TagSet{}
-	}
-	id := r.s.cg.ID(fn)
-	if id == callgraph.FuncInvalid || int(reg) >= r.s.funcs[id].NumRegs {
-		return ir.TagSet{}
-	}
-	return r.s.tagSet(r.s.reg(id, reg))
-}
-
 // MemPointsTo returns the tag set the value stored in tag may point
 // to. Unavailable after a cache replay.
 func (r *Result) MemPointsTo(tag ir.TagID) ir.TagSet {

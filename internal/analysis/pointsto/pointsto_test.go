@@ -194,7 +194,9 @@ int main(void) { return *ptr; }
 
 // TestConservativeAgainstExecution is the dynamic-validation property:
 // every address actually dereferenced at run time must belong to the
-// static points-to set of the operation that dereferenced it.
+// static points-to set of the operation that dereferenced it. The
+// sanitizer's sanitize.ptr check tests exactly that membership; a
+// pointer load whose set is emptied by hand must trip it.
 func TestConservativeAgainstExecution(t *testing.T) {
 	sources := []string{
 		`
@@ -238,27 +240,35 @@ int main(void) {
 	return x * 100 + y;
 }`,
 	}
-	for _, src := range sources {
-		m, _ := analyze(t, src)
-		violations := 0
-		_, err := interp.Run(m, interp.Options{
-			Trace: func(fn string, in *ir.Instr, addr int64, owner ir.TagID) {
-				if owner == ir.TagInvalid {
-					return // stack scratch outside any tag
-				}
-				if !in.Tags().Has(owner) {
-					violations++
-					t.Errorf("%s: %s touched tag %s outside its set %s",
-						fn, in.Op, m.Tags.Get(owner).Name, in.Tags().Format(&m.Tags))
-				}
-			},
-		})
+	run := func(m *ir.Module) []ir.Diag {
+		t.Helper()
+		res, err := interp.Run(m, interp.Options{Sanitize: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if violations > 0 {
-			t.Fatalf("%d conservativeness violations", violations)
+		return res.Violations
+	}
+	for _, src := range sources {
+		m, _ := analyze(t, src)
+		for _, d := range run(m) {
+			t.Errorf("%s", d)
 		}
+	}
+
+	m, _ := analyze(t, sources[0])
+	for _, b := range m.Funcs["pick"].Blocks {
+		for i := range b.Instrs {
+			if b.Instrs[i].Op == ir.OpPLoad {
+				b.Instrs[i].SetTags(ir.NewTagSet())
+			}
+		}
+	}
+	caught := false
+	for _, d := range run(m) {
+		caught = caught || d.Check == "sanitize.ptr"
+	}
+	if !caught {
+		t.Fatal("emptied points-to set of pick's load: no sanitize.ptr violation")
 	}
 }
 

@@ -182,60 +182,6 @@ func (g *Graph) SCCOf(fn string) int { return g.sccOf[fn] }
 // SCCOfID returns the index (into SCCs) of id's component.
 func (g *Graph) SCCOfID(id FuncID) int { return g.sccOfID[id] }
 
-// DirtySCCs returns, in reverse topological order (the SCCs slice
-// order), the indices of every component whose analysis facts may
-// change when the bodies of the named functions change. That is the
-// changed functions' own components plus both closure directions over
-// the condensation: every component that can call into a changed one
-// (MOD/REF summaries flow callees→callers, so all ancestors up to the
-// root are dirty) and every component a changed one can call into
-// (visibility sets flow callers→callees, so an edit that adds or
-// removes a call edge can widen or shrink a descendant's visible
-// tags). Components unreachable from and by the changed set — the
-// bulk of a large module — are clean and their cached summaries can
-// be reused as-is. Unknown names are ignored.
-func (g *Graph) DirtySCCs(changed []string) []int {
-	n := len(g.SCCs)
-	up := make([]bool, n)   // can reach a changed component
-	down := make([]bool, n) // reachable from a changed component
-	for _, name := range changed {
-		if idx, ok := g.sccOf[name]; ok {
-			up[idx] = true
-			down[idx] = true
-		}
-	}
-	// Tarjan emits callees first, so every successor (callee) of
-	// component i has a smaller index. Ascending order settles "can
-	// reach changed" (via callees); descending order settles
-	// "reachable from changed".
-	for i := 0; i < n; i++ {
-		if up[i] {
-			continue
-		}
-		for _, j := range g.sccSuccs[i] {
-			if up[j] {
-				up[i] = true
-				break
-			}
-		}
-	}
-	for i := n - 1; i >= 0; i-- {
-		if !down[i] {
-			continue
-		}
-		for _, j := range g.sccSuccs[i] {
-			down[j] = true
-		}
-	}
-	var dirty []int
-	for i := 0; i < n; i++ {
-		if up[i] || down[i] {
-			dirty = append(dirty, i)
-		}
-	}
-	return dirty
-}
-
 // InCycle reports whether fn can (transitively) call itself: its SCC
 // has more than one member, or it calls itself directly.
 func (g *Graph) InCycle(fn string) bool {

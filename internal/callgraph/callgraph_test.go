@@ -142,95 +142,3 @@ int main(void) { print_int(3); return 0; }
 	}
 }
 
-// dirtyNames maps a DirtySCCs result back to the member-name sets for
-// assertion convenience.
-func dirtyNames(g *Graph, changed ...string) map[string]bool {
-	out := map[string]bool{}
-	for _, idx := range g.DirtySCCs(changed) {
-		for _, f := range g.SCCs[idx] {
-			out[f] = true
-		}
-	}
-	return out
-}
-
-// TestDirtySCCsDisjointChains: editing one call chain must leave a
-// disjoint chain entirely clean — that cleanliness is the whole point
-// of incremental re-analysis.
-func TestDirtySCCsDisjointChains(t *testing.T) {
-	_, g := build(t, `
-void aleaf(void) { }
-void atop(void) { aleaf(); }
-void bleaf(void) { }
-void btop(void) { bleaf(); }
-`)
-	d := dirtyNames(g, "aleaf")
-	if !d["aleaf"] || !d["atop"] {
-		t.Fatalf("editing aleaf must dirty its chain: %v", d)
-	}
-	if d["bleaf"] || d["btop"] {
-		t.Fatalf("disjoint chain must stay clean: %v", d)
-	}
-}
-
-// TestDirtySCCsBothDirections: an edit dirties ancestors (summaries
-// flow callees to callers) and descendants (visible sets flow callers
-// to callees), but not siblings reachable from neither direction.
-func TestDirtySCCsBothDirections(t *testing.T) {
-	_, g := build(t, `
-void leaf(void) { }
-void mid(void) { leaf(); }
-void top(void) { mid(); }
-void other(void) { }
-`)
-	d := dirtyNames(g, "mid")
-	for _, f := range []string{"leaf", "mid", "top"} {
-		if !d[f] {
-			t.Fatalf("editing mid must dirty %s: %v", f, d)
-		}
-	}
-	if d["other"] {
-		t.Fatalf("unconnected function must stay clean: %v", d)
-	}
-}
-
-// TestDirtySCCsRecursionCycle: editing one member of a mutual
-// recursion dirties the whole component and its callers.
-func TestDirtySCCsRecursionCycle(t *testing.T) {
-	_, g := build(t, `
-int odd(int n);
-int even(int n) { if (n == 0) return 1; return odd(n-1); }
-int odd(int n) { if (n == 0) return 0; return even(n-1); }
-void driver(void) { even(4); }
-void bystander(void) { }
-`)
-	d := dirtyNames(g, "odd")
-	if !d["odd"] || !d["even"] || !d["driver"] {
-		t.Fatalf("cycle edit must dirty the component and its callers: %v", d)
-	}
-	if d["bystander"] {
-		t.Fatalf("bystander must stay clean: %v", d)
-	}
-}
-
-// TestDirtySCCsOrderAndUnknowns: the result is ascending SCC indices
-// (reverse topological order), and unknown names contribute nothing.
-func TestDirtySCCsOrderAndUnknowns(t *testing.T) {
-	_, g := build(t, `
-void leaf(void) { }
-void mid(void) { leaf(); }
-void top(void) { mid(); }
-`)
-	dirty := g.DirtySCCs([]string{"mid", "nosuchfunction"})
-	for i := 1; i < len(dirty); i++ {
-		if dirty[i-1] >= dirty[i] {
-			t.Fatalf("dirty set not in reverse topological order: %v", dirty)
-		}
-	}
-	if got := g.DirtySCCs([]string{"nosuchfunction"}); len(got) != 0 {
-		t.Fatalf("unknown names alone must dirty nothing, got %v", got)
-	}
-	if got := g.DirtySCCs(nil); len(got) != 0 {
-		t.Fatalf("empty change set must dirty nothing, got %v", got)
-	}
-}

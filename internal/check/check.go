@@ -3,8 +3,10 @@
 // structural checks — use-before-def of virtual registers (a forward
 // may-reach dataflow), CFG hygiene, call arity/signature discipline
 // against the callgraph table, Table-1 tag discipline, and the
-// promotion invariant (no access to a promoted location survives
-// inside its region). The driver runs the registry at
+// promotion certificates, re-proved by the independent region
+// verifier (internal/analysis/certify), whose body check also holds
+// the promotion invariant: no access to a promoted location, and no
+// spill code for it, survives inside its region. The driver runs the registry at
 // Config.CheckLevel granularity; rpcc exposes it as -check/-checkall.
 //
 // The dynamic half of the subsystem — the analysis-soundness
@@ -39,8 +41,7 @@ type Context struct {
 	AnalysisDone bool
 
 	// Regions are the promoted regions recorded by the promote pass;
-	// empty before it runs (the promotion-invariant and certificate
-	// lints are then vacuous).
+	// empty before it runs (the certificate lint is then vacuous).
 	Regions []promote.Region
 
 	// Pressure holds the static register-pressure reports the driver
@@ -68,7 +69,9 @@ type Pass struct {
 
 // Passes returns the registry in canonical execution order. The
 // structural verifier runs first; the deeper passes assume its
-// invariants (blocks terminated, registers and tags in range).
+// invariants (blocks terminated, registers and tags in range). The
+// promotion invariant is part of certify's R2 obligation, not a pass
+// of its own.
 func Passes() []Pass {
 	return []Pass{
 		{Name: "verify", Doc: "structural well-formedness: terminators, edges, register and tag ranges", Run: func(c *Context) []Diag { return ir.VerifyModuleAll(c.Module) }},
@@ -76,8 +79,7 @@ func Passes() []Pass {
 		{Name: "uninit", Doc: "use of a virtual register that no definition may reach (forward dataflow)", Run: runUninit},
 		{Name: "arity", Doc: "call arity/signature discipline against defined functions and intrinsics", Run: runArity},
 		{Name: "tags", Doc: "Table-1 tag discipline: kinds, ownership, ⊤ only where the hierarchy permits", Run: runTags},
-		{Name: "promoted", Doc: "promotion invariant: no access to a promoted location inside its region", Run: runPromoted},
-		{Name: "certify", Doc: "re-prove promotion certificates with the independent region-soundness verifier", Run: runCertify},
+		{Name: "certify", Doc: "re-prove promotion certificates with the independent region-soundness verifier, the promotion invariant included", Run: runCertify},
 	}
 }
 

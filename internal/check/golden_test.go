@@ -235,6 +235,23 @@ func TestTopSetSurvivesAnalysis(t *testing.T) {
 	wantDiag(t, ds, "tags", "⊤ tag set survives")
 }
 
+// wantCertify asserts that certify reports exactly one violation, at
+// main's entry block, instruction 0.
+func wantCertify(t *testing.T, m *ir.Module, region promote.Region, msgPart string) {
+	t.Helper()
+	ds := runPass(t, "certify", &check.Context{Module: m, Regions: []promote.Region{region}})
+	wantDiag(t, ds, "certify", msgPart)
+	if d := ds[0]; d.Block != m.Funcs["main"].Entry.Label || d.Index != 0 {
+		t.Errorf("provenance = %s#%d, want %s#0", d.Block, d.Index, m.Funcs["main"].Entry.Label)
+	}
+}
+
+// The next three inputs break the promotion invariant in ways only the
+// IL's own facts show: certify's oracle finds no definite access (a
+// read in a region that stored nothing, spill code, a call to a
+// function that does nothing), so R2 must read the tag, the Synth
+// flag and the call's MOD summary.
+
 func TestResidualPromotedAccess(t *testing.T) {
 	var region promote.Region
 	m := mkMain(func(m *ir.Module, fn *ir.Func, entry *ir.Block) {
@@ -246,8 +263,7 @@ func TestResidualPromotedAccess(t *testing.T) {
 			ir.Instr{Op: ir.OpSLoad, Dst: r, Tag: g.ID, Size: 8})
 		region = promote.Region{Func: "main", Tag: g.ID, Body: []*ir.Block{entry}}
 	})
-	ds := runPass(t, "promoted", &check.Context{Module: m, Regions: []promote.Region{region}})
-	wantDiag(t, ds, "promoted", "survives inside its region")
+	wantCertify(t, m, region, `access to promoted tag "g" survives inside its region`)
 }
 
 func TestSpillCodeInsideRegionBody(t *testing.T) {
@@ -261,8 +277,7 @@ func TestSpillCodeInsideRegionBody(t *testing.T) {
 			ir.Instr{Op: ir.OpSLoad, Dst: r, Tag: g.ID, Size: 8, Synth: true})
 		region = promote.Region{Func: "main", Tag: g.ID, Body: []*ir.Block{entry}}
 	})
-	ds := runPass(t, "promoted", &check.Context{Module: m, Regions: []promote.Region{region}})
-	wantDiag(t, ds, "promoted", "spill code")
+	wantCertify(t, m, region, `promotion spill code for tag "g" inside the region body`)
 }
 
 func TestCallTouchingPromotedTag(t *testing.T) {
@@ -278,8 +293,7 @@ func TestCallTouchingPromotedTag(t *testing.T) {
 			ir.Instr{Op: ir.OpJsr, Dst: ir.RegInvalid}.WithAux(ir.Aux{Callee: "f", Mods: ir.NewTagSet(g.ID)}))
 		region = promote.Region{Func: "main", Tag: g.ID, Body: []*ir.Block{entry}}
 	})
-	ds := runPass(t, "promoted", &check.Context{Module: m, Regions: []promote.Region{region}})
-	wantDiag(t, ds, "promoted", "call may touch promoted")
+	wantCertify(t, m, region, `call may touch promoted tag "g" inside its region`)
 }
 
 // TestPressureLintFlagsOverBudgetSite: the advisory pressure pass
@@ -338,7 +352,7 @@ func TestSelectedRunsOnlyRequestedPasses(t *testing.T) {
 // TestRegistryNamesAreStable pins the registry order tools and docs
 // rely on.
 func TestRegistryNamesAreStable(t *testing.T) {
-	want := []string{"verify", "cfg", "uninit", "arity", "tags", "promoted", "certify"}
+	want := []string{"verify", "cfg", "uninit", "arity", "tags", "certify"}
 	ps := check.Passes()
 	if len(ps) != len(want) {
 		t.Fatalf("registry has %d passes, want %d", len(ps), len(want))

@@ -8,35 +8,9 @@ import (
 	"regpromo/internal/driver"
 )
 
-func TestParseCheckLevel(t *testing.T) {
-	cases := []struct {
-		in   string
-		want driver.CheckLevel
-		err  bool
-	}{
-		{"off", driver.CheckOff, false},
-		{"", driver.CheckOff, false},
-		{"module", driver.CheckModule, false},
-		{"pass", driver.CheckEveryPass, false},
-		{"after-every-pass", driver.CheckEveryPass, false},
-		{"bogus", driver.CheckOff, true},
-	}
-	for _, c := range cases {
-		got, err := driver.ParseCheckLevel(c.in)
-		if (err != nil) != c.err || got != c.want {
-			t.Errorf("ParseCheckLevel(%q) = %v, %v; want %v, err=%v", c.in, got, err, c.want, c.err)
-		}
-	}
-	for _, l := range []driver.CheckLevel{driver.CheckOff, driver.CheckModule, driver.CheckEveryPass} {
-		back, err := driver.ParseCheckLevel(l.String())
-		if err != nil || back != l {
-			t.Errorf("CheckLevel %v does not round-trip through String: %v, %v", l, back, err)
-		}
-	}
-}
-
 // TestParseCheck covers the extended -check grammar: the three level
-// keywords still parse as levels with no pass selection, while any
+// keywords (and every CheckLevel's String) still parse as levels with
+// no pass selection, while any
 // other spelling is a comma list of lint-pass names — validated
 // against the registry, deduplicated in first-mention order, and
 // rejected with the canonical [check] diagnostic otherwise.
@@ -72,6 +46,11 @@ func TestParseCheck(t *testing.T) {
 		}
 		if err != nil || level != c.wantLevel || !reflect.DeepEqual(passes, c.wantPass) {
 			t.Errorf("ParseCheck(%q) = %v, %v, %v; want %v, %v", c.in, level, passes, err, c.wantLevel, c.wantPass)
+		}
+	}
+	for _, l := range []driver.CheckLevel{driver.CheckOff, driver.CheckModule, driver.CheckEveryPass} {
+		if back, passes, err := driver.ParseCheck(l.String()); err != nil || back != l || passes != nil {
+			t.Errorf("CheckLevel %v does not round-trip through String: %v, %v, %v", l, back, passes, err)
 		}
 	}
 }

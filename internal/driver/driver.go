@@ -100,22 +100,9 @@ func (l CheckLevel) String() string {
 	return "off"
 }
 
-// ParseCheckLevel maps the CLI spellings onto a CheckLevel.
-func ParseCheckLevel(s string) (CheckLevel, error) {
-	switch s {
-	case "off", "":
-		return CheckOff, nil
-	case "module":
-		return CheckModule, nil
-	case "pass", "after-every-pass":
-		return CheckEveryPass, nil
-	}
-	return CheckOff, fmt.Errorf("unknown check level %q (want off, module, or pass)", s)
-}
-
 // ParseCheck resolves the -check CLI flag: either a level — "off",
 // "module", "pass" — or a comma list of individual lint-pass names
-// from the check registry (e.g. "uninit,promoted" or "pressure"),
+// from the check registry (e.g. "uninit,certify" or "pressure"),
 // which runs exactly those passes at the module boundary. Mirrors
 // ParseEngines: the list is deduplicated in first-mention order and
 // unknown names are rejected with the canonical diagnostic format
@@ -267,12 +254,9 @@ type Compilation struct {
 	// one Compilation; concurrent callers hold distinct Compilations.
 	prog *interp.Program
 
-	// natives caches the module's built native artifacts ([0]
-	// instrumented, [1] uninstrumented) the same way prog caches the
-	// flat lowering: the native build is content-addressed by
-	// (generated source, toolchain), so within one Compilation the
-	// artifact only depends on the instrumentation mode.
-	natives [2]*native.Artifact
+	// artifact caches the module's built native artifact the same way
+	// prog caches the flat lowering.
+	artifact *native.Artifact
 
 	// finalKeys holds, in function order, the key each function had
 	// going into a matrix's memoized final segment (see funcMemo);
@@ -919,14 +903,14 @@ func commitStagedTags(fn *ir.Func, staged *ir.StagedTags, tags *ir.TagTable) {
 // Flat-engine runs lower the module to flat code on first use and
 // reuse the lowering, with its load image, afterwards. A switch-engine
 // run (asked for, or a hooked flat-engine one — interp.Options.Hooked:
-// profile, sanitizer or trace) loads from that image once it exists;
+// profile or sanitizer) loads from that image once it exists;
 // before any flat run it builds an image of its own, which costs less
 // than lowering. Native runs additionally build (or reuse, via the
 // content-addressed cache) a machine-code artifact.
 func (c *Compilation) Execute(opts interp.Options) (*interp.Result, error) {
 	switch {
 	case opts.Engine == interp.EngineNative:
-		a, err := c.nativeArtifact(opts)
+		a, err := c.nativeArtifact()
 		if err != nil {
 			return nil, err
 		}
@@ -947,7 +931,7 @@ func (c *Compilation) PrepareEngine(opts interp.Options) error {
 	case interp.EngineSwitch:
 		return nil
 	case interp.EngineNative:
-		_, err := c.nativeArtifact(opts)
+		_, err := c.nativeArtifact()
 		return err
 	}
 	if !opts.Hooked() {
@@ -965,23 +949,17 @@ func (c *Compilation) flatProgram() *interp.Program {
 	return c.prog
 }
 
-// nativeArtifact returns the cached native build for the
-// instrumentation mode opts selects, building on first use from the
-// flat lowering.
-func (c *Compilation) nativeArtifact(opts interp.Options) (*native.Artifact, error) {
-	instrument := !opts.NoCounts
-	idx := 0
-	if !instrument {
-		idx = 1
-	}
-	if c.natives[idx] == nil {
-		a, err := native.Build(c.flatProgram(), instrument, native.Options{})
+// nativeArtifact returns the cached native build, building on first
+// use from the flat lowering.
+func (c *Compilation) nativeArtifact() (*native.Artifact, error) {
+	if c.artifact == nil {
+		a, err := native.Build(c.flatProgram(), true, native.Options{})
 		if err != nil {
 			return nil, err
 		}
-		c.natives[idx] = a
+		c.artifact = a
 	}
-	return c.natives[idx], nil
+	return c.artifact, nil
 }
 
 // Configurations returns the paper's four measurement configurations

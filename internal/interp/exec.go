@@ -191,9 +191,6 @@ func (m *machine) execBlock(f *frame, b *ir.Block) (next *ir.Block, ret int64, d
 		case ir.OpPLoad:
 			m.counts.Loads++
 			addr := regs[in.A]
-			if m.opts.Trace != nil {
-				m.opts.Trace(f.fn.Name, in, addr, m.ownerOf(addr))
-			}
 			if m.prof != nil {
 				m.prof.load(m.ownerOf(addr))
 			}
@@ -208,9 +205,6 @@ func (m *machine) execBlock(f *frame, b *ir.Block) (next *ir.Block, ret int64, d
 		case ir.OpPStore:
 			m.counts.Stores++
 			addr := regs[in.A]
-			if m.opts.Trace != nil {
-				m.opts.Trace(f.fn.Name, in, addr, m.ownerOf(addr))
-			}
 			if m.prof != nil {
 				m.prof.store(m.ownerOf(addr))
 			}

@@ -240,7 +240,7 @@ type flatInstr struct {
 	// occupies what would otherwise be struct padding.
 	c int32
 	// src points at the lowered IL instruction, for call argument
-	// lists, intrinsic names, and Trace callbacks.
+	// lists and intrinsic names.
 	src *ir.Instr
 }
 

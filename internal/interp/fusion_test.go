@@ -2,6 +2,7 @@ package interp
 
 import (
 	"fmt"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -376,6 +377,30 @@ func TestThreadBranchIntoCmpBranch(t *testing.T) {
 	}
 }
 
+// TestNativeSourceHasNoDeadCode: natgen emits nothing between an
+// unconditional transfer and the next label. Threading leaves
+// threadSrc's loop-header compare-and-branch in the flat code after
+// every jump into it has taken the test over, so nothing reaches it.
+func TestNativeSourceHasNoDeadCode(t *testing.T) {
+	src := Flatten(compileIR(t, threadSrc), false).NativeSource(true)
+	transfer := regexp.MustCompile(`^\t\{ .*(goto l\d+|return [^{}]*) \}$`)
+	label := regexp.MustCompile(`^l\d+:$`)
+	lines := strings.Split(src, "\n")
+	seen := 0
+	for i := 0; i+1 < len(lines); i++ {
+		if !transfer.MatchString(lines[i]) {
+			continue
+		}
+		seen++
+		if next := lines[i+1]; next != "}" && !label.MatchString(next) {
+			t.Errorf("line %d follows an unconditional transfer:\n%s\n%s", i+2, lines[i], next)
+		}
+	}
+	if seen == 0 {
+		t.Fatal("no unconditional transfer found in the generated source")
+	}
+}
+
 // TestThreadBranchNeedsFusedTarget: with the loop's compare split
 // from its branch, the target block opens with a plain compare, so
 // nothing threads.
@@ -492,9 +517,9 @@ func TestBudgetSweepMatchesSwitch(t *testing.T) {
 	}
 }
 
-// TestHookedRunMovesToSwitch: asking the flat engine for a profile,
-// the sanitizer or a trace runs the switch engine, with the plain
-// flat run's counts and result.
+// TestHookedRunMovesToSwitch: asking the flat engine for a profile or
+// the sanitizer runs the switch engine, with the plain flat run's
+// counts and result.
 func TestHookedRunMovesToSwitch(t *testing.T) {
 	mod := compileIR(t, addPLoadSrc)
 	p := Flatten(mod, false)
@@ -502,12 +527,7 @@ func TestHookedRunMovesToSwitch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	traced := 0
-	for _, opts := range []Options{
-		{Profile: true},
-		{Sanitize: true},
-		{Trace: func(string, *ir.Instr, int64, ir.TagID) { traced++ }},
-	} {
+	for _, opts := range []Options{{Profile: true}, {Sanitize: true}} {
 		res, err := p.Run(opts)
 		if err != nil {
 			t.Fatal(err)
@@ -518,8 +538,5 @@ func TestHookedRunMovesToSwitch(t *testing.T) {
 		if opts.Profile && res.Profile == nil {
 			t.Error("profiled run returned no profile")
 		}
-	}
-	if traced == 0 {
-		t.Error("trace callback never ran")
 	}
 }

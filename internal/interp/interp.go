@@ -98,11 +98,6 @@ func ParseEngine(s string) (Engine, error) {
 type Options struct {
 	// MaxSteps bounds execution; 0 means the default (2^31).
 	MaxSteps int64
-	// Trace, when non-nil, is invoked for every pointer-based
-	// memory access with the instruction, the resolved address, and
-	// the tag owning that address (TagInvalid when unknown). Like
-	// Profile and Sanitize it is a hook: see Hooked.
-	Trace func(fn string, in *ir.Instr, addr int64, owner ir.TagID)
 	// Profile enables hot-spot profiling: per-basic-block execution
 	// counts and per-tag dynamic load/store counters, reported in
 	// Result.Profile. Pointer accesses are attributed to the tag
@@ -116,20 +111,13 @@ type Options struct {
 	// access is diffed against the static MOD/REF and points-to sets
 	// and violations are reported in Result.Violations.
 	Sanitize bool
-	// NoCounts, honoured by the native engine only, selects the
-	// uninstrumented build: no dynamic-op counters and no step-budget
-	// checks are compiled in, so the hot path pays nothing for
-	// instrumentation. Result.Counts is all zeros and MaxSteps is not
-	// enforced. The interpreter engines ignore it — their counters
-	// are structural.
-	NoCounts bool
 }
 
-// Hooked reports whether the execution asks for a profile, the
-// sanitizer or a pointer trace. Only the switch engine carries these
-// hooks, so a hooked flat-engine execution runs there instead; the
-// engines' parity makes the Result the same.
-func (o Options) Hooked() bool { return o.Profile || o.Sanitize || o.Trace != nil }
+// Hooked reports whether the execution asks for a profile or the
+// sanitizer. Only the switch engine carries these hooks, so a hooked
+// flat-engine execution runs there instead; the engines' parity makes
+// the Result the same.
+func (o Options) Hooked() bool { return o.Profile || o.Sanitize }
 
 // Result is the outcome of an execution.
 type Result struct {
@@ -484,7 +472,8 @@ func (m *machine) storeMem(f *frame, addr int64, size int, v int64) error {
 	return nil
 }
 
-// ownerOf resolves an address to the tag owning it, for tracing.
+// ownerOf resolves an address to the tag owning it, for the profile
+// and the sanitizer.
 func (m *machine) ownerOf(addr int64) ir.TagID {
 	for _, r := range m.globalOwner {
 		if addr >= r.lo && addr < r.hi {

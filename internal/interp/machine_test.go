@@ -232,6 +232,10 @@ int main(void) {
 	}
 }
 
+// TestOwnerResolution: a pointer load is attributed to the tag owning
+// its address, for a global scalar, a global array and a stack local.
+// Nothing here reads g, arr or l except through touch's pointer, so
+// every load in their profile rows was resolved by ownerOf.
 func TestOwnerResolution(t *testing.T) {
 	mod := compile(t, `
 int g;
@@ -242,16 +246,15 @@ int main(void) {
 	l = 5;
 	return touch(&g) + touch(&arr[2]) + touch(&l);
 }`)
-	owners := map[string]bool{}
-	_, err := Run(mod, Options{
-		Trace: func(fn string, in *ir.Instr, addr int64, owner ir.TagID) {
-			if owner != ir.TagInvalid {
-				owners[mod.Tags.Get(owner).Name] = true
-			}
-		},
-	})
+	res, err := Run(mod, Options{Profile: true})
 	if err != nil {
 		t.Fatal(err)
+	}
+	owners := map[string]bool{}
+	for _, tc := range res.Profile.Tags {
+		if tc.Loads > 0 {
+			owners[tc.Tag] = true
+		}
 	}
 	if !owners["g"] || !owners["arr"] {
 		t.Fatalf("owners = %v", owners)

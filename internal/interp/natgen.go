@@ -30,34 +30,30 @@ import (
 //
 // The parity contract is the flat engine's to the letter: identical
 // output bytes, exit status, error text (runtime faults surface as a
-// typed panic recovered at the entry point), and — in the
-// instrumented build — identical op/load/store/copy/call counts and
-// step-limit behaviour. The uninstrumented build (Options.NoCounts)
-// omits every counter and budget check so the hot path pays nothing;
-// faults and output still match.
+// typed panic recovered at the entry point), identical
+// op/load/store/copy/call counts, and the same step-limit error.
 //
 // The generated file is self-contained (stdlib only) and serves both
 // load modes: an exported RPRun symbol for plugin loading and a main
 // function speaking a small JSON protocol for subprocess execution.
 // internal/native owns building, caching, and running it.
 
-// NativeSource renders the program as a compilable Go source file.
-// When instrument is set, dynamic-op counters and step-budget checks
-// are compiled in; without it the generated code carries no
-// instrumentation at all. The output is deterministic for a given
-// (program, instrument) pair, so its hash can key a build cache.
+// NativeSource renders the program as a compilable Go source file,
+// with the dynamic-op counters and the step-budget check compiled in.
+// The output is deterministic for a given program, so its hash can
+// key a build cache. The instrument flag is ignored (every build
+// counts); it is kept for the benchmark harness, which passes true.
 func (p *Program) NativeSource(instrument bool) string {
-	g := &natgen{p: p, instr: instrument}
+	g := &natgen{p: p}
 	g.run()
 	return g.buf.String()
 }
 
 // natgen is the code generator's state.
 type natgen struct {
-	p     *Program
-	instr bool
-	buf   strings.Builder
-	// pending counts instrumented steps accumulated by batchable ops
+	p   *Program
+	buf strings.Builder
+	// pending counts steps accumulated by batchable ops
 	// (pure ALU, and constant-address memory ops that can never fault)
 	// since the last budget check; the next checkpoint op folds them
 	// into one steps update (see checkpoint). pendLd, pendSt, and
@@ -529,19 +525,12 @@ func (g *natgen) entry() {
 	// whose offset from funcBase indexes the function table; every
 	// such index has a case here, so the default arm faults exactly
 	// where the interpreter's bounds check would.
-	if g.instr {
-		g.w("func calli(m *mach, fn string, addr int64, steps, cld, cst, ccp int64, args []int64) (int64, int64, int64, int64, int64) {")
-	} else {
-		g.w("func calli(m *mach, fn string, addr int64, args []int64) int64 {")
-	}
+	g.w("func calli(m *mach, fn string, addr int64, steps, cld, cst, ccp int64, args []int64) (int64, int64, int64, int64, int64) {")
 	g.w("\tswitch addr - funcBase {")
 	for i := range g.p.funcs {
 		fn := g.p.funcs[i].src
 		var call strings.Builder
-		fmt.Fprintf(&call, "%s(m", goName(fn.Name))
-		if g.instr {
-			call.WriteString(", steps, cld, cst, ccp")
-		}
+		fmt.Fprintf(&call, "%s(m, steps, cld, cst, ccp", goName(fn.Name))
 		for pi := range fn.Params {
 			fmt.Fprintf(&call, ", argv(args, %d)", pi)
 		}
@@ -570,24 +559,17 @@ func (g *natgen) entry() {
 	} else {
 		mainFn := g.p.funcs[g.p.mainIdx].src
 		var call strings.Builder
-		fmt.Fprintf(&call, "%s(m", goName(mainFn.Name))
-		if g.instr {
-			call.WriteString(", 0, 0, 0, 0")
-		}
+		fmt.Fprintf(&call, "%s(m, 0, 0, 0, 0", goName(mainFn.Name))
 		for range mainFn.Params {
 			call.WriteString(", 0")
 		}
 		call.WriteByte(')')
-		if g.instr {
-			// The threaded totals land on the mach only here, once the
-			// run has completed; ops and steps count the same events, so
-			// both read the final step total.
-			g.w("\texit, steps, cld, cst, ccp := %s", call.String())
-			g.w("\tm.ops, m.steps, m.loads, m.stores, m.copies = steps, steps, cld, cst, ccp")
-			g.w("\treturn exit, nil")
-		} else {
-			g.w("\treturn %s, nil", call.String())
-		}
+		// The threaded totals land on the mach only here, once the run
+		// has completed; ops and steps count the same events, so both
+		// read the final step total.
+		g.w("\texit, steps, cld, cst, ccp := %s", call.String())
+		g.w("\tm.ops, m.steps, m.loads, m.stores, m.copies = steps, steps, cld, cst, ccp")
+		g.w("\treturn exit, nil")
 	}
 	g.w("}")
 	g.w("")
@@ -648,12 +630,14 @@ func main() {
 // code: every instruction translates to a brace-wrapped statement
 // group (so its temporaries never enter scope at function level,
 // keeping gotos legal), and labels are emitted only for pcs that some
-// branch actually targets (Go rejects unused labels).
+// emitted branch actually targets (Go rejects unused labels). Code
+// that no path from the entry reaches is not emitted (see liveCode).
 func (g *natgen) genFunc(fi int) {
 	p := g.p
 	ff := &p.funcs[fi]
 	fn := ff.src
 	entry, end := ff.entry, g.funcEnd(fi)
+	live := g.liveCode(entry, end)
 
 	used := map[int32]bool{}
 	labels := map[int]bool{}
@@ -664,12 +648,14 @@ func (g *natgen) genFunc(fi int) {
 			}
 		}
 	}
+	from := 0 // the pc whose branch targets target records
 	target := func(t int) {
-		if t >= entry && t < end {
+		if live[from-entry] && t >= entry && t < end {
 			labels[t] = true
 		}
 	}
 	for pc := entry; pc < end; pc++ {
+		from = pc
 		in := &p.code[pc]
 		switch in.op {
 		case fLoadI, fAddrL:
@@ -722,18 +708,14 @@ func (g *natgen) genFunc(fi int) {
 		reg(int32(pr))
 	}
 
-	// Instrumented functions thread the step and counter state through
-	// the call ABI — four extra int64 params in, five results out, all
-	// in registers — instead of settling them to mach fields around
-	// every call: leaf-heavy programs pay the memory round trips on
-	// every activation otherwise. steps carries the whole-run total, so
-	// the budget is simply m.max.
-	if g.instr {
-		g.w("func %s(m *mach, steps, cld, cst, ccp int64%s) (int64, int64, int64, int64, int64) {",
-			goName(fn.Name), paramDecls(len(fn.Params)))
-	} else {
-		g.w("func %s(m *mach%s) int64 {", goName(fn.Name), paramDecls(len(fn.Params)))
-	}
+	// Functions thread the step and counter state through the call
+	// ABI — four extra int64 params in, five results out, all in
+	// registers — instead of settling them to mach fields around every
+	// call: leaf-heavy programs pay the memory round trips on every
+	// activation otherwise. steps carries the whole-run total, so the
+	// budget is simply m.max.
+	g.w("func %s(m *mach, steps, cld, cst, ccp int64%s) (int64, int64, int64, int64, int64) {",
+		goName(fn.Name), paramDecls(len(fn.Params)))
 	g.w("\tconst fname = %q", fn.Name)
 
 	// Prologue: the flat engine's activation sequence — overflow
@@ -776,12 +758,13 @@ func (g *natgen) genFunc(fi int) {
 	for i, pr := range fn.Params {
 		g.w("\tr%d = p%d", int32(pr), i)
 	}
-	if g.instr {
-		g.w("\tbudget := m.max")
-		g.w("\t_ = budget")
-	}
+	g.w("\tbudget := m.max")
+	g.w("\t_ = budget")
 
 	for pc := entry; pc < end; pc++ {
+		if !live[pc-entry] {
+			continue
+		}
 		if labels[pc] {
 			g.flushPending()
 			g.w("l%d:", pc-entry)
@@ -791,6 +774,41 @@ func (g *natgen) genFunc(fi int) {
 	g.flushPending()
 	g.w("}")
 	g.w("")
+}
+
+// liveCode marks the pcs in [entry, end) that some path from entry
+// reaches. A flat pc is entered only by falling through from the pc
+// before it or by a branch, so the code between an unconditional
+// transfer and the next reached branch target never runs: threading
+// leaves a loop header's fused compare-and-branch behind that way,
+// once every jump into it has taken the test over.
+func (g *natgen) liveCode(entry, end int) []bool {
+	live := make([]bool, end-entry)
+	work := []int{entry}
+	for len(work) > 0 {
+		pc := work[len(work)-1]
+		work = work[:len(work)-1]
+		if pc < entry || pc >= end || live[pc-entry] {
+			continue
+		}
+		live[pc-entry] = true
+		in := &g.p.code[pc]
+		switch in.op {
+		case fBr:
+			work = append(work, int(in.imm))
+		case fCBr:
+			work = append(work, int(in.imm), int(in.b))
+		case fJEQ, fJNE, fJLT, fJLE, fJGT, fJGE,
+			fJFEQ, fJFNE, fJFLT, fJFLE, fJFGT, fJFGE,
+			fBrJEQ, fBrJNE, fBrJLT, fBrJLE, fBrJGT, fBrJGE,
+			fBrJFEQ, fBrJFNE, fBrJFLT, fBrJFLE, fBrJFGT, fBrJFGE:
+			work = append(work, int(in.imm), int(in.c))
+		case fRet, fErr:
+		default:
+			work = append(work, pc+1)
+		}
+	}
+	return live
 }
 
 // paramDecls renders ", p0 int64, p1 int64, …".
@@ -831,16 +849,12 @@ func (g *natgen) declareRegs(used map[int32]bool) {
 	}
 }
 
-// step renders the per-op step-count-and-budget check (empty when
-// uninstrumented). Every flat instruction counts one step per op it
+// step renders the per-op step-count-and-budget check. Every flat instruction counts one step per op it
 // stands for — fused pairs two, threaded branches three — but only
 // checkpoint ops compare against the budget; pure ALU ops batch their
 // counts into the next checkpoint (see checkpoint). This one is the
 // unbatched single-step form, used for the second half of fused pairs.
 func (g *natgen) step() string {
-	if !g.instr {
-		return ""
-	}
 	return "steps++; if steps > budget { panic(rtErr{fname, stepMsg}) }; "
 }
 
@@ -853,9 +867,6 @@ func (g *natgen) step() string {
 // and a loop can never run unchecked because every branch is a
 // checkpoint.
 func (g *natgen) checkpoint() string {
-	if !g.instr {
-		return ""
-	}
 	n := g.pending + 1
 	g.pending = 0
 	if n == 1 {
@@ -893,9 +904,6 @@ func (g *natgen) flushCounts() string {
 // loop — any cycle has a back edge, so the amount of work between
 // budget comparisons stays bounded by the function body.
 func (g *natgen) branchSteps(nsteps int, backward bool) string {
-	if !g.instr {
-		return ""
-	}
 	n := g.pending + nsteps
 	g.pending = 0
 	if backward {
@@ -917,13 +925,10 @@ func (g *natgen) flushPending() {
 	}
 }
 
-// count renders a counter bump, or nothing when uninstrumented. The
+// count renders a counter bump. The
 // per-op counters bump activation locals (settled like steps); the
 // call counter writes through, since calls settle anyway.
 func (g *natgen) count(field string) string {
-	if !g.instr {
-		return ""
-	}
 	switch field {
 	case "loads":
 		return "cld++; "
@@ -943,9 +948,6 @@ func (g *natgen) count(field string) string {
 // this op — in which case the step-limit error, not the memory fault,
 // is the canonical outcome. Call after bumping pending for the op.
 func (g *natgen) faultGuard() string {
-	if !g.instr {
-		return ""
-	}
 	return fmt.Sprintf("if steps+%d > budget { panic(rtErr{fname, stepMsg}) }; ", g.pending)
 }
 
@@ -1091,62 +1093,60 @@ func (g *natgen) genInstr(fi, pc, entry, end int) {
 	p := g.p
 	in := &p.code[pc]
 	var s string
-	if g.instr {
-		switch in.op {
-		case fLoadI, fAdd, fSub, fMul, fNeg, fAnd, fOr, fXor, fNot, fShl, fShr,
-			fCmpEQ, fCmpNE, fCmpLT, fCmpLE, fCmpGT, fCmpGE,
-			fFCmpEQ, fFCmpNE, fFCmpLT, fFCmpLE, fFCmpGT, fFCmpGE,
-			fFAdd, fFSub, fFMul, fFDiv, fFNeg, fI2F, fF2I, fAddrL, fNop:
-			// Pure register ops: counted, but the budget comparison is
-			// batched into the next checkpoint.
+	switch in.op {
+	case fLoadI, fAdd, fSub, fMul, fNeg, fAnd, fOr, fXor, fNot, fShl, fShr,
+		fCmpEQ, fCmpNE, fCmpLT, fCmpLE, fCmpGT, fCmpGE,
+		fFCmpEQ, fFCmpNE, fFCmpLT, fFCmpLE, fFCmpGT, fFCmpGE,
+		fFAdd, fFSub, fFMul, fFDiv, fFNeg, fI2F, fF2I, fAddrL, fNop:
+		// Pure register ops: counted, but the budget comparison is
+		// batched into the next checkpoint.
+		g.pending++
+	case fAndI, fAddI, fMulI:
+		// A folded constant and its ALU op: two pure register ops.
+		g.pending += 2
+	case fCopy:
+		g.pending++
+		g.pendCp++
+	case fDiv, fRem:
+		// Fault-capable but unobservable on success: the budget
+		// check moves onto the divide-by-zero branch (faultGuard).
+		g.pending++
+	case fLoadG, fLoadL, fPLoad:
+		if memSuffix(in.sz) != 0 {
 			g.pending++
-		case fAndI, fAddI, fMulI:
-			// A folded constant and its ALU op: two pure register ops.
-			g.pending += 2
-		case fCopy:
-			g.pending++
-			g.pendCp++
-		case fDiv, fRem:
-			// Fault-capable but unobservable on success: the budget
-			// check moves onto the divide-by-zero branch (faultGuard).
-			g.pending++
-		case fLoadG, fLoadL, fPLoad:
-			if memSuffix(in.sz) != 0 {
-				g.pending++
-				g.pendLd++
-			} else {
-				s = g.checkpoint()
-			}
-		case fStoreG, fStoreL, fPStore:
-			if memSuffix(in.sz) != 0 {
-				g.pending++
-				g.pendSt++
-			} else {
-				s = g.checkpoint()
-			}
-		case fAddPLoad:
-			if memSuffix(in.sz) != 0 {
-				g.pending += 2
-				g.pendLd++
-			} else {
-				s = g.checkpoint()
-			}
-		case fAddPStore:
-			if memSuffix(in.sz) != 0 {
-				g.pending += 2
-				g.pendSt++
-			} else {
-				s = g.checkpoint()
-			}
-		case fBr, fCBr, fJEQ, fJNE, fJLT, fJLE, fJGT, fJGE,
-			fJFEQ, fJFNE, fJFLT, fJFLE, fJFGT, fJFGE,
-			fBrJEQ, fBrJNE, fBrJLT, fBrJLE, fBrJGT, fBrJGE,
-			fBrJFEQ, fBrJFNE, fBrJFLT, fBrJFLE, fBrJFGT, fBrJFGE:
-			// Branches do their own step accounting (branchSteps): back
-			// edges check the budget, forward edges only count.
-		default:
+			g.pendLd++
+		} else {
 			s = g.checkpoint()
 		}
+	case fStoreG, fStoreL, fPStore:
+		if memSuffix(in.sz) != 0 {
+			g.pending++
+			g.pendSt++
+		} else {
+			s = g.checkpoint()
+		}
+	case fAddPLoad:
+		if memSuffix(in.sz) != 0 {
+			g.pending += 2
+			g.pendLd++
+		} else {
+			s = g.checkpoint()
+		}
+	case fAddPStore:
+		if memSuffix(in.sz) != 0 {
+			g.pending += 2
+			g.pendSt++
+		} else {
+			s = g.checkpoint()
+		}
+	case fBr, fCBr, fJEQ, fJNE, fJLT, fJLE, fJGT, fJGE,
+		fJFEQ, fJFNE, fJFLT, fJFLE, fJFGT, fJFGE,
+		fBrJEQ, fBrJNE, fBrJLT, fBrJLE, fBrJGT, fBrJGE,
+		fBrJFEQ, fBrJFNE, fBrJFLT, fBrJFLE, fBrJFGT, fBrJFGE:
+		// Branches do their own step accounting (branchSteps): back
+		// edges check the budget, forward edges only count.
+	default:
+		s = g.checkpoint()
 	}
 	d := func() string { return fmt.Sprintf("r%d", in.dst) }
 	a := func() string { return fmt.Sprintf("r%d", in.a) }
@@ -1339,11 +1339,7 @@ func (g *natgen) genInstr(fi, pc, entry, end int) {
 		if in.a >= 0 {
 			ret = a()
 		}
-		if g.instr {
-			g.w("\t{ %sm.sp = fp; return %s, steps, cld, cst, ccp }", s, ret)
-		} else {
-			g.w("\t{ %sm.sp = fp; return %s }", s, ret)
-		}
+		g.w("\t{ %sm.sp = fp; return %s, steps, cld, cst, ccp }", s, ret)
 
 	case fJEQ, fJNE, fJLT, fJLE, fJGT, fJGE,
 		fJFEQ, fJFNE, fJFLT, fJFLE, fJFGT, fJFGE,
@@ -1444,9 +1440,7 @@ func (g *natgen) genCall(in *flatInstr, fi int, s string) {
 			g.w("\t{ %s%s%sm.malloc(fname, %s); hp, hpN = m.heap, m.heapTop-heapBase }",
 				s, g.count("calls"), assign, argReg(0))
 		case "free":
-			if zero != "" || s != "" || g.instr {
-				g.w("\t{ %s%s_ = 0%s }", s, g.count("calls"), zero)
-			}
+			g.w("\t{ %s%s_ = 0%s }", s, g.count("calls"), zero)
 		default:
 			g.w("\t{ %s%spanic(rtErr{fname, %s}) }",
 				s, g.count("calls"), strconv.Quote("call to undefined function "+src.Callee()))
@@ -1461,36 +1455,23 @@ func (g *natgen) genCall(in *flatInstr, fi int, s string) {
 			}
 			args = "[]int64{" + strings.Join(elems, ", ") + "}"
 		}
-		if g.instr {
-			g.w("\t{ %s%s%s, steps, cld, cst, ccp = calli(m, fname, r%d, steps, cld, cst, ccp, %s)%s }",
-				s, g.count("calls"), retDst(in.dst), in.a, args, g.callReload(fi))
-		} else {
-			g.w("\t{ %s%scalli(m, fname, r%d, %s)%s }",
-				s, assign, in.a, args, g.callReload(fi))
-		}
+		g.w("\t{ %s%s%s, steps, cld, cst, ccp = calli(m, fname, r%d, steps, cld, cst, ccp, %s)%s }",
+			s, g.count("calls"), retDst(in.dst), in.a, args, g.callReload(fi))
 
 	default:
 		callee := &p.funcs[in.imm]
 		var call strings.Builder
-		fmt.Fprintf(&call, "%s(m", goName(callee.src.Name))
-		if g.instr {
-			call.WriteString(", steps, cld, cst, ccp")
-		}
+		fmt.Fprintf(&call, "%s(m, steps, cld, cst, ccp", goName(callee.src.Name))
 		for i := range callee.src.Params {
 			fmt.Fprintf(&call, ", %s", argReg(i))
 		}
 		call.WriteByte(')')
-		if g.instr {
-			g.w("\t{ %s%s%s, steps, cld, cst, ccp = %s%s }",
-				s, g.count("calls"), retDst(in.dst), call.String(), g.callReload(fi))
-		} else {
-			g.w("\t{ %s%s%s%s }",
-				s, assign, call.String(), g.callReload(fi))
-		}
+		g.w("\t{ %s%s%s, steps, cld, cst, ccp = %s%s }",
+			s, g.count("calls"), retDst(in.dst), call.String(), g.callReload(fi))
 	}
 }
 
-// retDst names the value-result target of an instrumented call: the
+// retDst names the value-result target of a call: the
 // destination register, or blank when the call's result is unused.
 func retDst(dst int32) string {
 	if dst >= 0 {

@@ -224,9 +224,8 @@ func (s *StagedTags) Commit(tt *TagTable) map[TagID]TagID {
 // word comparison. Values are immutable and may share backing words —
 // every exported method returns a new set or a scalar. The *Into
 // variants mutate their receiver in place for fixpoint accumulators;
-// callers own such receivers (start from the zero value, Clone, or
-// NewTagSetSized) and must never mutate a set read out of an
-// instruction.
+// callers own such receivers (start from the zero value or Clone) and
+// must never mutate a set read out of an instruction.
 type TagSet struct {
 	// all marks the ⊤ set: the operation may touch any location.
 	all bool
@@ -257,16 +256,6 @@ func NewTagSet(ids ...TagID) TagSet {
 		s.words[id/64] |= 1 << (uint(id) % 64)
 	}
 	return s
-}
-
-// NewTagSetSized returns an owned empty set whose backing array can
-// hold tags [0, n) without reallocating — size it from TagTable.Len()
-// for fixpoint accumulators that will grow via the *Into methods.
-func NewTagSetSized(n int) TagSet {
-	if n <= 0 {
-		return TagSet{}
-	}
-	return TagSet{words: make([]uint64, 0, (n+63)/64)}
 }
 
 // trim restores the no-trailing-zero-words invariant after an

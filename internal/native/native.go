@@ -6,8 +6,8 @@
 //
 // Build artifacts are content-addressed: the cache key is the hash of
 // the generated source plus the toolchain version, so any change to
-// the program, the configuration it was compiled under, or the
-// instrumentation mode lands in a different slot, and rebuilding an
+// the program or the configuration it was compiled under lands in a
+// different slot, and rebuilding an
 // unchanged program is a cache hit that skips the toolchain entirely.
 // The cache lives on disk (REGPROMO_NATIVE_CACHE, defaulting to the
 // user cache directory) and is shared across processes; builds write
@@ -71,22 +71,8 @@ func (b Backend) String() string {
 	return "auto"
 }
 
-// ParseBackend resolves a backend name ("auto", "plugin", or
-// "subprocess").
-func ParseBackend(s string) (Backend, error) {
-	switch s {
-	case "", "auto":
-		return BackendAuto, nil
-	case "plugin":
-		return BackendPlugin, nil
-	case "subprocess":
-		return BackendSubprocess, nil
-	}
-	return BackendAuto, fmt.Errorf("unknown native backend %q (want auto, plugin, or subprocess)", s)
-}
-
 // defaultBackend is the process-wide backend used when
-// Options.Backend is BackendAuto; settable from CLI flags.
+// Options.Backend is BackendAuto.
 var defaultBackend atomic.Int32
 
 // SetDefaultBackend fixes the process-wide backend used by
@@ -115,10 +101,9 @@ type Options struct {
 
 // Artifact is a built native program, ready to run.
 type Artifact struct {
-	backend      Backend // resolved: plugin or subprocess
-	binPath      string
-	instrumented bool
-	runFn        func(int64) ([7]int64, []byte, string, string)
+	backend Backend // resolved: plugin or subprocess
+	binPath string
+	runFn   func(int64) ([7]int64, []byte, string, string)
 }
 
 // Backend reports the execution mode the artifact resolved to.
@@ -147,9 +132,11 @@ var buildLocks sync.Map // key string → *sync.Mutex
 // re-probe the loader.
 var pluginCache sync.Map // key string → *Artifact
 
-// Build renders p's native source in the requested instrumentation
-// mode, compiles it (or reuses the content-addressed cached build),
-// and returns a runnable artifact.
+// Build renders p's native source, compiles it (or reuses the
+// content-addressed cached build), and returns a runnable artifact.
+// The instrument flag is ignored, as Program.NativeSource's is: every
+// build counts operations and honours the step budget. It is kept for
+// the benchmark harness, which passes true.
 func Build(p *interp.Program, instrument bool, opts Options) (*Artifact, error) {
 	src := p.NativeSource(instrument)
 	sum := sha256.Sum256([]byte(runtime.Version() + "\x00" + src))
@@ -174,7 +161,7 @@ func Build(p *interp.Program, instrument bool, opts Options) (*Artifact, error) 
 	}
 
 	if backend == BackendPlugin {
-		a, err := buildPlugin(dir, key, src, instrument)
+		a, err := buildPlugin(dir, key, src)
 		if err == nil {
 			return a, nil
 		}
@@ -186,12 +173,12 @@ func Build(p *interp.Program, instrument bool, opts Options) (*Artifact, error) 
 		pluginBroken.Store(true)
 		backend = BackendSubprocess
 	}
-	return buildSubprocess(dir, key, src, instrument)
+	return buildSubprocess(dir, key, src)
 }
 
 // buildPlugin builds (or reuses) the plugin artifact for key and
 // loads its entry point.
-func buildPlugin(dir, key, src string, instrument bool) (*Artifact, error) {
+func buildPlugin(dir, key, src string) (*Artifact, error) {
 	if a, ok := pluginCache.Load(key); ok {
 		return a.(*Artifact), nil
 	}
@@ -211,18 +198,18 @@ func buildPlugin(dir, key, src string, instrument bool) (*Artifact, error) {
 	if !ok {
 		return nil, fmt.Errorf("native plugin: RPRun has unexpected type %T", sym)
 	}
-	a := &Artifact{backend: BackendPlugin, binPath: soPath, instrumented: instrument, runFn: runFn}
+	a := &Artifact{backend: BackendPlugin, binPath: soPath, runFn: runFn}
 	pluginCache.Store(key, a)
 	return a, nil
 }
 
 // buildSubprocess builds (or reuses) the standalone binary for key.
-func buildSubprocess(dir, key, src string, instrument bool) (*Artifact, error) {
+func buildSubprocess(dir, key, src string) (*Artifact, error) {
 	binPath := filepath.Join(dir, "rp_"+key+".bin")
 	if err := ensureBuilt(dir, key, src, binPath, false); err != nil {
 		return nil, err
 	}
-	return &Artifact{backend: BackendSubprocess, binPath: binPath, instrumented: instrument}, nil
+	return &Artifact{backend: BackendSubprocess, binPath: binPath}, nil
 }
 
 // ensureBuilt makes outPath exist: a disk-cache hit returns
@@ -282,9 +269,8 @@ type wire struct {
 }
 
 // Run executes the artifact under the interpreter option contract:
-// identical output, exit status, error text, and — when the artifact
-// was built instrumented — identical dynamic counts and step-limit
-// behaviour. Profiling, tracing, and sanitizing are interpreter-only
+// identical output, exit status, error text, dynamic counts and
+// step-limit behaviour. Profiling and sanitizing are interpreter-only
 // features and are rejected.
 func (a *Artifact) Run(opts interp.Options) (*interp.Result, error) {
 	switch {
@@ -292,8 +278,6 @@ func (a *Artifact) Run(opts interp.Options) (*interp.Result, error) {
 		return nil, fmt.Errorf("native engine: profiling is not supported (use the flat or switch engine)")
 	case opts.Sanitize:
 		return nil, fmt.Errorf("native engine: the sanitizer is not supported (use the flat or switch engine)")
-	case opts.Trace != nil:
-		return nil, fmt.Errorf("native engine: tracing is not supported (use the flat or switch engine)")
 	}
 	var vals [7]int64
 	var out []byte

@@ -1,7 +1,6 @@
 package native_test
 
 import (
-	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -255,28 +254,6 @@ int main(void) {
 	}
 }
 
-// TestNativeNoCounts checks the uninstrumented build: identical
-// output and exit with all-zero counters, from a separately cached
-// artifact.
-func TestNativeNoCounts(t *testing.T) {
-	c := compile(t, parityPrograms[1].src, driver.Config{Analysis: driver.ModRef, Promote: true})
-	flat, err := c.Execute(interp.Options{Engine: interp.EngineFlat})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nat, err := c.Execute(interp.Options{Engine: interp.EngineNative, NoCounts: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nat.Output != flat.Output || nat.Exit != flat.Exit {
-		t.Fatalf("uninstrumented run diverges: flat exit=%d %q, native exit=%d %q",
-			flat.Exit, flat.Output, nat.Exit, nat.Output)
-	}
-	if nat.Counts != (interp.Counts{}) {
-		t.Fatalf("uninstrumented run reported counts: %+v", nat.Counts)
-	}
-}
-
 // TestNativeUnsupportedOptions pins the rejection errors for
 // interpreter-only features.
 func TestNativeUnsupportedOptions(t *testing.T) {
@@ -329,31 +306,6 @@ func TestBuildCacheHit(t *testing.T) {
 func interpProgram(t *testing.T, c *driver.Compilation) *interp.Program {
 	t.Helper()
 	return interp.Flatten(c.Module, false)
-}
-
-func TestParseBackend(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want native.Backend
-		err  bool
-	}{
-		{"", native.BackendAuto, false},
-		{"auto", native.BackendAuto, false},
-		{"plugin", native.BackendPlugin, false},
-		{"subprocess", native.BackendSubprocess, false},
-		{"jit", native.BackendAuto, true},
-	} {
-		got, err := native.ParseBackend(tc.in)
-		if (err != nil) != tc.err {
-			t.Fatalf("ParseBackend(%q): err=%v, want err=%v", tc.in, err, tc.err)
-		}
-		if err == nil && got != tc.want {
-			t.Fatalf("ParseBackend(%q) = %v, want %v", tc.in, got, tc.want)
-		}
-		if err != nil && !strings.Contains(err.Error(), fmt.Sprintf("unknown native backend %q", tc.in)) {
-			t.Fatalf("ParseBackend(%q): unexpected error %v", tc.in, err)
-		}
-	}
 }
 
 // TestPluginBackend exercises the in-process path explicitly. Plugin

@@ -44,8 +44,7 @@ const scaleClusterSize = 20
 const scaleGlobalPtrs = 4
 
 // ScaleFuncName returns the name of helper i, as emitted by Scale —
-// the unit callers pass to callgraph.DirtySCCs when helper i is the
-// edited function.
+// the function ScaleOptions.Edit rewrites when it is i.
 func ScaleFuncName(i int) string { return fmt.Sprintf("f%04d", i) }
 
 // Scale emits the scale-profile program for the options. Generation
