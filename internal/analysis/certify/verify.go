@@ -157,7 +157,7 @@ func (v *verifier) region(r *promote.Region) RegionResult {
 	}
 
 	v.checkAvailability(r, body, what, &rr)
-	v.checkBody(r, body, rset, what, scalar, &rr)
+	v.checkBody(r, body, rset, what, &rr)
 	v.checkSummaries(r, rset, what, &rr)
 	v.checkDemotion(r, what, scalar, &rr)
 
@@ -243,7 +243,7 @@ func solveThrough(fn *ir.Func, pad *ir.Block) []bool {
 // instructions are promotion's spill code: a nested region's may sit
 // in the body, but spill code for this region's own location belongs
 // at its boundaries.
-func (v *verifier) checkBody(r *promote.Region, body []*ir.Block, rset ir.TagSet, what string, scalar bool, rr *RegionResult) {
+func (v *verifier) checkBody(r *promote.Region, body []*ir.Block, rset ir.TagSet, what string, rr *RegionResult) {
 	unproven := 0
 	for _, b := range body {
 		for i := range b.Instrs {
@@ -266,10 +266,12 @@ func (v *verifier) checkBody(r *promote.Region, body []*ir.Block, rset ir.TagSet
 				diag("instruction provably writes promoted %s inside its region")
 			case r.Stored && fx.lowerRef.Intersects(rset):
 				diag("instruction provably reads promoted %s from memory inside its region (register holds a newer value)")
-			case namesLocation(in, rset) && in.Op == ir.OpJsr:
-				diag("call may touch promoted %s inside its region")
 			case namesLocation(in, rset):
-				diag("access to promoted %s survives inside its region")
+				if in.Op == ir.OpJsr {
+					diag("call may touch promoted %s inside its region")
+				} else {
+					diag("access to promoted %s survives inside its region")
+				}
 			case fx.upperMod.Intersects(rset) || (r.Stored && fx.upperRef.Intersects(rset)):
 				unproven++
 			}

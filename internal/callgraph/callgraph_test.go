@@ -141,4 +141,3 @@ int main(void) { print_int(3); return 0; }
 		t.Fatalf("intrinsics are not call-graph edges: %v", g.Callees["main"])
 	}
 }
-

@@ -6,8 +6,9 @@
 // promotion certificates, re-proved by the independent region
 // verifier (internal/analysis/certify), whose body check also holds
 // the promotion invariant: no access to a promoted location, and no
-// spill code for it, survives inside its region. The driver runs the registry at
-// Config.CheckLevel granularity; rpcc exposes it as -check/-checkall.
+// spill code for it, survives inside its region. The driver runs the
+// registry at Config.CheckLevel granularity; rpcc exposes it as
+// -check/-checkall.
 //
 // The dynamic half of the subsystem — the analysis-soundness
 // sanitizer that diffs observed MOD/REF/points-to behaviour against

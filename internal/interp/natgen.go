@@ -648,7 +648,7 @@ func (g *natgen) genFunc(fi int) {
 			}
 		}
 	}
-	from := 0 // the pc whose branch targets target records
+	from := 0 // the pc being scanned: only a reached pc's branches need labels
 	target := func(t int) {
 		if live[from-entry] && t >= entry && t < end {
 			labels[t] = true

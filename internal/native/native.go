@@ -7,8 +7,8 @@
 // Build artifacts are content-addressed: the cache key is the hash of
 // the generated source plus the toolchain version, so any change to
 // the program or the configuration it was compiled under lands in a
-// different slot, and rebuilding an
-// unchanged program is a cache hit that skips the toolchain entirely.
+// different slot, and rebuilding an unchanged program is a cache hit
+// that skips the toolchain entirely.
 // The cache lives on disk (REGPROMO_NATIVE_CACHE, defaulting to the
 // user cache directory) and is shared across processes; builds write
 // to unique temp files and commit with an atomic rename, so
