@@ -1,7 +1,6 @@
 package interp
 
 import (
-	"encoding/base64"
 	"fmt"
 	"sort"
 	"strconv"
@@ -24,19 +23,21 @@ import (
 //     jumps to) are emitted as the exact op sequence the flat engine
 //     executes, with the same step and counter totals.
 //   - Memory operations run against the same load image (globals
-//     embedded as base64, lazily committed stack, bump-allocated
-//     heap) with the same fast-path bounds checks and the same
-//     fault messages on the fallback path.
+//     embedded as a string constant, lazily committed stack,
+//     bump-allocated heap) with the same fast-path bounds checks and
+//     the same fault messages on the fallback path.
 //
 // The parity contract is the flat engine's to the letter: identical
 // output bytes, exit status, error text (runtime faults surface as a
 // typed panic recovered at the entry point), identical
 // op/load/store/copy/call counts, and the same step-limit error.
 //
-// The generated file is self-contained (stdlib only) and serves both
-// load modes: an exported RPRun symbol for plugin loading and a main
-// function speaking a small JSON protocol for subprocess execution.
-// internal/native owns building, caching, and running it.
+// The generated file is package main and imports only math and
+// strconv, which keeps every plugin's dependency set small (the
+// toolchain builds each imported package in -dynlink mode on a cold
+// cache). It exports RPRun for plugin loading and a run function the
+// subprocess entry file in internal/native calls; it declares no main
+// itself. internal/native owns building, caching, and running it.
 
 // NativeSource renders the program as a compilable Go source file,
 // with the dynamic-op counters and the step-budget check compiled in.
@@ -105,12 +106,7 @@ func (g *natgen) prelude() {
 	g.w("package main")
 	g.w("")
 	g.w("import (")
-	g.w("\t\"encoding/base64\"")
-	g.w("\t\"encoding/binary\"")
-	g.w("\t\"encoding/json\"")
-	g.w("\t\"fmt\"")
 	g.w("\t\"math\"")
-	g.w("\t\"os\"")
 	g.w("\t\"strconv\"")
 	g.w(")")
 	g.w("")
@@ -125,7 +121,10 @@ func (g *natgen) prelude() {
 	g.w("")
 	g.w("const stepMsg = %q", "step limit exceeded (infinite loop?)")
 	g.w("")
-	g.w("const globalsB64 = %q", base64.StdEncoding.EncodeToString(g.p.img.globals))
+	// The image is mostly zero-initialized arrays; its trailing zero
+	// bytes are left out of the literal and restored by newMach.
+	g.w("const globalsSize = %d", len(g.p.img.globals))
+	g.w("const globalsImg = %q", strings.TrimRight(string(g.p.img.globals), "\x00"))
 	g.w("")
 }
 
@@ -158,19 +157,13 @@ type mach struct {
 	max    int64
 }
 
-// globalsImg is the decoded global image, shared read-only by every
-// run; newMach copies it so runs stay independent.
-var globalsImg = func() []byte {
-	globals, err := base64.StdEncoding.DecodeString(globalsB64)
-	if err != nil {
-		panic(err)
-	}
-	return globals
-}()
-
+// newMach starts a run on a fresh copy of the global image, so runs
+// stay independent.
 func newMach(maxSteps int64) *mach {
+	globals := make([]byte, globalsSize)
+	copy(globals, globalsImg)
 	m := &mach{
-		globals: append(make([]byte, 0, len(globalsImg)), globalsImg...),
+		globals: globals,
 		heap:    []byte{},
 		out:     make([]byte, 0, 4096),
 		sp:      stackBase,
@@ -210,7 +203,7 @@ func (m *mach) memRegion(fn string, addr, size int64) ([]byte, int64) {
 	case addr >= heapBase && addr+size <= m.heapTop:
 		return m.heap, addr - heapBase
 	}
-	panic(rtErr{fn, fmt.Sprintf("invalid memory access at %#x size %d", addr, size)})
+	panic(rtErr{fn, "invalid memory access at " + hexAddr(addr) + " size " + strconv.FormatInt(size, 10)})
 }
 
 func (m *mach) loadAny(fn string, addr, size int64) int64 {
@@ -219,11 +212,11 @@ func (m *mach) loadAny(fn string, addr, size int64) int64 {
 	case 1:
 		return int64(int8(buf[off]))
 	case 4:
-		return int64(int32(binary.LittleEndian.Uint32(buf[off:])))
+		return int64(int32(le32(buf[off:])))
 	case 8:
-		return int64(binary.LittleEndian.Uint64(buf[off:]))
+		return int64(le64(buf[off:]))
 	}
-	panic(rtErr{fn, fmt.Sprintf("bad load size %d", size)})
+	panic(rtErr{fn, "bad load size " + strconv.FormatInt(size, 10)})
 }
 
 func (m *mach) storeAny(fn string, addr, size, v int64) {
@@ -232,24 +225,24 @@ func (m *mach) storeAny(fn string, addr, size, v int64) {
 	case 1:
 		buf[off] = byte(v)
 	case 4:
-		binary.LittleEndian.PutUint32(buf[off:], uint32(v))
+		put32(buf[off:], uint32(v))
 	case 8:
-		binary.LittleEndian.PutUint64(buf[off:], uint64(v))
+		put64(buf[off:], uint64(v))
 	default:
-		panic(rtErr{fn, fmt.Sprintf("bad store size %d", size)})
+		panic(rtErr{fn, "bad store size " + strconv.FormatInt(size, 10)})
 	}
 }
 
 func (m *mach) gload8(fn string, addr int64) int64 {
 	if off := addr - globalBase; off >= 0 && off+8 <= int64(len(m.globals)) {
-		return int64(binary.LittleEndian.Uint64(m.globals[off:]))
+		return int64(le64(m.globals[off:]))
 	}
 	return m.loadAny(fn, addr, 8)
 }
 
 func (m *mach) gload4(fn string, addr int64) int64 {
 	if off := addr - globalBase; off >= 0 && off+4 <= int64(len(m.globals)) {
-		return int64(int32(binary.LittleEndian.Uint32(m.globals[off:])))
+		return int64(int32(le32(m.globals[off:])))
 	}
 	return m.loadAny(fn, addr, 4)
 }
@@ -263,14 +256,14 @@ func (m *mach) gload1(fn string, addr int64) int64 {
 
 func (m *mach) lload8(fn string, addr int64) int64 {
 	if off := addr - stackBase; off >= 0 && off+8 <= int64(len(m.stack)) {
-		return int64(binary.LittleEndian.Uint64(m.stack[off:]))
+		return int64(le64(m.stack[off:]))
 	}
 	return m.loadAny(fn, addr, 8)
 }
 
 func (m *mach) lload4(fn string, addr int64) int64 {
 	if off := addr - stackBase; off >= 0 && off+4 <= int64(len(m.stack)) {
-		return int64(int32(binary.LittleEndian.Uint32(m.stack[off:])))
+		return int64(int32(le32(m.stack[off:])))
 	}
 	return m.loadAny(fn, addr, 4)
 }
@@ -286,15 +279,15 @@ func (m *mach) pload8(fn string, addr int64) int64 {
 	switch {
 	case addr >= heapBase:
 		if off := addr - heapBase; off+8 <= m.heapTop-heapBase {
-			return int64(binary.LittleEndian.Uint64(m.heap[off:]))
+			return int64(le64(m.heap[off:]))
 		}
 	case addr >= stackBase:
 		if off := addr - stackBase; off+8 <= int64(len(m.stack)) {
-			return int64(binary.LittleEndian.Uint64(m.stack[off:]))
+			return int64(le64(m.stack[off:]))
 		}
 	case addr >= globalBase:
 		if off := addr - globalBase; off+8 <= int64(len(m.globals)) {
-			return int64(binary.LittleEndian.Uint64(m.globals[off:]))
+			return int64(le64(m.globals[off:]))
 		}
 	}
 	return m.loadAny(fn, addr, 8)
@@ -304,15 +297,15 @@ func (m *mach) pload4(fn string, addr int64) int64 {
 	switch {
 	case addr >= heapBase:
 		if off := addr - heapBase; off+4 <= m.heapTop-heapBase {
-			return int64(int32(binary.LittleEndian.Uint32(m.heap[off:])))
+			return int64(int32(le32(m.heap[off:])))
 		}
 	case addr >= stackBase:
 		if off := addr - stackBase; off+4 <= int64(len(m.stack)) {
-			return int64(int32(binary.LittleEndian.Uint32(m.stack[off:])))
+			return int64(int32(le32(m.stack[off:])))
 		}
 	case addr >= globalBase:
 		if off := addr - globalBase; off+4 <= int64(len(m.globals)) {
-			return int64(int32(binary.LittleEndian.Uint32(m.globals[off:])))
+			return int64(int32(le32(m.globals[off:])))
 		}
 	}
 	return m.loadAny(fn, addr, 4)
@@ -338,7 +331,7 @@ func (m *mach) pload1(fn string, addr int64) int64 {
 
 func (m *mach) gstore8(fn string, addr, v int64) {
 	if off := addr - globalBase; off >= 0 && off+8 <= int64(len(m.globals)) {
-		binary.LittleEndian.PutUint64(m.globals[off:], uint64(v))
+		put64(m.globals[off:], uint64(v))
 		return
 	}
 	m.storeAny(fn, addr, 8, v)
@@ -346,7 +339,7 @@ func (m *mach) gstore8(fn string, addr, v int64) {
 
 func (m *mach) gstore4(fn string, addr, v int64) {
 	if off := addr - globalBase; off >= 0 && off+4 <= int64(len(m.globals)) {
-		binary.LittleEndian.PutUint32(m.globals[off:], uint32(v))
+		put32(m.globals[off:], uint32(v))
 		return
 	}
 	m.storeAny(fn, addr, 4, v)
@@ -362,7 +355,7 @@ func (m *mach) gstore1(fn string, addr, v int64) {
 
 func (m *mach) lstore8(fn string, addr, v int64) {
 	if off := addr - stackBase; off >= 0 && off+8 <= int64(len(m.stack)) {
-		binary.LittleEndian.PutUint64(m.stack[off:], uint64(v))
+		put64(m.stack[off:], uint64(v))
 		return
 	}
 	m.storeAny(fn, addr, 8, v)
@@ -370,7 +363,7 @@ func (m *mach) lstore8(fn string, addr, v int64) {
 
 func (m *mach) lstore4(fn string, addr, v int64) {
 	if off := addr - stackBase; off >= 0 && off+4 <= int64(len(m.stack)) {
-		binary.LittleEndian.PutUint32(m.stack[off:], uint32(v))
+		put32(m.stack[off:], uint32(v))
 		return
 	}
 	m.storeAny(fn, addr, 4, v)
@@ -388,17 +381,17 @@ func (m *mach) pstore8(fn string, addr, v int64) {
 	switch {
 	case addr >= heapBase:
 		if off := addr - heapBase; off+8 <= m.heapTop-heapBase {
-			binary.LittleEndian.PutUint64(m.heap[off:], uint64(v))
+			put64(m.heap[off:], uint64(v))
 			return
 		}
 	case addr >= stackBase:
 		if off := addr - stackBase; off+8 <= int64(len(m.stack)) {
-			binary.LittleEndian.PutUint64(m.stack[off:], uint64(v))
+			put64(m.stack[off:], uint64(v))
 			return
 		}
 	case addr >= globalBase:
 		if off := addr - globalBase; off+8 <= int64(len(m.globals)) {
-			binary.LittleEndian.PutUint64(m.globals[off:], uint64(v))
+			put64(m.globals[off:], uint64(v))
 			return
 		}
 	}
@@ -409,17 +402,17 @@ func (m *mach) pstore4(fn string, addr, v int64) {
 	switch {
 	case addr >= heapBase:
 		if off := addr - heapBase; off+4 <= m.heapTop-heapBase {
-			binary.LittleEndian.PutUint32(m.heap[off:], uint32(v))
+			put32(m.heap[off:], uint32(v))
 			return
 		}
 	case addr >= stackBase:
 		if off := addr - stackBase; off+4 <= int64(len(m.stack)) {
-			binary.LittleEndian.PutUint32(m.stack[off:], uint32(v))
+			put32(m.stack[off:], uint32(v))
 			return
 		}
 	case addr >= globalBase:
 		if off := addr - globalBase; off+4 <= int64(len(m.globals)) {
-			binary.LittleEndian.PutUint32(m.globals[off:], uint32(v))
+			put32(m.globals[off:], uint32(v))
 			return
 		}
 	}
@@ -511,15 +504,50 @@ func b2i(b bool) int64 {
 		return 1
 	}
 	return 0
+}
+
+// le32, le64, put32 and put64 are the slow-path helpers' little-endian
+// accessors, spelled as the same shift-and-or byte assembly the inline
+// fast paths use (bufLoad/bufStore), so the file needs no
+// encoding/binary.
+func le32(b []byte) uint32 {
+	_ = b[3]
+	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
+}
+
+func le64(b []byte) uint64 {
+	_ = b[7]
+	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
+		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
+}
+
+func put32(b []byte, v uint32) {
+	_ = b[3]
+	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
+}
+
+func put64(b []byte, v uint64) {
+	_ = b[7]
+	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
+	b[4], b[5], b[6], b[7] = byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56)
+}
+
+// hexAddr renders v as the interpreters' fmt %#x does: 0x-prefixed
+// lower-case hex, with a leading minus for a negative value.
+func hexAddr(v int64) string {
+	if v < 0 {
+		return "-0x" + strconv.FormatUint(uint64(-v), 16)
+	}
+	return "0x" + strconv.FormatUint(uint64(v), 16)
 }`)
 	g.w("")
 }
 
-// entry emits the indirect-call dispatcher and the two entry points:
-// RPRun (plugin symbol, builtin-typed so the host can assert the
-// signature without sharing package types) and main (subprocess mode,
-// JSON on stdout with base64-encoded program output so arbitrary
-// bytes survive the trip).
+// entry emits the indirect-call dispatcher, run, and RPRun, the plugin
+// symbol (builtin-typed so the host can assert the signature without
+// sharing package types). The file declares no main: a plugin needs
+// none, and internal/native adds its own entry file, which calls run,
+// to a subprocess build.
 func (g *natgen) entry() {
 	// Indirect-call dispatcher: the flat engine accepts any address
 	// whose offset from funcBase indexes the function table; every
@@ -539,7 +567,7 @@ func (g *natgen) entry() {
 		g.w("\t\treturn %s", call.String())
 	}
 	g.w("\t}")
-	g.lit("\tpanic(rtErr{fn, fmt.Sprintf(\"indirect call through invalid address %#x\", addr)})")
+	g.lit("\tpanic(rtErr{fn, \"indirect call through invalid address \" + hexAddr(addr)})")
 	g.w("}")
 	g.w("")
 
@@ -595,33 +623,6 @@ func run(maxSteps int64) (vals [7]int64, out []byte, errFn, errMsg string) {
 // RPRun is the plugin entry point.
 func RPRun(maxSteps int64) ([7]int64, []byte, string, string) {
 	return run(maxSteps)
-}
-
-type wire struct {
-	Vals   [7]int64 ` + "`json:\"vals\"`" + `
-	Out    string   ` + "`json:\"out\"`" + `
-	ErrFn  string   ` + "`json:\"err_fn,omitempty\"`" + `
-	ErrMsg string   ` + "`json:\"err_msg,omitempty\"`" + `
-}
-
-// main is the subprocess entry point: argv[1] is MaxSteps, the result
-// is one JSON object on stdout.
-func main() {
-	var maxSteps int64
-	if len(os.Args) > 1 {
-		v, err := strconv.ParseInt(os.Args[1], 10, 64)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rp-native: bad max-steps argument:", err)
-			os.Exit(3)
-		}
-		maxSteps = v
-	}
-	vals, out, errFn, errMsg := run(maxSteps)
-	w := wire{Vals: vals, Out: base64.StdEncoding.EncodeToString(out), ErrFn: errFn, ErrMsg: errMsg}
-	if err := json.NewEncoder(os.Stdout).Encode(w); err != nil {
-		fmt.Fprintln(os.Stderr, "rp-native: encode:", err)
-		os.Exit(3)
-	}
 }`)
 	g.w("")
 }

@@ -2,17 +2,26 @@
 // the Go source the flat-program code generator renders
 // (interp.Program.NativeSource), compiles it with the Go toolchain,
 // and executes it either in-process as a plugin or out-of-process as
-// a subprocess speaking a small JSON protocol.
+// a subprocess.
 //
-// Build artifacts are content-addressed: the cache key is the hash of
-// the generated source plus the toolchain version, so any change to
-// the program or the configuration it was compiled under lands in a
-// different slot, and rebuilding an unchanged program is a cache hit
-// that skips the toolchain entirely.
+// The generated file declares RPRun and run but no main. A plugin
+// build compiles it alone; a subprocess build adds entrySource, a
+// constant main that calls run and writes the result in a small
+// length-prefixed format (decodeWire). Every build links with
+// -ldflags=-s -w: nothing reads an artifact's symbol table or DWARF.
+//
+// Build artifacts are content-addressed: the cache key hashes the
+// toolchain version, the build recipe (the link flags and the entry
+// file) and the generated source, so any change to the program, the
+// configuration it was compiled under, a flag or the wire protocol
+// lands in a different slot, and rebuilding an unchanged program is a
+// cache hit that skips the toolchain entirely. Each artifact's sha256
+// is recorded beside it; a hit re-hashes the artifact and rebuilds it
+// when the digest is missing or does not match.
 // The cache lives on disk (REGPROMO_NATIVE_CACHE, defaulting to the
-// user cache directory) and is shared across processes; builds write
-// to unique temp files and commit with an atomic rename, so
-// concurrent builders of the same key cannot corrupt each other.
+// user cache directory) and is shared across processes; builds run in
+// a private directory and commit with atomic renames, so concurrent
+// builders of the same key cannot corrupt each other.
 //
 // Backend selection: plugin mode loads the artifact into the calling
 // process (fastest per run — no process spawn), but Go plugins can
@@ -27,10 +36,10 @@ package native
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/base64"
 	"encoding/hex"
-	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -139,8 +148,7 @@ var pluginCache sync.Map // key string → *Artifact
 // the benchmark harness, which passes true.
 func Build(p *interp.Program, instrument bool, opts Options) (*Artifact, error) {
 	src := p.NativeSource(instrument)
-	sum := sha256.Sum256([]byte(runtime.Version() + "\x00" + src))
-	key := hex.EncodeToString(sum[:16])
+	key := cacheKey(src)
 
 	backend := opts.Backend
 	if backend == BackendAuto {
@@ -182,7 +190,7 @@ func buildPlugin(dir, key, src string) (*Artifact, error) {
 	if a, ok := pluginCache.Load(key); ok {
 		return a.(*Artifact), nil
 	}
-	soPath := filepath.Join(dir, "rp_"+key+".so")
+	soPath := artifactPath(dir, key, true)
 	if err := ensureBuilt(dir, key, src, soPath, true); err != nil {
 		return nil, err
 	}
@@ -205,67 +213,189 @@ func buildPlugin(dir, key, src string) (*Artifact, error) {
 
 // buildSubprocess builds (or reuses) the standalone binary for key.
 func buildSubprocess(dir, key, src string) (*Artifact, error) {
-	binPath := filepath.Join(dir, "rp_"+key+".bin")
+	binPath := artifactPath(dir, key, false)
 	if err := ensureBuilt(dir, key, src, binPath, false); err != nil {
 		return nil, err
 	}
 	return &Artifact{backend: BackendSubprocess, binPath: binPath}, nil
 }
 
-// ensureBuilt makes outPath exist: a disk-cache hit returns
-// immediately, otherwise the source is written and compiled, all
-// committed with atomic renames so concurrent builders (goroutines
-// or processes) converge on the same files.
+// ldflags drops the symbol table and DWARF from every artifact:
+// nothing reads them, and they triple a plugin's size and lengthen
+// every link.
+const ldflags = "-ldflags=-s -w"
+
+// entrySource is the subprocess main, added to a .bin build beside the
+// generated file. argv[1] is MaxSteps. It writes one header line of
+// ten space-separated decimal integers (the seven values run returns,
+// then the byte lengths of errFn, errMsg and the program output)
+// followed by those three byte strings back to back; decodeWire reads
+// it. It imports os and strconv only.
+const entrySource = `// Code generated by regpromo's native backend (internal/native). DO NOT EDIT.
+
+package main
+
+import (
+	"os"
+	"strconv"
+)
+
+func main() {
+	var maxSteps int64
+	if len(os.Args) > 1 {
+		v, err := strconv.ParseInt(os.Args[1], 10, 64)
+		if err != nil {
+			os.Stderr.WriteString("rp-native: bad max-steps argument: " + err.Error() + "\n")
+			os.Exit(3)
+		}
+		maxSteps = v
+	}
+	vals, out, errFn, errMsg := run(maxSteps)
+	var b []byte
+	for _, v := range append(vals[:], int64(len(errFn)), int64(len(errMsg)), int64(len(out))) {
+		b = strconv.AppendInt(b, v, 10)
+		b = append(b, ' ')
+	}
+	b[len(b)-1] = '\n'
+	b = append(append(append(b, errFn...), errMsg...), out...)
+	if _, err := os.Stdout.Write(b); err != nil {
+		os.Exit(3)
+	}
+}
+`
+
+// recipe is everything besides the generated source that decides an
+// artifact's bytes; cacheKey hashes it, so changing the toolchain, a
+// flag or the entry file can never serve a stale artifact.
+var recipe = runtime.Version() + "\x00" + ldflags + "\x00" + entrySource
+
+// cacheKey names the artifacts built from src.
+func cacheKey(src string) string {
+	sum := sha256.Sum256([]byte(recipe + "\x00" + src))
+	return hex.EncodeToString(sum[:16])
+}
+
+// artifactPath is where the plugin or binary for key lives in dir.
+func artifactPath(dir, key string, pluginMode bool) string {
+	if pluginMode {
+		return filepath.Join(dir, "rp_"+key+".so")
+	}
+	return filepath.Join(dir, "rp_"+key+".bin")
+}
+
+// ensureBuilt makes outPath hold a verified artifact. A hit, whose
+// content matches the digest recorded beside it, returns at once.
+// Otherwise the source (plus entrySource for a binary) is compiled in
+// a private directory, and the artifact and then its digest are
+// committed with atomic renames, so concurrent builders (goroutines
+// or processes) never expose a partial file.
 func ensureBuilt(dir, key, src, outPath string, pluginMode bool) error {
-	lockIface, _ := buildLocks.LoadOrStore(key+filepath.Ext(outPath), &sync.Mutex{})
+	lockIface, _ := buildLocks.LoadOrStore(outPath, &sync.Mutex{})
 	lock := lockIface.(*sync.Mutex)
 	lock.Lock()
 	defer lock.Unlock()
 
-	if _, err := os.Stat(outPath); err == nil {
+	if intact(outPath) {
 		return nil
 	}
 
-	goPath := filepath.Join(dir, "rp_"+key+".go")
-	if _, err := os.Stat(goPath); err != nil {
-		tmp := fmt.Sprintf("%s.tmp%d", goPath, os.Getpid())
-		if err := os.WriteFile(tmp, []byte(src), 0o644); err != nil {
-			return fmt.Errorf("native cache: %w", err)
-		}
-		if err := os.Rename(tmp, goPath); err != nil {
-			os.Remove(tmp)
-			return fmt.Errorf("native cache: %w", err)
-		}
+	work, err := os.MkdirTemp(dir, "build-")
+	if err != nil {
+		return fmt.Errorf("native cache: %w", err)
 	}
-
-	tmpOut := fmt.Sprintf("%s.tmp%d", outPath, os.Getpid())
-	args := []string{"build"}
+	defer os.RemoveAll(work)
+	tmpOut := filepath.Join(work, "out")
+	args := []string{"build", ldflags, "-o", tmpOut}
+	files := [][2]string{{"rp_" + key + ".go", src}}
 	if pluginMode {
 		args = append(args, "-buildmode=plugin")
+	} else {
+		files = append(files, [2]string{"rp_main.go", entrySource})
 	}
-	args = append(args, "-o", tmpOut, goPath)
+	for _, f := range files {
+		if err := os.WriteFile(filepath.Join(work, f[0]), []byte(f[1]), 0o644); err != nil {
+			return fmt.Errorf("native cache: %w", err)
+		}
+		args = append(args, f[0])
+	}
 	cmd := exec.Command("go", args...)
-	cmd.Dir = dir
-	out, err := cmd.CombinedOutput()
+	cmd.Dir = work
+	if out, err := cmd.CombinedOutput(); err != nil {
+		return fmt.Errorf("native build (go %v): %v\n%s", args, err, out)
+	}
+	sum, err := fileDigest(tmpOut)
 	if err != nil {
-		os.Remove(tmpOut)
-		return fmt.Errorf("native build (go %v): %v\n%s", args[:len(args)-2], err, out)
+		return fmt.Errorf("native cache: %w", err)
+	}
+	tmpSum := filepath.Join(work, "sha256")
+	if err := os.WriteFile(tmpSum, []byte(sum), 0o644); err != nil {
+		return fmt.Errorf("native cache: %w", err)
 	}
 	if err := os.Rename(tmpOut, outPath); err != nil {
-		os.Remove(tmpOut)
+		return fmt.Errorf("native cache: %w", err)
+	}
+	if err := os.Rename(tmpSum, outPath+".sha256"); err != nil {
 		return fmt.Errorf("native cache: %w", err)
 	}
 	return nil
 }
 
-// wire is the subprocess result protocol: one JSON object on stdout.
-// Output travels base64-encoded — programs may print arbitrary bytes
-// and JSON strings only carry valid UTF-8.
-type wire struct {
-	Vals   [7]int64 `json:"vals"`
-	Out    string   `json:"out"`
-	ErrFn  string   `json:"err_fn,omitempty"`
-	ErrMsg string   `json:"err_msg,omitempty"`
+// intact reports whether path holds an artifact whose sha256 matches
+// the digest recorded beside it when it was built.
+func intact(path string) bool {
+	want, err := os.ReadFile(path + ".sha256")
+	if err != nil {
+		return false
+	}
+	got, err := fileDigest(path)
+	return err == nil && got == string(want)
+}
+
+// fileDigest returns the hex sha256 of the file at path.
+func fileDigest(path string) (string, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return "", err
+	}
+	defer f.Close()
+	h := sha256.New()
+	if _, err := io.Copy(h, f); err != nil {
+		return "", err
+	}
+	return hex.EncodeToString(h.Sum(nil)), nil
+}
+
+// decodeWire parses a subprocess result in entrySource's format: a
+// header line of ten space-separated decimal integers (the seven
+// values, then the byte lengths of errFn, errMsg and the output)
+// followed by exactly those bytes.
+func decodeWire(b []byte) (vals [7]int64, out []byte, errFn, errMsg string, err error) {
+	head, body, ok := bytes.Cut(b, []byte{'\n'})
+	if !ok {
+		return vals, nil, "", "", errors.New("no header line")
+	}
+	fields := bytes.Split(head, []byte{' '})
+	if len(fields) != len(vals)+3 {
+		return vals, nil, "", "", fmt.Errorf("header has %d fields, want %d", len(fields), len(vals)+3)
+	}
+	var n [3]int
+	for i, f := range fields {
+		v, err := strconv.ParseInt(string(f), 10, 64)
+		switch {
+		case err != nil:
+			return vals, nil, "", "", fmt.Errorf("header field %d: %w", i, err)
+		case i < len(vals):
+			vals[i] = v
+		case v < 0 || v > int64(len(body)):
+			return vals, nil, "", "", fmt.Errorf("header length %d outside the %d-byte body", v, len(body))
+		default:
+			n[i-len(vals)] = int(v)
+		}
+	}
+	if n[0]+n[1]+n[2] != len(body) {
+		return vals, nil, "", "", fmt.Errorf("body is %d bytes, header says %d", len(body), n[0]+n[1]+n[2])
+	}
+	return vals, body[n[0]+n[1]:], string(body[:n[0]]), string(body[n[0] : n[0]+n[1]]), nil
 }
 
 // Run executes the artifact under the interpreter option contract:
@@ -291,15 +421,10 @@ func (a *Artifact) Run(opts interp.Options) (*interp.Result, error) {
 		if err := cmd.Run(); err != nil {
 			return nil, fmt.Errorf("native artifact %s: %v\n%s", filepath.Base(a.binPath), err, stderr.String())
 		}
-		var w wire
-		if err := json.Unmarshal(stdout.Bytes(), &w); err != nil {
+		var err error
+		if vals, out, errFn, errMsg, err = decodeWire(stdout.Bytes()); err != nil {
 			return nil, fmt.Errorf("native artifact %s: bad result: %w", filepath.Base(a.binPath), err)
 		}
-		decoded, err := base64.StdEncoding.DecodeString(w.Out)
-		if err != nil {
-			return nil, fmt.Errorf("native artifact %s: bad output encoding: %w", filepath.Base(a.binPath), err)
-		}
-		vals, out, errFn, errMsg = w.Vals, decoded, w.ErrFn, w.ErrMsg
 	}
 	if vals[6] != 0 {
 		return nil, &interp.Error{Func: errFn, Msg: errMsg}

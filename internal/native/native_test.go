@@ -1,10 +1,17 @@
 package native_test
 
 import (
+	"bytes"
+	"go/parser"
+	"go/token"
+	"math"
 	"os"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
+	"regpromo/internal/bench"
 	"regpromo/internal/driver"
 	"regpromo/internal/interp"
 	"regpromo/internal/native"
@@ -227,6 +234,26 @@ int main(void) {
 	print_int(s);
 	return 0;
 }`, 100},
+		{"negative-address-load", `
+int main(void) {
+	int *p;
+	p = (int *)-8;
+	return *p;
+}`, 1 << 28},
+		{"invalid-indirect-call", `
+int twice(int x) { return x + x; }
+int main(void) {
+	int (*f)(int);
+	f = (int (*)(int))12345;
+	return f(1);
+}`, 1 << 28},
+		{"negative-indirect-call", `
+int twice(int x) { return x + x; }
+int main(void) {
+	int (*f)(int);
+	f = (int (*)(int))-16;
+	return f(1);
+}`, 1 << 28},
 		{"negative-malloc", `
 int main(void) {
 	int n;
@@ -334,4 +361,148 @@ func TestPluginBackend(t *testing.T) {
 		t.Fatalf("plugin run diverges from flat: %+v exit=%d vs %+v exit=%d",
 			nat.Counts, nat.Exit, flat.Counts, flat.Exit)
 	}
+}
+
+// TestNativeSourceImports pins the generated file's dependencies to
+// math and strconv: the toolchain builds every further import, and
+// everything it pulls in, into each plugin.
+func TestNativeSourceImports(t *testing.T) {
+	for _, prog := range bench.Suite() {
+		for _, cfg := range driver.Configurations() {
+			src := interpProgram(t, compile(t, bench.Source(prog), cfg)).NativeSource(true)
+			f, err := parser.ParseFile(token.NewFileSet(), prog.File, src, parser.ImportsOnly)
+			if err != nil {
+				t.Fatalf("%s: %v", prog.Name, err)
+			}
+			var got []string
+			for _, imp := range f.Imports {
+				path, err := strconv.Unquote(imp.Path.Value)
+				if err != nil {
+					t.Fatalf("%s: %v", prog.Name, err)
+				}
+				got = append(got, path)
+			}
+			if want := []string{"math", "strconv"}; !slices.Equal(got, want) {
+				t.Fatalf("%s %+v: imports %v, want %v", prog.Name, cfg, got, want)
+			}
+		}
+	}
+}
+
+// TestCorruptArtifactRebuilds holds the cache to its recorded digest:
+// an intact artifact is reused, while a truncated one and one
+// overwritten with garbage are each rebuilt rather than served, for
+// both the subprocess binary and the plugin. The rebuilt artifact must
+// run like the flat engine.
+func TestCorruptArtifactRebuilds(t *testing.T) {
+	// A program no other test loads as a plugin: a process can load a
+	// given plugin only once.
+	c := compile(t, parityPrograms[2].src, driver.Config{Analysis: driver.PointsTo, Promote: true})
+	p := interpProgram(t, c)
+	for _, tc := range []struct {
+		name    string
+		plugin  bool
+		backend native.Backend
+	}{
+		{"bin", false, native.BackendSubprocess},
+		{"so", true, native.BackendPlugin},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			ensure := func() (string, os.FileInfo) {
+				t.Helper()
+				path, err := native.EnsureArtifact(p, tc.plugin, dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fi, err := os.Stat(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return path, fi
+			}
+			path, built := ensure()
+			if _, again := ensure(); !os.SameFile(built, again) {
+				t.Fatal("an intact artifact was rebuilt")
+			}
+			for _, corrupt := range []struct {
+				name string
+				bad  func(good []byte) []byte
+			}{
+				{"truncated", func(good []byte) []byte { return good[:len(good)/2] }},
+				{"garbage", func(good []byte) []byte { return bytes.Repeat([]byte("garbage\n"), len(good)/8) }},
+			} {
+				good, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bad := corrupt.bad(good)
+				if err := os.WriteFile(path, bad, 0o755); err != nil {
+					t.Fatal(err)
+				}
+				_, rebuilt := ensure()
+				if got, err := os.ReadFile(path); err != nil || bytes.Equal(got, bad) {
+					t.Fatalf("%s artifact served from the cache (err=%v)", corrupt.name, err)
+				}
+				if _, again := ensure(); !os.SameFile(rebuilt, again) {
+					t.Fatalf("the artifact rebuilt after a %s one fails its own digest", corrupt.name)
+				}
+			}
+			a, err := native.Build(p, true, native.Options{Backend: tc.backend, CacheDir: dir})
+			if err != nil {
+				if tc.plugin {
+					t.Skipf("plugin backend unavailable: %v", err)
+				}
+				t.Fatal(err)
+			}
+			nat, err := a.Run(interp.Options{MaxSteps: 1 << 28})
+			if err != nil {
+				t.Fatal(err)
+			}
+			flat, err := c.Execute(interp.Options{MaxSteps: 1 << 28, Engine: interp.EngineFlat})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if nat.Counts != flat.Counts || nat.Exit != flat.Exit || nat.Output != flat.Output {
+				t.Fatalf("rebuilt artifact diverges from flat: %+v exit=%d vs %+v exit=%d",
+					nat.Counts, nat.Exit, flat.Counts, flat.Exit)
+			}
+		})
+	}
+}
+
+// encodeWire is the encoder in native's subprocess entry file, for the
+// round trip below; the subprocess parity tests run the real one.
+func encodeWire(vals [7]int64, out []byte, errFn, errMsg string) []byte {
+	var b []byte
+	for _, v := range append(vals[:], int64(len(errFn)), int64(len(errMsg)), int64(len(out))) {
+		b = strconv.AppendInt(b, v, 10)
+		b = append(b, ' ')
+	}
+	b[len(b)-1] = '\n'
+	return append(append(append(b, errFn...), errMsg...), out...)
+}
+
+// FuzzDecodeWire holds the subprocess result decoder to two
+// properties: arbitrary bytes give an error or a result, never a
+// panic, and encoding a result then decoding it gives that result
+// back. Crashers go in testdata/fuzz/FuzzDecodeWire.
+func FuzzDecodeWire(f *testing.F) {
+	f.Add(encodeWire([7]int64{3, 120, 40, 12, 5, 2, 0}, []byte("42\n\xff\x00"), "", ""), int64(-1), "main")
+	f.Add(encodeWire([7]int64{0, 0, 0, 0, 0, 0, 1}, nil, "main", "step limit exceeded (infinite loop?)"), int64(math.MaxInt64), "")
+	f.Add([]byte("1 2 3 4 5 6 7 0 0 3\nabc"), int64(0), "f")
+	f.Add([]byte("0 0 0 0 0 0 0 -1 0 1\nx"), int64(7), "\xff")
+	f.Add([]byte("0 0 0 0 0 0 0 0 0 99\n"), int64(math.MinInt64), "g")
+	roundTrip := func(t *testing.T, vals [7]int64, out []byte, errFn, errMsg string) {
+		v, o, fn, msg, err := native.DecodeWire(encodeWire(vals, out, errFn, errMsg))
+		if err != nil || v != vals || !bytes.Equal(o, out) || fn != errFn || msg != errMsg {
+			t.Fatalf("round trip of %v %q %q %q gave %v %q %q %q, %v", vals, out, errFn, errMsg, v, o, fn, msg, err)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte, v int64, s string) {
+		if vals, out, errFn, errMsg, err := native.DecodeWire(data); err == nil {
+			roundTrip(t, vals, out, errFn, errMsg)
+		}
+		roundTrip(t, [7]int64{v, -v, v >> 1, 0, 1, math.MinInt64, v & 1}, data, s, s+s)
+	})
 }
