@@ -12,6 +12,7 @@ import (
 	"regpromo/internal/cc/sema"
 	"regpromo/internal/cc/token"
 	"regpromo/internal/driver"
+	"regpromo/internal/regalloc"
 	"regpromo/internal/testgen"
 )
 
@@ -155,4 +156,58 @@ func BenchmarkFrontEndScale(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkCompileTail times water, the suite program whose four
+// compiles are the slowest of perfbench figures' matrix and so set its
+// compile_ms.tail, from one parsed front end: once per paper
+// configuration, then again at K=8, where every configuration spills.
+// Each K's regalloc cell times register allocation alone, on a copy of
+// the modref+promote configuration's unallocated module made with the
+// timer stopped.
+func BenchmarkCompileTail(b *testing.B) {
+	var water bench.Program
+	for _, p := range bench.Suite() {
+		if p.Name == "water" {
+			water = p
+		}
+	}
+	fe, err := driver.ParseSource(water.Name+".c", bench.Source(water))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, k := range []int{0, 8} {
+		prefix := ""
+		if k != 0 {
+			prefix = "k8/"
+		}
+		for _, cfg := range driver.Configurations() {
+			cfg.K = k
+			name := prefix + cfg.Analysis.String()
+			if cfg.Promote {
+				name += "+promote"
+			}
+			b.Run(name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := fe.Compile(cfg, nil); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+		b.Run(prefix+"regalloc", func(b *testing.B) {
+			c, err := fe.Compile(driver.Config{Analysis: driver.ModRef, Promote: true, NoAlloc: true}, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				m := c.Module.Clone()
+				b.StartTimer()
+				if _, err := regalloc.Run(m, regalloc.Options{K: k}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -548,6 +548,8 @@ func (cfg Config) passes() []pass {
 			"coalesced":    int64(st.Coalesced),
 			"rounds":       int64(st.Rounds),
 			"max_live":     int64(st.MaxLive),
+			"edges":        int64(st.Edges),
+			"probes":       int64(st.Probes),
 		}
 	}
 	if !cfg.NoAlloc {

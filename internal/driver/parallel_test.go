@@ -9,6 +9,7 @@ import (
 	"regpromo/internal/driver"
 	"regpromo/internal/ir"
 	"regpromo/internal/obs"
+	"regpromo/internal/regalloc"
 )
 
 // TestParallelMatchesSerial checks the worker pool's core contract:
@@ -140,5 +141,51 @@ func TestDumpPassRunsPassMajor(t *testing.T) {
 		if prev.end > next.start {
 			t.Errorf("pass %s started before pass %s finished on every function", order[i], order[i-1])
 		}
+	}
+}
+
+// TestAllocWorkCountsMatchAcrossWorkers holds the allocator's work
+// counts (interference edges added, conservative coalescing tests run)
+// equal between a one-worker and a four-worker compile of every suite
+// program under each paper configuration, both in Compilation.Alloc and
+// in the regalloc pass record's edges and probes extras.
+func TestAllocWorkCountsMatchAcrossWorkers(t *testing.T) {
+	var edges, probes int64
+	for _, p := range bench.Suite() {
+		fe, err := driver.ParseSource(p.Name+".c", bench.Source(p))
+		if err != nil {
+			t.Fatalf("%s: parse: %v", p.Name, err)
+		}
+		for _, cfg := range driver.Configurations() {
+			var extra [2]map[string]int64
+			var alloc [2]regalloc.Stats
+			for i, workers := range []int{1, 4} {
+				cfg.Workers = workers
+				c, err := fe.Compile(cfg, obs.NewTracer())
+				if err != nil {
+					t.Fatalf("%s: %v", p.Name, err)
+				}
+				alloc[i] = c.Alloc
+				for _, ev := range c.Passes {
+					if ev.Name == driver.PassRegalloc {
+						extra[i] = ev.Extra
+					}
+				}
+			}
+			if alloc[0] != alloc[1] {
+				t.Errorf("%s %+v: alloc stats differ: one worker %+v, four %+v", p.Name, cfg, alloc[0], alloc[1])
+			}
+			want := map[string]int64{"edges": int64(alloc[0].Edges), "probes": int64(alloc[0].Probes)}
+			for key, n := range want {
+				if extra[0][key] != n || extra[1][key] != n {
+					t.Errorf("%s %+v: regalloc %s: one worker %d, four %d, stats %d", p.Name, cfg, key, extra[0][key], extra[1][key], n)
+				}
+			}
+			edges += extra[0]["edges"]
+			probes += extra[0]["probes"]
+		}
+	}
+	if edges == 0 || probes == 0 {
+		t.Fatalf("the suite added %d edges and ran %d probes", edges, probes)
 	}
 }

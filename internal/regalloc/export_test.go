@@ -2,24 +2,33 @@ package regalloc
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"regpromo/internal/ir"
 )
 
 // CheckCoalescedRows allocates fn under k registers round by round, as
 // Func does, and after each round's coalescing checks the invariant
-// color reads the graph under: every row holds only representatives of
-// registers fn defines or uses, never its own register, and deg is the
-// row's popcount. It returns the number of rounds allocation took.
+// color and the conservative tests read the graph under: usedReps is
+// the set of representatives of the registers fn defines or uses,
+// every row holds only such representatives and never its own
+// register, r's row holds n exactly when n's row holds r, and deg is
+// the row's popcount. It returns the number of rounds allocation took.
 func CheckCoalescedRows(fn *ir.Func, k int, tags ir.TagAlloc) (int, error) {
 	firstTemp := ir.Reg(fn.NumRegs)
 	sc := new(scratch)
+	weights := blockWeights(fn, sc)
 	for round := 1; round <= 100; round++ {
 		sc.reset()
-		g := build(fn, sc)
+		g := build(fn, sc, weights)
 		coalesce(g, k)
-		reps := usedReps(g, fn)
-		for r, row := range g.adj {
+		reps := usedReps(g)
+		if want := funcReps(g, fn); !slices.Equal(reps, want) {
+			return round, fmt.Errorf("%s round %d: used representatives %v, want %v", fn.Name, round, reps, want)
+		}
+		for r := range g.n {
+			row := g.row(ir.Reg(r))
 			if got := row.count(); int32(got) != g.deg[r] {
 				return round, fmt.Errorf("%s round %d: deg[r%d] = %d, row holds %d", fn.Name, round, r, g.deg[r], got)
 			}
@@ -31,13 +40,15 @@ func CheckCoalescedRows(fn *ir.Func, k int, tags ir.TagAlloc) (int, error) {
 					bad = fmt.Errorf("%s round %d: row r%d holds itself", fn.Name, round, r)
 				case !reps.has(n) || g.find(n) != n:
 					bad = fmt.Errorf("%s round %d: row r%d holds r%d, not a used representative", fn.Name, round, r, n)
+				case !g.row(n).has(ir.Reg(r)):
+					bad = fmt.Errorf("%s round %d: row r%d holds r%d, but row r%d lacks r%d", fn.Name, round, r, n, n, r)
 				}
 			})
 			if bad != nil {
 				return round, bad
 			}
 		}
-		colors, spills := color(g, fn, k, firstTemp)
+		colors, spills := color(g, k, firstTemp)
 		if len(spills) == 0 {
 			rewrite(fn, g, colors)
 			return round, nil
@@ -45,4 +56,196 @@ func CheckCoalescedRows(fn *ir.Func, k int, tags ir.TagAlloc) (int, error) {
 		insertSpills(fn, spills, g, tags)
 	}
 	return 100, fmt.Errorf("%s did not converge (K=%d)", fn.Name, k)
+}
+
+// funcReps is the set of representatives of the registers fn's
+// instructions define or use, and of its parameters.
+func funcReps(g *graph, fn *ir.Func) bitset {
+	reps := newBitset(g.n)
+	var buf [8]ir.Reg
+	for _, b := range fn.Blocks {
+		for i := range b.Instrs {
+			in := &b.Instrs[i]
+			if d := in.Def(); d != ir.RegInvalid {
+				reps.add(g.find(d))
+			}
+			for _, u := range in.Uses(buf[:0]) {
+				reps.add(g.find(u))
+			}
+		}
+	}
+	for _, p := range fn.Params {
+		reps.add(g.find(p))
+	}
+	return reps
+}
+
+// probe is one conservative test a coalescing sweep ran: the two
+// representatives it tested and its verdict.
+type probe struct {
+	a, b ir.Reg
+	ok   bool
+}
+
+// CheckConservativeTests allocates fn under k registers round by round,
+// as Func does, and holds each round's coalescing to the full-scan
+// reference. A copy of the round's graph is coalesced by
+// referenceCoalesce; the graph itself by coalesce, with
+// referenceCanCoalesce re-run on the graph as it stands at every probe.
+// It fails at the first probe whose verdict differs from the
+// reference's, and when the two sweeps probe different pairs, merge
+// differently or leave different rows. It returns the number of probes
+// checked.
+func CheckConservativeTests(fn *ir.Func, k int, tags ir.TagAlloc) (int, error) {
+	firstTemp := ir.Reg(fn.NumRegs)
+	sc := new(scratch)
+	weights := blockWeights(fn, sc)
+	checked := 0
+	for round := 1; round <= 100; round++ {
+		sc.reset()
+		g := build(fn, sc, weights)
+		ref := g.clone()
+		want := referenceCoalesce(ref, k)
+		var got []probe
+		var bad error
+		g.onProbe = func(a, b ir.Reg, ok bool) {
+			if refOK := g.referenceCanCoalesce(a, b, k); ok != refOK && bad == nil {
+				bad = fmt.Errorf("%s round %d probe %d: coalesce r%d with r%d: verdict %v, reference %v", fn.Name, round, len(got), a, b, ok, refOK)
+			}
+			got = append(got, probe{a, b, ok})
+		}
+		coalesce(g, k)
+		g.onProbe = nil
+		if bad != nil {
+			return checked, bad
+		}
+		if !slices.Equal(got, want) {
+			return checked, fmt.Errorf("%s round %d: probes %v, reference %v", fn.Name, round, got, want)
+		}
+		if err := sameGraph(g, ref); err != nil {
+			return checked, fmt.Errorf("%s round %d: %v", fn.Name, round, err)
+		}
+		checked += len(got)
+		colors, spills := color(g, k, firstTemp)
+		if len(spills) == 0 {
+			rewrite(fn, g, colors)
+			return checked, nil
+		}
+		insertSpills(fn, spills, g, tags)
+	}
+	return checked, fmt.Errorf("%s did not converge (K=%d)", fn.Name, k)
+}
+
+// clone copies the parts of g that coalescing reads and writes, with
+// scratch of its own.
+func (g *graph) clone() *graph {
+	c := *g
+	c.sc = new(scratch)
+	c.adj = slices.Clone(g.adj)
+	c.deg = slices.Clone(g.deg)
+	c.alias = slices.Clone(g.alias)
+	c.isParam = slices.Clone(g.isParam)
+	c.cost = slices.Clone(g.cost)
+	c.moves = slices.Clone(g.moves)
+	return &c
+}
+
+// sameGraph reports the first difference between two coalesced graphs'
+// partitions, rows, degrees, parameter marks and costs.
+func sameGraph(g, h *graph) error {
+	for r := range g.n {
+		reg := ir.Reg(r)
+		switch {
+		case g.find(reg) != h.find(reg):
+			return fmt.Errorf("r%d joins r%d, reference r%d", r, g.find(reg), h.find(reg))
+		case g.deg[r] != h.deg[r]:
+			return fmt.Errorf("deg[r%d] = %d, reference %d", r, g.deg[r], h.deg[r])
+		case g.isParam[r] != h.isParam[r] || g.cost[r] != h.cost[r]:
+			return fmt.Errorf("r%d: param %v cost %v, reference param %v cost %v", r, g.isParam[r], g.cost[r], h.isParam[r], h.cost[r])
+		case !slices.Equal(g.row(reg), h.row(reg)):
+			return fmt.Errorf("row r%d differs from the reference's", r)
+		}
+	}
+	return nil
+}
+
+// referenceCanCoalesce is the full-scan form of canCoalesce: Briggs
+// counts every significant neighbor in the union of both rows and
+// George visits every neighbor of y, each neighbor's degree read
+// through its representative.
+func (g *graph) referenceCanCoalesce(a, b ir.Reg, k int) bool {
+	degreeOf := func(r ir.Reg) int { return int(g.deg[g.find(r)]) }
+	high := 0
+	ra, rb := g.row(a), g.row(b)
+	for i := range ra {
+		w := ra[i] | rb[i]
+		for w != 0 {
+			r := ir.Reg(i*64 + bits.TrailingZeros64(w))
+			w &= w - 1
+			if r == a || r == b {
+				continue
+			}
+			if degreeOf(r) >= k {
+				high++
+			}
+		}
+	}
+	if high < k {
+		return true
+	}
+	george := func(x, y ir.Reg) bool {
+		ok := true
+		xrow := g.row(x)
+		g.row(y).forEach(func(r ir.Reg) {
+			if !ok || r == x {
+				return
+			}
+			if degreeOf(r) < k || xrow.has(r) {
+				return
+			}
+			ok = false
+		})
+		return ok
+	}
+	return george(a, b) || george(b, a)
+}
+
+// referenceCoalesce is the full-sweep form of coalesce: every sweep
+// visits every move, each test is referenceCanCoalesce, and each merge
+// rewrites b's neighbors one at a time. It returns the probes in the
+// order it ran them.
+func referenceCoalesce(g *graph, k int) []probe {
+	var probes []probe
+	for changed := true; changed; {
+		changed = false
+		for _, mv := range g.moves {
+			a, b := g.find(mv[0]), g.find(mv[1])
+			if a == b || g.row(a).has(b) || g.isParam[a] && g.isParam[b] {
+				continue
+			}
+			ok := g.referenceCanCoalesce(a, b, k)
+			probes = append(probes, probe{a, b, ok})
+			if !ok {
+				continue
+			}
+			g.alias[b] = a
+			arow := g.row(a)
+			g.row(b).forEach(func(r ir.Reg) {
+				if arow.has(r) {
+					g.deg[r]--
+				} else {
+					arow.add(r)
+					g.deg[a]++
+					g.row(r).add(a)
+				}
+				g.row(r).del(b)
+			})
+			clear(g.row(b))
+			g.deg[b] = 0
+			g.isParam[a] = g.isParam[a] || g.isParam[b]
+			g.cost[a] += g.cost[b]
+			changed = true
+		}
+	}
+	return probes
 }

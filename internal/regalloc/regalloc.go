@@ -35,6 +35,11 @@ type Stats struct {
 	// while building the interference graph — the register-pressure
 	// figure promotion policies are judged against.
 	MaxLive int
+	// Edges counts the interference edges build added, summed over
+	// rounds, and Probes the conservative coalescing tests run: the
+	// allocator's host-independent work counts.
+	Edges  int
+	Probes int
 }
 
 // Add folds per-function stats into a module total. Counters sum;
@@ -46,6 +51,8 @@ func (s *Stats) Add(o Stats) {
 	s.SpillLoads += o.SpillLoads
 	s.SpillStores += o.SpillStores
 	s.Coalesced += o.Coalesced
+	s.Edges += o.Edges
+	s.Probes += o.Probes
 	if o.Rounds > s.Rounds {
 		s.Rounds = o.Rounds
 	}
@@ -69,15 +76,17 @@ func Run(m *ir.Module, opts Options) (Stats, error) {
 
 // graph is the interference graph with coalescing union-find.
 //
-// Adjacency is a dense bit matrix: row r holds one bit per interfering
-// register. The rows are kept clean — they only ever contain current
-// union-find representatives, because every merge eagerly rewrites the
-// rows that mention the dying node — and deg[r] is maintained beside
-// them as row r's popcount, so a node's degree is one array read.
+// Adjacency is a dense bit matrix, stored row after row in one word
+// slice: row r holds one bit per interfering register. The rows are
+// kept clean — they only ever contain current union-find
+// representatives, because every merge eagerly rewrites the rows that
+// mention the dying node — and deg[r] is maintained beside them as row
+// r's popcount, so a node's degree is one array read.
 type graph struct {
 	n     int
-	adj   []bitset // lazily allocated rows, each n bits
-	deg   []int32  // deg[r] = number of bits set in adj[r]
+	w     int      // words per row
+	adj   bitset   // n rows of w words; row(r) is r's
+	deg   []int32  // deg[r] = number of bits set in row(r)
 	alias []ir.Reg // union-find parent (self when representative)
 	moves [][2]ir.Reg
 	cost  []float64
@@ -96,6 +105,14 @@ type graph struct {
 	remat []*ir.Instr
 	// defs counts definitions per register.
 	defs []int
+	// used holds the registers fn defines or uses, its parameters
+	// included.
+	used bitset
+	// edges and probes are the round's Stats.Edges and Stats.Probes.
+	edges, probes int
+	// onProbe, when set, sees each conservative test coalesce runs,
+	// with its verdict, before the merge it allows.
+	onProbe func(a, b ir.Reg, ok bool)
 	// sc supplies the round's bitsets and per-register arrays.
 	sc *scratch
 }
@@ -108,19 +125,9 @@ func (g *graph) find(r ir.Reg) ir.Reg {
 	return r
 }
 
-func (g *graph) interferes(a, b ir.Reg) bool {
-	a, b = g.find(a), g.find(b)
-	if a == b {
-		return false
-	}
-	return g.adj[a] != nil && g.adj[a].has(b)
-}
-
 func (g *graph) row(r ir.Reg) bitset {
-	if g.adj[r] == nil {
-		g.adj[r] = g.sc.bitset(g.n)
-	}
-	return g.adj[r]
+	i := int(r) * g.w
+	return g.adj[i : i+g.w : i+g.w]
 }
 
 func (g *graph) addEdge(a, b ir.Reg) {
@@ -136,6 +143,7 @@ func (g *graph) addEdge(a, b ir.Reg) {
 	g.row(b).add(a)
 	g.deg[a]++
 	g.deg[b]++
+	g.edges++
 }
 
 // addEdges makes d interfere with every member of live but itself,
@@ -143,6 +151,7 @@ func (g *graph) addEdge(a, b ir.Reg) {
 // register is its own representative.
 func (g *graph) addEdges(d ir.Reg, live bitset) {
 	dw, dbit := int(d)/64, uint64(1)<<(uint(d)%64)
+	row := g.row(d)
 	for i, w := range live {
 		if i == dw {
 			w &^= dbit
@@ -150,15 +159,16 @@ func (g *graph) addEdges(d ir.Reg, live bitset) {
 		if w == 0 {
 			continue
 		}
-		row := g.row(d)
 		if w &^= row[i]; w == 0 {
 			continue
 		}
 		row[i] |= w
-		g.deg[d] += int32(bits.OnesCount64(w))
+		added := bits.OnesCount64(w)
+		g.deg[d] += int32(added)
+		g.edges += added
 		for ; w != 0; w &= w - 1 {
-			r := ir.Reg(i*64 + bits.TrailingZeros64(w))
-			g.row(r)[dw] |= dbit
+			r := i*64 + bits.TrailingZeros64(w)
+			g.adj[r*g.w+dw] |= dbit
 			g.deg[r]++
 		}
 	}
@@ -182,6 +192,7 @@ func Func(fn *ir.Func, opts Options, tags ir.TagAlloc) (Stats, error) {
 	firstTemp := ir.Reg(fn.NumRegs)
 	sc := scratchPool.Get().(*scratch)
 	defer sc.release()
+	weights := blockWeights(fn, sc)
 	for round := 0; ; round++ {
 		if round > 100 {
 			return stats, fmt.Errorf("regalloc: %s did not converge after %d rounds (K=%d)", fn.Name, round, k)
@@ -189,12 +200,14 @@ func Func(fn *ir.Func, opts Options, tags ir.TagAlloc) (Stats, error) {
 		stats.Rounds = round + 1
 		// The previous round's graph is dead once its spills are in.
 		sc.reset()
-		g := build(fn, sc)
+		g := build(fn, sc, weights)
 		if g.maxLive > stats.MaxLive {
 			stats.MaxLive = g.maxLive
 		}
 		stats.Coalesced += coalesce(g, k)
-		colors, spills := color(g, fn, k, firstTemp)
+		stats.Edges += g.edges
+		stats.Probes += g.probes
+		colors, spills := color(g, k, firstTemp)
 		if len(spills) == 0 {
 			stats.Coalesced += rewrite(fn, g, colors)
 			fn.Allocated = true
@@ -207,32 +220,50 @@ func Func(fn *ir.Func, opts Options, tags ir.TagAlloc) (Stats, error) {
 	}
 }
 
-// build constructs the interference graph in sc's storage.
-func build(fn *ir.Func, sc *scratch) *graph {
-	// Loop depths weight spill costs; dominator/loop discovery must
-	// not mutate the CFG here because the liveness arrays are
-	// indexed by block id.
+// blockWeights removes fn's unreachable blocks and returns each
+// block's spill-cost weight, indexed by block id: 10 per level of loop
+// nesting, capped near 1e6. Spill rounds add instructions but never
+// blocks or edges, so Func computes the weights once for all rounds.
+func blockWeights(fn *ir.Func, sc *scratch) []float64 {
 	fn.RemoveUnreachable()
-	dom := cfg.Dominators(fn)
-	forest := cfg.FindLoops(fn, dom)
+	forest := cfg.FindLoops(fn, cfg.Dominators(fn))
+	weights := resize(&sc.weights, len(fn.Blocks))
+	for _, b := range fn.Blocks {
+		weight := 1.0
+		for d := forest.Depth(b); d > 0 && weight < 1e6; d-- {
+			weight *= 10
+		}
+		weights[b.ID] = weight
+	}
+	return weights
+}
+
+// build constructs the interference graph in sc's storage, weighting
+// each reference's spill cost by its block's entry in weights.
+func build(fn *ir.Func, sc *scratch, weights []float64) *graph {
 	lv := computeLiveness(fn, sc)
 	n := fn.NumRegs
+	w := (n + 63) / 64
 	g := &graph{
 		sc:      sc,
 		n:       n,
-		adj:     resize(&sc.adj, n),
+		w:       w,
+		adj:     sc.bitset(n * w * 64),
 		deg:     resize(&sc.deg, n),
 		alias:   resize(&sc.alias, n),
 		cost:    resize(&sc.cost, n),
 		isParam: resize(&sc.isParam, n),
 		remat:   resize(&sc.remat, n),
 		defs:    resize(&sc.defs, n),
+		moves:   sc.moves[:0],
+		used:    sc.bitset(n),
 	}
 	for i := range g.alias {
 		g.alias[i] = ir.Reg(i)
 	}
 	for _, p := range fn.Params {
 		g.isParam[p] = true
+		g.used.add(p)
 	}
 	// Parameters carry an implicit entry definition, so an in-body
 	// constant assignment to one is never rematerializable.
@@ -247,6 +278,7 @@ func build(fn *ir.Func, sc *scratch) *graph {
 				continue
 			}
 			g.defs[d]++
+			g.used.add(d)
 			switch in.Op {
 			case ir.OpLoadI, ir.OpLoadF, ir.OpAddrOf:
 				g.remat[d] = in
@@ -257,10 +289,7 @@ func build(fn *ir.Func, sc *scratch) *graph {
 	var buf [8]ir.Reg
 	live := sc.bitset(n)
 	for _, b := range fn.Blocks {
-		weight := 1.0
-		for d := forest.Depth(b); d > 0 && weight < 1e6; d-- {
-			weight *= 10
-		}
+		weight := weights[b.ID]
 		copy(live, lv.liveOut[b.ID])
 		for i := len(b.Instrs) - 1; i >= 0; i-- {
 			in := &b.Instrs[i]
@@ -278,6 +307,7 @@ func build(fn *ir.Func, sc *scratch) *graph {
 			}
 			for _, u := range in.Uses(buf[:0]) {
 				g.cost[u] += weight
+				g.used.add(u)
 				live.add(u)
 			}
 		}
@@ -310,125 +340,126 @@ func build(fn *ir.Func, sc *scratch) *graph {
 			g.cost[r] *= 0.01
 		}
 	}
+	sc.moves = g.moves
 	return g
-}
-
-// degreeOf counts r's distinct live neighbors. Rows hold only current
-// representatives (merges rewrite them eagerly), so the degree is the
-// row's popcount, which deg keeps up to date.
-func (g *graph) degreeOf(r ir.Reg) int {
-	return int(g.deg[g.find(r)])
 }
 
 // canCoalesce applies the Briggs test (combined node has fewer than K
 // neighbors of significant degree) and falls back to the George test
 // (every neighbor of b either already interferes with a or is
 // insignificant), either of which guarantees coalescing cannot turn a
-// colorable graph uncolorable.
+// colorable graph uncolorable. a and b are non-interfering
+// representatives.
+//
+// Rows hold only representatives, never their own register, and are
+// symmetric (TestCoalescedRowsHoldUsedRepresentatives), so a neighbor's
+// degree is deg read directly, and neither a nor b appears in the rows
+// the tests walk. Each test returns as soon as its answer is known.
 func (g *graph) canCoalesce(a, b ir.Reg, k int) bool {
-	// Briggs, over the union of both neighborhoods.
-	high := 0
-	ra, rb := g.adj[a], g.adj[b]
-	nw := 0
-	if ra != nil {
-		nw = len(ra)
-	}
-	if rb != nil && len(rb) > nw {
-		nw = len(rb)
-	}
-	for i := 0; i < nw; i++ {
-		var w uint64
-		if ra != nil {
-			w = ra[i]
-		}
-		if rb != nil {
-			w |= rb[i]
-		}
-		for w != 0 {
-			r := ir.Reg(i*64 + bits.TrailingZeros64(w))
-			w &= w - 1
-			if r == a || r == b {
-				continue
-			}
-			if g.degreeOf(r) >= k {
-				high++
+	return g.briggs(a, b, int32(k)) || g.george(a, b, int32(k)) || g.george(b, a, int32(k))
+}
+
+// briggs reports whether fewer than k neighbors of a or b have degree
+// k or more. It stops counting at the k-th.
+func (g *graph) briggs(a, b ir.Reg, k int32) bool {
+	ra, rb := g.row(a), g.row(b)
+	var high int32
+	for i, w := range ra {
+		w |= rb[i]
+		for ; w != 0; w &= w - 1 {
+			if g.deg[i*64+bits.TrailingZeros64(w)] >= k {
+				if high++; high == k {
+					return false
+				}
 			}
 		}
 	}
-	if high < k {
-		return true
-	}
-	// George, both orientations.
-	george := func(x, y ir.Reg) bool {
-		ok := true
-		if g.adj[y] == nil {
-			return true
+	return true
+}
+
+// george reports whether every neighbor of y that is not already a
+// neighbor of x has degree below k. It walks y's row minus x's row and
+// stops at the first neighbor that blocks the merge.
+func (g *graph) george(x, y ir.Reg, k int32) bool {
+	xrow := g.row(x)
+	for i, w := range g.row(y) {
+		w &^= xrow[i]
+		for ; w != 0; w &= w - 1 {
+			if g.deg[i*64+bits.TrailingZeros64(w)] >= k {
+				return false
+			}
 		}
-		xrow := g.adj[x]
-		g.adj[y].forEach(func(r ir.Reg) {
-			if !ok || r == x {
-				return
-			}
-			if g.degreeOf(r) < k || (xrow != nil && xrow.has(r)) {
-				return
-			}
-			ok = false
-		})
-		return ok
 	}
-	return george(a, b) || george(b, a)
+	return true
 }
 
 // coalesce merges non-interfering move ends when a conservative test
-// (Briggs or George) proves the merge safe.
+// (Briggs or George) proves the merge safe, sweeping the moves in
+// order until a sweep merges nothing.
+//
+// A move is finished once its ends are one node, interfere, or are
+// both parameters (never merged: each receives a distinct argument at
+// entry). Each of these stays true under every later merge, so each
+// sweep visits only the moves still pending, in their original order,
+// and the merge sequence is the one a sweep over every move makes.
 func coalesce(g *graph, k int) int {
 	merged := 0
+	pending := g.moves
 	for changed := true; changed; {
 		changed = false
-		for _, mv := range g.moves {
+		kept := pending[:0]
+		for _, mv := range pending {
 			a, b := g.find(mv[0]), g.find(mv[1])
-			if a == b {
+			if a == b || g.row(a).has(b) || g.isParam[a] && g.isParam[b] {
 				continue
 			}
-			if g.interferes(a, b) {
+			g.probes++
+			ok := g.canCoalesce(a, b, k)
+			if g.onProbe != nil {
+				g.onProbe(a, b, ok)
+			}
+			if !ok {
+				kept = append(kept, mv)
 				continue
 			}
-			// Never merge two parameter registers: each receives a
-			// distinct argument at entry.
-			if g.isParam[a] && g.isParam[b] {
-				continue
-			}
-			if !g.canCoalesce(a, b, k) {
-				continue
-			}
-			// Merge b into a, eagerly rewriting every row that
-			// mentions b so rows keep holding representatives only.
-			// a and b do not interfere, so neither row holds the
-			// other: each neighbor r of b either gains a in b's
-			// place or, already adjacent to a, loses one neighbor.
-			g.alias[b] = a
-			arow := g.row(a)
-			if g.adj[b] != nil {
-				g.adj[b].forEach(func(r ir.Reg) {
-					if arow.has(r) {
-						g.deg[r]--
-					} else {
-						arow.add(r)
-						g.deg[a]++
-						g.adj[r].add(a)
-					}
-					g.adj[r].del(b)
-				})
-				g.adj[b] = nil
-				g.deg[b] = 0
-			}
-			g.isParam[a] = g.isParam[a] || g.isParam[b]
-			g.cost[a] += g.cost[b]
+			g.merge(a, b)
 			merged++
 			changed = true
 		}
+		pending = kept
 	}
 	return merged
+}
+
+// merge folds representative b into a, eagerly rewriting every row
+// that mentions b so rows keep holding representatives only. a and b
+// do not interfere, so neither row holds the other: each neighbor r
+// of b either gains a in b's place or, already adjacent to a, loses
+// one neighbor.
+func (g *graph) merge(a, b ir.Reg) {
+	g.alias[b] = a
+	arow, brow := g.row(a), g.row(b)
+	aw, abit := int(a)/64, uint64(1)<<(uint(a)%64)
+	bw, bbit := int(b)/64, uint64(1)<<(uint(b)%64)
+	for i, w := range brow {
+		shared, gained := w&arow[i], w&^arow[i]
+		arow[i] |= gained
+		g.deg[a] += int32(bits.OnesCount64(gained))
+		for ; shared != 0; shared &= shared - 1 {
+			r := i*64 + bits.TrailingZeros64(shared)
+			g.deg[r]--
+			g.adj[r*g.w+bw] &^= bbit
+		}
+		for ; gained != 0; gained &= gained - 1 {
+			row := g.row(ir.Reg(i*64 + bits.TrailingZeros64(gained)))
+			row[aw] |= abit
+			row[bw] &^= bbit
+		}
+	}
+	clear(brow)
+	g.deg[b] = 0
+	g.isParam[a] = g.isParam[a] || g.isParam[b]
+	g.cost[a] += g.cost[b]
 }
 
 // color runs simplify/select with optimistic spilling; it returns the
@@ -437,46 +468,45 @@ func coalesce(g *graph, k int) int {
 // temporary (a register numbered firstTemp or above) are chosen as
 // spill candidates only when nothing else is available. The colors
 // live in g's scratch storage, valid until the next round's build.
-func color(g *graph, fn *ir.Func, k int, firstTemp ir.Reg) ([]int, []ir.Reg) {
+func color(g *graph, k int, firstTemp ir.Reg) ([]int, []ir.Reg) {
 	noSpillRep := g.sc.bitset(g.n)
 	for r := firstTemp; int(r) < g.n; r++ {
 		noSpillRep.add(g.find(r))
 	}
-	reps := usedReps(g, fn)
-	repList := g.sc.reps[:0]
-	reps.forEach(func(r ir.Reg) { repList = append(repList, r) })
-	g.sc.reps = repList
+	reps := usedReps(g)
 
 	// Coalescing leaves every row holding only representatives of
 	// registers fn defines or uses, never the row's own register
 	// (TestCoalescedRowsHoldUsedRepresentatives), so simplify and
-	// select read the graph's rows in place. Only the
-	// degrees, which simplify counts down, are copied, along with the
-	// set of remaining nodes whose degree is below k.
-	adj := g.adj
+	// select read the graph's rows in place. Only the degrees, which
+	// simplify counts down, are copied, along with the set of
+	// remaining nodes whose degree is below k.
 	deg := resize(&g.sc.colorDeg, g.n)
 	low := g.sc.bitset(g.n)
-	for _, r := range repList {
-		deg[r] = int(g.deg[r])
-		if deg[r] < k {
-			low.add(r)
+	for i, w := range reps {
+		for ; w != 0; w &= w - 1 {
+			r := i*64 + bits.TrailingZeros64(w)
+			deg[r] = int(g.deg[r])
+			if deg[r] < k {
+				low.add(ir.Reg(r))
+			}
 		}
 	}
 
 	removed := g.sc.bitset(g.n)
 	stack := g.sc.stack[:0]
-	for remaining := len(repList); remaining > 0; remaining-- {
+	for remaining := reps.count(); remaining > 0; remaining-- {
 		// Pick a trivially colorable node (lowest-numbered first);
 		// otherwise the cheapest spill candidate (optimistically
 		// pushed).
 		pick := low.first()
 		if pick == ir.RegInvalid {
-			pick = spillCandidate(g, repList, removed, noSpillRep, deg)
+			pick = spillCandidate(g, reps, removed, noSpillRep, deg)
 		}
 		low.del(pick)
 		removed.add(pick)
 		stack = append(stack, pick)
-		for i, w := range adj[pick] {
+		for i, w := range g.row(pick) {
 			for w &^= removed[i]; w != 0; w &= w - 1 {
 				n := i*64 + bits.TrailingZeros64(w)
 				if deg[n]--; deg[n] == k-1 {
@@ -491,52 +521,45 @@ func color(g *graph, fn *ir.Func, k int, firstTemp ir.Reg) ([]int, []ir.Reg) {
 	for i := range colors {
 		colors[i] = -1
 	}
-	used := make([]bool, k)
+	// Select takes each node's lowest color that no colored neighbor
+	// holds, from a k-bit mask of the colors in use.
+	used := g.sc.bitset(k)
+	colored := g.sc.bitset(g.n)
 	var spills []ir.Reg
 	for i := len(stack) - 1; i >= 0; i-- {
 		r := stack[i]
-		for j := range used {
-			used[j] = false
-		}
-		adj[r].forEach(func(n ir.Reg) {
-			if c := colors[n]; c >= 0 {
-				used[c] = true
+		clear(used)
+		for j, w := range g.row(r) {
+			for w &= colored[j]; w != 0; w &= w - 1 {
+				c := uint(colors[j*64+bits.TrailingZeros64(w)])
+				used[c/64] |= 1 << (c % 64)
 			}
-		})
-		c := -1
-		for j := 0; j < k; j++ {
-			if !used[j] {
-				c = j
+		}
+		c := k
+		for j, w := range used {
+			if w != ^uint64(0) {
+				c = j*64 + bits.TrailingZeros64(^w)
 				break
 			}
 		}
-		if c == -1 {
+		if c >= k {
 			spills = append(spills, r)
 			continue
 		}
 		colors[r] = c
+		colored.add(r)
 	}
 	return colors, spills
 }
 
 // usedReps is the set of representatives of the registers fn defines
 // or uses, its parameters included.
-func usedReps(g *graph, fn *ir.Func) bitset {
+func usedReps(g *graph) bitset {
 	reps := g.sc.bitset(g.n)
-	var buf [8]ir.Reg
-	for _, b := range fn.Blocks {
-		for i := range b.Instrs {
-			in := &b.Instrs[i]
-			if d := in.Def(); d != ir.RegInvalid {
-				reps.add(g.find(d))
-			}
-			for _, u := range in.Uses(buf[:0]) {
-				reps.add(g.find(u))
-			}
+	for i, w := range g.used {
+		for ; w != 0; w &= w - 1 {
+			reps.add(g.find(ir.Reg(i*64 + bits.TrailingZeros64(w))))
 		}
-	}
-	for _, p := range fn.Params {
-		reps.add(g.find(p))
 	}
 	return reps
 }
@@ -545,22 +568,22 @@ func usedReps(g *graph, fn *ir.Func) bitset {
 // per degree, ties going to the lowest-numbered one, preferring nodes
 // outside noSpillRep. It runs only when every remaining node has
 // degree k or more.
-func spillCandidate(g *graph, repList []ir.Reg, removed, noSpillRep bitset, deg []int) ir.Reg {
+func spillCandidate(g *graph, reps, removed, noSpillRep bitset, deg []int) ir.Reg {
 	pickSpill, pickLast := ir.RegInvalid, ir.RegInvalid
 	bestCost, lastCost := 0.0, 0.0
-	for _, r := range repList {
-		if removed.has(r) {
-			continue
-		}
-		c := g.cost[r] / float64(deg[r]+1)
-		if noSpillRep.has(r) {
-			if pickLast == ir.RegInvalid || c < lastCost {
-				pickLast, lastCost = r, c
+	for i, w := range reps {
+		for w &^= removed[i]; w != 0; w &= w - 1 {
+			r := ir.Reg(i*64 + bits.TrailingZeros64(w))
+			c := g.cost[r] / float64(deg[r]+1)
+			if noSpillRep.has(r) {
+				if pickLast == ir.RegInvalid || c < lastCost {
+					pickLast, lastCost = r, c
+				}
+				continue
 			}
-			continue
-		}
-		if pickSpill == ir.RegInvalid || c < bestCost {
-			pickSpill, bestCost = r, c
+			if pickSpill == ir.RegInvalid || c < bestCost {
+				pickSpill, bestCost = r, c
+			}
 		}
 	}
 	if pickSpill != ir.RegInvalid {

@@ -8,8 +8,8 @@ import (
 
 // scratch is the working storage of one function's allocation: a word
 // buffer that a round's bitsets (interference rows, liveness sets,
-// build's live set, color's sets) are carved from, and the graph's and
-// color's per-register arrays. Func takes a scratch from scratchPool
+// build's live set, color's sets and select's color mask) are carved
+// from, and the graph's and color's per-register arrays. Func takes a scratch from scratchPool
 // and puts it back, so a worker allocating function after function
 // reuses one; every part is bounded by the largest function it has
 // served.
@@ -19,16 +19,16 @@ type scratch struct {
 	need  int // words requested since the last reset, overflow included
 
 	sets     []bitset // computeLiveness' per-block sets
-	adj      []bitset
 	deg      []int32
 	alias    []ir.Reg
 	cost     []float64
 	isParam  []bool
 	remat    []*ir.Instr
 	defs     []int
+	moves    [][2]ir.Reg
+	weights  []float64 // blockWeights' per-block spill weights, kept across rounds
 	colorDeg []int
 	colors   []int
-	reps     []ir.Reg
 	stack    []ir.Reg
 }
 
@@ -62,7 +62,6 @@ func (sc *scratch) bitset(n int) bitset {
 // and into overflow sets before it goes back to the pool.
 func (sc *scratch) release() {
 	clear(sc.sets)
-	clear(sc.adj)
 	clear(sc.remat)
 	scratchPool.Put(sc)
 }

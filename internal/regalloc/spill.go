@@ -1,7 +1,7 @@
 package regalloc
 
 import (
-	"fmt"
+	"strconv"
 
 	"regpromo/internal/ir"
 )
@@ -47,7 +47,7 @@ func insertSpills(fn *ir.Func, spills []ir.Reg, g *graph, tags ir.TagAlloc) Stat
 			continue
 		}
 		tag := tags.NewTag(
-			fmt.Sprintf("%s.spill#%d", fn.Name, len(fn.Locals)),
+			fn.Name+".spill#"+strconv.Itoa(len(fn.Locals)),
 			ir.TagSpill, fn.Name, 8, 8)
 		tag.Strong = true
 		slot[r] = tag.ID
