@@ -12,7 +12,6 @@ import (
 	"regpromo/internal/cc/sema"
 	"regpromo/internal/cc/token"
 	"regpromo/internal/driver"
-	"regpromo/internal/regalloc"
 	"regpromo/internal/testgen"
 )
 
@@ -162,9 +161,8 @@ func BenchmarkFrontEndScale(b *testing.B) {
 // compiles are the slowest of perfbench figures' matrix and so set its
 // compile_ms.tail, from one parsed front end: once per paper
 // configuration, then again at K=8, where every configuration spills.
-// Each K's regalloc cell times register allocation alone, on a copy of
-// the modref+promote configuration's unallocated module made with the
-// timer stopped.
+// Register allocation is most of each promote cell; a CPU profile of
+// the modref+promote cell shows its share of the tail.
 func BenchmarkCompileTail(b *testing.B) {
 	var water bench.Program
 	for _, p := range bench.Suite() {
@@ -195,19 +193,5 @@ func BenchmarkCompileTail(b *testing.B) {
 				}
 			})
 		}
-		b.Run(prefix+"regalloc", func(b *testing.B) {
-			c, err := fe.Compile(driver.Config{Analysis: driver.ModRef, Promote: true, NoAlloc: true}, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				m := c.Module.Clone()
-				b.StartTimer()
-				if _, err := regalloc.Run(m, regalloc.Options{K: k}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

@@ -7,12 +7,12 @@ import (
 )
 
 // scratch is the working storage of one function's allocation: a word
-// buffer that a round's bitsets (interference rows, liveness sets,
-// build's live set, color's sets and select's color mask) are carved
-// from, and the graph's and color's per-register arrays. Func takes a scratch from scratchPool
-// and puts it back, so a worker allocating function after function
-// reuses one; every part is bounded by the largest function it has
-// served.
+// buffer that a round's bitsets (the interference matrix, liveness
+// sets, build's live and used sets, color's sets and select's color
+// mask) are carved from, and the graph's and color's per-register
+// arrays. Func takes a scratch from scratchPool and puts it back, so a
+// worker allocating function after function reuses one; every part is
+// bounded by the largest function it has served.
 type scratch struct {
 	words []uint64
 	used  int // words handed out since the last reset
