@@ -8,45 +8,19 @@ import (
 	"regpromo/internal/ir"
 )
 
-// CheckCoalescedRows allocates fn under k registers round by round, as
-// Func does, and after each round's coalescing checks the invariant
-// color and the conservative tests read the graph under: usedReps is
-// the set of representatives of the registers fn defines or uses,
-// every row holds only such representatives and never its own
-// register, r's row holds n exactly when n's row holds r, and deg is
-// the row's popcount. It returns the number of rounds allocation took.
-func CheckCoalescedRows(fn *ir.Func, k int, tags ir.TagAlloc) (int, error) {
+// allocRounds allocates fn under k registers round by round, as Func
+// does, except that each round's coalescing is coalesceRound, which
+// must coalesce g itself. It returns the number of rounds allocation
+// took.
+func allocRounds(fn *ir.Func, k int, tags ir.TagAlloc, coalesceRound func(g *graph) error) (int, error) {
 	firstTemp := ir.Reg(fn.NumRegs)
 	sc := new(scratch)
 	weights := blockWeights(fn, sc)
 	for round := 1; round <= 100; round++ {
 		sc.reset()
 		g := build(fn, sc, weights)
-		coalesce(g, k)
-		reps := usedReps(g)
-		if want := funcReps(g, fn); !slices.Equal(reps, want) {
-			return round, fmt.Errorf("%s round %d: used representatives %v, want %v", fn.Name, round, reps, want)
-		}
-		for r := range g.n {
-			row := g.row(ir.Reg(r))
-			if got := row.count(); int32(got) != g.deg[r] {
-				return round, fmt.Errorf("%s round %d: deg[r%d] = %d, row holds %d", fn.Name, round, r, g.deg[r], got)
-			}
-			var bad error
-			row.forEach(func(n ir.Reg) {
-				switch {
-				case bad != nil:
-				case n == ir.Reg(r):
-					bad = fmt.Errorf("%s round %d: row r%d holds itself", fn.Name, round, r)
-				case !reps.has(n) || g.find(n) != n:
-					bad = fmt.Errorf("%s round %d: row r%d holds r%d, not a used representative", fn.Name, round, r, n)
-				case !g.row(n).has(ir.Reg(r)):
-					bad = fmt.Errorf("%s round %d: row r%d holds r%d, but row r%d lacks r%d", fn.Name, round, r, n, n, r)
-				}
-			})
-			if bad != nil {
-				return round, bad
-			}
+		if err := coalesceRound(g); err != nil {
+			return round, fmt.Errorf("%s round %d: %v", fn.Name, round, err)
 		}
 		colors, spills := color(g, k, firstTemp)
 		if len(spills) == 0 {
@@ -56,6 +30,45 @@ func CheckCoalescedRows(fn *ir.Func, k int, tags ir.TagAlloc) (int, error) {
 		insertSpills(fn, spills, g, tags)
 	}
 	return 100, fmt.Errorf("%s did not converge (K=%d)", fn.Name, k)
+}
+
+// CheckCoalescedRows allocates fn under k registers, as Func does, and
+// after each round's coalescing checks the invariant color and the
+// conservative tests read the graph under: usedReps is the set of
+// representatives of the registers fn defines or uses, every row holds
+// only such representatives and never its own register, r's row holds
+// n exactly when n's row holds r, and deg is the row's popcount. It
+// returns the number of rounds allocation took.
+func CheckCoalescedRows(fn *ir.Func, k int, tags ir.TagAlloc) (int, error) {
+	return allocRounds(fn, k, tags, func(g *graph) error {
+		coalesce(g, k)
+		reps := usedReps(g)
+		if want := funcReps(g, fn); !slices.Equal(reps, want) {
+			return fmt.Errorf("used representatives %v, want %v", reps, want)
+		}
+		for r := range g.n {
+			row := g.row(ir.Reg(r))
+			if got := row.count(); int32(got) != g.deg[r] {
+				return fmt.Errorf("deg[r%d] = %d, row holds %d", r, g.deg[r], got)
+			}
+			var bad error
+			row.forEach(func(n ir.Reg) {
+				switch {
+				case bad != nil:
+				case n == ir.Reg(r):
+					bad = fmt.Errorf("row r%d holds itself", r)
+				case !reps.has(n) || g.find(n) != n:
+					bad = fmt.Errorf("row r%d holds r%d, not a used representative", r, n)
+				case !g.row(n).has(ir.Reg(r)):
+					bad = fmt.Errorf("row r%d holds r%d, but row r%d lacks r%d", r, n, n, r)
+				}
+			})
+			if bad != nil {
+				return bad
+			}
+		}
+		return nil
+	})
 }
 
 // funcReps is the set of representatives of the registers fn's
@@ -87,53 +100,39 @@ type probe struct {
 	ok   bool
 }
 
-// CheckConservativeTests allocates fn under k registers round by round,
-// as Func does, and holds each round's coalescing to the full-scan
-// reference. A copy of the round's graph is coalesced by
-// referenceCoalesce; the graph itself by coalesce, with
-// referenceCanCoalesce re-run on the graph as it stands at every probe.
-// It fails at the first probe whose verdict differs from the
-// reference's, and when the two sweeps probe different pairs, merge
-// differently or leave different rows. It returns the number of probes
-// checked.
+// CheckConservativeTests allocates fn under k registers, as Func does,
+// and holds each round's coalescing to the full-scan reference. A copy
+// of the round's graph is coalesced by referenceCoalesce; the graph
+// itself by coalesce, with referenceCanCoalesce re-run on the graph as
+// it stands at every probe. It fails at the first probe whose verdict
+// differs from the reference's, and when the two sweeps probe
+// different pairs, merge differently or leave different rows. It
+// returns the number of probes checked.
 func CheckConservativeTests(fn *ir.Func, k int, tags ir.TagAlloc) (int, error) {
-	firstTemp := ir.Reg(fn.NumRegs)
-	sc := new(scratch)
-	weights := blockWeights(fn, sc)
 	checked := 0
-	for round := 1; round <= 100; round++ {
-		sc.reset()
-		g := build(fn, sc, weights)
+	_, err := allocRounds(fn, k, tags, func(g *graph) error {
 		ref := g.clone()
 		want := referenceCoalesce(ref, k)
 		var got []probe
 		var bad error
 		g.onProbe = func(a, b ir.Reg, ok bool) {
 			if refOK := g.referenceCanCoalesce(a, b, k); ok != refOK && bad == nil {
-				bad = fmt.Errorf("%s round %d probe %d: coalesce r%d with r%d: verdict %v, reference %v", fn.Name, round, len(got), a, b, ok, refOK)
+				bad = fmt.Errorf("probe %d: coalesce r%d with r%d: verdict %v, reference %v", len(got), a, b, ok, refOK)
 			}
 			got = append(got, probe{a, b, ok})
 		}
 		coalesce(g, k)
 		g.onProbe = nil
-		if bad != nil {
-			return checked, bad
-		}
-		if !slices.Equal(got, want) {
-			return checked, fmt.Errorf("%s round %d: probes %v, reference %v", fn.Name, round, got, want)
-		}
-		if err := sameGraph(g, ref); err != nil {
-			return checked, fmt.Errorf("%s round %d: %v", fn.Name, round, err)
+		switch {
+		case bad != nil:
+			return bad
+		case !slices.Equal(got, want):
+			return fmt.Errorf("probes %v, reference %v", got, want)
 		}
 		checked += len(got)
-		colors, spills := color(g, k, firstTemp)
-		if len(spills) == 0 {
-			rewrite(fn, g, colors)
-			return checked, nil
-		}
-		insertSpills(fn, spills, g, tags)
-	}
-	return checked, fmt.Errorf("%s did not converge (K=%d)", fn.Name, k)
+		return sameGraph(g, ref)
+	})
+	return checked, err
 }
 
 // clone copies the parts of g that coalescing reads and writes, with
