@@ -333,21 +333,9 @@ func number[K comparable](s *valnumState, table map[K]exprVal, in *ir.Instr, key
 	return 0
 }
 
-// killTags forgets the value of every tag a store or call may write.
-// It walks the smaller side: memVal's entries when it holds fewer than
-// tags has members, tags' members otherwise; either way the same
-// entries go.
 func (s *valnumState) killTags(tags ir.TagSet) {
 	if tags.IsTop() {
 		clear(s.memVal)
-		return
-	}
-	if len(s.memVal) < tags.Len() {
-		for t := range s.memVal {
-			if tags.Has(t) {
-				delete(s.memVal, t)
-			}
-		}
 		return
 	}
 	tags.ForEach(func(t ir.TagID) {

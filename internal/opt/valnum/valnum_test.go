@@ -1,9 +1,7 @@
 package valnum
 
 import (
-	"maps"
 	"math"
-	"math/rand"
 	"testing"
 
 	"regpromo/internal/ir"
@@ -268,36 +266,5 @@ func TestGenerationWrapForgetsStamps(t *testing.T) {
 		if v := s.known(2); v != 0 {
 			t.Fatalf("block %d after the wrap: stale register reads as value %d", i, v)
 		}
-	}
-}
-
-// TestKillTagsWalksEitherSide checks that killTags leaves memVal as a
-// walk over every member of the killed set does, on random sets and
-// tables on both sides of the size switch.
-func TestKillTagsWalksEitherSide(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	s := newState()
-	var sides [2]int
-	for trial := 0; trial < 2000; trial++ {
-		universe := 1 + rng.Intn(300)
-		var ids []ir.TagID
-		for n := rng.Intn(universe); n > 0; n-- {
-			ids = append(ids, ir.TagID(rng.Intn(universe)))
-		}
-		tags := ir.NewTagSet(ids...)
-		clear(s.memVal)
-		for n := rng.Intn(universe); n > 0; n-- {
-			s.memVal[ir.TagID(rng.Intn(universe))] = memFact{exprVal{vn: int32(n), reg: ir.Reg(n)}, 8}
-		}
-		sides[b2i(len(s.memVal) < tags.Len())]++
-		want := maps.Clone(s.memVal)
-		tags.ForEach(func(t ir.TagID) { delete(want, t) })
-		s.killTags(tags)
-		if !maps.Equal(s.memVal, want) {
-			t.Fatalf("trial %d: kill %v: memVal %v, want %v", trial, tags, s.memVal, want)
-		}
-	}
-	if sides[0] == 0 || sides[1] == 0 {
-		t.Fatalf("trials walking the tag set %d, walking memVal %d: one side untested", sides[0], sides[1])
 	}
 }

@@ -88,6 +88,9 @@ type graph struct {
 	adj   bitset   // n rows of w words; row(r) is r's
 	deg   []int32  // deg[r] = number of bits set in row(r)
 	alias []ir.Reg // union-find parent (self when representative)
+	// moves lists the copies build found, in body order. coalesce
+	// consumes it: it compacts its pending moves in place over this
+	// array and leaves the field nil.
 	moves [][2]ir.Reg
 	cost  []float64
 	// isParam marks registers that receive arguments at entry.
@@ -402,6 +405,8 @@ func (g *graph) george(x, y ir.Reg, k int32) bool {
 // entry). Each of these stays true under every later merge, so each
 // sweep visits only the moves still pending, in their original order,
 // and the merge sequence is the one a sweep over every move makes.
+// The pending list is compacted in place over g.moves, so coalesce
+// consumes the list and leaves g.moves nil.
 func coalesce(g *graph, k int) int {
 	merged := 0
 	pending := g.moves
@@ -428,6 +433,7 @@ func coalesce(g *graph, k int) int {
 		}
 		pending = kept
 	}
+	g.moves = nil
 	return merged
 }
 
