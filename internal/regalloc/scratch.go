@@ -8,11 +8,12 @@ import (
 
 // scratch is the working storage of one function's allocation: a word
 // buffer that a round's bitsets (the interference matrix, liveness
-// sets, build's live and used sets, color's sets and select's color
-// mask) are carved from, and the graph's and color's per-register
-// arrays. Func takes a scratch from scratchPool and puts it back, so a
-// worker allocating function after function reuses one; every part is
-// bounded by the largest function it has served.
+// sets, build's live and used sets, color's sets, select's color mask
+// and insertSpills' spilled set) are carved from, and the graph's,
+// color's and insertSpills' per-register arrays. Func takes a scratch
+// from scratchPool and puts it back, so a worker allocating function
+// after function reuses one; every part is bounded by the largest
+// function it has served.
 type scratch struct {
 	words []uint64
 	used  int // words handed out since the last reset
@@ -30,6 +31,11 @@ type scratch struct {
 	colorDeg []int
 	colors   []int
 	stack    []ir.Reg
+	// insertSpills' per-class tables and the block it is building.
+	spillDefs  []int
+	spillRemat []*ir.Instr
+	slots      []ir.TagID
+	instrs     []ir.Instr
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -63,6 +69,8 @@ func (sc *scratch) bitset(n int) bitset {
 func (sc *scratch) release() {
 	clear(sc.sets)
 	clear(sc.remat)
+	clear(sc.spillRemat)
+	clear(sc.instrs[:cap(sc.instrs)])
 	scratchPool.Put(sc)
 }
 

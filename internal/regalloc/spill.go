@@ -16,8 +16,10 @@ func insertSpills(fn *ir.Func, spills []ir.Reg, g *graph, tags ir.TagAlloc) Stat
 	var stats Stats
 	find := g.find
 
-	// Spilled representatives, as a set.
-	spillSet := newBitset(g.n)
+	// Spilled representatives, as a set. The set and the per-class
+	// tables below come from the round's scratch.
+	sc := g.sc
+	spillSet := sc.bitset(g.n)
 	for _, r := range spills {
 		spillSet.add(r)
 	}
@@ -26,13 +28,13 @@ func insertSpills(fn *ir.Func, spills []ir.Reg, g *graph, tags ir.TagAlloc) Stat
 	// A spilled class whose only definition is a rematerializable
 	// instruction gets no slot: each use re-issues the definition,
 	// copied out here before the body is rewritten.
-	nDefs := make([]int, g.n)
+	nDefs := resize(&sc.spillDefs, g.n)
 	for r := ir.Reg(0); int(r) < g.n; r++ {
 		if rep := find(r); spillSet.has(rep) {
 			nDefs[rep] += g.defs[r]
 		}
 	}
-	remat := make([]*ir.Instr, g.n)
+	remat := resize(&sc.spillRemat, g.n)
 	for r := ir.Reg(0); int(r) < g.n; r++ {
 		if rep := find(r); spillSet.has(rep) && nDefs[rep] == 1 && g.remat[r] != nil {
 			def := g.remat[r].Clone()
@@ -41,7 +43,7 @@ func insertSpills(fn *ir.Func, spills []ir.Reg, g *graph, tags ir.TagAlloc) Stat
 	}
 
 	// Per spilled (non-remat) class, a frame slot.
-	slot := make([]ir.TagID, g.n)
+	slot := resize(&sc.slots, g.n)
 	for _, r := range spills {
 		if remat[r] != nil {
 			continue
@@ -57,11 +59,13 @@ func insertSpills(fn *ir.Func, spills []ir.Reg, g *graph, tags ir.TagAlloc) Stat
 
 	// The caller passes the representative registers of a coalesced
 	// graph together with its find function, so member registers of
-	// a spilled class resolve to the class slot.
+	// a spilled class resolve to the class slot. Each block is built
+	// in the scratch's instruction buffer and copied back over its
+	// own slice, which grows at most once.
 	type reload struct{ rep, t ir.Reg }
 	var loaded []reload
 	for _, b := range fn.Blocks {
-		var out []ir.Instr
+		out := sc.instrs[:0]
 		for i := range b.Instrs {
 			in := b.Instrs[i]
 
@@ -112,7 +116,8 @@ func insertSpills(fn *ir.Func, spills []ir.Reg, g *graph, tags ir.TagAlloc) Stat
 			}
 			out = append(out, in)
 		}
-		b.Instrs = out
+		b.Instrs = append(b.Instrs[:0], out...)
+		sc.instrs = out
 	}
 
 	// A spilled parameter receives its argument in the register at
